@@ -27,7 +27,7 @@ import time
 # without the leading underscore of ``_integrate``).
 LAYER_FUNCTIONS = {
     "integrate": ("integrate_adaptive", "sweep_linear_events"),
-    "metric_models": ("curvature_extremes", "area"),
+    "metric_models": ("curvature_extremes",),
     "geodesic_dynamics": ("find_closed_geodesic", "integrate_geodesic",
                           "jacobi_polar_advance", "conjugate_time"),
     "birkhoff_section": ("build_section", "compute_return_grid",
@@ -39,7 +39,7 @@ LAYER_FUNCTIONS = {
                          "boundary_consistency_check"),
     "strip_calculus": ("build_from_generating", "generating_from_map",
                        "fixed_point_with_signed_action", "action", "calabi",
-                       "flux", "flux_boundary_path"),
+                       "flux"),
     "systolic_audit": ("audit", "candidate_closed_geodesics"),
     "cli": ("main", "_emit"),
 }

@@ -104,7 +104,8 @@ def check_strip_map(net_flux, gen_w, back_w, flux, flux_path, boundary,
 
     ``boundary`` is the (lower, upper) boundary mean of the recovered
     generating function; ``signs`` is (cal, sigma, sigma_other_branch) for a
-    zero-flux map that ran the fixed-point theorem.  The generating term
+    zero-flux map that ran the fixed-point theorem, with sigma_other_branch
+    None where W has no extremum of the mirrored sign.  The generating term
     -net_flux * cos(Y) fixes the flux in closed form.
     """
     fails = []
@@ -119,7 +120,9 @@ def check_strip_map(net_flux, gen_w, back_w, flux, flux_path, boundary,
         fails.append("boundary values disagree with the flux")
     if signs is not None:
         cal, sigma, sigma_other = signs
-        if not ((sigma < 0 < sigma_other) if cal <= 0
-                else (sigma_other < 0 < sigma)):
-            fails.append("fixed-point action signs contradict the Calabi sign")
+        if not (sigma < 0 if cal <= 0 else sigma > 0):
+            fails.append("fixed-point action sign contradicts the Calabi sign")
+        if sigma_other is not None and not (sigma_other > 0 if cal <= 0
+                                            else sigma_other < 0):
+            fails.append("mirrored fixed-point action has the Calabi sign")
     return fails

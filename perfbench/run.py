@@ -1,6 +1,6 @@
 """Benchmark of birkhofflab: one workload per run, or all of them.
 
-    python3 perfbench/run.py --workload audit-prolate --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload audit-prolate --seed 1 --seconds 36 --trace 0
     python3 perfbench/run.py --workload all
 
 Run from the root of a source checkout; the package is imported from its
@@ -151,7 +151,7 @@ def main(argv=None):
     ap.add_argument("--workload", required=True,
                     choices=WORKLOADS + ("all",))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=36.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if not (SRC / "birkhofflab" / "__init__.py").is_file():

@@ -97,6 +97,24 @@ def test_strip_maps_pass_and_a_wrong_flux_fails():
                                    back.boundary_values())
 
 
+def test_single_signed_map_skips_the_mirrored_branch():
+    # Seed 19 draws a zero-flux map whose W is positive inside the strip:
+    # it has a fixed point of positive action only.
+    inputs = workloads.strip_inputs(19)
+    gen = inputs.gens[0]
+    assert inputs.net_flux[0] == 0.0 and gen.w[:, 1:-1].min() > 0.0
+    assert workloads.takes_sign(gen, "positive")
+    assert not workloads.takes_sign(gen, "negative")
+    back, fl, fl_path, signs = workloads._strip_map(gen, True)
+    cal, sigma, sigma_other = signs
+    assert cal > 0 < sigma and sigma_other is None
+    assert oracles.check_strip_map(0.0, gen.w, back.w, fl, fl_path,
+                                   back.boundary_values(), signs) == []
+    assert oracles.check_strip_map(0.0, gen.w, back.w, fl, fl_path,
+                                   back.boundary_values(),
+                                   (cal, sigma, sigma)) != []
+
+
 @pytest.fixture(scope="module")
 def small_audit():
     inputs = workloads.audit_inputs(11, 1.025, 1.035, nx=16, ny=64)

@@ -84,14 +84,27 @@ class StripInputs:
     gens: tuple
 
 
-def strip_inputs(seed, n_maps=BATCH_MAPS, grid=GRID):
+def strip_inputs(seed, n_maps=BATCH_MAPS):
     rng = np.random.default_rng(seed)
     net_flux = tuple(0.0 if k % 2 == 0
                      else float(rng.uniform(-NET_FLUX_MAX, NET_FLUX_MAX))
                      for k in range(n_maps))
-    gens = tuple(sc.random_generating_grid(rng, nx=grid, ny=grid, net_flux=f)
+    gens = tuple(sc.random_generating_grid(rng, nx=GRID, ny=GRID, net_flux=f)
                  for f in net_flux)
     return StripInputs(net_flux=net_flux, gens=gens)
+
+
+def takes_sign(gen, branch):
+    """Whether W takes the branch's sign inside the strip.
+
+    W vanishes on both boundary rows, so its interior minimum (maximum) is a
+    fixed point with negative (positive) action exactly when W is negative
+    (positive) somewhere inside.  The fixed-point theorem guarantees only the
+    branch of the Calabi sign: a single-signed W has no mirrored extremum.
+    """
+    interior = gen.w[:, 1:-1]
+    return bool(interior.min() < 0.0 if branch == "negative"
+                else interior.max() > 0.0)
 
 
 def _strip_map(gen, zero_flux):
@@ -105,8 +118,10 @@ def _strip_map(gen, zero_flux):
         cal = sc.calabi(grid, action_grid=act)
         _, sigma = sc.fixed_point_with_signed_action(grid, gen)
         other = "positive" if cal <= 0 else "negative"
-        _, sigma_other = sc.fixed_point_with_signed_action(grid, gen,
-                                                           branch=other)
+        sigma_other = None
+        if takes_sign(gen, other):
+            _, sigma_other = sc.fixed_point_with_signed_action(
+                grid, gen, branch=other)
         signs = (cal, sigma, sigma_other)
     return back, fl, fl_path, signs
 
