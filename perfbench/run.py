@@ -1,6 +1,6 @@
 """Benchmark of birkhofflab: one workload per run, or all of them.
 
-    python3 perfbench/run.py --workload audit-prolate --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload audit-prolate --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --workload all
 
 Run from the root of a source checkout; the package is imported from its
@@ -28,27 +28,36 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent
 SRC = BENCH.parent / "src"
 WORKLOADS = ("audit-prolate", "audit-oblate", "strip-maps")
-END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB"}
+# Times are rescaled to the reference host speed (speedprobe.py).
+END_TO_END = {"setup_s": "s", "wall_ref_s": "s", "peak_rss_mb": "MB"}
 # Per-run diagnostics reported with the per-layer metrics: not gated.
-# run.wall_s is wall_s under tracing; the difference is the tracing overhead.
-RUN_METRICS = {"run.wall_s": "s", "run.cpu_s": "s", "run.map_p50_ms": "ms",
-               "run.map_p90_ms": "ms", "run.map_samples": "count"}
+# run.wall_ref_s is wall_ref_s under tracing; the difference is the tracing
+# overhead.  run.wall_s and run.cpu_s are not rescaled.
+RUN_METRICS = {"run.wall_ref_s": "s", "run.wall_s": "s", "run.cpu_s": "s",
+               "run.map_p50_ms": "ms", "run.map_p90_ms": "ms",
+               "run.map_samples": "count"}
 # Fresh interpreters timed per run for setup_s; the median is reported.
-SETUP_PROBES = 5
-PROBE = """\
+SETUP_RUNS = 7
+# Each times the import and the inputs between two bursts of speed probes.
+SETUP = """\
 import sys, time
-t0 = time.perf_counter()
 sys.path[:0] = sys.argv[1:3]
+import speedprobe
+def burst():
+    return [speedprobe.probe_seconds() for _ in range(25)]
+before = burst()
+t0 = time.perf_counter()
 import workloads
 workloads.WORKLOADS[sys.argv[3]].make_inputs(int(sys.argv[4]))
-print(time.perf_counter() - t0)
+seconds = time.perf_counter() - t0
+print(speedprobe.rescale(seconds, before + burst()))
 """
 
 
 def setup_seconds(workload, seed):
     """Import the package and build the inputs in a fresh interpreter."""
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(SRC), str(BENCH), workload,
+        [sys.executable, "-c", SETUP, str(SRC), str(BENCH), workload,
          str(seed)], check=True, capture_output=True, text=True, timeout=120)
     return float(out.stdout.split()[-1])
 
@@ -70,25 +79,28 @@ def percentile_ms(values, q):
 def run_workload(name, seed, seconds, trace):
     if not trace:
         setup = statistics.median(setup_seconds(name, seed)
-                                  for _ in range(SETUP_PROBES))
+                                  for _ in range(SETUP_RUNS))
     workloads = import_workloads()
+    import speedprobe
     wl = workloads.WORKLOADS[name]
     inputs = wl.make_inputs(seed)
     if trace:
         import layertrace
         tracer = layertrace.Tracer()
-    ops, cpus, laps, per_op = [], [], [], []
+    ops, rescaled, cpus, laps, per_op = [], [], [], [], []
     start = time.perf_counter()
     while True:
         t0, c0 = time.perf_counter(), time.process_time()
         if trace:
-            with tracer:
+            with tracer, speedprobe.SpeedProbe() as probe:
                 op, _ = wl.run_op(inputs)
             per_op.append(layertrace.op_metrics(tracer.take()))
         else:
-            op, _ = wl.run_op(inputs)
+            with speedprobe.SpeedProbe() as probe:
+                op, _ = wl.run_op(inputs)
         cpus.append(time.process_time() - c0)
         ops.append(op)
+        rescaled.append(probe.rescale(op.seconds))
         laps.append(time.perf_counter() - t0)
         if time.perf_counter() - start + statistics.median(laps) > seconds:
             break
@@ -96,13 +108,14 @@ def run_workload(name, seed, seconds, trace):
     failed = [it for it in items if it.fails]
     for it in failed[:5]:
         print("check failed: " + "; ".join(it.fails), file=sys.stderr)
-    wall = statistics.median(op.seconds for op in ops)
+    wall = statistics.median(rescaled)
     if trace:
         maps = ([it.seconds for it in items] if name == "strip-maps"
                 else [])
         values = layertrace.median_metrics(per_op)
         values.update({
-            "run.wall_s": wall,
+            "run.wall_ref_s": wall,
+            "run.wall_s": statistics.median(op.seconds for op in ops),
             "run.cpu_s": statistics.median(cpus),
             "run.map_p50_ms": percentile_ms(maps, 50) if maps else 0.0,
             "run.map_p90_ms": percentile_ms(maps, 90) if maps else 0.0,
@@ -111,7 +124,7 @@ def run_workload(name, seed, seconds, trace):
     else:
         values = {
             "setup_s": setup,
-            "wall_s": wall,
+            "wall_ref_s": wall,
             "peak_rss_mb":
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
         units = END_TO_END
@@ -151,7 +164,7 @@ def main(argv=None):
     ap.add_argument("--workload", required=True,
                     choices=WORKLOADS + ("all",))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=36.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if not (SRC / "birkhofflab" / "__init__.py").is_file():

@@ -1,5 +1,6 @@
 """Self-tests of the benchmark: oracles, seeded inputs, output checks, the
-tracer's transparency and coverage check, and repeatable trace counts.
+tracer's transparency and coverage check, repeatable trace counts and the
+speed probe.
 
     PYTHONPATH=src python -m pytest perfbench/tests -q
 """
@@ -7,8 +8,10 @@ tracer's transparency and coverage check, and repeatable trace counts.
 import json
 import math
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
 import layertrace  # noqa: E402
 import oracles  # noqa: E402
 import run  # noqa: E402
+import speedprobe  # noqa: E402
 import workloads  # noqa: E402
 from birkhofflab import _integrate  # noqa: E402
 
@@ -162,6 +166,25 @@ def test_integration_without_layer_parent_fails_the_trace():
                                       (0.0, 1.0))
     with pytest.raises(layertrace.TraceError, match="layer parent"):
         layertrace.op_metrics(tracer.take())
+
+
+def test_rescale_cancels_the_host_speed():
+    # An operation and the probe slowed by one factor rescale alike.
+    fast = speedprobe.rescale(2.0, [speedprobe.REF_PROBE_S] * 3)
+    slow = speedprobe.rescale(3.0, [1.5 * speedprobe.REF_PROBE_S] * 3)
+    assert fast == slow == pytest.approx(2.0)
+
+
+def test_speed_probe_samples_and_restores_the_signal():
+    previous = signal.getsignal(signal.SIGALRM)
+    with speedprobe.SpeedProbe() as probe:
+        deadline = time.perf_counter() + 3 * speedprobe.PERIOD_S
+        while time.perf_counter() < deadline:
+            pass
+    assert len(probe.samples) >= 3
+    assert all(s > 0.0 for s in probe.samples)
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_benchmark_json_matches_the_code():
