@@ -16,18 +16,16 @@ rows are not integrated at all: there the return time is the second
 conjugate time along gamma (forward along the lower row, backward along the
 upper one) and the footpoint advance equals that time, which pins the lift
 
-    X = x + rho - L,     rho = rho_plus + rho_minus in (0, 2L),
+    X = x + rho - L,     rho = rho_plus + rho_minus in [0, 2L),
 
 whose flux vanishes.  Each leg advance rho_{+,-} is the unique arc-position
-representative in (0, L); this is well defined because each leg of the
+representative in [0, L); this is well defined because each leg of the
 return arc is injective when the curvature is pinched above 1/4, which is
 what the sampled self-intersection test in :func:`zero_flux_lift` checks.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +45,11 @@ _TWO_PI = 2.0 * math.pi
 STATUS_OK = 0
 STATUS_GRAZING = 1
 STATUS_MISSING = 2
+
+# Interior grid rows integrated per return sweep.
+_ROW_BATCH = 8
+# Return-sweep horizon in units of 2 pi / sqrt(min K).
+_HORIZON_FACTOR = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +258,8 @@ class BirkhoffGrid:
                 f"{bad} grid nodes are flagged; returns are unreliable")
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "y", "X", "Y", "tau"])
-            for i in range(self.nx):
-                for j in range(self.ny):
-                    wr.writerow([repr(float(self.xs[i])), repr(float(self.ys[j])),
-                                 repr(float(self.X[i, j])),
-                                 repr(float(self.Y[i, j])),
-                                 repr(float(self.tau[i, j]))])
+        sc._write_node_csv(path, ["x", "y", "X", "Y", "tau"], self.xs,
+                           self.ys, self.X, self.Y, self.tau)
 
     def summary(self, model=None):
         lift = zero_flux_lift(self, arc_check_nodes=0)
@@ -290,21 +286,8 @@ class BirkhoffGrid:
         return out
 
 
-def _seed_batch(section, xs, ys_rows):
-    """Initial (n, 8) states for all nodes of the given rows."""
-    n_rows = len(ys_rows)
-    nx = len(xs)
-    u, t, p = section.frames(xs)
-    seeds = np.empty((n_rows * nx, 8))
-    for r, y in enumerate(ys_rows):
-        w = math.cos(y) * t + math.sin(y) * p
-        seeds[r * nx:(r + 1) * nx, 0:3] = u
-        seeds[r * nx:(r + 1) * nx, 3:6] = w
-    seeds[:, 6:8] = 0.0
-    return seeds
-
-
-def return_data(section, x, y, rtol=1e-10, atol=1e-12, horizon_factor=3.0):
+def return_data(section, x, y, rtol=1e-10, atol=1e-12,
+                horizon_factor=_HORIZON_FACTOR):
     """First-return record of the annulus vector at (x, y).
 
     Interior angles are integrated with event detection; the boundary rows
@@ -313,17 +296,18 @@ def return_data(section, x, y, rtol=1e-10, atol=1e-12, horizon_factor=3.0):
     """
     if not (0.0 <= y <= math.pi):
         raise PreconditionError("y must lie in [0, pi]")
+    xs = np.array([float(x)])
     if y == 0.0 or y == math.pi:
-        return _boundary_return(section, np.array([x]),
-                                backward=(y == math.pi), rtol=rtol,
-                                atol=atol)[0]
-    sample = _interior_returns(section, np.array([x]), np.array([y]),
-                               rtol=rtol, atol=atol,
-                               horizon_factor=horizon_factor)[0]
-    if sample.status == STATUS_MISSING:
-        raise ReturnFailure(
-            f"return events not found within horizon factor {horizon_factor}")
-    return sample
+        out = _boundary_returns(section, xs, y == math.pi, rtol, atol)
+    else:
+        out = _returns(section, xs, np.array([float(y)]), rtol, atol,
+                       _horizon(section.model, horizon_factor))
+        if out["status"][0] == STATUS_MISSING:
+            raise ReturnFailure(
+                "return events not found within horizon factor "
+                f"{horizon_factor}")
+    return ReturnSample(x=float(x), y=float(y),
+                        **{k: v[0].item() for k, v in out.items()})
 
 
 def _horizon(model, factor):
@@ -331,177 +315,103 @@ def _horizon(model, factor):
     return factor * _TWO_PI / math.sqrt(kmin)
 
 
-def _interior_returns(section, xs, ys_flat, rtol, atol, horizon_factor):
-    """Return samples for matched arrays of interior coordinates."""
+def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1)):
+    """Crossings of the base plane by the orbits of the annulus vectors at
+    matched coordinates (xs, ys), one event per expected slope."""
     model = section.model
-    L = section.length
-    seeds = np.empty((len(xs), 8))
-    u, t, p = section.frames(xs)
-    w = np.cos(ys_flat)[:, None] * t + np.sin(ys_flat)[:, None] * p
+    u, w = section.section_vector(xs, ys)
+    seeds = np.zeros((len(u), 8))
     seeds[:, 0:3] = u
     seeds[:, 3:6] = w
-    seeds[:, 6:8] = 0.0
-    samples = _run_return_sweep(section, seeds, rtol, atol,
-                                _horizon(model, horizon_factor))
-    out = []
-    for i in range(len(xs)):
-        out.append(_assemble_sample(section, float(xs[i]), float(ys_flat[i]),
-                                    samples, i))
-    return out
-
-
-def _run_return_sweep(section, seeds, rtol, atol, horizon):
-    model = section.model
-    rhs = gd.geodesic_rhs(model, jacobi=True)
-    project = _augmented_projector(model)
     wev = np.zeros(8)
     wev[0:3] = section.normal
-    return sweep_linear_events(rhs, seeds, horizon, wev, target=0.0,
-                               n_events=2, expected_slopes=(-1, +1),
-                               rtol=rtol, atol=atol, project=project)
+    return sweep_linear_events(gd.geodesic_rhs(model, jacobi=True), seeds,
+                               horizon, wev, target=0.0,
+                               n_events=len(slopes), expected_slopes=slopes,
+                               rtol=rtol, atol=atol,
+                               project=gd.state_projector(model))
 
 
-def _augmented_projector(model):
-    base = gd.state_projector(model)
-
-    def project(y):
-        base(y[:, 0:6])
-        return y
-
-    return project
-
-
-def _leg_advance(section, x_from, x_to):
-    """Advance along the base circle as the open-interval representative
-    in (0, L)."""
+def _returns(section, xs, ys, rtol, atol, horizon):
+    """Return-data arrays (the fields of :class:`ReturnSample` other than
+    x, y) for matched arrays of interior coordinates; flagged nodes are
+    NaN."""
     L = section.length
-    r = (x_to - x_from) % L
-    return r
-
-
-def _assemble_sample(section, x, y, sweep, i):
-    L = section.length
-    if sweep.grazing[i] or sweep.n_found[i] < 2:
-        status = STATUS_GRAZING if sweep.grazing[i] else STATUS_MISSING
-        return ReturnSample(x=x, y=y, tau_plus=math.nan, tau=math.nan,
-                            rho_plus=math.nan, rho=math.nan, X=math.nan,
-                            Y=math.nan, jac_angle=math.nan, jac_du=math.nan,
-                            status=status)
-    y1 = sweep.y_events[i, 0]
-    y2 = sweep.y_events[i, 1]
-    x1 = float(section.footpoint(y1[0:3])[0])
-    x2 = float(section.footpoint(y2[0:3])[0])
-    rho_plus = _leg_advance(section, x, x1)
-    rho = rho_plus + _leg_advance(section, x1, x2)
-    Y = float(section.angles_of(np.array([x2]), y2[None, 3:6])[0])
-    jac_angle = float(y2[6])
-    jac_du = float(math.exp(y2[7]) * math.cos(y2[6]))
-    return ReturnSample(x=x, y=y, tau_plus=float(sweep.t_events[i, 0]),
-                        tau=float(sweep.t_events[i, 1]), rho_plus=rho_plus,
-                        rho=rho, X=x + rho - L, Y=Y, jac_angle=jac_angle,
-                        jac_du=jac_du, status=STATUS_OK)
-
-
-def _boundary_return(section, xs, backward, rtol, atol):
-    """Boundary-row samples from the second conjugate time along the base."""
-    model = section.model
-    L = section.length
-    u, t, _ = section.frames(xs)
-    seeds = np.empty((len(xs), 8))
-    seeds[:, 0:3] = u
-    seeds[:, 3:6] = -t if backward else t
-    seeds[:, 6:8] = 0.0
-    kmin, _ = mm.curvature_extremes(model)
-    horizon = _TWO_PI / min(1.0, kmin) + 1.0
-    wev = np.zeros(8)
-    wev[6] = 1.0
-    res = sweep_linear_events(gd.geodesic_rhs(model, jacobi=True), seeds,
-                              horizon, wev, target=_TWO_PI, n_events=1,
-                              expected_slopes=(+1,), rtol=rtol, atol=atol,
-                              project=_augmented_projector(model))
-    out = []
-    for i, x in enumerate(xs):
-        if res.n_found[i] < 1 or res.grazing[i]:
-            raise ReturnFailure("second conjugate time not reached along "
-                                "the base geodesic")
-        tau_b = float(res.t_events[i, 0])
-        r = float(math.exp(res.y_events[i, 0, 7]))
-        if backward:
-            rho = 2.0 * L - tau_b
-            y = math.pi
-            Yv = math.pi
-        else:
-            rho = tau_b
-            y = 0.0
-            Yv = 0.0
-        if not (0.0 < rho < 2.0 * L):
-            raise PinchingViolationError(
-                f"boundary advance {rho:.6g} escapes (0, 2L); the lift "
-                "pinning hypotheses fail for this metric")
-        out.append(ReturnSample(x=float(x), y=y, tau_plus=math.nan,
-                                tau=tau_b, rho_plus=math.nan, rho=rho,
-                                X=float(x) + rho - L, Y=Yv,
-                                jac_angle=_TWO_PI, jac_du=r,
-                                status=STATUS_OK))
+    sweep = _return_sweep(section, xs, ys, rtol, atol, horizon)
+    y1 = sweep.y_events[:, 0]
+    y2 = sweep.y_events[:, 1]
+    x1 = section.footpoint(y1[:, 0:3])
+    x2 = section.footpoint(y2[:, 0:3])
+    rho_plus = (x1 - xs) % L
+    rho = rho_plus + (x2 - x1) % L
+    out = {"tau_plus": sweep.t_events[:, 0], "tau": sweep.t_events[:, 1],
+           "rho_plus": rho_plus, "rho": rho, "X": xs + rho - L,
+           "Y": section.angles_of(x2, y2[:, 3:6]), "jac_angle": y2[:, 6],
+           "jac_du": np.exp(y2[:, 7]) * np.cos(y2[:, 6])}
+    status = np.where(sweep.grazing, STATUS_GRAZING,
+                      np.where(sweep.n_found < 2, STATUS_MISSING, STATUS_OK))
+    for v in out.values():
+        v[status != STATUS_OK] = np.nan
+    out["status"] = status
     return out
 
 
-def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12,
-                        row_batch=8, horizon_factor=3.0):
+def _boundary_returns(section, xs, backward, rtol, atol):
+    """Return-data arrays of a boundary row from the second conjugate time
+    along the base."""
+    L = section.length
+    n = len(xs)
+    u, t, _ = section.frames(xs)
+    seeds = np.zeros((n, 8))
+    seeds[:, 0:3] = u
+    seeds[:, 3:6] = -t if backward else t
+    tau, y_end = gd._conjugate_sweep(section.model, seeds, 2, rtol, atol)
+    rho = 2.0 * L - tau if backward else tau
+    escaped = ~((0.0 < rho) & (rho < 2.0 * L))
+    if np.any(escaped):
+        raise PinchingViolationError(
+            f"boundary advance {rho[escaped][0]:.6g} escapes (0, 2L); the "
+            "lift pinning hypotheses fail for this metric")
+    return {"tau_plus": np.full(n, np.nan), "tau": tau,
+            "rho_plus": np.full(n, np.nan), "rho": rho, "X": xs + rho - L,
+            "Y": np.full(n, math.pi if backward else 0.0),
+            "jac_angle": np.full(n, _TWO_PI), "jac_du": np.exp(y_end[:, 7]),
+            "status": np.full(n, STATUS_OK)}
+
+
+def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     """First-return data over the full annulus grid.
 
     Interior rows are integrated in batches sharing a step controller (the
-    error norm is still per orbit); grid nodes are independent, and all
-    reductions later performed on the arrays use pairwise summation, so the
-    results do not depend on the batch layout.
+    error norm is still per orbit), so node values depend on the batch layout
+    within the integration tolerance: a one-node :func:`return_data` call
+    differs from its grid node by about 1e-12.
     """
-    model = section.model
     L = section.length
     xs = np.arange(nx) * (L / nx)
     ys = np.linspace(0.0, math.pi, ny)
-    shape = (nx, ny)
-    X = np.empty(shape)
-    Y = np.empty(shape)
-    tau = np.empty(shape)
-    tau_plus = np.full(shape, np.nan)
-    rho_plus = np.full(shape, np.nan)
-    jac_angle = np.empty(shape)
-    jac_du = np.empty(shape)
-    status = np.zeros(shape, dtype=int)
-    horizon = _horizon(model, horizon_factor)
+    fields = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle", "jac_du",
+              "status")
+    arrays = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
+              for k in fields}
+    horizon = _horizon(section.model, _HORIZON_FACTOR)
 
-    for j0 in range(1, ny - 1, row_batch):
-        rows = list(range(j0, min(j0 + row_batch, ny - 1)))
-        seeds = _seed_batch(section, xs, ys[rows])
-        sweep = _run_return_sweep(section, seeds, rtol, atol, horizon)
-        for r, j in enumerate(rows):
-            for k in range(nx):
-                i = r * nx + k
-                s = _assemble_sample(section, float(xs[k]), float(ys[j]),
-                                     sweep, i)
-                X[k, j] = s.X
-                Y[k, j] = s.Y
-                tau[k, j] = s.tau
-                tau_plus[k, j] = s.tau_plus
-                rho_plus[k, j] = s.rho_plus
-                jac_angle[k, j] = s.jac_angle
-                jac_du[k, j] = s.jac_du
-                status[k, j] = s.status
+    def store(rows, out):
+        for k in fields:
+            arrays[k][:, rows] = out[k].reshape(-1, nx).T
 
-    for backward, j in ((False, 0), (True, ny - 1)):
-        rows = _boundary_return(section, xs, backward, rtol, atol)
-        for k, s in enumerate(rows):
-            X[k, j] = s.X
-            Y[k, j] = s.Y
-            tau[k, j] = s.tau
-            jac_angle[k, j] = s.jac_angle
-            jac_du[k, j] = s.jac_du
+    for j0 in range(1, ny - 1, _ROW_BATCH):
+        rows = slice(j0, min(j0 + _ROW_BATCH, ny - 1))
+        xx, yy = np.meshgrid(xs, ys[rows])
+        store(rows, _returns(section, xx.ravel(), yy.ravel(), rtol, atol,
+                             horizon))
+    for j, backward in ((0, False), (ny - 1, True)):
+        store(slice(j, j + 1), _boundary_returns(section, xs, backward,
+                                                 rtol, atol))
 
-    grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, X=X, Y=Y,
-                        tau=tau, tau_plus=tau_plus, rho_plus=rho_plus,
-                        jac_angle=jac_angle, jac_du=jac_du, status=status)
-    ok = status == STATUS_OK
-    if np.any((tau <= 0.0) & ok):
+    grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
+    ok = grid.status == STATUS_OK
+    if np.any((grid.tau <= 0.0) & ok):
         raise InternalConsistencyError("non-positive return time on the grid")
     return grid
 
@@ -548,26 +458,15 @@ def check_return_arc_injectivity(grid, n_nodes=12, resolution=1e-6,
         x, y = float(grid.xs[i]), float(grid.ys[j])
         u, w = sec.section_vector(np.array([x]), np.array([y]))
         y0 = np.concatenate([u[0], w[0]])
-        traj_records = []
         t_end = float(grid.tau[i, j])
         t_mid = float(grid.tau_plus[i, j])
-        _, _, records = integrate_adaptive(
+        t, y_end, records = integrate_adaptive(
             gd.geodesic_rhs(model), y0[None, :], (0.0, t_end), rtol=rtol,
             atol=atol, project=gd.state_projector(model), store=True)
-
-        def _arc_points(t0, t1):
-            ts = np.linspace(t0, t1, samples_per_arc)
-            pts = np.empty((samples_per_arc, 3))
-            k = 0
-            for m, tq in enumerate(ts):
-                while (k < len(records) - 1
-                       and records[k].t + records[k].h < tq):
-                    k += 1
-                pts[m] = records[k].eval(min(tq, records[k].t + records[k].h))[0, 0:3]
-            return pts
-
+        traj = gd.Trajectory(model, records, t, y_end[0])
         for (t0, t1) in ((0.0, t_mid), (t_mid, t_end)):
-            pts = _arc_points(t0, t1)
+            pts = np.array([traj.ambient(tq)[0]
+                            for tq in np.linspace(t0, t1, samples_per_arc)])
             if curve_self_intersects(pts, closed=False,
                                      resolution=resolution):
                 raise PinchingViolationError(
@@ -680,31 +579,21 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
     rng = np.random.default_rng(1)
     ii = rng.integers(0, grid.nx, size=n_nodes)
     jj = rng.integers(1, grid.ny - 1, size=n_nodes)
-    horizon = _horizon(model, 3.0)
+    horizon = _horizon(model, _HORIZON_FACTOR)
     max_tau_res = 0.0
     max_map_res = 0.0
     for i, j in zip(ii, jj):
-        x, y = float(grid.xs[i]), float(grid.ys[j])
-        u, w = sec.section_vector(np.array([x]), np.array([y]))
-        seeds = np.concatenate([u[0], w[0], [0.0, 0.0]])[None, :]
-        sweep = _run_return_sweep(sec, seeds, rtol, atol, horizon)
+        sweep = _return_sweep(sec, grid.xs[[i]], grid.ys[[j]], rtol, atol,
+                              horizon)
         if sweep.n_found[0] < 2:
             raise ReturnFailure("return not found during composition check")
         y1 = sweep.y_events[0, 0]
         t1 = float(sweep.t_events[0, 0])
         # coordinates of the intermediate vector on the opposite annulus
-        x1 = float(sec.footpoint(y1[0:3])[0])
-        ang1 = float(sec.angles_of(np.array([x1]), y1[None, 3:6])[0])
-        u1, t1f, p1f = sec.frames(np.array([x1]))
-        w1 = math.cos(ang1) * t1f[0] + math.sin(ang1) * p1f[0]
-        seeds2 = np.concatenate([u1[0], w1, [0.0, 0.0]])[None, :]
-        wev = np.zeros(8)
-        wev[0:3] = sec.normal
-        res2 = sweep_linear_events(gd.geodesic_rhs(model, jacobi=True),
-                                   seeds2, horizon, wev, n_events=1,
-                                   expected_slopes=(+1,), rtol=rtol,
-                                   atol=atol,
-                                   project=_augmented_projector(model))
+        x1 = sec.footpoint(y1[0:3])
+        ang1 = sec.angles_of(x1, y1[None, 3:6])
+        res2 = _return_sweep(sec, x1, ang1, rtol, atol, horizon,
+                             slopes=(+1,))
         if res2.n_found[0] < 1:
             raise ReturnFailure("transition return not found")
         tau_minus = float(res2.t_events[0, 0])

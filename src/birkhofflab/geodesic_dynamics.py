@@ -31,7 +31,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import least_squares
 
 from . import metric_models as mm
-from ._integrate import dense_state, integrate_adaptive, sweep_linear_events
+from ._integrate import integrate_adaptive, sweep_linear_events
 from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
                      ReturnFailure)
 
@@ -284,16 +284,6 @@ def _augmented_initial(model, state):
     return np.concatenate([u, v, [0.0, 0.0]])[None, :]
 
 
-def _augmented_projector(model):
-    base = state_projector(model)
-
-    def project(y):
-        base(y[:, 0:6])
-        return y
-
-    return project
-
-
 def jacobi_polar_advance(model, base, t_end, tol=1e-10):
     """Advance the polar Jacobi data (theta(0) = 0, r(0) = 1) for time
     ``t_end`` along the geodesic through ``base``."""
@@ -304,7 +294,7 @@ def jacobi_polar_advance(model, base, t_end, tol=1e-10):
     y0 = _augmented_initial(model, base)
     t, y, _ = integrate_adaptive(
         geodesic_rhs(model, jacobi=True), y0, (0.0, t_end),
-        rtol=tol, atol=tol * 1e-2, project=_augmented_projector(model))
+        rtol=tol, atol=tol * 1e-2, project=state_projector(model))
     row = y[0]
     return JacobiPolarState(theta=float(row[6]), r=float(math.exp(row[7])),
                             t=t)
@@ -314,19 +304,26 @@ def conjugate_time(model, base, order, tol=1e-11):
     """Smallest t with lifted Jacobi angle equal to order * pi (order 1 or 2)."""
     if order not in (1, 2):
         raise PreconditionError("order must be 1 or 2")
+    t, _ = _conjugate_sweep(model, _augmented_initial(model, base), order,
+                            rtol=tol, atol=tol * 1e-2)
+    return float(t[0])
+
+
+def _conjugate_sweep(model, seeds, order, rtol, atol):
+    """Conjugate times of the given order for a batch of (n, 8) augmented
+    seeds, with the augmented states there."""
     kmin, _ = mm.curvature_extremes(model)
     horizon = order * math.pi / min(1.0, kmin) + 1.0
-    y0 = _augmented_initial(model, base)
     w = np.zeros(8)
     w[6] = 1.0
     res = sweep_linear_events(
-        geodesic_rhs(model, jacobi=True), y0, horizon, w,
+        geodesic_rhs(model, jacobi=True), seeds, horizon, w,
         target=order * math.pi, n_events=1, expected_slopes=(+1,),
-        rtol=tol, atol=tol * 1e-2, project=_augmented_projector(model))
-    if res.n_found[0] < 1 or res.grazing[0]:
+        rtol=rtol, atol=atol, project=state_projector(model))
+    if np.any(res.n_found < 1) or np.any(res.grazing):
         raise ReturnFailure(
             f"conjugate point of order {order} not reached before t={horizon}")
-    return float(res.t_events[0, 0])
+    return res.t_events[:, 0], res.y_events[:, 0]
 
 
 # ---------------------------------------------------------------------------

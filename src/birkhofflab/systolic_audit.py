@@ -128,7 +128,7 @@ def _fixed_point_seeds(grid, sup_tol=5e-3):
     return seeds
 
 
-def candidate_closed_geodesics(model, grid=None, include_fixed_points=True):
+def candidate_closed_geodesics(model, grid=None):
     """Deduplicated candidate closed geodesics with verified closure.
 
     Symmetry orbits (equator, meridian) are always included; fixed points
@@ -137,37 +137,43 @@ def candidate_closed_geodesics(model, grid=None, include_fixed_points=True):
     which is how the candidate list stays consistent with the action data.
     """
     cands = []
-
-    def push(label, orbit):
-        for c in cands:
-            if (abs(c.length - orbit.length) < 1e-8
-                    and abs(c.clairaut - orbit.clairaut) < 1e-6):
-                return
-        fold = bs.minimal_period_fold(orbit)
-        cands.append(CandidateGeodesic(
-            label=label, length=orbit.length, clairaut=orbit.clairaut,
-            simple=simplicity_check(orbit), primitive=(fold == 1),
-            closure_residual=orbit.closure_residual, orbit=orbit))
-
-    push("equator", gd.equator_orbit(model))
-    push("meridian", gd.meridian_orbit(model))
-    if grid is not None and include_fixed_points:
-        sup = max(float(np.max(np.abs(grid.X - grid.xs[:, None]))),
-                  float(np.max(np.abs(grid.Y - grid.ys[None, :]))))
-        if sup >= ZOLL_SUP_TOL:
-            sec = grid.section
-            for (x, y) in _fixed_point_seeds(grid):
-                u, w = sec.section_vector(np.array([x]), np.array([y]))
-                try:
-                    state = gd.state_from_ambient(model, u[0], w[0])
-                    i = int(round(x / grid.L * grid.nx)) % grid.nx
-                    j = int(np.argmin(np.abs(grid.ys - y)))
-                    guess = float(grid.tau[i, j])
-                    orbit = gd.find_closed_geodesic(model, state, guess)
-                except NoConvergenceError:
-                    continue
-                push(f"fixed-point({x:.3f},{y:.3f})", orbit)
+    _push_candidate(cands, "equator", gd.equator_orbit(model))
+    _push_candidate(cands, "meridian", gd.meridian_orbit(model))
+    if grid is not None:
+        _extend_with_fixed_points(cands, model, grid)
     return cands
+
+
+def _push_candidate(cands, label, orbit):
+    for c in cands:
+        if (abs(c.length - orbit.length) < 1e-8
+                and abs(c.clairaut - orbit.clairaut) < 1e-6):
+            return
+    fold = bs.minimal_period_fold(orbit)
+    cands.append(CandidateGeodesic(
+        label=label, length=orbit.length, clairaut=orbit.clairaut,
+        simple=simplicity_check(orbit), primitive=(fold == 1),
+        closure_residual=orbit.closure_residual, orbit=orbit))
+
+
+def _extend_with_fixed_points(cands, model, grid):
+    """Append the closed geodesics shot from fixed points of the return map
+    on ``grid`` to ``cands`` (nothing when the map is the identity)."""
+    sup = max(float(np.max(np.abs(grid.X - grid.xs[:, None]))),
+              float(np.max(np.abs(grid.Y - grid.ys[None, :]))))
+    if sup >= ZOLL_SUP_TOL:
+        sec = grid.section
+        for (x, y) in _fixed_point_seeds(grid):
+            u, w = sec.section_vector(np.array([x]), np.array([y]))
+            try:
+                state = gd.state_from_ambient(model, u[0], w[0])
+                i = int(round(x / grid.L * grid.nx)) % grid.nx
+                j = int(np.argmin(np.abs(grid.ys - y)))
+                guess = float(grid.tau[i, j])
+                orbit = gd.find_closed_geodesic(model, state, guess)
+            except NoConvergenceError:
+                continue
+            _push_candidate(cands, f"fixed-point({x:.3f},{y:.3f})", orbit)
 
 
 def two_gon_perimeter_check(model, grid, tol=1e-6):
@@ -213,8 +219,8 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
     target = math.pi * area_val
 
     # Section over the shortest symmetry orbit.
-    base_cands = candidate_closed_geodesics(model, grid=None)
-    base = min((c for c in base_cands if c.simple), key=lambda c: c.length)
+    cands = candidate_closed_geodesics(model)
+    base = min((c for c in cands if c.simple), key=lambda c: c.length)
     section = bs.build_section(model, base.orbit)
     grid = bs.compute_return_grid(section, nx=nx, ny=ny, rtol=rtol, atol=atol)
     lift = bs.zero_flux_lift(grid)
@@ -225,7 +231,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
     if monotone_guaranteed and not mono.monotone:
         warnings.append("monotonicity failed despite the pinching guarantee")
 
-    cands = candidate_closed_geodesics(model, grid=grid)
+    _extend_with_fixed_points(cands, model, grid)
     lengths = [c.length for c in cands if c.primitive]
     l_min = min(lengths)
     l_max_simple = max(c.length for c in cands if c.simple)

@@ -18,7 +18,7 @@ from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import strip_calculus as sc
 from birkhofflab import systolic_audit as sa
-from birkhofflab.errors import NonIntegrableFormError
+from birkhofflab.errors import InternalConsistencyError, NonIntegrableFormError
 
 TWO_PI = 2 * math.pi
 PI = math.pi
@@ -150,9 +150,19 @@ def test_criterion_5_strip_property_suite():
                 else:
                     assert sigma > 0
                 branch = "positive" if cal <= 0 else "negative"
-                _, sigma2 = sc.fixed_point_with_signed_action(grid, gen,
-                                                              branch=branch)
-                assert (sigma2 > 0) if cal <= 0 else (sigma2 < 0)
+                # the mirrored extremum is interior only where W takes
+                # that sign
+                interior = gen.w[:, 1:-1]
+                takes_sign = (interior.max() > 0 if cal <= 0
+                              else interior.min() < 0)
+                if takes_sign:
+                    _, sigma2 = sc.fixed_point_with_signed_action(
+                        grid, gen, branch=branch)
+                    assert (sigma2 > 0) if cal <= 0 else (sigma2 < 0)
+                else:
+                    with pytest.raises(InternalConsistencyError):
+                        sc.fixed_point_with_signed_action(grid, gen,
+                                                          branch=branch)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"property suite took {elapsed:.1f}s"
 

@@ -130,6 +130,35 @@ class TestSpheroidGrid:
         assert np.max(np.abs(spheroid_grid.Y[:, j] - math.pi / 2)) < 1e-8
 
 
+    def test_array_assembly_matches_per_node_reference(self,
+                                                       spheroid_section,
+                                                       spheroid_grid):
+        # re-run the first interior row batch and assemble it node by node
+        sec, grid = spheroid_section, spheroid_grid
+        L = sec.length
+        xx, yy = np.meshgrid(grid.xs, grid.ys[1:1 + bs._ROW_BATCH])
+        sweep = bs._return_sweep(sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
+                                 bs._horizon(sec.model, bs._HORIZON_FACTOR))
+        for n in range(xx.size):
+            j, k = 1 + n // grid.nx, n % grid.nx
+            x = float(grid.xs[k])
+            y1, y2 = sweep.y_events[n]
+            x1 = float(sec.footpoint(y1[0:3])[0])
+            x2 = float(sec.footpoint(y2[0:3])[0])
+            rho_plus = (x1 - x) % L
+            rho = rho_plus + (x2 - x1) % L
+            assert grid.status[k, j] == bs.STATUS_OK
+            assert grid.tau_plus[k, j] == sweep.t_events[n, 0]
+            assert grid.tau[k, j] == sweep.t_events[n, 1]
+            assert grid.rho_plus[k, j] == rho_plus
+            assert grid.X[k, j] == x + rho - L
+            assert grid.Y[k, j] == sec.angles_of(np.array([x2]),
+                                                 y2[None, 3:6])[0]
+            assert grid.jac_angle[k, j] == y2[6]
+            assert abs(grid.jac_du[k, j]
+                       - math.exp(y2[7]) * math.cos(y2[6])) <= 1e-15
+
+
 class TestLiftAndIdentities:
     def test_round_lift_flux_zero(self, round_grid):
         lift = bs.zero_flux_lift(round_grid)

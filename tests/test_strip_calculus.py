@@ -270,10 +270,30 @@ class TestFixedPointTheorem:
             else:
                 assert sigma > 0
             mirrored = "positive" if cal <= 0 else "negative"
-            _, sigma2 = sc.fixed_point_with_signed_action(grid, gen,
-                                                          branch=mirrored)
-            # a zero-flux non-identity W takes both signs somewhere
-            assert (sigma2 > 0) if cal <= 0 else (sigma2 < 0)
+            # the mirrored extremum is interior only where W takes that sign
+            interior = gen.w[:, 1:-1]
+            takes_sign = (interior.max() > 0 if cal <= 0
+                          else interior.min() < 0)
+            if takes_sign:
+                _, sigma2 = sc.fixed_point_with_signed_action(
+                    grid, gen, branch=mirrored)
+                assert (sigma2 > 0) if cal <= 0 else (sigma2 < 0)
+            else:
+                with pytest.raises(InternalConsistencyError):
+                    sc.fixed_point_with_signed_action(grid, gen,
+                                                      branch=mirrored)
+
+    def test_single_signed_w_refuses_mirrored_branch(self):
+        rng = np.random.default_rng(19)
+        rng.uniform(size=10)
+        gen = sc.random_generating_grid(rng)
+        grid = sc.build_from_generating(gen)
+        assert gen.w[:, 1:-1].min() > 0.0
+        _, sigma = sc.fixed_point_with_signed_action(grid, gen)
+        assert sigma > 0
+        # W > 0 inside the strip: its minimum lies on the boundary rows
+        with pytest.raises(InternalConsistencyError):
+            sc.fixed_point_with_signed_action(grid, gen, branch="negative")
 
 
 class TestValidation:

@@ -120,6 +120,21 @@ class TestAuditSpheroid:
         assert isinstance(doc["candidates"], list)
 
 
+class TestAuditOblate:
+    def test_meridian_base(self):
+        # c < 1: the meridian is the shortest symmetry orbit and carries the
+        # section, so the full 2-D return grid is integrated
+        c = 0.97
+        rep = sa.audit(mm.make_spheroid(c), nx=32, ny=65)
+        meridian = 4.0 * ellipe(1 - c ** 2)
+        assert rep.passed
+        assert rep.section_length == pytest.approx(meridian, abs=1e-9)
+        assert rep.l_min == pytest.approx(meridian, abs=1e-9)
+        assert rep.l_max_simple == pytest.approx(TWO_PI, abs=1e-9)
+        assert rep.residuals["tau_action_max"] < 1e-5
+        assert rep.residuals["area_identity_rel"] < 1e-4
+
+
 class TestRefusal:
     def test_fat_spheroid_refused(self):
         with pytest.raises(AuditRefused):
