@@ -4,7 +4,8 @@ A single Dormand-Prince 5(4) stepper advances a whole batch of orbits with a
 shared step size; the error controller uses the worst per-orbit error, so
 every orbit individually satisfies the requested tolerances.  Dense output
 (the classical quartic interpolant) supports event location inside accepted
-steps without re-integration.
+steps without re-integration; the events of a whole batch are located
+together (see :func:`sweep_linear_events`).
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def dense_state(y_old, h, stages, theta):
     """State at t_old + theta*h from the dense-output interpolant.
 
     ``stages`` may be (7, d) for a single orbit or (7, n, d) for a batch;
-    the result matches the trailing shape.
+    the result matches the trailing shape.  For a batch, ``theta`` may also
+    be an (n,) array with one value per orbit.
     """
-    w = _P @ _theta_powers(theta)                      # (7,)
-    return y_old + h * np.einsum("s,s...->...", w, stages)
+    w = _P @ _theta_powers(theta)                      # (7,) or (7, n)
+    return y_old + h * np.einsum("s...,s...d->...d", w, stages)
 
 
 class StepRecord:
@@ -117,6 +119,7 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     h = min(_initial_step(fun, t, y, f, rtol, atol), max_step, t1 - t0)
     records = [] if store else None
     n, d = y.shape
+    inv_d = 1.0 / d
     stages = np.empty((7, n, d))
     while t < t1:
         h = min(h, t1 - t)
@@ -130,8 +133,10 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
         y_new = y + h * np.einsum("s,snd->nd", _B, stages)
         err_vec = h * np.einsum("s,snd->nd", _E, stages)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))  # per orbit
-        worst = float(np.max(err))
+        ratio = err_vec / scale
+        # RMS error of the worst orbit
+        worst = math.sqrt(float(np.max(np.einsum("nd,nd->n", ratio, ratio)))
+                          * inv_d)
         if not math.isfinite(worst):
             worst = math.inf          # overflowing step: shrink and retry
         if worst <= 1.0:
@@ -170,38 +175,37 @@ class EventSweepResult:
         self.grazing = np.zeros(n, dtype=bool)
 
 
-def _quartic_root(coeffs, lo, hi, flo, fhi):
-    """Root of the scalar dense polynomial inside [lo, hi] by safeguarded
-    Newton with bisection fallback."""
-    c = coeffs
-    cd = np.array([c[1], 2 * c[2], 3 * c[3], 4 * c[4]])
+def _quartic_roots(coeffs, lo, hi, flo):
+    """Roots of k dense polynomials, one inside each bracket [lo, hi], by
+    safeguarded Newton with bisection fallback.
 
-    def val(x):
-        return c[0] + x * (c[1] + x * (c[2] + x * (c[3] + x * c[4])))
-
-    def dval(x):
-        return cd[0] + x * (cd[1] + x * (cd[2] + x * cd[3]))
-
-    a, b, fa, fb = lo, hi, flo, fhi
+    ``coeffs`` is (k, 5) in ascending powers; ``lo``, ``hi`` and the
+    values ``flo`` at ``lo`` are (k,).  The iteration runs elementwise:
+    each root stops on its own test (a zero value or a step below 1e-15).
+    """
+    c0, c1, c2, c3, c4 = coeffs.T
+    d1, d2, d3 = 2 * c2, 3 * c3, 4 * c4
+    a, b, fa = lo, hi, flo
     x = 0.5 * (a + b)
+    live = np.ones(len(x), dtype=bool)
     for _ in range(80):
-        fx = val(x)
-        if fx == 0.0:
+        fx = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+        live &= fx != 0.0
+        left = fa * fx < 0.0
+        b = np.where(live & left, x, b)
+        up = live & ~left
+        a = np.where(up, x, a)
+        fa = np.where(up, fx, fa)
+        dfx = c1 + x * (d1 + x * (d2 + x * d3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_newton = np.where(dfx != 0.0, x - fx / dfx, a)
+        x_next = np.where((a < x_newton) & (x_newton < b), x_newton,
+                          0.5 * (a + b))
+        settled = live & (np.abs(x_next - x) < 1e-15)
+        x = np.where(live, x_next, x)
+        live &= ~settled
+        if not live.any():
             break
-        if fa * fx < 0.0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-        dfx = dval(x)
-        x_newton = x - fx / dfx if dfx != 0.0 else a
-        if a < x_newton < b:
-            x_next = x_newton
-        else:
-            x_next = 0.5 * (a + b)
-        if abs(x_next - x) < 1e-15:
-            x = x_next
-            break
-        x = x_next
     return x
 
 
@@ -217,6 +221,15 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     abandoned (their remaining events stay NaN).  Sign changes are located on
     a sub-grid of each accepted step and refined on the dense interpolant, so
     no event can straddle a step boundary unnoticed.
+
+    Event location is batched over the whole step.  The event function of
+    every orbit is one quartic in theta = (t - t_old) / h, whose
+    coefficients come from one contraction of the stages with ``weights``.
+    All (orbit, sub-interval) pairs with a sign change are gathered at
+    once, each orbit's in time order and only as many as its remaining
+    ``n_events``; their roots are refined together by safeguarded Newton
+    with bisection fallback (each root stops on its own test), and their
+    states and slopes come from one batched dense-output evaluation.
     """
     y0 = np.array(y0, dtype=float, ndmin=2)
     n, d = y0.shape
@@ -234,32 +247,30 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
             # their event value; snap it so the launch side decides the sign.
             z0 = np.where(np.abs(z0) < 1e-9, 0.0, z0)
             first_step[0] = False
-        cw = h * np.einsum("snd,d,sp->np", stages, w, _P)   # (n,4) theta-poly
+        cw = h * ((stages @ w).T @ _P)                   # (n,4) theta-poly
         zs = np.vstack([z0[None, :], z0[None, :] + theta_pows @ cw.T])
         sgn = np.sign(zs)
         # A zero start counts on the side the orbit is launched towards.
         launch = np.sign(stages[0] @ w)
         sgn[0] = np.where(sgn[0] == 0.0, launch, sgn[0])
-        has_change = (sgn[:-1] * sgn[1:] < 0.0).any(axis=0)
-        for i in np.nonzero(active & has_change)[0]:
-            coeffs = np.concatenate(([z0[i]], cw[i]))
-            for m in range(len(thetas) - 1):
-                if res.n_found[i] >= n_events:
-                    active[i] = False
-                    break
-                if sgn[m, i] * sgn[m + 1, i] >= 0.0:
-                    continue
-                th = _quartic_root(coeffs, thetas[m], thetas[m + 1],
-                                   zs[m, i], zs[m + 1, i])
-                k = res.n_found[i]
-                res.t_events[i, k] = t + th * h
-                res.y_events[i, k] = dense_state(y_old[i], h,
-                                                 stages[:, i, :], th)
-                res.slopes[i, k] = (cw[i, 0] + th * (2 * cw[i, 1] + th *
-                                    (3 * cw[i, 2] + 4 * th * cw[i, 3]))) / h
-                res.n_found[i] += 1
-            if res.n_found[i] >= n_events:
-                active[i] = False
+        changes = sgn[:-1] * sgn[1:] < 0.0                   # (m,n)
+        has_change = changes.any(axis=0)
+        hit = active & has_change
+        if np.any(hit):
+            # Keep each orbit's crossings in time order up to its cap.
+            rank = np.cumsum(changes, axis=0)
+            keep = changes & hit & (res.n_found + rank <= n_events)
+            i, m = np.nonzero(keep.T)             # orbit-major, m ascending
+            k = res.n_found[i] + rank[m, i] - 1
+            coeffs = np.column_stack([z0[i], cw[i]])
+            th = _quartic_roots(coeffs, thetas[m], thetas[m + 1], zs[m, i])
+            res.t_events[i, k] = t + th * h
+            res.y_events[i, k] = dense_state(y_old[i], h, stages[:, i], th)
+            c1, c2, c3, c4 = cw[i].T
+            res.slopes[i, k] = (c1 + th * (2 * c2 + th *
+                                (3 * c3 + 4 * th * c4))) / h
+            res.n_found += keep.sum(axis=0)
+            active[hit & (res.n_found >= n_events)] = False
         # Near-tangency without a crossing: refine the interpolant extremum
         # and abort the orbit with a flag when it comes within graze_tol.
         quiet = active & ~has_change

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import least_squares
 
 from . import metric_models as mm
@@ -42,59 +41,78 @@ _TWO_PI = 2.0 * math.pi
 # right-hand sides
 # ---------------------------------------------------------------------------
 
+def _horner(coef):
+    """Evaluator of the ascending polynomial ``coef`` in Horner form, on
+    coefficients taken as Python floats once (the order of
+    ``npoly.polyval``, so the values are the same)."""
+    lead, *rest = [float(c) for c in reversed(coef)]
+
+    def poly(z):
+        acc = lead
+        for c in rest:
+            acc = c + acc * z
+        return acc
+
+    return poly
+
+
 def geodesic_rhs(model, jacobi=False):
     """Vectorised RHS for batches of shape (n, 6) or, with the Jacobi
-    augmentation, (n, 8) where columns 6, 7 hold (theta, log r)."""
-    a = model.a
-    bc = model.b_coef
-    bpc = model.bp_coef
+    augmentation, (n, 8) where columns 6, 7 hold (theta, log r).
+
+    The arithmetic runs on one row-contiguous (d, n) copy of the state, and
+    the result is returned as the (n, d) transpose of a (d, n) array.
+    """
+    a = float(model.a)
+    b_of = _horner(model.b_coef)
+    bp_of = _horner(model.bp_coef)
 
     def rhs(t, y):
-        u = y[:, 0:3]
-        v = y[:, 3:6]
-        z = u[:, 2]
-        v3 = v[:, 2]
-        b = npoly.polyval(z, bc)
-        bp = npoly.polyval(z, bpc)
-        v3sq = v3 * v3
-        vsq = np.einsum("ij,ij->i", v, v)
+        yt = y.T.copy()
+        u, v = yt[0:3], yt[3:6]
+        z = u[2]
+        v3sq = v[2] * v[2]
+        b = b_of(z)
+        bp = bp_of(z)
+        half_bp_v3sq = 0.5 * bp * v3sq
+        vsq = (v * v).sum(axis=0)
         apb = a + b
-        E = a + b * (1.0 - z * z)
-        mu = a * (0.5 * bp * v3sq * z - vsq * apb) / E
-        xi3 = (mu * z - 0.5 * bp * v3sq) / apb
-        q = b * xi3 + 0.5 * bp * v3sq
-        out = np.empty_like(y)
-        out[:, 0:3] = v
-        out[:, 3:6] = (mu[:, None] / a) * u
-        out[:, 5] -= q / a
+        one_zz = 1.0 - z * z
+        E = a + b * one_zz
+        mu = a * (half_bp_v3sq * z - vsq * apb) / E
+        xi3 = (mu * z - half_bp_v3sq) / apb
+        q = b * xi3 + half_bp_v3sq
+        out = np.empty_like(yt)
+        out[0:3] = v
+        out[3:6] = (mu / a) * u
+        out[5] -= q / a
         if jacobi:
-            th = y[:, 6]
-            Ep = bp * (1.0 - z * z) - 2.0 * z * b
+            th = yt[6]
+            Ep = bp * one_zz - 2.0 * z * b
             K = 1.0 / E - z * Ep / (2.0 * E * E)
             s = np.sin(th)
             c = np.cos(th)
-            out[:, 6] = c * c + K * s * s
-            out[:, 7] = (1.0 - K) * s * c
-        return out
+            out[6] = c * c + K * s * s
+            out[7] = (1.0 - K) * s * c
+        return out.T
 
     return rhs
 
 
 def state_projector(model):
     """Renormaliser applied after each accepted step: |u| = 1, u.v = 0,
-    g(v, v) = 1."""
-    a = model.a
-    bc = model.b_coef
+    g(v, v) = 1.  Columns 0:6 of ``y`` are rewritten in place, any further
+    columns are left alone."""
+    a = float(model.a)
+    b_of = _horner(model.b_coef)
 
     def project(y):
-        u = y[:, 0:3]
-        v = y[:, 3:6]
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v -= np.einsum("ij,ij->i", u, v)[:, None] * u
-        z = u[:, 2]
-        gnorm = np.sqrt(a * np.einsum("ij,ij->i", v, v)
-                        + npoly.polyval(z, bc) * v[:, 2] ** 2)
-        v /= gnorm[:, None]
+        yt = y[:, 0:6].T.copy()
+        u, v = yt[0:3], yt[3:6]
+        u /= np.sqrt((u * u).sum(axis=0))
+        v -= (u * v).sum(axis=0) * u
+        v /= np.sqrt(a * (v * v).sum(axis=0) + b_of(u[2]) * (v[2] * v[2]))
+        y[:, 0:6] = yt.T
         return y
 
     return project

@@ -46,6 +46,8 @@ _TWO_PI = 2.0 * math.pi
 
 # Admissibility of a model is checked on this fixed z-grid at construction.
 _VALIDATION_SAMPLES = 1024
+# Kind prefix of a model scaled by MetricModel.rescale.
+_RESCALED = "rescaled-"
 
 
 @dataclass(frozen=True)
@@ -143,13 +145,20 @@ class MetricModel:
         return u.copy()
 
     def rescale(self, factor):
-        """The conformally scaled metric factor * g (lengths scale by sqrt(factor))."""
-        if factor <= 0.0:
-            raise ModelInvalidError("scale factor must be positive")
-        return MetricModel(kind=f"rescaled-{self.kind}",
-                           params=dict(self.params, scale=factor),
-                           a=self.a * factor,
-                           b_coef=self.b_coef * factor)
+        """The conformally scaled metric factor * g (lengths scale by
+        sqrt(factor)).  Scaling a rescaled model composes the factors: the
+        result is its base model scaled once by their product."""
+        factor = float(factor)
+        if not (factor > 0.0 and math.isfinite(factor)):
+            raise ModelInvalidError("scale factor must be positive and finite")
+        base, scale = self, factor
+        if self.kind.startswith(_RESCALED):
+            base = _BUILDERS[self.kind[len(_RESCALED):]](self.params)
+            scale *= self.params["scale"]
+        return MetricModel(kind=_RESCALED + base.kind,
+                           params=dict(base.params, scale=scale),
+                           a=base.a * scale,
+                           b_coef=base.b_coef * scale)
 
 
 @dataclass(frozen=True)
@@ -235,20 +244,32 @@ def make_zoll(h_coeffs):
                        a=1.0, b_coef=np.trim_zeros(b, "b") if np.any(b) else np.zeros(1))
 
 
+_BUILDERS = {
+    "round": lambda doc: make_round(float(doc.get("radius", 1.0))),
+    "spheroid": lambda doc: make_spheroid(float(doc["c"])),
+    "zoll": lambda doc: make_zoll(doc["h_coeffs"]),
+}
+
+
 def from_json(doc):
-    """Build a model from a JSON document (string or parsed dict)."""
+    """Build a model from a JSON document (string or parsed dict).
+
+    ``rescaled-<kind>`` documents carry the parameters of the base kind
+    plus the ``scale`` factor."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("metric description must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind == "round":
-        return make_round(float(doc.get("radius", 1.0)))
-    if kind == "spheroid":
-        return make_spheroid(float(doc["c"]))
-    if kind == "zoll":
-        return make_zoll(doc["h_coeffs"])
-    raise ValueError(f"unknown metric kind {kind!r}")
+    base = kind.removeprefix(_RESCALED) if isinstance(kind, str) else None
+    if base not in _BUILDERS:
+        raise ValueError(f"unknown metric kind {kind!r}")
+    model = _BUILDERS[base](doc)
+    if base != kind:
+        if "scale" not in doc:
+            raise ValueError(f"metric kind {kind!r} needs a 'scale'")
+        model = model.rescale(doc["scale"])
+    return model
 
 
 def to_json(model):

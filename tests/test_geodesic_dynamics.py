@@ -72,6 +72,79 @@ class TestFlow:
             gd.integrate_geodesic(round_model, s, 1.0, tol=1e-3)
 
 
+def rhs_reference_row(model, y, jacobi):
+    """The module docstring's equations for one state row, in plain floats:
+    u'' = (mu u - q e3) / a and, with ``jacobi``, the polar Jacobi pair
+    theta' = cos^2 + K sin^2, (log r)' = (1 - K) sin cos."""
+    a = model.a
+    u, v = y[0:3], y[3:6]
+    z, v3 = u[2], v[2]
+    b = float(np.polynomial.polynomial.polyval(z, model.b_coef))
+    bp = float(np.polynomial.polynomial.polyval(z, model.bp_coef))
+    E = a + b * (1.0 - z * z)
+    vsq = math.fsum(vi * vi for vi in v)
+    mu = a * (bp * v3 * v3 * z / 2 - vsq * (a + b)) / E
+    xi3 = (mu * z - bp * v3 * v3 / 2) / (a + b)
+    q = b * xi3 + bp * v3 * v3 / 2
+    acc = [mu * ui / a for ui in u]
+    acc[2] -= q / a
+    out = list(v) + acc
+    if jacobi:
+        K = float(model.curvature(z))
+        th = y[6]
+        out += [math.cos(th) ** 2 + K * math.sin(th) ** 2,
+                (1.0 - K) * math.sin(th) * math.cos(th)]
+    return np.array(out)
+
+
+def random_states(model, n, rng):
+    """Unit u, tangent v with g(v, v) = 1, Jacobi columns (theta, log r)."""
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = rng.normal(size=(n, 3))
+    v -= np.sum(u * v, axis=1)[:, None] * u
+    v /= np.sqrt(model.dot(u, v, v))[:, None]
+    jac = np.column_stack([rng.uniform(-10.0, 10.0, n),
+                           rng.normal(size=n)])
+    return np.hstack([u, v, jac])
+
+
+class TestRhsReference:
+    MODELS = {"round": lambda: mm.make_round(1.3),      # a != 1
+              "spheroid": lambda: mm.make_spheroid(1.03),
+              "zoll": lambda: mm.make_zoll([0.1, 0.0, -0.1]),
+              # a != 1 with b != 0
+              "rescaled-zoll":
+                  lambda: mm.make_zoll([0.1, 0.0, -0.1]).rescale(1.7)}
+
+    def check(self, model, y, jacobi):
+        d = 8 if jacobi else 6
+        got = gd.geodesic_rhs(model, jacobi=jacobi)(0.0, y)
+        assert got.shape == y.shape
+        for row_y, row in zip(y, got):
+            ref = rhs_reference_row(model, row_y, jacobi)
+            np.testing.assert_allclose(row[:d], ref, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", [1, 768])
+    @pytest.mark.parametrize("jacobi", [False, True])
+    def test_matches_reference(self, name, n, jacobi):
+        model = self.MODELS[name]()
+        y = random_states(model, n, np.random.default_rng(n + 3 * jacobi))
+        self.check(model, y if jacobi else y[:, 0:6].copy(), jacobi)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_non_contiguous_input(self, name):
+        model = self.MODELS[name]()
+        stages = np.zeros((7, 64, 8))
+        stages[3] = random_states(model, 64, np.random.default_rng(11))
+        self.check(model, stages[3], True)              # a stage slice
+        self.check(model, stages[3][::2], True)         # row-strided
+        self.check(model, stages[3][:, 0:6], False)     # column slice
+        self.check(model, np.asfortranarray(stages[3]), True)
+
+
 class TestClairaut:
     def test_equator_round(self, round_model):
         assert gd.clairaut_invariant(round_model,

@@ -165,6 +165,35 @@ class TestJsonInterface:
         z = mm.from_json('{"kind": "zoll", "h_coeffs": [0.1, 0, -0.1]}')
         assert z.kind == "zoll"
 
+    @pytest.mark.parametrize("make", [
+        lambda: mm.make_round(1.3),
+        lambda: mm.make_spheroid(1.03),
+        lambda: mm.make_zoll([0.1, 0.0, -0.1]),
+    ], ids=["round", "spheroid", "zoll"])
+    def test_rescaled_round_trip(self, make):
+        base = make()
+        once = base.rescale(2.0)
+        twice = once.rescale(0.75)
+        for model, scale in ((once, 2.0), (twice, 1.5)):
+            assert model.kind == "rescaled-" + base.kind
+            assert model.params == dict(base.params, scale=scale)
+            again = mm.from_json(json.dumps(mm.to_json(model)))
+            assert again.kind == model.kind
+            assert again.params == model.params
+            assert again.a == model.a == base.a * scale
+            np.testing.assert_array_equal(again.b_coef, model.b_coef)
+            np.testing.assert_array_equal(again.b_coef, base.b_coef * scale)
+        assert mm.area(twice) == pytest.approx(1.5 * mm.area(base), rel=1e-12)
+
+    def test_malformed_rescaled(self):
+        for doc in ('{"kind": "rescaled-spheroid", "c": 1.1}',
+                    '{"kind": "rescaled-torus", "scale": 2.0}',
+                    '{"kind": "rescaled-rescaled-round", "scale": 2.0}',
+                    '{"kind": "rescaled-round", "scale": -1.0}',
+                    '{"kind": 3}'):
+            with pytest.raises(ValueError):
+                mm.from_json(doc)
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             mm.from_json('{"radius": 1.0}')
