@@ -6,6 +6,11 @@ every orbit individually satisfies the requested tolerances.  Dense output
 (the classical quartic interpolant) supports event location inside accepted
 steps without re-integration; the events of a whole batch are located
 together (see :func:`sweep_linear_events`).
+
+Grazing is decided by the same root finder: an orbit that crosses nothing
+in a step but whose event quartic has an extremum there (a root of its
+derivative) within ``GRAZE_TOL`` of the level is flagged.  This needs no
+step-size cap, and an orbit leaving the level monotonically is not flagged.
 """
 
 from __future__ import annotations
@@ -55,31 +60,49 @@ def _theta_powers(theta):
     return np.array([theta, theta ** 2, theta ** 3, theta ** 4])
 
 
+# Event sweeps look for sign changes of the event quartic and of its
+# derivative on this sub-grid of every accepted step.
+_SUBSAMPLES = 6
+_THETAS = np.linspace(0.0, 1.0, _SUBSAMPLES + 1)
+_THETA_POWS = np.vstack([_theta_powers(th) for th in _THETAS[1:]])   # (m, 4)
+_SLOPE_POWS = np.vander(_THETAS, 4, increasing=True)                # (m+1, 4)
+GRAZE_TOL = 1e-10   # extremum distance to the level that flags grazing
+
+
 def dense_state(y_old, h, stages, theta):
     """State at t_old + theta*h from the dense-output interpolant.
 
     ``stages`` may be (7, d) for a single orbit or (7, n, d) for a batch;
     the result matches the trailing shape.  For a batch, ``theta`` may also
-    be an (n,) array with one value per orbit.
+    be an (n,) array and ``h`` an (n, 1) array, one value per row.
     """
     w = _P @ _theta_powers(theta)                      # (7,) or (7, n)
     return y_old + h * np.einsum("s...,s...d->...d", w, stages)
 
 
-class StepRecord:
-    """One accepted step: enough data to interpolate inside [t, t + h]."""
+class DenseOutput:
+    """Dense output of one integration of n orbits over m accepted steps,
+    built from their (t, h, y, stages) tuples: step starts ``t`` and sizes
+    ``h`` (m,), start states ``y`` (m, n, d) and stages (7, m, n, d)."""
 
-    __slots__ = ("t", "h", "y", "stages")
+    def __init__(self, steps):
+        t, h, y, stages = zip(*steps)
+        self.t, self.h = np.array(t), np.array(h)
+        self.y, self.stages = np.stack(y), np.stack(stages, axis=1)
 
-    def __init__(self, t, h, y, stages):
-        self.t = t
-        self.h = h
-        self.y = y
-        self.stages = stages
-
-    def eval(self, t_query):
-        theta = (t_query - self.t) / self.h
-        return dense_state(self.y, self.h, self.stages, theta)
+    def __call__(self, t):
+        """States (q, n, d) at the times ``t`` (q,), each interpolated in
+        the step that contains it (the first or last step outside the
+        covered span)."""
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0,
+                    len(self.t) - 1)
+        q, (n, d) = len(t), self.y.shape[1:]
+        theta = np.repeat((t - self.t[k]) / self.h[k], n)
+        h = np.repeat(self.h[k], n)[:, None]
+        y = dense_state(self.y[k].reshape(q * n, d), h,
+                        self.stages[:, k].reshape(7, q * n, d), theta)
+        return y.reshape(q, n, d)
 
 
 def _initial_step(fun, t0, y0, f0, rtol, atol):
@@ -98,13 +121,14 @@ def _initial_step(fun, t0, y0, f0, rtol, atol):
 
 
 def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
-                       project=None, step_hook=None, store=False,
-                       max_step=math.inf):
+                       project=None, step_hook=None, store=False):
     """Advance ``y0`` (shape (n, d) or (d,)) over ``t_span = (t0, t1)``.
 
-    ``step_hook(t_old, h, y_old, stages, y_new)`` runs after every accepted
-    step and may return True to request early termination.  With ``store``
-    the accepted ``StepRecord`` objects are returned for dense evaluation.
+    Returns ``(t, y, dense)``.  ``step_hook(t_old, h, y_old, stages, y_new)``
+    runs after every accepted step and may return True to request early
+    termination.  With ``store``, ``dense`` is the :class:`DenseOutput` of
+    the accepted steps (the (n, d) form even for a (d,) ``y0``); otherwise
+    it is None.
 
     Error control is per orbit: the controller accepts a step only when the
     worst orbit in the batch meets the tolerance.
@@ -116,8 +140,8 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
         raise ValueError("t_span must be increasing")
     t = t0
     f = fun(t, y)
-    h = min(_initial_step(fun, t, y, f, rtol, atol), max_step, t1 - t0)
-    records = [] if store else None
+    h = min(_initial_step(fun, t, y, f, rtol, atol), t1 - t0)
+    steps = []
     n, d = y.shape
     inv_d = 1.0 / d
     stages = np.empty((7, n, d))
@@ -144,7 +168,8 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
             if step_hook is not None:
                 stop = bool(step_hook(t, h, y, stages, y_new))
             if store:
-                records.append(StepRecord(t, h, y.copy(), stages.copy()))
+                # y is never written after the step; stages is reused.
+                steps.append((t, h, y, stages.copy()))
             t = t + h
             y = y_new
             if project is not None:
@@ -156,8 +181,8 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
                 break
         else:
             factor = max(_MIN_FACTOR, _SAFETY * worst ** -0.2)
-        h = min(h * factor, max_step)
-    return t, (y[0] if single else y), records
+        h = h * factor
+    return t, (y[0] if single else y), DenseOutput(steps) if store else None
 
 
 # ---------------------------------------------------------------------------
@@ -211,44 +236,39 @@ def _quartic_roots(coeffs, lo, hi, flo):
 
 def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
                         expected_slopes=None, rtol=1e-10, atol=1e-12,
-                        project=None, graze_tol=1e-10, subsamples=6,
-                        max_step=math.inf):
+                        project=None):
     """Batch-integrate until each orbit records ``n_events`` roots of the
     linear event functional  e(y) = y . weights - target.
 
-    Returns an :class:`EventSweepResult`.  Orbits whose event function dips
-    within ``graze_tol`` of zero without crossing are flagged as grazing and
-    abandoned (their remaining events stay NaN).  Sign changes are located on
-    a sub-grid of each accepted step and refined on the dense interpolant, so
-    no event can straddle a step boundary unnoticed.
+    Returns an :class:`EventSweepResult`.  Orbits whose event function
+    turns within ``GRAZE_TOL`` of zero in a step without crossing it are
+    flagged as grazing and abandoned (their remaining events stay NaN).
 
     Event location is batched over the whole step.  The event function of
     every orbit is one quartic in theta = (t - t_old) / h, whose
     coefficients come from one contraction of the stages with ``weights``.
-    All (orbit, sub-interval) pairs with a sign change are gathered at
-    once, each orbit's in time order and only as many as its remaining
-    ``n_events``; their roots are refined together by safeguarded Newton
-    with bisection fallback (each root stops on its own test), and their
-    states and slopes come from one batched dense-output evaluation.
+    On a sub-grid of the step, all sign changes of the quartic (each
+    orbit's in time order, as many as its remaining ``n_events``) and, for
+    orbits that cross nothing, all sign changes of its derivative are
+    gathered and refined together by safeguarded Newton with bisection
+    fallback, each root stopping on its own test.  So no event straddles a
+    step boundary unnoticed, and crossing states come from one batched
+    dense-output evaluation.
     """
     y0 = np.array(y0, dtype=float, ndmin=2)
     n, d = y0.shape
     w = np.asarray(weights, dtype=float)
     res = EventSweepResult(n, n_events, d)
     active = np.ones(n, dtype=bool)
-    thetas = np.linspace(0.0, 1.0, subsamples + 1)
-    theta_pows = np.vstack([_theta_powers(th) for th in thetas[1:]])  # (m,4)
-    first_step = [True]
 
     def hook(t, h, y_old, stages, y_new):
         z0 = y_old @ w - target
-        if first_step[0]:
+        if t == 0.0:
             # Seeds launched from the section itself carry rounding noise in
             # their event value; snap it so the launch side decides the sign.
             z0 = np.where(np.abs(z0) < 1e-9, 0.0, z0)
-            first_step[0] = False
         cw = h * ((stages @ w).T @ _P)                   # (n,4) theta-poly
-        zs = np.vstack([z0[None, :], z0[None, :] + theta_pows @ cw.T])
+        zs = np.vstack([z0[None, :], z0[None, :] + _THETA_POWS @ cw.T])
         sgn = np.sign(zs)
         # A zero start counts on the side the orbit is launched towards.
         launch = np.sign(stages[0] @ w)
@@ -256,50 +276,42 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
         changes = sgn[:-1] * sgn[1:] < 0.0                   # (m,n)
         has_change = changes.any(axis=0)
         hit = active & has_change
-        if np.any(hit):
-            # Keep each orbit's crossings in time order up to its cap.
-            rank = np.cumsum(changes, axis=0)
-            keep = changes & hit & (res.n_found + rank <= n_events)
-            i, m = np.nonzero(keep.T)             # orbit-major, m ascending
-            k = res.n_found[i] + rank[m, i] - 1
-            coeffs = np.column_stack([z0[i], cw[i]])
-            th = _quartic_roots(coeffs, thetas[m], thetas[m + 1], zs[m, i])
-            res.t_events[i, k] = t + th * h
-            res.y_events[i, k] = dense_state(y_old[i], h, stages[:, i], th)
-            c1, c2, c3, c4 = cw[i].T
-            res.slopes[i, k] = (c1 + th * (2 * c2 + th *
-                                (3 * c3 + 4 * th * c4))) / h
-            res.n_found += keep.sum(axis=0)
-            active[hit & (res.n_found >= n_events)] = False
-        # Near-tangency without a crossing: refine the interpolant extremum
-        # and abort the orbit with a flag when it comes within graze_tol.
-        quiet = active & ~has_change
-        if np.any(quiet):
-            dips = np.min(np.abs(zs[1:, :]), axis=0)
-            for i in np.nonzero(quiet & (dips < 1e-4))[0]:
-                k = int(np.argmin(np.abs(zs[1:, i])))
-                th = thetas[k + 1]
-                c1, c2, c3, c4 = cw[i]
-                for _ in range(12):
-                    d1 = c1 + th * (2 * c2 + th * (3 * c3 + 4 * th * c4))
-                    d2 = 2 * c2 + th * (6 * c3 + 12 * th * c4)
-                    if d2 == 0.0:
-                        break
-                    step = d1 / d2
-                    th = min(1.0, max(0.0, th - step))
-                    if abs(step) < 1e-14:
-                        break
-                z_ext = z0[i] + th * (c1 + th * (c2 + th * (c3 + th * c4)))
-                if abs(z_ext) < graze_tol:
-                    res.grazing[i] = True
-                    active[i] = False
+        # Extrema of the orbits that cross nothing: slope sign changes.
+        dcw = cw * np.arange(1.0, 5.0)                   # (n,4) slope poly
+        dzs = _SLOPE_POWS @ dcw.T                        # (m+1,n)
+        turns = (dzs[:-1] * dzs[1:] < 0.0) & (active & ~has_change)
+        if not (hit.any() or turns.any()):
+            return False
+        # Keep each orbit's crossings in time order up to its cap.
+        rank = np.cumsum(changes, axis=0)
+        keep = changes & hit & (res.n_found + rank <= n_events)
+        i, m = np.nonzero(keep.T)                 # orbit-major, m ascending
+        g, mg = np.nonzero(turns.T)
+        sub = np.concatenate([m, mg])             # sub-interval of each root
+        roots = _quartic_roots(
+            np.vstack([np.column_stack([z0[i], cw[i]]),
+                       np.column_stack([dcw[g], np.zeros(len(g))])]),
+            _THETAS[sub], _THETAS[sub + 1],
+            np.concatenate([zs[m, i], dzs[mg, g]]))
+        th, th_g = roots[:len(i)], roots[len(i):]
+        k = res.n_found[i] + rank[m, i] - 1
+        res.t_events[i, k] = t + th * h
+        res.y_events[i, k] = dense_state(y_old[i], h, stages[:, i], th)
+        c1, c2, c3, c4 = cw[i].T
+        res.slopes[i, k] = (c1 + th * (2 * c2 + th *
+                            (3 * c3 + 4 * th * c4))) / h
+        res.n_found += keep.sum(axis=0)
+        active[hit & (res.n_found >= n_events)] = False
+        c1, c2, c3, c4 = cw[g].T
+        z_ext = z0[g] + th_g * (c1 + th_g * (c2 + th_g * (c3 + th_g * c4)))
+        grazing = g[np.abs(z_ext) < GRAZE_TOL]
+        res.grazing[grazing] = True
+        active[grazing] = False
         return not np.any(active)
 
     integrate_adaptive(fun, y0, (0.0, t_max), rtol=rtol, atol=atol,
-                       project=project, step_hook=hook, max_step=max_step)
+                       project=project, step_hook=hook)
     if expected_slopes is not None:
-        ok = res.n_found >= n_events
-        for k, s in enumerate(expected_slopes):
-            bad = ok & (np.sign(res.slopes[:, k]) != s)
-            res.grazing |= bad
+        res.grazing |= (res.n_found >= n_events) & np.any(
+            np.sign(res.slopes) != expected_slopes, axis=1)
     return res

@@ -50,6 +50,11 @@ STATUS_MISSING = 2
 _ROW_BATCH = 8
 # Return-sweep horizon in units of 2 pi / sqrt(min K).
 _HORIZON_FACTOR = 3.0
+_ADJACENT_SEGMENTS = 3   # segments this close in index are neighbours
+_MAX_FOLD = 6            # largest cover order minimal_period_fold tries
+_ARC_SAMPLES = 600       # dense-output samples per leg of a checked arc
+_BOUNDARY_ROWS = 5       # interior rows extrapolated onto a boundary row
+MONOTONE_CROSSCHECK_TOL = 1e-4   # |D2 Y - jac_du| bound of the report
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +84,7 @@ def _segment_pair_distance(p1, q1, p2, q2):
     return math.sqrt(diff @ diff)
 
 
-def curve_self_intersects(points, closed=True, resolution=1e-6,
-                          exclusion=3):
+def curve_self_intersects(points, closed=True, resolution=1e-6):
     """Whether a polyline in R^3 approaches itself closer than ``resolution``
     away from parameter-adjacent segments."""
     pts = np.asarray(points, dtype=float)
@@ -94,7 +98,7 @@ def curve_self_intersects(points, closed=True, resolution=1e-6,
     pairs = tree.query_pairs(r=2.0 * seg_len + resolution)
     for i, j in pairs:
         gap = min(abs(i - j), nseg - abs(i - j)) if closed else abs(i - j)
-        if gap <= exclusion:
+        if gap <= _ADJACENT_SEGMENTS:
             continue
         d = _segment_pair_distance(segs_a[i], segs_b[i % n],
                                    segs_a[j], segs_b[j % n])
@@ -103,12 +107,12 @@ def curve_self_intersects(points, closed=True, resolution=1e-6,
     return False
 
 
-def minimal_period_fold(orbit, max_fold=6, tol=1e-7):
+def minimal_period_fold(orbit, tol=1e-7):
     """Smallest integer m > 1 such that the stored orbit is an m-fold cover
     of a shorter closed orbit, or 1 if it is primitive."""
     states = orbit.states
     n = len(states)
-    for m in range(2, max_fold + 1):
+    for m in range(2, _MAX_FOLD + 1):
         if n % m:
             continue
         shift = n // m
@@ -280,7 +284,7 @@ class BirkhoffGrid:
         }
         if model is not None:
             out["residuals"]["area_identity_rel"] = \
-                verify_area_identity(self, lift, model)
+                verify_area_identity(self, lift, model, action_grid=act)
             out["residuals"]["contact_volume_rel"] = \
                 contact_volume_check(self, model)
         return out
@@ -420,8 +424,7 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
 # the zero-flux lift and the bridge identities
 # ---------------------------------------------------------------------------
 
-def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12,
-                   arc_resolution=1e-6):
+def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12):
     """Strip map carrying the return data, with the canonical zero-flux lift.
 
     The advance-based lift is trusted only if the sampled return arcs are
@@ -431,8 +434,7 @@ def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12,
     """
     grid.require_clean()
     if arc_check_nodes:
-        check_return_arc_injectivity(grid, n_nodes=arc_check_nodes,
-                                     resolution=arc_resolution)
+        check_return_arc_injectivity(grid, n_nodes=arc_check_nodes)
     lift = sc.StripMapGrid(length=grid.L, xs=grid.xs.copy(),
                            ys=grid.ys.copy(), X=grid.X.copy(),
                            Y=grid.Y.copy(), provenance="birkhoff")
@@ -445,28 +447,22 @@ def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12,
 
 
 def check_return_arc_injectivity(grid, n_nodes=12, resolution=1e-6,
-                                 samples_per_arc=600, rtol=1e-10,
-                                 atol=1e-12):
+                                 rtol=1e-10, atol=1e-12):
     """Sampled verification that each return-arc leg is an injective curve."""
-    sec = grid.section
-    model = sec.model
-    nx, ny = grid.nx, grid.ny
+    model = grid.section.model
     rng = np.random.default_rng(0)
-    ii = rng.integers(0, nx, size=n_nodes)
-    jj = rng.integers(1, ny - 1, size=n_nodes)
-    for i, j in zip(ii, jj):
-        x, y = float(grid.xs[i]), float(grid.ys[j])
-        u, w = sec.section_vector(np.array([x]), np.array([y]))
-        y0 = np.concatenate([u[0], w[0]])
-        t_end = float(grid.tau[i, j])
-        t_mid = float(grid.tau_plus[i, j])
-        t, y_end, records = integrate_adaptive(
+    ii = rng.integers(0, grid.nx, size=n_nodes)
+    jj = rng.integers(1, grid.ny - 1, size=n_nodes)
+    u, w = grid.section.section_vector(grid.xs[ii], grid.ys[jj])
+    for i, j, y0 in zip(ii, jj, np.hstack([u, w])):
+        t_end, t_mid = grid.tau[i, j], grid.tau_plus[i, j]
+        t, y_end, dense = integrate_adaptive(
             gd.geodesic_rhs(model), y0[None, :], (0.0, t_end), rtol=rtol,
             atol=atol, project=gd.state_projector(model), store=True)
-        traj = gd.Trajectory(model, records, t, y_end[0])
-        for (t0, t1) in ((0.0, t_mid), (t_mid, t_end)):
-            pts = np.array([traj.ambient(tq)[0]
-                            for tq in np.linspace(t0, t1, samples_per_arc)])
+        traj = gd.Trajectory(model, dense, t, y_end[0])
+        legs, _ = traj.ambient(np.linspace([0.0, t_mid], [t_mid, t_end],
+                                           _ARC_SAMPLES, axis=1))
+        for pts in legs:
             if curve_self_intersects(pts, closed=False,
                                      resolution=resolution):
                 raise PinchingViolationError(
@@ -505,10 +501,11 @@ class MonotonicityReport:
 
     @property
     def passed(self):
-        return self.monotone and self.max_discrepancy < 1e-4
+        return (self.monotone
+                and self.max_discrepancy < MONOTONE_CROSSCHECK_TOL)
 
 
-def monotonicity_check(grid, tol=1e-4):
+def monotonicity_check(grid):
     """Vertical derivative of the angle component, two ways.
 
     Finite differences of the grid are compared against the transversal
@@ -544,25 +541,18 @@ def jacobi_angle_window(grid, delta):
             "inside": inside, "cos_positive": cos_pos}
 
 
-def boundary_consistency_check(grid, rows=5):
+def boundary_consistency_check(grid):
     """Polynomial extrapolation of interior return times onto the boundary
     rows, compared with the conjugate-time values computed there."""
     ys = grid.ys
     out = []
     for edge in (0, -1):
-        if edge == 0:
-            yy = ys[1:1 + rows]
-            tt = grid.tau[:, 1:1 + rows]
-            target = grid.tau[:, 0]
-            y0 = ys[0]
-        else:
-            yy = ys[-1 - rows:-1]
-            tt = grid.tau[:, -1 - rows:-1]
-            target = grid.tau[:, -1]
-            y0 = ys[-1]
-        coef = np.polynomial.polynomial.polyfit(yy, tt.T, rows - 1)
-        extrap = np.polynomial.polynomial.polyval(y0, coef)
-        out.append(float(np.max(np.abs(extrap - target))))
+        inner = (slice(1, 1 + _BOUNDARY_ROWS) if edge == 0
+                 else slice(-1 - _BOUNDARY_ROWS, -1))
+        coef = np.polynomial.polynomial.polyfit(
+            ys[inner], grid.tau[:, inner].T, _BOUNDARY_ROWS - 1)
+        extrap = np.polynomial.polynomial.polyval(ys[edge], coef)
+        out.append(float(np.max(np.abs(extrap - grid.tau[:, edge]))))
     return max(out)
 
 

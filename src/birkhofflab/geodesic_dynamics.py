@@ -35,6 +35,8 @@ from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
                      ReturnFailure)
 
 _TWO_PI = 2.0 * math.pi
+# Closure residual (sup norm of the state mismatch) a closed orbit must meet.
+CLOSURE_TARGET = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -182,52 +184,38 @@ def unit_speed_defect(model, u, v):
 
 
 class Trajectory:
-    """Dense-output geodesic trajectory (ambient representation inside)."""
+    """Dense-output geodesic trajectory of one orbit (ambient representation
+    inside), from the :class:`~._integrate.DenseOutput` of its
+    integration."""
 
-    def __init__(self, model, records, t_end, y_end):
+    def __init__(self, model, dense, t_end, y_end):
         self.model = model
-        self._records = records
+        self._dense = dense
         self.t_end = t_end
         self._y_end = y_end
-        self._ts = np.array([r.t for r in records] + [t_end])
 
     def ambient(self, t):
-        """(u, v) at time t from the stored dense output."""
-        t = float(t)
-        if not (self._ts[0] - 1e-12 <= t <= self.t_end + 1e-12):
-            raise ValueError(f"t={t} outside trajectory range")
-        if t >= self.t_end:
-            y = self._y_end
-        else:
-            k = min(np.searchsorted(self._ts, t, side="right") - 1,
-                    len(self._records) - 1)
-            k = max(k, 0)
-            y = self._records[k].eval(t)
-        y = np.asarray(y)
-        if y.ndim == 2:
-            y = y[0]
-        return y[0:3].copy(), y[3:6].copy()
+        """(u, v) at time t from the stored dense output; for an array of
+        times, u and v have the shape of ``t`` plus a trailing axis of 3."""
+        t = np.asarray(t, dtype=float)
+        tq = t.reshape(-1)
+        inside = (self._dense.t[0] - 1e-12 <= tq) & (tq <= self.t_end + 1e-12)
+        if not inside.all():
+            raise ValueError(f"t={tq[~inside][0]} outside trajectory range")
+        y = np.where((tq >= self.t_end)[:, None], self._y_end,
+                     self._dense(tq)[:, 0])
+        y = y.reshape(t.shape + self._y_end.shape)
+        return y[..., 0:3], y[..., 3:6]
 
     def state(self, t):
         u, v = self.ambient(t)
         return state_from_ambient(self.model, u, v, arclength=t)
 
-    def sample_times(self, n):
-        return np.linspace(0.0, self.t_end, n)
-
-    def sample_ambient(self, n):
-        ts = self.sample_times(n)
-        out = np.empty((n, 6))
-        for i, t in enumerate(ts):
-            u, v = self.ambient(t)
-            out[i, 0:3] = u
-            out[i, 3:6] = v
-        return ts, out
-
     def to_csv_rows(self, n):
-        """Rows (t, theta, phi, dtheta, dphi); chart components are NaN at
-        pole passages."""
-        ts, ys = self.sample_ambient(n)
+        """Rows (t, theta, phi, dtheta, dphi) at n uniform times over
+        [0, t_end]; chart components are NaN at pole passages."""
+        ts = np.linspace(0.0, self.t_end, n)
+        ys = np.hstack(self.ambient(ts))
         rows = []
         for t, y in zip(ts, ys):
             try:
@@ -253,10 +241,10 @@ def integrate_geodesic(model, state, t_end, tol=1e-10):
     u, v = state_to_ambient(model, state)
     y0 = np.concatenate([u, v])[None, :]
     project = state_projector(model)
-    t, y, records = integrate_adaptive(
+    t, y, dense = integrate_adaptive(
         geodesic_rhs(model), y0, (0.0, t_end), rtol=tol, atol=tol * 1e-2,
         project=project, store=True)
-    return Trajectory(model, records, t, y[0] if y.ndim == 2 else y)
+    return Trajectory(model, dense, t, y[0])
 
 
 def reversed_state(state):
@@ -400,14 +388,13 @@ def _flow_to(model, y0, t_end, tol):
     return y[0]
 
 
-def find_closed_geodesic(model, seed, period_guess, tol=1e-12,
-                         closure_target=1e-10, n_store=1024):
+def find_closed_geodesic(model, seed, period_guess, tol=1e-12, n_store=1024):
     """Shooting refinement of (initial state, period) towards a closed orbit.
 
     The azimuth of the starting point is held fixed to quotient out the
     rotational symmetry; the colatitude, launch angle, and period are the
     shooting unknowns.  Raises :class:`NoConvergenceError` when the closure
-    residual cannot be brought below ``closure_target``.
+    residual cannot be brought below ``CLOSURE_TARGET``.
     """
     theta0 = seed.point.theta
     phi0 = seed.point.phi
@@ -435,7 +422,7 @@ def find_closed_geodesic(model, seed, period_guess, tol=1e-12,
 
     x0 = np.array([theta0, psi0, period_guess])
     seed_resid = float(np.max(np.abs(residual(x0))))
-    if seed_resid <= 0.1 * closure_target:
+    if seed_resid <= 0.1 * CLOSURE_TARGET:
         # symmetric seeds (equator, meridians) are already exact orbits
         th, ps, T = x0
         resid = seed_resid
@@ -444,21 +431,14 @@ def find_closed_geodesic(model, seed, period_guess, tol=1e-12,
                             ftol=3e-16, gtol=3e-16, max_nfev=50 * 4)
         th, ps, T = sol.x
         resid = float(np.max(np.abs(sol.fun)))
-        if resid > closure_target:
+        if resid > CLOSURE_TARGET:
             raise NoConvergenceError(
                 f"closure residual {resid:.3g} exceeds target "
-                f"{closure_target:.3g} after shooting refinement")
-    state = state_from_angle(model, th, phi0, ps)
-    u, v = state_to_ambient(model, state)
-    y0 = np.concatenate([u, v])
-    ts = np.linspace(0.0, T, n_store, endpoint=False)
-    states = np.empty((n_store, 6))
-    states[0] = y0
-    traj = integrate_geodesic(model, state, T, tol=max(tol, 1e-12))
-    for i in range(1, n_store):
-        uu, vv = traj.ambient(ts[i])
-        states[i, 0:3] = uu
-        states[i, 3:6] = vv
+                f"{CLOSURE_TARGET:.3g} after shooting refinement")
+    traj = integrate_geodesic(model, state_from_angle(model, th, phi0, ps),
+                              T, tol=max(tol, 1e-12))
+    states = np.hstack(traj.ambient(np.linspace(0.0, T, n_store,
+                                                endpoint=False)))
     return ClosedOrbit(model, T, states, resid)
 
 

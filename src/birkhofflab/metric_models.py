@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ _TWO_PI = 2.0 * math.pi
 _VALIDATION_SAMPLES = 1024
 # Kind prefix of a model scaled by MetricModel.rescale.
 _RESCALED = "rescaled-"
+_PARAM_LIMIT = 1e150    # larger parameters are refused (squares overflow)
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,10 @@ class MetricModel:
     bp_coef: np.ndarray = field(default=None)  # derivative coefficients
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ModelInvalidError("metric scale a must be positive")
         b = np.atleast_1d(np.asarray(self.b_coef, dtype=float))
+        if not (self.a > 0.0 and np.all(np.isfinite([self.a, *b]))):
+            raise ModelInvalidError("metric scale a must be positive and "
+                                    "the coefficients finite")
         object.__setattr__(self, "b_coef", b)
         object.__setattr__(self, "bp_coef", npoly.polyder(b) if b.size > 1
                            else np.zeros(1))
@@ -148,9 +151,9 @@ class MetricModel:
         """The conformally scaled metric factor * g (lengths scale by
         sqrt(factor)).  Scaling a rescaled model composes the factors: the
         result is its base model scaled once by their product."""
-        factor = float(factor)
-        if not (factor > 0.0 and math.isfinite(factor)):
-            raise ModelInvalidError("scale factor must be positive and finite")
+        factor = _real(factor, "scale factor")
+        if factor <= 0.0:
+            raise ModelInvalidError("scale factor must be positive")
         base, scale = self, factor
         if self.kind.startswith(_RESCALED):
             base = _BUILDERS[self.kind[len(_RESCALED):]](self.params)
@@ -203,18 +206,30 @@ def surface_point(model, theta, phi):
 # constructors
 # ---------------------------------------------------------------------------
 
+def _real(value, name):
+    """``value`` as a float; anything but a real number below
+    ``_PARAM_LIMIT`` in magnitude is refused."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) < _PARAM_LIMIT):
+        return float(value)
+    raise ModelInvalidError(f"{name} must be a number below "
+                            f"{_PARAM_LIMIT:g} in magnitude (got {value!r})")
+
+
 def make_round(radius=1.0):
+    radius = _real(radius, "round sphere radius")
     if radius <= 0.0:
         raise ModelInvalidError("round sphere radius must be positive")
-    return MetricModel(kind="round", params={"radius": float(radius)},
-                       a=float(radius) ** 2, b_coef=np.zeros(1))
+    return MetricModel(kind="round", params={"radius": radius},
+                       a=radius ** 2, b_coef=np.zeros(1))
 
 
 def make_spheroid(c):
+    c = _real(c, "spheroid semi-axis c")
     if c <= 0.0:
         raise ModelInvalidError("spheroid semi-axis c must be positive")
-    return MetricModel(kind="spheroid", params={"c": float(c)},
-                       a=1.0, b_coef=np.array([float(c) ** 2 - 1.0]))
+    return MetricModel(kind="spheroid", params={"c": c},
+                       a=1.0, b_coef=np.array([c ** 2 - 1.0]))
 
 
 def make_zoll(h_coeffs):
@@ -224,9 +239,9 @@ def make_zoll(h_coeffs):
     encodes h(s) = eps * s * (1 - s^2).  Requirements: h odd, h(+-1) = 0,
     |h| < 1 on [-1, 1].
     """
-    coeffs = np.asarray(h_coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
+    if np.ndim(h_coeffs) != 1 or len(h_coeffs) == 0:
         raise ModelInvalidError("h_coeffs must be a non-empty 1-D sequence")
+    coeffs = np.array([_real(c, "h_coeffs entry") for c in h_coeffs])
     h = np.concatenate(([0.0], coeffs))          # ascending powers of s
     if np.any(np.abs(h[2::2]) > 1e-14):
         raise ModelInvalidError("profile h must be an odd polynomial")
@@ -245,8 +260,8 @@ def make_zoll(h_coeffs):
 
 
 _BUILDERS = {
-    "round": lambda doc: make_round(float(doc.get("radius", 1.0))),
-    "spheroid": lambda doc: make_spheroid(float(doc["c"])),
+    "round": lambda doc: make_round(doc.get("radius", 1.0)),
+    "spheroid": lambda doc: make_spheroid(doc["c"]),
     "zoll": lambda doc: make_zoll(doc["h_coeffs"]),
 }
 

@@ -43,6 +43,7 @@ _PI = math.pi
 IDENTITY_TOL = 1e-5
 FLUX_TOL = 1e-6
 IDENTITY_MAP_EPS = 1e-9     # sup-norm threshold below which a map counts as id
+FIXED_TOL = 1e-6            # how far the map may move a located fixed point
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +260,20 @@ def omega_preservation_residual(grid):
     return float(np.max(res[:, 1:-1]))
 
 
-def _displacement_splines(grid, pad=4):
-    """Periodic-padded bivariate splines of (X - x, Y - y)."""
-    xs, ys = grid.xs, grid.ys
-    L = grid.length
-    dX = grid.displacement()
-    dY = grid.Y - ys[None, :]
-    xp = np.concatenate([xs[-pad:] - L, xs, xs[:pad] + L])
-    dXp = np.concatenate([dX[-pad:], dX, dX[:pad]], axis=0)
-    dYp = np.concatenate([dY[-pad:], dY, dY[:pad]], axis=0)
-    return (RectBivariateSpline(xp, ys, dXp, kx=3, ky=3),
-            RectBivariateSpline(xp, ys, dYp, kx=3, ky=3))
+def _periodic_spline(xs, ys, length, F):
+    """Bicubic spline of node data F (nx, ny), periodic in x with period
+    ``length`` (the mesh is padded by 4 periodic images on each side)."""
+    xp = np.concatenate([xs[-4:] - length, xs, xs[:4] + length])
+    Fp = np.concatenate([F[-4:], F, F[:4]], axis=0)
+    return RectBivariateSpline(xp, ys, Fp, kx=3, ky=3)
+
+
+def _displacement_splines(grid):
+    """Periodic bicubic splines of (X - x, Y - y)."""
+    return (_periodic_spline(grid.xs, grid.ys, grid.length,
+                             grid.displacement()),
+            _periodic_spline(grid.xs, grid.ys, grid.length,
+                             grid.Y - grid.ys[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +485,7 @@ def calabi_from_generating(gen, grid, flux_tol=FLUX_TOL):
 # fixed points with signed action
 # ---------------------------------------------------------------------------
 
-def fixed_point_with_signed_action(grid, gen, branch=None,
-                                   fixed_tol=1e-6):
+def fixed_point_with_signed_action(grid, gen, branch=None):
     """Interior fixed point whose action sign matches the Calabi sign.
 
     For a monotone zero-flux map different from the identity, the interior
@@ -503,12 +506,8 @@ def fixed_point_with_signed_action(grid, gen, branch=None,
     interior = w[:, 1:-1]
     i0, j0 = np.unravel_index(np.argmin(interior), interior.shape)
     j0 += 1
-    # periodic-padded surface for local refinement
-    pad = 4
     xs, Ys, L = gen.xs, gen.Ys, gen.length
-    xp = np.concatenate([xs[-pad:] - L, xs, xs[:pad] + L])
-    wp = np.concatenate([w[-pad:], w, w[:pad]], axis=0)
-    surf = RectBivariateSpline(xp, Ys, wp, kx=3, ky=3)
+    surf = _periodic_spline(xs, Ys, L, w)      # for local refinement
     res = minimize(lambda p: float(surf.ev(p[0], p[1])),
                    x0=np.array([xs[i0], Ys[j0]]),
                    method="Nelder-Mead",
@@ -520,7 +519,7 @@ def fixed_point_with_signed_action(grid, gen, branch=None,
         raise InternalConsistencyError(
             "extremum of the generating function landed on the boundary")
     Xq, Yq = grid.evaluate(np.array([x_star]), np.array([y_star]))
-    if abs(Xq[0] - x_star) > fixed_tol or abs(Yq[0] - y_star) > fixed_tol:
+    if abs(Xq[0] - x_star) > FIXED_TOL or abs(Yq[0] - y_star) > FIXED_TOL:
         raise InternalConsistencyError(
             f"located extremum is not fixed by the map "
             f"(|dx| = {abs(Xq[0] - x_star):.3g}, "

@@ -33,7 +33,7 @@ _TWO_PI = 2.0 * math.pi
 MONOTONE_PINCH_THRESHOLD = (4.0 + math.sqrt(7.0)) / 8.0
 LIFT_PINCH_THRESHOLD = 0.25
 ZOLL_SUP_TOL = 1e-5
-CLOSURE_TARGET = 1e-10
+_FIXED_SEED_TOL = 5e-3   # nodes moved less in x and y seed the shooting
 
 
 @dataclass
@@ -102,7 +102,7 @@ def simplicity_check(orbit, resolution=1e-6):
     Non-primitive covers (full-state revisits before the period) are
     reported as not simple so that length extrema ignore them.
     """
-    if orbit.closure_residual > CLOSURE_TARGET * 10:
+    if orbit.closure_residual > gd.CLOSURE_TARGET * 10:
         raise ValueError("orbit is not closed to the required residual")
     if bs.minimal_period_fold(orbit) > 1:
         return False
@@ -110,11 +110,15 @@ def simplicity_check(orbit, resolution=1e-6):
                                         resolution=resolution)
 
 
-def _fixed_point_seeds(grid, sup_tol=5e-3):
+def _near_fixed(grid, tol):
+    """Nodes that the lift moves by less than ``tol`` in x and in y."""
+    return ((np.abs(grid.X - grid.xs[:, None]) < tol)
+            & (np.abs(grid.Y - grid.ys[None, :]) < tol))
+
+
+def _fixed_point_seeds(grid):
     """Representative (x, y) nodes of fixed-point clusters of the lift."""
-    dX = np.abs(grid.X - grid.xs[:, None])
-    dY = np.abs(grid.Y - grid.ys[None, :])
-    mask = (dX < sup_tol) & (dY < sup_tol)
+    mask = _near_fixed(grid, _FIXED_SEED_TOL)
     mask[:, 0] = mask[:, -1] = False
     seeds = []
     cols = np.nonzero(mask.any(axis=0))[0]
@@ -140,7 +144,9 @@ def candidate_closed_geodesics(model, grid=None):
     _push_candidate(cands, "equator", gd.equator_orbit(model))
     _push_candidate(cands, "meridian", gd.meridian_orbit(model))
     if grid is not None:
-        _extend_with_fixed_points(cands, model, grid)
+        lift = bs.zero_flux_lift(grid, arc_check_nodes=0)
+        _extend_with_fixed_points(cands, model, grid,
+                                  lift.sup_distance_to_identity())
     return cands
 
 
@@ -156,12 +162,12 @@ def _push_candidate(cands, label, orbit):
         closure_residual=orbit.closure_residual, orbit=orbit))
 
 
-def _extend_with_fixed_points(cands, model, grid):
+def _extend_with_fixed_points(cands, model, grid, sup_id):
     """Append the closed geodesics shot from fixed points of the return map
-    on ``grid`` to ``cands`` (nothing when the map is the identity)."""
-    sup = max(float(np.max(np.abs(grid.X - grid.xs[:, None]))),
-              float(np.max(np.abs(grid.Y - grid.ys[None, :]))))
-    if sup >= ZOLL_SUP_TOL:
+    on ``grid`` to ``cands`` (nothing when the map is the identity, that is
+    when its sup distance ``sup_id`` to the identity is below
+    ``ZOLL_SUP_TOL``)."""
+    if sup_id >= ZOLL_SUP_TOL:
         sec = grid.section
         for (x, y) in _fixed_point_seeds(grid):
             u, w = sec.section_vector(np.array([x]), np.array([y]))
@@ -198,7 +204,7 @@ def two_gon_perimeter_check(model, grid, tol=1e-6):
 
 
 def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
-          tol_verdict=1e-4, zoll_sup_tol=ZOLL_SUP_TOL):
+          tol_verdict=1e-4):
     """Full systolic verification; raises :class:`AuditRefused` when the
     pinching hypothesis behind the lift construction fails."""
     warnings = []
@@ -231,13 +237,12 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
     if monotone_guaranteed and not mono.monotone:
         warnings.append("monotonicity failed despite the pinching guarantee")
 
-    _extend_with_fixed_points(cands, model, grid)
+    sup_id = lift.sup_distance_to_identity()
+    zoll_flag = sup_id < ZOLL_SUP_TOL
+    _extend_with_fixed_points(cands, model, grid, sup_id)
     lengths = [c.length for c in cands if c.primitive]
     l_min = min(lengths)
     l_max_simple = max(c.length for c in cands if c.simple)
-
-    sup_id = lift.sup_distance_to_identity()
-    zoll_flag = sup_id < zoll_sup_tol
 
     residuals = {
         "tau_action_max": bs.verify_tau_action_identity(grid, lift, act),
@@ -275,9 +280,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
                         "map far from the identity")
 
     # No fixed point of the lift may beat the shortest candidate.
-    dX = np.abs(grid.X - grid.xs[:, None])
-    dY = np.abs(grid.Y - grid.ys[None, :])
-    fixed = (dX < 1e-6) & (dY < 1e-6)
+    fixed = _near_fixed(grid, 1e-6)
     if np.any(fixed):
         shortest_fixed = float(np.min(grid.L + act.sigma[fixed]))
         if shortest_fixed < l_min - 1e-5:

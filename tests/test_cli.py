@@ -41,6 +41,17 @@ class TestMetricInfo:
                            '{"kind": "torus"}')
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "spheroid", "c": [1]}',
+        '{"kind": "round", "radius": null}',
+        '{"kind": "rescaled-round", "scale": [2]}',
+        '{"kind": "spheroid", "c": 1e308}',
+    ])
+    def test_malformed_parameter_exits_2(self, capsys, doc):
+        code, _, err = run(capsys, "metric-info", "--metric", doc)
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_missing_metric_exits_2(self, capsys):
         code, _, _ = run(capsys, "metric-info")
         assert code == 2

@@ -7,6 +7,7 @@ from scipy.special import ellipe
 
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
+from birkhofflab._integrate import integrate_adaptive
 from birkhofflab.errors import PreconditionError
 
 
@@ -46,6 +47,30 @@ class TestFlow:
         for t in np.linspace(0, 15.0, 40):
             u, v = traj.ambient(t)
             assert gd.unit_speed_defect(spheroid_model, u, v) < 1e-9
+
+    def test_ambient_at_an_array_of_times(self, spheroid_model):
+        s = gd.state_from_angle(spheroid_model, 0.9, 0.2, 0.8)
+        traj = gd.integrate_geodesic(spheroid_model, s, 7.0)
+        ts = np.concatenate([np.linspace(0.0, 7.0, 57), [7.0 + 5e-13]])
+        us, vs = traj.ambient(ts)
+        assert us.shape == vs.shape == (len(ts), 3)
+        # 2 ulp at the scale of the state (|u| = 1, |v| of order 1)
+        ulp2 = 2 * np.spacing(1.0)
+        for t, u, v in zip(ts, us, vs):
+            u1, v1 = traj.ambient(t)
+            np.testing.assert_allclose(u, u1, rtol=0, atol=ulp2)
+            np.testing.assert_allclose(v, v1, rtol=0, atol=ulp2)
+        # from t_end on, the integrator's final state, not the interpolant
+        y0 = np.concatenate(gd.state_to_ambient(spheroid_model, s))[None, :]
+        _, y_end, _ = integrate_adaptive(
+            gd.geodesic_rhs(spheroid_model), y0, (0.0, 7.0), rtol=1e-10,
+            atol=1e-12, project=gd.state_projector(spheroid_model))
+        for k in (-2, -1):
+            np.testing.assert_array_equal(us[k], y_end[0, 0:3])
+            np.testing.assert_array_equal(vs[k], y_end[0, 3:6])
+        for bad in ([1.0, 7.0 + 1e-9], [-1e-9, 1.0], [[1.0], [np.nan]]):
+            with pytest.raises(ValueError):
+                traj.ambient(np.array(bad))
 
     def test_time_reversal(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 1.2, 0.4, 0.33)

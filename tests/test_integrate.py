@@ -43,12 +43,12 @@ class TestStepper:
 
     def test_dense_output_matches_endpoints(self):
         y0 = np.array([[1.0, 0.0]])
-        _, _, recs = integrate_adaptive(oscillator, y0, (0.0, 3.0),
-                                        rtol=1e-10, atol=1e-12, store=True)
-        r = recs[len(recs) // 2]
-        assert np.max(np.abs(r.eval(r.t) - r.y)) < 1e-12
-        tq = r.t + 0.37 * r.h
-        yq = r.eval(tq)[0]
+        _, _, dense = integrate_adaptive(oscillator, y0, (0.0, 3.0),
+                                         rtol=1e-10, atol=1e-12, store=True)
+        k = len(dense.t) // 2
+        assert np.max(np.abs(dense(dense.t[[k]])[0] - dense.y[k])) < 1e-12
+        tq = dense.t[k] + 0.37 * dense.h[k]
+        yq = dense(np.array([tq]))[0, 0]
         assert abs(yq[0] - math.cos(tq)) < 1e-10
 
     def test_blowup_raises_integration_failure(self):
@@ -102,8 +102,7 @@ class TestEventSweep:
 
         y0 = np.array([[1.0 + 1e-12, -2.0]])
         res = sweep_linear_events(parabola, y0, 3.0, np.array([1.0, 0.0]),
-                                  n_events=1, rtol=1e-10, atol=1e-14,
-                                  max_step=0.05)
+                                  n_events=1, rtol=1e-10, atol=1e-14)
         assert res.grazing[0]
         assert res.n_found[0] == 0
 
@@ -160,12 +159,8 @@ def level_crossings(omega, phi, c, count):
 def mixed_batch(rng, n_regular, n_peaks, n_zero_start, peak_level):
     """Oscillators of different frequencies and phases: level-0 crossings,
     level crossings just below a maximum (two crossings close together)
-    and rows starting on the event level (the launch side decides).
-
-    The rows starting on the level leave it towards their turning point.
-    A row leaving it convexly is flagged as grazing in its first step: the
-    extremum search of the grazing check runs back to theta = 0, where the
-    snapped event value is 0."""
+    and rows starting on the event level (the launch side decides), which
+    leave it towards their turning point."""
     omega = rng.uniform(0.7, 2.0, n_regular + n_peaks + n_zero_start)
     phi = rng.uniform(0.0, 2 * math.pi, omega.size)
     c = np.zeros(omega.size)
@@ -234,6 +229,27 @@ class TestBatchedEventLocation:
         starts = np.array(step_log)[:, 0]
         step_of = np.searchsorted(starts, res.t_events, side="right") - 1
         assert np.any(step_of[:, 1:] == step_of[:, :-1])
+
+    def test_rows_leaving_the_level_convexly_do_not_graze(self):
+        y0, omega, phi, c = mixed_batch(np.random.default_rng(5), 12, 12, 6,
+                                        peak_level=0.002)
+        # x = cos(1.05 t + phi) starting exactly on c = -0.036 moving up and
+        # on c = +0.036 moving down: |x - c| grows convexly from 0, and the
+        # start on the level is no tangency.
+        c_away = np.array([-0.036, 0.036])
+        phi_away = np.sign(c_away) * np.arccos(c_away)
+        away = oscillator_rows(1.05, phi_away, c_away)
+        away[:, 0] = c_away
+        res = self.sweep(np.vstack([y0, away]), 1e-13, 1e-15)
+        omega = np.concatenate([omega, [1.05, 1.05]])
+        phi = np.concatenate([phi, phi_away])
+        c = np.concatenate([c, c_away])
+        assert not res.grazing.any()
+        assert np.all(res.n_found == self.N_EVENTS)
+        for i in range(len(omega)):
+            times, _ = level_crossings(omega[i], phi[i], c[i], self.N_EVENTS)
+            np.testing.assert_allclose(res.t_events[i], times, rtol=0,
+                                       atol=1e-10)
 
     def test_event_states_match_one_orbit_sweeps(self):
         y0, *_ = mixed_batch(np.random.default_rng(8), 6, 4, 4,
