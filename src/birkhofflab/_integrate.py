@@ -90,19 +90,22 @@ class DenseOutput:
         self.t, self.h = np.array(t), np.array(h)
         self.y, self.stages = np.stack(y), np.stack(stages, axis=1)
 
-    def __call__(self, t):
+    def __call__(self, t, row=None):
         """States (q, n, d) at the times ``t`` (q,), each interpolated in
         the step that contains it (the first or last step outside the
-        covered span)."""
+        covered span); with ``row``, the (q, d) states of that orbit
+        alone."""
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0,
                     len(self.t) - 1)
-        q, (n, d) = len(t), self.y.shape[1:]
+        rows = slice(None) if row is None else slice(row, row + 1)
+        y0, stages = self.y[k, rows], self.stages[:, k, rows]
+        q, n, d = y0.shape
         theta = np.repeat((t - self.t[k]) / self.h[k], n)
         h = np.repeat(self.h[k], n)[:, None]
-        y = dense_state(self.y[k].reshape(q * n, d), h,
-                        self.stages[:, k].reshape(7, q * n, d), theta)
-        return y.reshape(q, n, d)
+        y = dense_state(y0.reshape(q * n, d), h,
+                        stages.reshape(7, q * n, d), theta).reshape(q, n, d)
+        return y if row is None else y[:, 0]
 
 
 def _initial_step(fun, t0, y0, f0, rtol, atol):

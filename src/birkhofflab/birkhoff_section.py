@@ -22,6 +22,14 @@ whose flux vanishes.  Each leg advance rho_{+,-} is the unique arc-position
 representative in [0, L); this is well defined because each leg of the
 return arc is injective when the curvature is pinched above 1/4, which is
 what the sampled self-intersection test in :func:`zero_flux_lift` checks.
+
+Every model is a surface of revolution about e3.  Over the equator, the
+rotations about e3 map the annulus onto itself, so by Clairaut's integral the
+return map is an x-invariant shear (x, y) -> (x + Theta(y), y):
+:func:`compute_return_grid` integrates one grid column plus a few seeded
+check columns, verifies that they agree and broadcasts the column.  Every
+other base (a meridian, any great circle of the round sphere) integrates
+every grid node.
 """
 
 from __future__ import annotations
@@ -46,8 +54,13 @@ STATUS_OK = 0
 STATUS_GRAZING = 1
 STATUS_MISSING = 2
 
-# Interior grid rows integrated per return sweep.
+# Interior grid rows integrated per return sweep (bases other than the
+# equator).
 _ROW_BATCH = 8
+_CHECK_COLUMNS = 4         # columns checked against column 0 on the equator
+_EQUATOR_TILT = 1e-12      # largest in-plane part of an equator's normal
+_GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
+                "jac_du", "status")
 # Return-sweep horizon in units of 2 pi / sqrt(min K).
 _HORIZON_FACTOR = 3.0
 _ADJACENT_SEGMENTS = 3   # segments this close in index are neighbours
@@ -383,35 +396,91 @@ def _boundary_returns(section, xs, backward, rtol, atol):
             "status": np.full(n, STATUS_OK)}
 
 
-def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
-    """First-return data over the full annulus grid.
-
-    Interior rows are integrated in batches sharing a step controller (the
-    error norm is still per orbit), so node values depend on the batch layout
-    within the integration tolerance: a one-node :func:`return_data` call
-    differs from its grid node by about 1e-12.
-    """
-    L = section.length
-    xs = np.arange(nx) * (L / nx)
-    ys = np.linspace(0.0, math.pi, ny)
-    fields = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle", "jac_du",
-              "status")
+def _column_returns(section, xs, ys, row_batch, rtol, atol):
+    """Return-data arrays of shape (len(xs), len(ys)) over the grid columns
+    at arc positions ``xs``: interior rows integrated ``row_batch`` rows per
+    sweep, boundary rows from the conjugate times."""
+    nx, ny = len(xs), len(ys)
     arrays = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
-              for k in fields}
+              for k in _GRID_FIELDS}
     horizon = _horizon(section.model, _HORIZON_FACTOR)
 
     def store(rows, out):
-        for k in fields:
+        for k in _GRID_FIELDS:
             arrays[k][:, rows] = out[k].reshape(-1, nx).T
 
-    for j0 in range(1, ny - 1, _ROW_BATCH):
-        rows = slice(j0, min(j0 + _ROW_BATCH, ny - 1))
+    for j0 in range(1, ny - 1, row_batch):
+        rows = slice(j0, min(j0 + row_batch, ny - 1))
         xx, yy = np.meshgrid(xs, ys[rows])
         store(rows, _returns(section, xx.ravel(), yy.ravel(), rtol, atol,
                              horizon))
     for j, backward in ((0, False), (ny - 1, True)):
         store(slice(j, j + 1), _boundary_returns(section, xs, backward,
                                                  rtol, atol))
+    return arrays
+
+
+def _equator_columns(nx):
+    """Indices of the grid columns integrated over the equator: column 0,
+    then ``_CHECK_COLUMNS`` seeded check columns in ascending order."""
+    rng = np.random.default_rng(0)
+    check = rng.choice(np.arange(1, nx), size=min(_CHECK_COLUMNS, nx - 1),
+                       replace=False)
+    return np.concatenate([[0], np.sort(check)])
+
+
+def _check_rotated_columns(cols, xs, rtol):
+    """Raise :class:`InternalConsistencyError` unless every column of the
+    return arrays ``cols`` (at arc positions ``xs``) repeats the first one:
+    equal status, and X - x and the other fields within ``rtol`` times
+    max(1, |value|).  Rotated orbits differ only by rounding (about 1e-14
+    relative), as a sweep steps all its orbits alike."""
+    status = cols["status"]
+    if np.any(status != status[0]):
+        raise InternalConsistencyError(
+            "rotated grid columns disagree in their node status")
+    ok = status[0] == STATUS_OK
+    for k in _GRID_FIELDS[:-1]:
+        v = cols[k] - xs[:, None] if k == "X" else cols[k]
+        v = v[:, ok]
+        bound = rtol * np.maximum(1.0, np.abs(v[0]))
+        if np.any(np.abs(v[1:] - v[0]) > bound):
+            raise InternalConsistencyError(
+                f"rotated grid columns disagree in {k} by "
+                f"{np.max(np.abs(v[1:] - v[0])):.3g}; the annulus is not "
+                "invariant under rotation about the axis")
+
+
+def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
+    """First-return data over the full annulus grid.
+
+    When the base is the equator, rotation about the axis by 2 pi i / nx
+    maps the annulus onto itself and column 0 onto column i, so the return
+    map is the x-invariant shear (x, y) -> (x + Theta(y), y).  Then only
+    column 0 and ``_CHECK_COLUMNS`` seeded check columns are integrated, all
+    interior rows in one sweep; each check column must repeat column 0 (see
+    :func:`_check_rotated_columns`), and column 0 is broadcast to the grid
+    with X = x + (X_0 - x_0).  Every other base integrates every node, in
+    sweeps of ``_ROW_BATCH`` rows.
+
+    The orbits of a sweep share a step controller (the error norm is still
+    per orbit), so node values depend on the batch layout within the
+    integration tolerance: a one-node :func:`return_data` call differs from
+    its grid node by about 1e-12.
+    """
+    L = section.length
+    xs = np.arange(nx) * (L / nx)
+    ys = np.linspace(0.0, math.pi, ny)
+    # The base is the equator when its plane normal is e3, the axis of
+    # every model here.
+    if math.hypot(section.normal[0], section.normal[1]) < _EQUATOR_TILT:
+        cx = xs[_equator_columns(nx)]
+        cols = _column_returns(section, cx, ys, ny, rtol, atol)  # one sweep
+        _check_rotated_columns(cols, cx, rtol)
+        arrays = {k: np.repeat(v[:1], nx, axis=0) for k, v in cols.items()}
+        arrays["X"] = xs[:, None] + (cols["X"][0] - cx[0])
+    else:
+        arrays = _column_returns(section, xs, ys, _ROW_BATCH, rtol, atol)
 
     grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
     ok = grid.status == STATUS_OK
@@ -448,20 +517,23 @@ def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12):
 
 def check_return_arc_injectivity(grid, n_nodes=12, resolution=1e-6,
                                  rtol=1e-10, atol=1e-12):
-    """Sampled verification that each return-arc leg is an injective curve."""
+    """Sampled verification that each return-arc leg is an injective curve.
+
+    The sampled orbits are integrated as one batch up to the longest return
+    time; each leg is sampled from its own orbit's dense output."""
     model = grid.section.model
     rng = np.random.default_rng(0)
     ii = rng.integers(0, grid.nx, size=n_nodes)
     jj = rng.integers(1, grid.ny - 1, size=n_nodes)
     u, w = grid.section.section_vector(grid.xs[ii], grid.ys[jj])
-    for i, j, y0 in zip(ii, jj, np.hstack([u, w])):
-        t_end, t_mid = grid.tau[i, j], grid.tau_plus[i, j]
-        t, y_end, dense = integrate_adaptive(
-            gd.geodesic_rhs(model), y0[None, :], (0.0, t_end), rtol=rtol,
-            atol=atol, project=gd.state_projector(model), store=True)
-        traj = gd.Trajectory(model, dense, t, y_end[0])
-        legs, _ = traj.ambient(np.linspace([0.0, t_mid], [t_mid, t_end],
-                                           _ARC_SAMPLES, axis=1))
+    t_mid, t_end = grid.tau_plus[ii, jj], grid.tau[ii, jj]
+    _, _, dense = integrate_adaptive(
+        gd.geodesic_rhs(model), np.hstack([u, w]), (0.0, np.max(t_end)),
+        rtol=rtol, atol=atol, project=gd.state_projector(model), store=True)
+    for n, (i, j) in enumerate(zip(ii, jj)):
+        ts = np.linspace([0.0, t_mid[n]], [t_mid[n], t_end[n]], _ARC_SAMPLES,
+                         axis=1)
+        legs = dense(ts.ravel(), row=n)[:, 0:3].reshape(2, _ARC_SAMPLES, 3)
         for pts in legs:
             if curve_self_intersects(pts, closed=False,
                                      resolution=resolution):

@@ -2,7 +2,8 @@
 
 Subcommands: metric-info, trace, return-map, strip-report, systolic-verify,
 zoll-check, polygon-check.  Exit codes: 0 verdict pass, 1 verdict fail,
-2 usage or parse error, 3 hypothesis refusal.
+2 usage or parse error, 3 hypothesis refusal (an audit refused up front, or
+a lift-pinching hypothesis found to fail during the computation).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical runs produce byte-identical files.
@@ -23,7 +24,7 @@ from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
 from . import systolic_audit as sa
-from .errors import AuditRefused, PreconditionError
+from .errors import AuditRefused, PinchingViolationError, PreconditionError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -351,8 +352,8 @@ def main(argv=None):
     try:
         _check_config(args)
         return args.fn(args)
-    except AuditRefused as exc:
-        print(f"refused: {exc.reason}", file=sys.stderr)
+    except (AuditRefused, PinchingViolationError) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
             PreconditionError) as exc:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import strip_calculus as sc
-from birkhofflab.errors import (PinchingViolationError, SectionInvalidError)
+from birkhofflab.errors import (InternalConsistencyError,
+                               PinchingViolationError, SectionInvalidError)
 
 TWO_PI = 2 * math.pi
 
@@ -103,7 +105,9 @@ class TestSpheroidGrid:
         assert np.max(np.abs(dX[:, -1] + expect)) < 1e-9
 
     def test_angle_component_preserved_by_rotations(self, spheroid_grid):
-        # revolution symmetry: columns of tau and Y do not depend on x
+        # revolution symmetry: columns of tau and Y do not depend on x.  The
+        # equator grid broadcasts one column, so this holds by construction;
+        # TestEquatorSymmetry compares it with every column integrated.
         assert np.max(np.ptp(spheroid_grid.tau, axis=0)) < 1e-8
         assert np.max(np.ptp(spheroid_grid.Y, axis=0)) < 1e-8
 
@@ -133,30 +137,139 @@ class TestSpheroidGrid:
     def test_array_assembly_matches_per_node_reference(self,
                                                        spheroid_section,
                                                        spheroid_grid):
-        # re-run the first interior row batch and assemble it node by node
+        # re-run the equator grid's one interior sweep (column 0 and the
+        # check columns) and assemble column 0 node by node
         sec, grid = spheroid_section, spheroid_grid
         L = sec.length
-        xx, yy = np.meshgrid(grid.xs, grid.ys[1:1 + bs._ROW_BATCH])
+        cols = grid.xs[bs._equator_columns(grid.nx)]
+        xx, yy = np.meshgrid(cols, grid.ys[1:-1])
         sweep = bs._return_sweep(sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
                                  bs._horizon(sec.model, bs._HORIZON_FACTOR))
-        for n in range(xx.size):
-            j, k = 1 + n // grid.nx, n % grid.nx
-            x = float(grid.xs[k])
+        for n in range(0, xx.size, len(cols)):
+            j = 1 + n // len(cols)
+            x = float(cols[0])
             y1, y2 = sweep.y_events[n]
             x1 = float(sec.footpoint(y1[0:3])[0])
             x2 = float(sec.footpoint(y2[0:3])[0])
             rho_plus = (x1 - x) % L
             rho = rho_plus + (x2 - x1) % L
-            assert grid.status[k, j] == bs.STATUS_OK
-            assert grid.tau_plus[k, j] == sweep.t_events[n, 0]
-            assert grid.tau[k, j] == sweep.t_events[n, 1]
-            assert grid.rho_plus[k, j] == rho_plus
-            assert grid.X[k, j] == x + rho - L
-            assert grid.Y[k, j] == sec.angles_of(np.array([x2]),
+            assert grid.status[0, j] == bs.STATUS_OK
+            assert grid.tau_plus[0, j] == sweep.t_events[n, 0]
+            assert grid.tau[0, j] == sweep.t_events[n, 1]
+            assert grid.rho_plus[0, j] == rho_plus
+            assert grid.X[0, j] == x + rho - L
+            assert grid.Y[0, j] == sec.angles_of(np.array([x2]),
                                                  y2[None, 3:6])[0]
-            assert grid.jac_angle[k, j] == y2[6]
-            assert abs(grid.jac_du[k, j]
+            assert grid.jac_angle[0, j] == y2[6]
+            assert abs(grid.jac_du[0, j]
                        - math.exp(y2[7]) * math.cos(y2[6])) <= 1e-15
+            # every other column is column 0 rotated
+            assert np.all(grid.X[:, j] == grid.xs + (x + rho - L - x))
+            for k in ("Y", "tau", "tau_plus", "rho_plus", "jac_angle",
+                      "jac_du", "status"):
+                assert np.all(getattr(grid, k)[:, j]
+                              == getattr(grid, k)[0, j])
+
+
+def _clairaut_oracle(model, y):
+    """(tau_plus, tau, rho) of the equator return at angle y from 1-D
+    quadratures over theta, with z = sin(y) sin(theta) and the Clairaut
+    value c = sqrt(a) cos(y); rho is the footpoint advance, defined mod L."""
+    a = model.a
+    s, c = math.sin(y), math.sqrt(a) * math.cos(y)
+
+    def speed(th):
+        return math.sqrt(float(model.profile_E(s * math.sin(th))))
+
+    def advance(th):
+        z = s * math.sin(th)
+        return c * speed(th) / (a * (1.0 - z * z))
+
+    opts = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+    half = math.pi / 2
+    tau_plus = 2.0 * quad(speed, 0.0, half, **opts)[0]
+    tau = 2.0 * quad(speed, -half, half, **opts)[0]
+    rho = math.sqrt(a) * 2.0 * quad(advance, -half, half, **opts)[0]
+    return tau_plus, tau, rho
+
+
+@pytest.fixture(scope="module")
+def zoll_equator_grid(zoll_model):
+    return bs.compute_return_grid(bs.build_section(zoll_model), nx=32, ny=65)
+
+
+class TestEquatorSymmetry:
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("name", ["spheroid_grid", "zoll_equator_grid"])
+    def test_clairaut_oracle(self, request, name):
+        # tau_plus, tau and X - x of every row against Clairaut quadratures;
+        # the adaptive rule resolves the advance integrand's peak near the
+        # turning points of the rows next to y = pi/2 (orbits passing
+        # about 0.017 from the poles), which 64 fixed Gauss nodes miss
+        grid = request.getfixturevalue(name)
+        L = grid.L
+        for j, y in enumerate(grid.ys):
+            tau_plus, tau, rho = _clairaut_oracle(grid.section.model, y)
+            if 0 < j < grid.ny - 1:
+                assert np.max(np.abs(grid.tau_plus[:, j] - tau_plus)) < 1e-9
+            assert np.max(np.abs(grid.tau[:, j] - tau)) < 1e-9
+            d = grid.X[:, j] - grid.xs - rho
+            assert np.max(np.abs(d - L * np.round(d / L))) < 1e-9
+
+    @pytest.mark.parametrize("name", ["round_grid", "spheroid_grid"])
+    def test_matches_every_node_integrated(self, request, name):
+        # the reference integrates every interior node (the path of every
+        # other base), so it also pins the x-invariance of the return map
+        grid = request.getfixturevalue(name)
+        ref = bs._column_returns(grid.section, grid.xs, grid.ys,
+                                 bs._ROW_BATCH, 1e-10, 1e-12)
+        assert np.array_equal(grid.status, ref["status"])
+        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
+                  "jac_du"):
+            got, want = getattr(grid, k), ref[k]
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) < 1e-10, k
+
+    @pytest.mark.parametrize("field", ["X", "tau", "status"])
+    def test_disagreeing_check_column_raises(self, spheroid_section,
+                                             monkeypatch, field):
+        returns = bs._returns
+
+        def perturbed(section, xs, ys, *args):
+            out = returns(section, xs, ys, *args)
+            last = xs == xs.max()
+            if field == "status":
+                out["status"][np.nonzero(last)[0][0]] = bs.STATUS_GRAZING
+            else:
+                out[field][last] += 1e-6
+            return out
+
+        monkeypatch.setattr(bs, "_returns", perturbed)
+        with pytest.raises(InternalConsistencyError):
+            bs.compute_return_grid(spheroid_section, nx=16, ny=17)
+
+    @pytest.mark.parametrize("base, columns", [("equator", 5),
+                                               ("meridian", 16)])
+    def test_integrated_columns(self, monkeypatch, base, columns):
+        # the equator integrates column 0 and four check columns, the
+        # meridian (oblate spheroid) every column
+        model = mm.make_spheroid(0.97)
+        orbit = (gd.equator_orbit(model) if base == "equator"
+                 else gd.meridian_orbit(model))
+        sec = bs.build_section(model, orbit)
+        seen = []
+        returns = bs._returns
+
+        def spy(section, xs, ys, *args):
+            seen.append(xs)
+            return returns(section, xs, ys, *args)
+
+        monkeypatch.setattr(bs, "_returns", spy)
+        grid = bs.compute_return_grid(sec, nx=16, ny=17)
+        xs = np.concatenate(seen)
+        assert len(np.unique(xs)) == columns
+        assert len(xs) == columns * (grid.ny - 2)
+        grid.require_clean()
 
 
 class TestLiftAndIdentities:

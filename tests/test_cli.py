@@ -177,6 +177,16 @@ class TestVerdictCommands:
         doc = json.loads(out)
         assert doc["violations"] == 0
 
+    def test_polygon_check_pinching_violation_refused(self, capsys):
+        # c = 2.5: the boundary advance escapes (0, 2L) inside the return
+        # grid, a failed hypothesis reported as a refusal, not a traceback
+        code, out, err = run(capsys, "polygon-check", "--metric",
+                             '{"kind": "spheroid", "c": 2.5}',
+                             "--nx", "16", "--ny", "16")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: ") and "Traceback" not in err
+
     def test_strict_upgrades_warnings(self, capsys):
         # the eps = 0.05 profile passes but sits below the monotone-twist
         # pinching threshold, which is recorded as a warning

@@ -51,6 +51,16 @@ class TestStepper:
         yq = dense(np.array([tq]))[0, 0]
         assert abs(yq[0] - math.cos(tq)) < 1e-10
 
+    def test_dense_output_row_matches_batch(self):
+        # one orbit's states are those of the whole batch, in that row
+        y0 = np.array([[1.0, 0.0], [0.0, 2.0], [-0.5, 0.3]])
+        _, _, dense = integrate_adaptive(oscillator, y0, (0.0, 3.0),
+                                         rtol=1e-10, atol=1e-12, store=True)
+        tq = np.linspace(0.0, 3.0, 41)
+        full = dense(tq)
+        for row in range(len(y0)):
+            assert np.array_equal(dense(tq, row=row), full[:, row])
+
     def test_blowup_raises_integration_failure(self):
         def blowup(t, y):
             return y * y
