@@ -3,7 +3,9 @@
 Subcommands: metric-info, trace, return-map, strip-report, systolic-verify,
 zoll-check, polygon-check.  Exit codes: 0 verdict pass, 1 verdict fail,
 2 usage or parse error, 3 hypothesis refusal (an audit refused up front, or
-a lift-pinching hypothesis found to fail during the computation).
+a lift-pinching hypothesis found to fail during the computation), 4
+computation failure (a shooting that does not converge, a return event not
+found, a step-size underflow or a failed internal consistency check).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical runs produce byte-identical files.
@@ -24,12 +26,15 @@ from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
 from . import systolic_audit as sa
-from .errors import AuditRefused, PinchingViolationError, PreconditionError
+from .errors import (AuditRefused, IntegrationFailure, InternalConsistencyError,
+                     NoConvergenceError, PinchingViolationError,
+                     PreconditionError, ReturnFailure)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+EXIT_COMPUTE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +364,10 @@ def main(argv=None):
             PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NoConvergenceError, ReturnFailure, IntegrationFailure,
+            InternalConsistencyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

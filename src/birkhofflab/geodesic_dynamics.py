@@ -381,11 +381,13 @@ def meridian_seed(model, phi=0.0):
     return state_from_angle(model, math.pi / 2, phi, 0.0)
 
 
-def _flow_to(model, y0, t_end, tol):
-    t, y, _ = integrate_adaptive(geodesic_rhs(model), y0[None, :],
-                                 (0.0, t_end), rtol=tol, atol=tol * 1e-3,
-                                 project=state_projector(model))
-    return y[0]
+def _flow_to(model, y0, t_end, tol, store=False):
+    """End state of the flow from ``y0`` over [0, t_end] at the shooting
+    tolerances, with the dense output when ``store`` is set."""
+    _, y, dense = integrate_adaptive(
+        geodesic_rhs(model), y0[None, :], (0.0, t_end), rtol=tol,
+        atol=tol * 1e-3, project=state_projector(model), store=store)
+    return y[0], dense
 
 
 def find_closed_geodesic(model, seed, period_guess, tol=1e-12, n_store=1024):
@@ -393,17 +395,23 @@ def find_closed_geodesic(model, seed, period_guess, tol=1e-12, n_store=1024):
 
     The azimuth of the starting point is held fixed to quotient out the
     rotational symmetry; the colatitude, launch angle, and period are the
-    shooting unknowns.  Raises :class:`NoConvergenceError` when the closure
-    residual cannot be brought below ``CLOSURE_TARGET``.
+    shooting unknowns.  An exact seed (the equator, a meridian) costs one
+    stored flow, which gives both the closure residual and the orbit
+    samples.  Raises :class:`NoConvergenceError` when the closure residual
+    cannot be brought below ``CLOSURE_TARGET``.
     """
     theta0 = seed.point.theta
     phi0 = seed.point.phi
-    st = math.sin(theta0)
     dth, dph = seed.direction
     z = math.cos(theta0)
     E = float(model.profile_E(z))
     G = float(model.profile_G(z))
     psi0 = math.atan2(math.sqrt(G) * dph, math.sqrt(E) * dth)
+
+    def launch(p):
+        u, v = state_to_ambient(model, state_from_angle(model, p[0], phi0,
+                                                        p[1]))
+        return np.concatenate([u, v])
 
     def residual(p):
         th, ps, T = p
@@ -414,31 +422,25 @@ def find_closed_geodesic(model, seed, period_guess, tol=1e-12, n_store=1024):
                      + max(0.0, th - (math.pi - margin)))
         if violation > 0.0:
             return np.full(6, 1.0 + violation)
-        state = state_from_angle(model, th, phi0, ps)
-        u, v = state_to_ambient(model, state)
-        y0 = np.concatenate([u, v])
-        yT = _flow_to(model, y0, T, tol)
-        return yT - y0
+        y0 = launch(p)
+        return _flow_to(model, y0, T, tol)[0] - y0
 
-    x0 = np.array([theta0, psi0, period_guess])
-    seed_resid = float(np.max(np.abs(residual(x0))))
-    if seed_resid <= 0.1 * CLOSURE_TARGET:
-        # symmetric seeds (equator, meridians) are already exact orbits
-        th, ps, T = x0
-        resid = seed_resid
-    else:
-        sol = least_squares(residual, x0=x0, method="lm", xtol=3e-16,
+    p = np.array([theta0, psi0, period_guess])
+    y0 = launch(p)
+    yT, dense = _flow_to(model, y0, p[2], tol, store=True)
+    resid = float(np.max(np.abs(yT - y0)))
+    if resid > 0.1 * CLOSURE_TARGET:
+        sol = least_squares(residual, x0=p, method="lm", xtol=3e-16,
                             ftol=3e-16, gtol=3e-16, max_nfev=50 * 4)
-        th, ps, T = sol.x
         resid = float(np.max(np.abs(sol.fun)))
         if resid > CLOSURE_TARGET:
             raise NoConvergenceError(
                 f"closure residual {resid:.3g} exceeds target "
                 f"{CLOSURE_TARGET:.3g} after shooting refinement")
-    traj = integrate_geodesic(model, state_from_angle(model, th, phi0, ps),
-                              T, tol=max(tol, 1e-12))
-    states = np.hstack(traj.ambient(np.linspace(0.0, T, n_store,
-                                                endpoint=False)))
+        p = sol.x
+        _, dense = _flow_to(model, launch(p), p[2], tol, store=True)
+    T = float(p[2])
+    states = dense(np.linspace(0.0, T, n_store, endpoint=False))[:, 0]
     return ClosedOrbit(model, T, states, resid)
 
 

@@ -1,14 +1,21 @@
 """End-to-end verification of the systolic inequalities on a given metric.
 
-The audited chain: shortest/longest candidate closed geodesics (symmetry
-orbits plus fixed points of the return map, each re-verified by shooting),
-the transversal-annulus return data over the shortest candidate, its
-zero-flux lift with flux/action/Calabi data, and the verdicts
+The audited chain: shortest/longest candidate closed geodesics, the
+transversal-annulus return data over the shortest candidate, its zero-flux
+lift with flux/action/Calabi data, and the verdicts
 
     l_min^2 <= pi * Area <= l_max^2,
 
 with equality (within tolerance) detected exactly when the return map is
 the identity, the signature of an all-geodesics-closed metric.
+
+The candidates are the symmetry orbits (equator, meridian), shot closed,
+plus the closed geodesics of the fixed-point theorem: the interior extrema
+of the generating function W of the lift are fixed points (x*, y*) of action
+sigma*, closing up geodesics of length L + sigma* whose Clairaut value is
+that of the annulus vector at (x*, y*).  A fixed point whose prediction
+matches a listed candidate adds nothing; only an unmatched one is shot,
+from its predicted state.
 
 The candidate set is finite, so the reported l_min / l_max are extrema over
 candidates, not global ones; on the symmetric test families the true
@@ -26,14 +33,21 @@ from . import birkhoff_section as bs
 from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
-from .errors import AuditRefused, NoConvergenceError
+from .errors import (AuditRefused, ChartDomainError, InternalConsistencyError,
+                     NoConvergenceError, NonIntegrableFormError,
+                     PreconditionError)
 
 _TWO_PI = 2.0 * math.pi
 
 MONOTONE_PINCH_THRESHOLD = (4.0 + math.sqrt(7.0)) / 8.0
 LIFT_PINCH_THRESHOLD = 0.25
 ZOLL_SUP_TOL = 1e-5
-_FIXED_SEED_TOL = 5e-3   # nodes moved less in x and y seed the shooting
+# A fixed point's predicted length L + sigma* errs by the grid's
+# |tau - L - sigma| residual: measured 0.34-1.09 times tau_action_max on
+# spheroids c = 0.97, 1.03, 1.1 at 32x64, 32x65 and 48x64 (and c = 0.97,
+# 1.03 at 96x96), so a match within ten times it has a margin of nine.
+_LENGTH_MATCH_FACTOR = 10.0
+_CLAIRAUT_MATCH = 1e-6
 
 
 @dataclass
@@ -61,6 +75,7 @@ class SystolicReport:
     residuals: dict
     verdicts: dict
     candidates: list
+    fixed_point: dict
     warnings: list
     grid: object = field(default=None, repr=False)
     lift: object = field(default=None, repr=False)
@@ -91,6 +106,7 @@ class SystolicReport:
                 "primitive": c.primitive,
                 "closure_residual": c.closure_residual,
             } for c in self.candidates],
+            "fixed_point": self.fixed_point,
             "warnings": self.warnings,
             "passed": self.passed,
         }
@@ -110,76 +126,98 @@ def simplicity_check(orbit, resolution=1e-6):
                                         resolution=resolution)
 
 
-def _near_fixed(grid, tol):
-    """Nodes that the lift moves by less than ``tol`` in x and in y."""
-    return ((np.abs(grid.X - grid.xs[:, None]) < tol)
-            & (np.abs(grid.Y - grid.ys[None, :]) < tol))
-
-
-def _fixed_point_seeds(grid):
-    """Representative (x, y) nodes of fixed-point clusters of the lift."""
-    mask = _near_fixed(grid, _FIXED_SEED_TOL)
-    mask[:, 0] = mask[:, -1] = False
-    seeds = []
-    cols = np.nonzero(mask.any(axis=0))[0]
-    # one representative per contiguous block of y-rows
-    if len(cols):
-        blocks = np.split(cols, np.nonzero(np.diff(cols) > 1)[0] + 1)
-        for blk in blocks:
-            j = int(blk[len(blk) // 2])
-            i = int(np.nonzero(mask[:, j])[0][0])
-            seeds.append((float(grid.xs[i]), float(grid.ys[j])))
-    return seeds
-
-
-def candidate_closed_geodesics(model, grid=None):
-    """Deduplicated candidate closed geodesics with verified closure.
-
-    Symmetry orbits (equator, meridian) are always included; fixed points
-    of the return map contribute additional seeds, each refined by shooting.
-    Fixed points of the lift determine closed geodesics of length L + sigma,
-    which is how the candidate list stays consistent with the action data.
-    """
+def candidate_closed_geodesics(model):
+    """The symmetry orbits (equator, meridian), shot closed and
+    deduplicated."""
     cands = []
     _push_candidate(cands, "equator", gd.equator_orbit(model))
     _push_candidate(cands, "meridian", gd.meridian_orbit(model))
-    if grid is not None:
-        lift = bs.zero_flux_lift(grid, arc_check_nodes=0)
-        _extend_with_fixed_points(cands, model, grid,
-                                  lift.sup_distance_to_identity())
     return cands
 
 
 def _push_candidate(cands, label, orbit):
+    """Append ``orbit`` unless a listed candidate has its length and
+    Clairaut value; returns the label it is listed under."""
     for c in cands:
         if (abs(c.length - orbit.length) < 1e-8
                 and abs(c.clairaut - orbit.clairaut) < 1e-6):
-            return
+            return c.label
     fold = bs.minimal_period_fold(orbit)
     cands.append(CandidateGeodesic(
         label=label, length=orbit.length, clairaut=orbit.clairaut,
         simple=simplicity_check(orbit), primitive=(fold == 1),
         closure_residual=orbit.closure_residual, orbit=orbit))
+    return label
 
 
-def _extend_with_fixed_points(cands, model, grid, sup_id):
-    """Append the closed geodesics shot from fixed points of the return map
-    on ``grid`` to ``cands`` (nothing when the map is the identity, that is
-    when its sup distance ``sup_id`` to the identity is below
-    ``ZOLL_SUP_TOL``)."""
-    if sup_id >= ZOLL_SUP_TOL:
-        sec = grid.section
-        for (x, y) in _fixed_point_seeds(grid):
-            u, w = sec.section_vector(np.array([x]), np.array([y]))
+def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
+                            warnings):
+    """The report's ``fixed_point`` block, extending ``cands`` by the closed
+    geodesics of the fixed-point theorem that no candidate matches.
+
+    The Calabi-sign branch always runs; the mirrored one only where W takes
+    its sign inside the strip.  Each fixed point predicts a length L + sigma*
+    and a Clairaut value, matched against the candidates within
+    ``_LENGTH_MATCH_FACTOR * tau_action_max`` and ``_CLAIRAUT_MATCH`` (in
+    absolute value: a fixed point may sit on a candidate traversed
+    backwards).  An unmatched one is shot from its predicted state; a
+    candidate that cannot be shot is recorded as unverified.
+    """
+    block = {"cal": cal, "branches": [], "refused": None}
+    if lift.sup_distance_to_identity() < ZOLL_SUP_TOL:
+        block["refused"] = "the return map is the identity"
+        return block
+    try:
+        gen = sc.generating_from_map(lift)
+    except (PreconditionError, NonIntegrableFormError) as exc:
+        block["refused"] = str(exc)
+        warnings.append(f"no fixed-point candidates: {exc}")
+        return block
+    interior = gen.w[:, 1:-1]
+    takes_sign = {"negative": interior.min() < 0.0,
+                  "positive": interior.max() > 0.0}
+    calabi_sign, mirrored = (("negative", "positive") if cal <= 0.0
+                             else ("positive", "negative"))
+    for branch in (calabi_sign, mirrored):
+        entry = {"branch": branch, "calabi_sign": branch == calabi_sign,
+                 "x": None, "y": None, "sigma": None, "length": None,
+                 "clairaut": None}
+        block["branches"].append(entry)
+        if branch == mirrored and not takes_sign[branch]:
+            entry["match"] = (f"refused: W takes no {branch} value inside "
+                              "the strip")
+            continue
+        try:
+            (x, y), sigma = sc.fixed_point_with_signed_action(
+                lift, gen, branch=branch)
+        except InternalConsistencyError as exc:
+            entry["match"] = f"refused: {exc}"
+            if branch == calabi_sign:
+                warnings.append(f"fixed-point theorem failed: {exc}")
+            continue
+        u, w = grid.section.section_vector(np.array([x]), np.array([y]))
+        length = grid.L + sigma
+        clairaut = gd.clairaut_invariant(model, np.concatenate([u[0], w[0]]))
+        entry.update(x=x, y=y, sigma=sigma, length=length, clairaut=clairaut)
+        entry["match"] = next(
+            (c.label for c in cands
+             if abs(c.length - length)
+             <= _LENGTH_MATCH_FACTOR * tau_action_max
+             and abs(abs(c.clairaut) - abs(clairaut)) <= _CLAIRAUT_MATCH),
+            None)
+        if entry["match"] is None:
             try:
-                state = gd.state_from_ambient(model, u[0], w[0])
-                i = int(round(x / grid.L * grid.nx)) % grid.nx
-                j = int(np.argmin(np.abs(grid.ys - y)))
-                guess = float(grid.tau[i, j])
-                orbit = gd.find_closed_geodesic(model, state, guess)
-            except NoConvergenceError:
+                orbit = gd.find_closed_geodesic(
+                    model, gd.state_from_ambient(model, u[0], w[0]), length)
+            except (ChartDomainError, NoConvergenceError) as exc:
+                entry["match"] = f"unverified: {exc}"
+                warnings.append(
+                    f"fixed point ({x:.6f}, {y:.6f}) of predicted length "
+                    f"{length:.8f} is unverified: {exc}")
                 continue
-            _push_candidate(cands, f"fixed-point({x:.3f},{y:.3f})", orbit)
+            entry["match"] = _push_candidate(
+                cands, f"fixed-point({x:.3f},{y:.3f})", orbit)
+    return block
 
 
 def two_gon_perimeter_check(model, grid, tol=1e-6):
@@ -239,13 +277,15 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
 
     sup_id = lift.sup_distance_to_identity()
     zoll_flag = sup_id < ZOLL_SUP_TOL
-    _extend_with_fixed_points(cands, model, grid, sup_id)
+    tau_action_max = bs.verify_tau_action_identity(grid, lift, act)
+    fixed_point = _fixed_point_candidates(cands, model, grid, lift, cal_val,
+                                          tau_action_max, warnings)
     lengths = [c.length for c in cands if c.primitive]
     l_min = min(lengths)
     l_max_simple = max(c.length for c in cands if c.simple)
 
     residuals = {
-        "tau_action_max": bs.verify_tau_action_identity(grid, lift, act),
+        "tau_action_max": tau_action_max,
         "area_identity_rel": bs.verify_area_identity(grid, lift, model,
                                                      action_grid=act),
         "contact_volume_rel": bs.contact_volume_check(grid, model),
@@ -279,13 +319,14 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
         warnings.append("near-equality of a systolic bound with a return "
                         "map far from the identity")
 
-    # No fixed point of the lift may beat the shortest candidate.
-    fixed = _near_fixed(grid, 1e-6)
-    if np.any(fixed):
-        shortest_fixed = float(np.min(grid.L + act.sigma[fixed]))
-        if shortest_fixed < l_min - 1e-5:
+    # No fixed point of the lift may beat the shortest candidate; the
+    # negative-action one sits at the global minimum of W, so it is the
+    # shortest.
+    for b in fixed_point["branches"]:
+        if (b["branch"] == "negative" and b["length"] is not None
+                and b["length"] < l_min - 1e-5):
             warnings.append(
-                f"fixed point with length {shortest_fixed:.8f} beats the "
+                f"fixed point with length {b['length']:.8f} beats the "
                 f"candidate minimum {l_min:.8f}")
 
     # Curvature lower bound on closed-geodesic length.
@@ -313,4 +354,4 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
         section_length=grid.L, l_min=l_min, l_max_simple=l_max_simple,
         rho_sys=l_min ** 2 / area_val, flux=flux_val, cal=cal_val,
         residuals=residuals, verdicts=verdicts, candidates=cands,
-        warnings=warnings, grid=grid, lift=lift)
+        fixed_point=fixed_point, warnings=warnings, grid=grid, lift=lift)

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from birkhofflab import cli
+from birkhofflab import systolic_audit as sa
+from birkhofflab.errors import (IntegrationFailure, InternalConsistencyError,
+                                NoConvergenceError, ReturnFailure)
 
 ROUND = '{"kind": "round", "radius": 1.0}'
 SPHEROID = '{"kind": "spheroid", "c": 1.03}'
@@ -197,6 +200,25 @@ class TestVerdictCommands:
         code_strict, _, _ = run(capsys, "systolic-verify", "--metric", ZOLL,
                                 "--nx", "24", "--ny", "64", "--strict")
         assert code_strict == 1
+
+
+class TestComputationFailure:
+    @pytest.mark.parametrize("error", [
+        NoConvergenceError("closure residual 1e-06 exceeds target"),
+        ReturnFailure("return events not found within horizon"),
+        IntegrationFailure("step size underflow", t=1.0),
+        InternalConsistencyError("advance-based lift has flux 0.1"),
+    ], ids=lambda e: type(e).__name__)
+    def test_exits_4(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sa, "audit", fail)
+        code, out, err = run(capsys, "systolic-verify", "--metric",
+                             SPHEROID)
+        assert code == cli.EXIT_COMPUTE == 4
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 class TestConfigValidation:

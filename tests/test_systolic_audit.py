@@ -8,7 +8,7 @@ from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import systolic_audit as sa
-from birkhofflab.errors import AuditRefused
+from birkhofflab.errors import AuditRefused, PreconditionError
 
 TWO_PI = 2 * math.pi
 
@@ -42,14 +42,147 @@ class TestCandidates:
         for c in cands:
             assert c.length == pytest.approx(TWO_PI, abs=1e-6)
 
-    def test_fixed_points_feed_candidates(self, spheroid_model,
-                                          spheroid_grid):
-        seeds = sa._fixed_point_seeds(spheroid_grid)
-        assert seeds                # the meridian circle is on-grid
-        cands = sa.candidate_closed_geodesics(spheroid_model,
-                                              grid=spheroid_grid)
-        # the fixed-point orbit rediscovers the meridian and deduplicates
+
+def _counted_audit(c):
+    """Audit of spheroid ``c`` at 32x65 with the integrations made inside
+    ``find_closed_geodesic`` counted."""
+    depth, flows = [0], [0]
+    shoot, integrate = gd.find_closed_geodesic, gd.integrate_adaptive
+
+    def counted_shoot(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return shoot(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_integrate(*args, **kwargs):
+        flows[0] += depth[0] > 0
+        return integrate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gd, "find_closed_geodesic", counted_shoot)
+        mp.setattr(gd, "integrate_adaptive", counted_integrate)
+        rep = sa.audit(mm.make_spheroid(c), nx=32, ny=65)
+    return rep, flows[0]
+
+
+@pytest.fixture(scope="module")
+def prolate_65():
+    return _counted_audit(1.03)
+
+
+@pytest.fixture(scope="module")
+def oblate_65():
+    return _counted_audit(0.97)
+
+
+def _branch(rep, calabi_sign):
+    return next(b for b in rep.fixed_point["branches"]
+                if b["calabi_sign"] is calabi_sign)
+
+
+class TestFixedPointCandidates:
+    def test_prolate_calabi_sign_point_is_the_meridian(self, prolate_65):
+        rep, _ = prolate_65
+        b = _branch(rep, True)
+        assert rep.cal > 0 and b["branch"] == "positive"
+        assert b["y"] == pytest.approx(math.pi / 2, abs=1e-7)
+        assert b["match"] == "meridian"
+        assert b["length"] == pytest.approx(rep.grid.L + b["sigma"], abs=0)
+        assert abs(b["clairaut"]) < 1e-6
+        assert [c.label for c in rep.candidates] == ["equator", "meridian"]
+        assert not rep.warnings
+
+    def test_oblate_calabi_sign_point_is_the_reversed_equator(self,
+                                                              oblate_65):
+        rep, _ = oblate_65
+        b = _branch(rep, True)
+        assert b["match"] == "equator"
+        assert b["x"] == pytest.approx(rep.grid.L / 2, abs=1e-3)
+        assert b["clairaut"] == pytest.approx(-1.0, abs=1e-9)
+        assert b["length"] == pytest.approx(TWO_PI, abs=1e-7)
+
+    def test_oblate_mirrored_branch_adds_nothing(self, oblate_65):
+        # The mirrored branch would sit on the circle of zero-action fixed
+        # points over the pole; at 32x65 W takes the negative sign there
+        # only at rounding level, and the located point is refused.
+        rep, _ = oblate_65
+        b = _branch(rep, False)
+        assert b["branch"] == "negative"
+        assert b["match"].startswith("refused: ")
+        assert [c.label for c in rep.candidates] == ["equator", "meridian"]
+        assert not rep.warnings
+
+    def test_unmatched_prediction_is_shot(self, prolate_65,
+                                          spheroid_model):
+        rep, _ = prolate_65
+        cands = sa.candidate_closed_geodesics(spheroid_model)[:1]
+        warnings = []
+        block = sa._fixed_point_candidates(
+            cands, spheroid_model, rep.grid, rep.lift, rep.cal,
+            rep.residuals["tau_action_max"], warnings)
+        b = _branch(rep, True)
+        assert block["branches"][0]["match"] == cands[1].label \
+            == f"fixed-point({b['x']:.3f},{b['y']:.3f})"
+        oracle = 4.0 * 1.03 * ellipe(1 - 1 / 1.03 ** 2)
+        assert cands[1].length == pytest.approx(oracle, abs=1e-9)
+        assert cands[1].simple and cands[1].primitive
+        assert not warnings
+
+    def test_pole_candidate_is_unverified(self, oblate_65, monkeypatch):
+        # Every annulus vector over the pole (x = 3L/4 on the meridian
+        # base) is a fixed point of zero action; its state has no chart
+        # direction, so it cannot be shot.
+        rep, _ = oblate_65
+        model = rep.grid.section.model
+        monkeypatch.setattr(
+            sa.sc, "fixed_point_with_signed_action",
+            lambda lift, gen, branch: ((0.75 * lift.length, 1.0), 0.0))
+        cands = [c for c in sa.candidate_closed_geodesics(model)
+                 if c.label == "equator"]
+        warnings = []
+        block = sa._fixed_point_candidates(
+            cands, model, rep.grid, rep.lift, rep.cal,
+            rep.residuals["tau_action_max"], warnings)
+        b = block["branches"][0]
+        assert b["match"].startswith("unverified: ")
+        assert "pole" in b["match"]
+        assert any("unverified" in w for w in warnings)
+        assert [c.label for c in cands] == ["equator"]
+
+    def test_non_monotone_map_adds_no_candidate(self, prolate_65,
+                                                 spheroid_model,
+                                                 monkeypatch):
+        rep, _ = prolate_65
+
+        def refuse(lift):
+            raise PreconditionError("generating function requires a "
+                                    "monotone map (D2 Y > 0)")
+
+        monkeypatch.setattr(sa.sc, "generating_from_map", refuse)
+        cands = sa.candidate_closed_geodesics(spheroid_model)
+        warnings = []
+        block = sa._fixed_point_candidates(
+            cands, spheroid_model, rep.grid, rep.lift, rep.cal,
+            rep.residuals["tau_action_max"], warnings)
+        assert block["branches"] == []
+        assert "monotone" in block["refused"]
+        assert warnings == ["no fixed-point candidates: generating "
+                            "function requires a monotone map (D2 Y > 0)"]
         assert len(cands) == 2
+
+    def test_identity_map_runs_no_theorem(self, round_report):
+        fp = round_report.fixed_point
+        assert fp["branches"] == [] and fp["refused"]
+        assert round_report.to_dict()["fixed_point"] is fp
+
+    @pytest.mark.parametrize("audit", ["prolate_65", "oblate_65"])
+    def test_two_shooting_flows_per_audit(self, audit, request):
+        # one stored flow for each exact symmetric orbit, none for the
+        # fixed points, which match them
+        _, flows = request.getfixturevalue(audit)
+        assert flows == 2
 
 
 class TestSimplicity:
