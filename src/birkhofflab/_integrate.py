@@ -83,12 +83,17 @@ def dense_state(y_old, h, stages, theta):
 class DenseOutput:
     """Dense output of one integration of n orbits over m accepted steps,
     built from their (t, h, y, stages) tuples: step starts ``t`` and sizes
-    ``h`` (m,), start states ``y`` (m, n, d) and stages (7, m, n, d)."""
+    ``h`` (m,), start states ``y`` (m, n, d) and stages (7, m, n, d).
+
+    The list ``steps`` is consumed: each step is released as it is written
+    into the arrays, so the steps are never held twice."""
 
     def __init__(self, steps):
-        t, h, y, stages = zip(*steps)
-        self.t, self.h = np.array(t), np.array(h)
-        self.y, self.stages = np.stack(y), np.stack(stages, axis=1)
+        m, (n, d) = len(steps), steps[0][2].shape
+        self.t, self.h = np.empty(m), np.empty(m)
+        self.y, self.stages = np.empty((m, n, d)), np.empty((7, m, n, d))
+        for k in range(m - 1, -1, -1):
+            self.t[k], self.h[k], self.y[k], self.stages[:, k] = steps.pop()
 
     def __call__(self, t, row=None):
         """States (q, n, d) at the times ``t`` (q,), each interpolated in

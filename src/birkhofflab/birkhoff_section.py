@@ -23,13 +23,16 @@ representative in [0, L); this is well defined because each leg of the
 return arc is injective when the curvature is pinched above 1/4, which is
 what the sampled self-intersection test in :func:`zero_flux_lift` checks.
 
-Every model is a surface of revolution about e3.  Over the equator, the
-rotations about e3 map the annulus onto itself, so by Clairaut's integral the
-return map is an x-invariant shear (x, y) -> (x + Theta(y), y):
-:func:`compute_return_grid` integrates one grid column plus a few seeded
-check columns, verifies that they agree and broadcasts the column.  Every
-other base (a meridian, any great circle of the round sphere) integrates
-every grid node.
+Every model is a surface of revolution about e3.  Isometries that map the
+annulus onto itself commute with the return map.  Over the equator these are
+the rotations about e3, so by Clairaut's integral the return map is an
+x-invariant shear (x, y) -> (x + Theta(y), y); over a meridian of a surface
+symmetric under z -> -z, a half turn and a reflection.
+:func:`compute_return_grid` integrates a fundamental domain of that group on
+the grid plus a few seeded check nodes, verifies the check nodes against the
+group's field laws and fills the grid from the domain.  Every other base (a
+meridian of a surface without that symmetry, a great circle of the round
+sphere tilted against the axis) integrates every grid node.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ STATUS_OK = 0
 STATUS_GRAZING = 1
 STATUS_MISSING = 2
 
-# Interior grid rows integrated per return sweep (bases other than the
-# equator).
+# Interior grid rows integrated per return sweep (grids without a symmetry
+# group).
 _ROW_BATCH = 8
 _CHECK_COLUMNS = 4         # columns checked against column 0 on the equator
-_EQUATOR_TILT = 1e-12      # largest in-plane part of an equator's normal
+_AXIS_TILT = 1e-12         # largest misalignment of a normal with the axis
 _GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                 "jac_du", "status")
 # Return-sweep horizon in units of 2 pi / sqrt(min K).
@@ -396,9 +399,9 @@ def _boundary_returns(section, xs, backward, rtol, atol):
             "status": np.full(n, STATUS_OK)}
 
 
-def _column_returns(section, xs, ys, row_batch, rtol, atol):
+def _column_returns(section, xs, ys, rtol, atol):
     """Return-data arrays of shape (len(xs), len(ys)) over the grid columns
-    at arc positions ``xs``: interior rows integrated ``row_batch`` rows per
+    at arc positions ``xs``: interior rows integrated ``_ROW_BATCH`` rows per
     sweep, boundary rows from the conjugate times."""
     nx, ny = len(xs), len(ys)
     arrays = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
@@ -409,8 +412,8 @@ def _column_returns(section, xs, ys, row_batch, rtol, atol):
         for k in _GRID_FIELDS:
             arrays[k][:, rows] = out[k].reshape(-1, nx).T
 
-    for j0 in range(1, ny - 1, row_batch):
-        rows = slice(j0, min(j0 + row_batch, ny - 1))
+    for j0 in range(1, ny - 1, _ROW_BATCH):
+        rows = slice(j0, min(j0 + _ROW_BATCH, ny - 1))
         xx, yy = np.meshgrid(xs, ys[rows])
         store(rows, _returns(section, xx.ravel(), yy.ravel(), rtol, atol,
                              horizon))
@@ -420,48 +423,127 @@ def _column_returns(section, xs, ys, row_batch, rtol, atol):
     return arrays
 
 
-def _equator_columns(nx):
-    """Indices of the grid columns integrated over the equator: column 0,
-    then ``_CHECK_COLUMNS`` seeded check columns in ascending order."""
+def _grid_symmetry(section, nx, ny):
+    """The symmetry group of the annulus grid (see
+    :func:`compute_return_grid`) as (nx, ny) arrays, or None when only the
+    identity is known: ``rep``, the flat index i * ny + j of the node of the
+    fundamental domain (the smallest flat index of each orbit) that a node
+    is the image of; ``flip``, whether that element reflects the annulus;
+    ``check``, the seeded check nodes."""
+    n = section.normal
+    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    if math.hypot(n[0], n[1]) < _AXIS_TILT:
+        # The equator: the rotations shift the columns (generated one at a
+        # time, as there are nx of them).
+        maps = (((I + k) % nx, J, False) for k in range(nx))
+        check_columns = True
+    elif (abs(n[2]) < _AXIS_TILT and nx % 2 == 0
+          and not np.any(section.model.b_coef[1::2])
+          and abs(section.frames(0.0)[0][2]) < _AXIS_TILT):
+        # A meridian launched from the equator: the half turn about the
+        # plane normal shifts x by L/2, the reflection z -> -z maps (x, y)
+        # to (-x, pi - y).
+        h = nx // 2
+        maps = [(I, J, False), ((I + h) % nx, J, False),
+                (-I % nx, ny - 1 - J, True), ((h - I) % nx, ny - 1 - J, True)]
+        check_columns = False
+    else:
+        return None
+    node = I * ny + J
+    rep, flip = node, np.zeros((nx, ny), dtype=bool)
+    for gi, gj, reflects in maps:
+        image = gi * ny + gj
+        flip = np.where(image < rep, reflects, flip)
+        rep = np.minimum(image, rep)
     rng = np.random.default_rng(0)
-    check = rng.choice(np.arange(1, nx), size=min(_CHECK_COLUMNS, nx - 1),
-                       replace=False)
-    return np.concatenate([[0], np.sort(check)])
+    check = np.zeros((nx, ny), dtype=bool)
+    if check_columns:
+        # whole columns, so the sweep is the one of column 0 and its checks
+        check[rng.choice(np.arange(1, nx), size=min(_CHECK_COLUMNS, nx - 1),
+                         replace=False)] = True
+    else:
+        outside = np.flatnonzero(rep != node)
+        check.flat[rng.choice(outside, size=min(ny, len(outside)),
+                              replace=False)] = True
+    return rep, flip, check
 
 
-def _check_rotated_columns(cols, xs, rtol):
-    """Raise :class:`InternalConsistencyError` unless every column of the
-    return arrays ``cols`` (at arc positions ``xs``) repeats the first one:
-    equal status, and X - x and the other fields within ``rtol`` times
-    max(1, |value|).  Rotated orbits differ only by rounding (about 1e-14
+def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
+    """Return-data arrays of shape (len(xs), len(ys)) filled from the
+    fundamental domain of the grid symmetry group (see
+    :func:`_grid_symmetry`).
+
+    The interior nodes of the domain and the check nodes are integrated in
+    one sweep, in row-major order; boundary nodes come from the conjugate
+    times.  A rotation keeps every field but X - x; a reflection maps X - x
+    to -(X - x), Y to pi - Y and rho_plus to L - rho_plus, and keeps the
+    other fields.  Every check node must repeat what its domain node
+    predicts: equal status, and X - x and the other fields within ``rtol``
+    times max(1, |value|); otherwise :class:`InternalConsistencyError`.
+    Symmetric orbits of one sweep differ only by rounding (1e-14 to 1e-12
     relative), as a sweep steps all its orbits alike."""
-    status = cols["status"]
-    if np.any(status != status[0]):
+    nx, ny = len(xs), len(ys)
+    swept = (rep == np.arange(nx * ny).reshape(nx, ny)) | check
+    vals = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
+            for k in _GRID_FIELDS}
+
+    def store(ii, jj, out):
+        for k in _GRID_FIELDS:
+            vals[k][ii, jj] = out[k]
+
+    jj, ii = np.nonzero(swept[:, 1:-1].T)
+    store(ii, jj + 1, _returns(section, xs[ii], ys[jj + 1], rtol, atol,
+                               _horizon(section.model, _HORIZON_FACTOR)))
+    for j, backward in ((0, False), (ny - 1, True)):
+        ii = np.flatnonzero(swept[:, j])
+        store(ii, j, _boundary_returns(section, xs[ii], backward, rtol, atol))
+
+    ri, rj = np.divmod(rep, ny)
+    out = {k: v[ri, rj] for k, v in vals.items()}
+    out["X"] = xs[:, None] + np.where(flip, -1.0, 1.0) * (out["X"] - xs[ri])
+    out["Y"] = np.where(flip, math.pi - out["Y"], out["Y"])
+    out["rho_plus"] = np.where(flip, section.length - out["rho_plus"],
+                               out["rho_plus"])
+    if np.any(out["status"][check] != vals["status"][check]):
         raise InternalConsistencyError(
-            "rotated grid columns disagree in their node status")
-    ok = status[0] == STATUS_OK
+            "grid symmetry check nodes disagree in their node status")
+    ok = check & (vals["status"] == STATUS_OK)
+    x_ok = np.broadcast_to(xs[:, None], ok.shape)[ok]
     for k in _GRID_FIELDS[:-1]:
-        v = cols[k] - xs[:, None] if k == "X" else cols[k]
-        v = v[:, ok]
-        bound = rtol * np.maximum(1.0, np.abs(v[0]))
-        if np.any(np.abs(v[1:] - v[0]) > bound):
+        shift = x_ok if k == "X" else 0.0
+        want, got = out[k][ok] - shift, vals[k][ok] - shift
+        err = np.abs(got - want)
+        if np.any(err > rtol * np.maximum(1.0, np.abs(want))):
             raise InternalConsistencyError(
-                f"rotated grid columns disagree in {k} by "
-                f"{np.max(np.abs(v[1:] - v[0])):.3g}; the annulus is not "
-                "invariant under rotation about the axis")
+                f"grid symmetry check nodes disagree in {k} by "
+                f"{np.nanmax(err):.3g}; the return map does not commute with "
+                "the symmetry group of the annulus")
+    return out
 
 
 def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     """First-return data over the full annulus grid.
 
-    When the base is the equator, rotation about the axis by 2 pi i / nx
-    maps the annulus onto itself and column 0 onto column i, so the return
-    map is the x-invariant shear (x, y) -> (x + Theta(y), y).  Then only
-    column 0 and ``_CHECK_COLUMNS`` seeded check columns are integrated, all
-    interior rows in one sweep; each check column must repeat column 0 (see
-    :func:`_check_rotated_columns`), and column 0 is broadcast to the grid
-    with X = x + (X_0 - x_0).  Every other base integrates every node, in
-    sweeps of ``_ROW_BATCH`` rows.
+    Isometries of the model that map the annulus onto itself commute with
+    the return map.  Where they act on the grid as a group, only its
+    fundamental domain and seeded check nodes are integrated, all interior
+    ones in one sweep, and the domain fills the grid by the group's field
+    laws after every check node has repeated them (see
+    :func:`_symmetric_returns`):
+
+    * over the equator, the rotations about the axis by 2 pi k / nx: the
+      return map is the x-invariant shear (x, y) -> (x + Theta(y), y).
+      Column 0 is the domain; ``_CHECK_COLUMNS`` seeded columns are checked.
+    * over a meridian launched from the equator, when b is even in z (the
+      odd ``b_coef`` entries vanish: round and spheroid) and nx is even, the
+      Klein four-group of the half turn (i, j) -> (i + nx/2, j), the
+      reflection (i, j) -> (-i, ny - 1 - j) and their composite.  The
+      domain is columns 0 to nx/4, the first and last of them only up to
+      row (ny - 1)/2, about a quarter of the grid; ny nodes are checked.
+
+    Every other grid (a meridian of a model whose b is not even in z, odd
+    nx, a base plane neither containing nor normal to the axis) integrates
+    every node, in sweeps of ``_ROW_BATCH`` rows.
 
     The orbits of a sweep share a step controller (the error norm is still
     per orbit), so node values depend on the batch layout within the
@@ -471,16 +553,11 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     L = section.length
     xs = np.arange(nx) * (L / nx)
     ys = np.linspace(0.0, math.pi, ny)
-    # The base is the equator when its plane normal is e3, the axis of
-    # every model here.
-    if math.hypot(section.normal[0], section.normal[1]) < _EQUATOR_TILT:
-        cx = xs[_equator_columns(nx)]
-        cols = _column_returns(section, cx, ys, ny, rtol, atol)  # one sweep
-        _check_rotated_columns(cols, cx, rtol)
-        arrays = {k: np.repeat(v[:1], nx, axis=0) for k, v in cols.items()}
-        arrays["X"] = xs[:, None] + (cols["X"][0] - cx[0])
+    symmetry = _grid_symmetry(section, nx, ny)
+    if symmetry is None:
+        arrays = _column_returns(section, xs, ys, rtol, atol)
     else:
-        arrays = _column_returns(section, xs, ys, _ROW_BATCH, rtol, atol)
+        arrays = _symmetric_returns(section, xs, ys, *symmetry, rtol, atol)
 
     grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
     ok = grid.status == STATUS_OK

@@ -2,8 +2,10 @@
 
 Subcommands: metric-info, trace, return-map, strip-report, systolic-verify,
 zoll-check, polygon-check.  Exit codes: 0 verdict pass, 1 verdict fail,
-2 usage or parse error, 3 hypothesis refusal (an audit refused up front, or
-a lift-pinching hypothesis found to fail during the computation), 4
+2 usage or parse error, 3 hypothesis refusal (an audit refused up front, a
+lift-pinching hypothesis found to fail during the computation, a base curve
+that carries no annulus, or a map that preserves no area form or has no
+generating function), 4
 computation failure (a shooting that does not converge, a return event not
 found, a step-size underflow or a failed internal consistency check).
 
@@ -27,8 +29,9 @@ from . import metric_models as mm
 from . import strip_calculus as sc
 from . import systolic_audit as sa
 from .errors import (AuditRefused, IntegrationFailure, InternalConsistencyError,
-                     NoConvergenceError, PinchingViolationError,
-                     PreconditionError, ReturnFailure)
+                     NoConvergenceError, NonIntegrableFormError,
+                     NotGeneratingError, PinchingViolationError,
+                     PreconditionError, ReturnFailure, SectionInvalidError)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -357,7 +360,8 @@ def main(argv=None):
     try:
         _check_config(args)
         return args.fn(args)
-    except (AuditRefused, PinchingViolationError) as exc:
+    except (AuditRefused, PinchingViolationError, SectionInvalidError,
+            NonIntegrableFormError, NotGeneratingError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (ValueError, KeyError, OSError, json.JSONDecodeError,

@@ -44,6 +44,7 @@ IDENTITY_TOL = 1e-5
 FLUX_TOL = 1e-6
 IDENTITY_MAP_EPS = 1e-9     # sup-norm threshold below which a map counts as id
 FIXED_TOL = 1e-6            # how far the map may move a located fixed point
+_W_RESOLUTION = 1e-14       # W differences the fixed-point refinement ignores
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +486,31 @@ def calabi_from_generating(gen, grid, flux_tol=FLUX_TOL):
 # fixed points with signed action
 # ---------------------------------------------------------------------------
 
+def _refinement_start(interior):
+    """Node of ``interior`` (x periodic) that starts the refinement of its
+    minimum.
+
+    Nodes within the refinement's resolution of the minimum tie, and a grid
+    symmetry makes distinct extrema tie up to rounding.  Of the connected
+    sets of tied nodes (8-neighbours), the one holding the last tied node in
+    row-major order (the largest x, then the largest Y) is refined, from its
+    lowest node; a single extremum, or a plateau along a circle of fixed
+    points, thus starts at the overall minimum.
+    """
+    tied = interior <= interior.min() + _W_RESOLUTION
+    nx, ny = tied.shape
+    last = np.unravel_index(np.flatnonzero(tied)[-1], tied.shape)
+    part, todo = {last}, [last]
+    while todo:
+        i, j = todo.pop()
+        for q in (((i + di) % nx, j + dj)
+                  for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+            if 0 <= q[1] < ny and q not in part and tied[q]:
+                part.add(q)
+                todo.append(q)
+    return min(sorted(part), key=interior.__getitem__)
+
+
 def fixed_point_with_signed_action(grid, gen, branch=None):
     """Interior fixed point whose action sign matches the Calabi sign.
 
@@ -503,15 +529,15 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
         branch = "negative" if cal <= 0.0 else "positive"
     sign = 1.0 if branch == "negative" else -1.0
     w = sign * gen.w
-    interior = w[:, 1:-1]
-    i0, j0 = np.unravel_index(np.argmin(interior), interior.shape)
+    i0, j0 = _refinement_start(w[:, 1:-1])
     j0 += 1
     xs, Ys, L = gen.xs, gen.Ys, gen.length
     surf = _periodic_spline(xs, Ys, L, w)      # for local refinement
     res = minimize(lambda p: float(surf.ev(p[0], p[1])),
                    x0=np.array([xs[i0], Ys[j0]]),
                    method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
+                   options={"xatol": 1e-12, "fatol": _W_RESOLUTION,
+                            "maxiter": 400})
     x_star = float(np.mod(res.x[0], L))
     y_star = float(np.clip(res.x[1], 0.0, _PI))
     margin = Ys[1] - Ys[0]

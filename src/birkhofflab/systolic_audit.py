@@ -156,7 +156,10 @@ def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
     geodesics of the fixed-point theorem that no candidate matches.
 
     The Calabi-sign branch always runs; the mirrored one only where W takes
-    its sign inside the strip.  Each fixed point predicts a length L + sigma*
+    its sign inside the strip beyond ``_LENGTH_MATCH_FACTOR *
+    tau_action_max``: a fixed point with a smaller |W| predicts a length
+    L + sigma* indistinguishable from the base's, so W's sign below that
+    floor is rounding noise.  Each fixed point predicts a length L + sigma*
     and a Clairaut value, matched against the candidates within
     ``_LENGTH_MATCH_FACTOR * tau_action_max`` and ``_CLAIRAUT_MATCH`` (in
     absolute value: a fixed point may sit on a candidate traversed
@@ -174,8 +177,9 @@ def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
         warnings.append(f"no fixed-point candidates: {exc}")
         return block
     interior = gen.w[:, 1:-1]
-    takes_sign = {"negative": interior.min() < 0.0,
-                  "positive": interior.max() > 0.0}
+    floor = _LENGTH_MATCH_FACTOR * tau_action_max
+    takes_sign = {"negative": interior.min() < -floor,
+                  "positive": interior.max() > floor}
     calabi_sign, mirrored = (("negative", "positive") if cal <= 0.0
                              else ("positive", "negative"))
     for branch in (calabi_sign, mirrored):
@@ -185,7 +189,7 @@ def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
         block["branches"].append(entry)
         if branch == mirrored and not takes_sign[branch]:
             entry["match"] = (f"refused: W takes no {branch} value inside "
-                              "the strip")
+                              f"the strip beyond the noise floor {floor:.3g}")
             continue
         try:
             (x, y), sigma = sc.fixed_point_with_signed_action(

@@ -141,7 +141,9 @@ class TestSpheroidGrid:
         # check columns) and assemble column 0 node by node
         sec, grid = spheroid_section, spheroid_grid
         L = sec.length
-        cols = grid.xs[bs._equator_columns(grid.nx)]
+        rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
+        domain = rep == np.arange(rep.size).reshape(rep.shape)
+        cols = grid.xs[(domain | check).any(axis=1)]
         xx, yy = np.meshgrid(cols, grid.ys[1:-1])
         sweep = bs._return_sweep(sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
                                  bs._horizon(sec.model, bs._HORIZON_FACTOR))
@@ -221,8 +223,7 @@ class TestEquatorSymmetry:
         # the reference integrates every interior node (the path of every
         # other base), so it also pins the x-invariance of the return map
         grid = request.getfixturevalue(name)
-        ref = bs._column_returns(grid.section, grid.xs, grid.ys,
-                                 bs._ROW_BATCH, 1e-10, 1e-12)
+        ref = bs._column_returns(grid.section, grid.xs, grid.ys, 1e-10, 1e-12)
         assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
@@ -249,10 +250,13 @@ class TestEquatorSymmetry:
             bs.compute_return_grid(spheroid_section, nx=16, ny=17)
 
     @pytest.mark.parametrize("base, columns", [("equator", 5),
-                                               ("meridian", 16)])
+                                               ("meridian", 13)])
     def test_integrated_columns(self, monkeypatch, base, columns):
-        # the equator integrates column 0 and four check columns, the
-        # meridian (oblate spheroid) every column
+        # the equator integrates column 0 and four check columns; the
+        # meridian (oblate spheroid) its fundamental domain, 61 interior
+        # nodes (columns 0 to 4, the first and last up to row 8), and the
+        # 15 interior ones of its 17 seeded check nodes
+        nodes = {"equator": 5 * 15, "meridian": 61 + 15}[base]
         model = mm.make_spheroid(0.97)
         orbit = (gd.equator_orbit(model) if base == "equator"
                  else gd.meridian_orbit(model))
@@ -268,7 +272,82 @@ class TestEquatorSymmetry:
         grid = bs.compute_return_grid(sec, nx=16, ny=17)
         xs = np.concatenate(seen)
         assert len(np.unique(xs)) == columns
-        assert len(xs) == columns * (grid.ny - 2)
+        assert len(xs) == nodes
+        grid.require_clean()
+
+
+@pytest.fixture(scope="module")
+def oblate_meridian_section():
+    model = mm.make_spheroid(0.97)
+    return bs.build_section(model, gd.meridian_orbit(model))
+
+
+class TestMeridianSymmetry:
+    @pytest.mark.parametrize("nx, ny", [(16, 17), (32, 65)])
+    def test_matches_every_node_integrated(self, oblate_meridian_section,
+                                           nx, ny):
+        # the reference integrates every node, so it pins the half turn
+        # and the reflection laws on every node the group fills
+        sec = oblate_meridian_section
+        grid = bs.compute_return_grid(sec, nx=nx, ny=ny)
+        ref = bs._column_returns(sec, grid.xs, grid.ys, 1e-10, 1e-12)
+        assert np.array_equal(grid.status, ref["status"])
+        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
+                  "jac_du"):
+            got, want = getattr(grid, k), ref[k]
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) < 1e-10, k
+
+    @pytest.mark.parametrize("field", ["X", "tau", "status"])
+    def test_disagreeing_check_node_raises(self, oblate_meridian_section,
+                                           monkeypatch, field):
+        # the domain lies in x <= L/4, so every node perturbed is a check
+        returns = bs._returns
+        L = oblate_meridian_section.length
+
+        def perturbed(section, xs, ys, *args):
+            out = returns(section, xs, ys, *args)
+            far = xs > 0.3 * L
+            assert far.any()
+            if field == "status":
+                out["status"][np.nonzero(far)[0][0]] = bs.STATUS_GRAZING
+            else:
+                out[field][far] += 1e-6
+            return out
+
+        monkeypatch.setattr(bs, "_returns", perturbed)
+        with pytest.raises(InternalConsistencyError):
+            bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
+
+    def test_check_nodes_refuse_a_surface_not_even_in_z(
+            self, oblate_meridian_section, zoll_model):
+        # the group of the spheroid's grid, forced on the Zoll meridian,
+        # whose b has odd terms: the check nodes see the laws break
+        sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
+        xs = np.arange(16) * (sec.length / 16)
+        ys = np.linspace(0.0, math.pi, 17)
+        group = bs._grid_symmetry(oblate_meridian_section, 16, 17)
+        with pytest.raises(InternalConsistencyError):
+            bs._symmetric_returns(sec, xs, ys, *group, 1e-10, 1e-12)
+
+    @pytest.mark.parametrize("base, nx", [("zoll", 16), ("spheroid", 15)])
+    def test_full_path(self, monkeypatch, oblate_meridian_section,
+                       zoll_model, base, nx):
+        # b not even in z, or an odd nx: every node is integrated
+        sec = (bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
+               if base == "zoll" else oblate_meridian_section)
+        assert bs._grid_symmetry(sec, nx, 17) is None
+        seen = []
+        returns = bs._returns
+
+        def spy(section, xs, ys, *args):
+            seen.append(len(xs))
+            return returns(section, xs, ys, *args)
+
+        monkeypatch.setattr(bs, "_returns", spy)
+        grid = bs.compute_return_grid(sec, nx=nx, ny=17)
+        assert sum(seen) == nx * 15
+        assert max(seen) == nx * bs._ROW_BATCH
         grid.require_clean()
 
 

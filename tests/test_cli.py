@@ -7,7 +7,9 @@ import pytest
 from birkhofflab import cli
 from birkhofflab import systolic_audit as sa
 from birkhofflab.errors import (IntegrationFailure, InternalConsistencyError,
-                                NoConvergenceError, ReturnFailure)
+                                NoConvergenceError, NonIntegrableFormError,
+                                NotGeneratingError, ReturnFailure,
+                                SectionInvalidError)
 
 ROUND = '{"kind": "round", "radius": 1.0}'
 SPHEROID = '{"kind": "spheroid", "c": 1.03}'
@@ -219,6 +221,31 @@ class TestComputationFailure:
         assert code == cli.EXIT_COMPUTE == 4
         assert out == ""
         assert err == f"error: {error}\n"
+
+
+class TestHypothesisRefusal:
+    @pytest.mark.parametrize("error", [
+        SectionInvalidError("base curve is not simple at resolution 1e-06"),
+        NonIntegrableFormError("one-form closure residual 1.01 exceeds 1e-05"),
+        NotGeneratingError("generated column is not monotone"),
+    ], ids=lambda e: type(e).__name__)
+    def test_exits_3(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sa, "audit", fail)
+        code, out, err = run(capsys, "systolic-verify", "--metric",
+                             SPHEROID)
+        assert code == cli.EXIT_REFUSED == 3
+        assert out == ""
+        assert err == f"refused: {error}\n"
+
+    def test_non_area_preserving_preset_refused(self, capsys):
+        code, out, err = run(capsys, "strip-report", "--w-preset", "x-sine",
+                             "--eps", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: one-form closure residual")
 
 
 class TestConfigValidation:

@@ -234,6 +234,30 @@ class TestFixedPointTheorem:
         assert point[1] == pytest.approx(math.pi / 2, abs=1e-6)
         assert sigma == pytest.approx(-eps, abs=1e-7)
 
+    @pytest.mark.parametrize("node, dw, x_expected", [
+        ((0, 16), -1e-15, L / 2), ((16, 16), -1e-15, L / 2),
+        ((16, 16), 1e-15, L / 2), ((0, 16), -1e-12, 0.0)])
+    def test_tied_extrema_start_from_the_last_one(self, node, dw,
+                                                   x_expected):
+        # W has two minima, at x = 0 and x = L/2 on Y = pi/2.  Nodes within
+        # the refinement's resolution of the minimum tie, whichever rounding
+        # makes lower, and the last one (largest x) is refined; a real
+        # difference still decides.
+        xs, Ys = sc.strip_mesh(L, 32, 33)
+        w = (-0.02 * np.sin(Ys)[None, :] ** 2
+             * (1.0 + 0.5 * np.cos(4 * math.pi * xs / L))[:, None])
+        gen = sc.GeneratingGrid(length=L, xs=xs, Ys=Ys, w=w)
+        grid = sc.build_from_generating(gen)
+        w = w.copy()
+        w[node] += dw
+        point, sigma = sc.fixed_point_with_signed_action(
+            grid, sc.GeneratingGrid(length=L, xs=xs, Ys=Ys, w=w),
+            branch="negative")
+        dx = (point[0] - x_expected + L / 2) % L - L / 2
+        assert abs(dx) < 1e-3
+        assert point[1] == pytest.approx(math.pi / 2, abs=1e-6)
+        assert sigma == pytest.approx(-0.03, abs=1e-7)
+
     def test_identity_rejected(self):
         grid = sc.identity_map()
         gen = sc.generating_from_map(grid)

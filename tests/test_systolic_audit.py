@@ -96,6 +96,9 @@ class TestFixedPointCandidates:
 
     def test_oblate_calabi_sign_point_is_the_reversed_equator(self,
                                                               oblate_65):
+        # The half turn x -> x + L/2 makes W's two equator crossings tie to
+        # rounding; the tie goes to the larger x, the equator traversed
+        # backwards.
         rep, _ = oblate_65
         b = _branch(rep, True)
         assert b["match"] == "equator"
@@ -106,11 +109,17 @@ class TestFixedPointCandidates:
     def test_oblate_mirrored_branch_adds_nothing(self, oblate_65):
         # The mirrored branch would sit on the circle of zero-action fixed
         # points over the pole; at 32x65 W takes the negative sign there
-        # only at rounding level, and the located point is refused.
-        rep, _ = oblate_65
+        # only at rounding level, far below the noise floor of predicted
+        # lengths, so the branch is refused before any fixed point is
+        # located or shot.
+        rep, flows = oblate_65
         b = _branch(rep, False)
         assert b["branch"] == "negative"
-        assert b["match"].startswith("refused: ")
+        floor = sa._LENGTH_MATCH_FACTOR * rep.residuals["tau_action_max"]
+        assert b["match"] == ("refused: W takes no negative value inside "
+                              f"the strip beyond the noise floor {floor:.3g}")
+        assert b["x"] is None and b["sigma"] is None
+        assert flows == 2
         assert [c.label for c in rep.candidates] == ["equator", "meridian"]
         assert not rep.warnings
 
