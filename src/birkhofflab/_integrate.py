@@ -144,8 +144,8 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     single = y0.ndim == 1
     y = np.array(y0, dtype=float, ndmin=2)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
+    if not (-math.inf < t0 < t1 < math.inf):
+        raise ValueError("t_span must be finite and increasing")
     t = t0
     f = fun(t, y)
     h = min(_initial_step(fun, t, y, f, rtol, atol), t1 - t0)

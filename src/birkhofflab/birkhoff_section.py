@@ -27,12 +27,13 @@ Every model is a surface of revolution about e3.  Isometries that map the
 annulus onto itself commute with the return map.  Over the equator these are
 the rotations about e3, so by Clairaut's integral the return map is an
 x-invariant shear (x, y) -> (x + Theta(y), y); over a meridian of a surface
-symmetric under z -> -z, a half turn and a reflection.
-:func:`compute_return_grid` integrates a fundamental domain of that group on
-the grid plus a few seeded check nodes, verifies the check nodes against the
-group's field laws and fills the grid from the domain.  Every other base (a
-meridian of a surface without that symmetry, a great circle of the round
-sphere tilted against the axis) integrates every grid node.
+symmetric under z -> -z, a reflection and, for an even number of grid
+columns, a half turn.  :func:`compute_return_grid` integrates a fundamental
+domain of that group on the grid plus a few seeded check nodes, verifies the
+check nodes against the group's field laws and fills the grid from the
+domain.  Every other base (a meridian of a surface without that symmetry, a
+great circle of the round sphere tilted against the axis) gets the trivial
+group, whose domain is every grid node.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ STATUS_OK = 0
 STATUS_GRAZING = 1
 STATUS_MISSING = 2
 
-# Interior grid rows integrated per return sweep (grids without a symmetry
-# group).
-_ROW_BATCH = 8
+# Most interior orbits integrated in one return sweep.  A sweep holds the
+# stages and events of all its orbits at once, so its memory grows with its
+# size; the oblate audit's 2,350-orbit sweep (the 96 x 96 meridian domain and
+# its checks) is the peak already accepted against the `peak_rss_mb` bound.
+_SWEEP_ORBITS = 2400
 _CHECK_COLUMNS = 4         # columns checked against column 0 on the equator
 _AXIS_TILT = 1e-12         # largest misalignment of a normal with the axis
 _GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
@@ -399,56 +402,33 @@ def _boundary_returns(section, xs, backward, rtol, atol):
             "status": np.full(n, STATUS_OK)}
 
 
-def _column_returns(section, xs, ys, rtol, atol):
-    """Return-data arrays of shape (len(xs), len(ys)) over the grid columns
-    at arc positions ``xs``: interior rows integrated ``_ROW_BATCH`` rows per
-    sweep, boundary rows from the conjugate times."""
-    nx, ny = len(xs), len(ys)
-    arrays = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
-              for k in _GRID_FIELDS}
-    horizon = _horizon(section.model, _HORIZON_FACTOR)
-
-    def store(rows, out):
-        for k in _GRID_FIELDS:
-            arrays[k][:, rows] = out[k].reshape(-1, nx).T
-
-    for j0 in range(1, ny - 1, _ROW_BATCH):
-        rows = slice(j0, min(j0 + _ROW_BATCH, ny - 1))
-        xx, yy = np.meshgrid(xs, ys[rows])
-        store(rows, _returns(section, xx.ravel(), yy.ravel(), rtol, atol,
-                             horizon))
-    for j, backward in ((0, False), (ny - 1, True)):
-        store(slice(j, j + 1), _boundary_returns(section, xs, backward,
-                                                 rtol, atol))
-    return arrays
-
-
 def _grid_symmetry(section, nx, ny):
     """The symmetry group of the annulus grid (see
-    :func:`compute_return_grid`) as (nx, ny) arrays, or None when only the
-    identity is known: ``rep``, the flat index i * ny + j of the node of the
-    fundamental domain (the smallest flat index of each orbit) that a node
-    is the image of; ``flip``, whether that element reflects the annulus;
-    ``check``, the seeded check nodes."""
+    :func:`compute_return_grid`) as (nx, ny) arrays: ``rep``, the flat index
+    i * ny + j of the node of the fundamental domain (the smallest flat
+    index of each orbit) that a node is the image of; ``flip``, whether that
+    element reflects the annulus; ``check``, the seeded check nodes.  The
+    trivial group makes every node its own representative and checks
+    none."""
     n = section.normal
     I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    maps = [(I, J, False)]
+    check_columns = False
     if math.hypot(n[0], n[1]) < _AXIS_TILT:
         # The equator: the rotations shift the columns (generated one at a
         # time, as there are nx of them).
         maps = (((I + k) % nx, J, False) for k in range(nx))
         check_columns = True
-    elif (abs(n[2]) < _AXIS_TILT and nx % 2 == 0
-          and not np.any(section.model.b_coef[1::2])
+    elif (abs(n[2]) < _AXIS_TILT and not np.any(section.model.b_coef[1::2])
           and abs(section.frames(0.0)[0][2]) < _AXIS_TILT):
-        # A meridian launched from the equator: the half turn about the
-        # plane normal shifts x by L/2, the reflection z -> -z maps (x, y)
-        # to (-x, pi - y).
+        # A meridian launched from the equator: the reflection z -> -z maps
+        # (x, y) to (-x, pi - y); for even nx, the half turn about the plane
+        # normal shifts x by L/2, and it composes with the reflection.
         h = nx // 2
         maps = [(I, J, False), ((I + h) % nx, J, False),
                 (-I % nx, ny - 1 - J, True), ((h - I) % nx, ny - 1 - J, True)]
-        check_columns = False
-    else:
-        return None
+        if nx % 2:
+            maps = maps[::2]
     node = I * ny + J
     rep, flip = node, np.zeros((nx, ny), dtype=bool)
     for gi, gj, reflects in maps:
@@ -474,14 +454,16 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
     :func:`_grid_symmetry`).
 
     The interior nodes of the domain and the check nodes are integrated in
-    one sweep, in row-major order; boundary nodes come from the conjugate
-    times.  A rotation keeps every field but X - x; a reflection maps X - x
-    to -(X - x), Y to pi - Y and rho_plus to L - rho_plus, and keeps the
-    other fields.  Every check node must repeat what its domain node
-    predicts: equal status, and X - x and the other fields within ``rtol``
-    times max(1, |value|); otherwise :class:`InternalConsistencyError`.
+    row-major order, split evenly into sweeps of at most ``_SWEEP_ORBITS``
+    orbits; boundary nodes come from the conjugate times.  A rotation keeps
+    every field but X - x; a reflection maps X - x to -(X - x), Y to
+    pi - Y and rho_plus to L - rho_plus, and keeps the other fields.  Every
+    check node must repeat what its domain node predicts: equal status, and
+    X - x and the other fields within ``rtol`` times max(1, |value|);
+    otherwise :class:`InternalConsistencyError`.
     Symmetric orbits of one sweep differ only by rounding (1e-14 to 1e-12
-    relative), as a sweep steps all its orbits alike."""
+    relative), as a sweep steps all its orbits alike; orbits of different
+    sweeps differ within the integration tolerance."""
     nx, ny = len(xs), len(ys)
     swept = (rep == np.arange(nx * ny).reshape(nx, ny)) | check
     vals = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
@@ -492,8 +474,11 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
             vals[k][ii, jj] = out[k]
 
     jj, ii = np.nonzero(swept[:, 1:-1].T)
-    store(ii, jj + 1, _returns(section, xs[ii], ys[jj + 1], rtol, atol,
-                               _horizon(section.model, _HORIZON_FACTOR)))
+    horizon = _horizon(section.model, _HORIZON_FACTOR)
+    for part in np.array_split(np.arange(len(ii)),
+                               -(-len(ii) // _SWEEP_ORBITS)):
+        i, j = ii[part], jj[part] + 1
+        store(i, j, _returns(section, xs[i], ys[j], rtol, atol, horizon))
     for j, backward in ((0, False), (ny - 1, True)):
         ii = np.flatnonzero(swept[:, j])
         store(ii, j, _boundary_returns(section, xs[ii], backward, rtol, atol))
@@ -525,25 +510,24 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     """First-return data over the full annulus grid.
 
     Isometries of the model that map the annulus onto itself commute with
-    the return map.  Where they act on the grid as a group, only its
-    fundamental domain and seeded check nodes are integrated, all interior
-    ones in one sweep, and the domain fills the grid by the group's field
-    laws after every check node has repeated them (see
-    :func:`_symmetric_returns`):
+    the return map.  Every grid gets the group of those that act on it, and
+    only its fundamental domain and seeded check nodes are integrated; the
+    domain fills the grid by the group's field laws after every check node
+    has repeated them (see :func:`_symmetric_returns`):
 
     * over the equator, the rotations about the axis by 2 pi k / nx: the
       return map is the x-invariant shear (x, y) -> (x + Theta(y), y).
       Column 0 is the domain; ``_CHECK_COLUMNS`` seeded columns are checked.
     * over a meridian launched from the equator, when b is even in z (the
-      odd ``b_coef`` entries vanish: round and spheroid) and nx is even, the
-      Klein four-group of the half turn (i, j) -> (i + nx/2, j), the
-      reflection (i, j) -> (-i, ny - 1 - j) and their composite.  The
-      domain is columns 0 to nx/4, the first and last of them only up to
-      row (ny - 1)/2, about a quarter of the grid; ny nodes are checked.
-
-    Every other grid (a meridian of a model whose b is not even in z, odd
-    nx, a base plane neither containing nor normal to the axis) integrates
-    every node, in sweeps of ``_ROW_BATCH`` rows.
+      odd ``b_coef`` entries vanish: round and spheroid), the reflection
+      (i, j) -> (-i mod nx, ny - 1 - j).  For even nx it joins the half
+      turn (i, j) -> (i + nx/2, j) and their composite in a Klein
+      four-group, whose domain is columns 0 to nx/4, the first and last of
+      them only up to row (ny - 1)/2, about a quarter of the grid; for odd
+      nx the domain is about half of the grid.  ny nodes are checked.
+    * on every other grid (a meridian of a model whose b is not even in z,
+      a base plane neither containing nor normal to the axis) the trivial
+      group: every node is integrated and none is checked.
 
     The orbits of a sweep share a step controller (the error norm is still
     per orbit), so node values depend on the batch layout within the
@@ -553,11 +537,8 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     L = section.length
     xs = np.arange(nx) * (L / nx)
     ys = np.linspace(0.0, math.pi, ny)
-    symmetry = _grid_symmetry(section, nx, ny)
-    if symmetry is None:
-        arrays = _column_returns(section, xs, ys, rtol, atol)
-    else:
-        arrays = _symmetric_returns(section, xs, ys, *symmetry, rtol, atol)
+    arrays = _symmetric_returns(section, xs, ys,
+                                *_grid_symmetry(section, nx, ny), rtol, atol)
 
     grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
     ok = grid.status == STATUS_OK
@@ -714,37 +695,29 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
     must be reproduced within integration accuracy.
     """
     sec = grid.section
-    model = sec.model
     rng = np.random.default_rng(1)
     ii = rng.integers(0, grid.nx, size=n_nodes)
     jj = rng.integers(1, grid.ny - 1, size=n_nodes)
-    horizon = _horizon(model, _HORIZON_FACTOR)
-    max_tau_res = 0.0
-    max_map_res = 0.0
-    for i, j in zip(ii, jj):
-        sweep = _return_sweep(sec, grid.xs[[i]], grid.ys[[j]], rtol, atol,
-                              horizon)
-        if sweep.n_found[0] < 2:
-            raise ReturnFailure("return not found during composition check")
-        y1 = sweep.y_events[0, 0]
-        t1 = float(sweep.t_events[0, 0])
-        # coordinates of the intermediate vector on the opposite annulus
-        x1 = sec.footpoint(y1[0:3])
-        ang1 = sec.angles_of(x1, y1[None, 3:6])
-        res2 = _return_sweep(sec, x1, ang1, rtol, atol, horizon,
-                             slopes=(+1,))
-        if res2.n_found[0] < 1:
-            raise ReturnFailure("transition return not found")
-        tau_minus = float(res2.t_events[0, 0])
-        max_tau_res = max(max_tau_res,
-                          abs(grid.tau[i, j] - (t1 + tau_minus)))
-        y2 = res2.y_events[0, 0]
-        x2 = float(sec.footpoint(y2[0:3])[0])
-        ang2 = float(sec.angles_of(np.array([x2]), y2[None, 3:6])[0])
-        dx = abs((x2 - grid.X[i, j]) % grid.L)
-        dx = min(dx, grid.L - dx)
-        max_map_res = max(max_map_res, dx, abs(ang2 - grid.Y[i, j]))
-    return max_tau_res, max_map_res
+    horizon = _horizon(sec.model, _HORIZON_FACTOR)
+    sweep = _return_sweep(sec, grid.xs[ii], grid.ys[jj], rtol, atol, horizon)
+    if np.any(sweep.n_found < 2):
+        raise ReturnFailure("return not found during composition check")
+    # coordinates of the intermediate vectors on the opposite annulus
+    y1 = sweep.y_events[:, 0]
+    x1 = sec.footpoint(y1[:, 0:3])
+    res2 = _return_sweep(sec, x1, sec.angles_of(x1, y1[:, 3:6]), rtol, atol,
+                         horizon, slopes=(+1,))
+    if np.any(res2.n_found < 1):
+        raise ReturnFailure("transition return not found")
+    tau_res = np.abs(grid.tau[ii, jj]
+                     - (sweep.t_events[:, 0] + res2.t_events[:, 0]))
+    y2 = res2.y_events[:, 0]
+    x2 = sec.footpoint(y2[:, 0:3])
+    dx = np.abs((x2 - grid.X[ii, jj]) % grid.L)
+    map_res = np.maximum(np.minimum(dx, grid.L - dx),
+                         np.abs(sec.angles_of(x2, y2[:, 3:6]) - grid.Y[ii, jj]))
+    return (float(np.max(tau_res, initial=0.0)),
+            float(np.max(map_res, initial=0.0)))
 
 
 def action_boundary_identity(grid, lift, action_grid=None):

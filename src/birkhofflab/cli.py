@@ -265,6 +265,8 @@ def cmd_systolic_verify(args):
 
 
 def cmd_zoll_check(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     model = _load_metric(args.metric)
     L = model.equator_length
     rng = np.random.default_rng(args.seed)

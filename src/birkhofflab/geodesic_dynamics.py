@@ -234,8 +234,8 @@ def integrate_geodesic(model, state, t_end, tol=1e-10):
     ``tol`` is the relative tolerance of the embedded pair; the absolute
     tolerance is tied two decades below it.
     """
-    if t_end <= 0.0:
-        raise PreconditionError("t_end must be positive")
+    if not (0.0 < t_end < math.inf):
+        raise PreconditionError("t_end must be finite and positive")
     if not (1e-12 <= tol <= 1e-6):
         raise PreconditionError("tol must lie in [1e-12, 1e-6]")
     u, v = state_to_ambient(model, state)

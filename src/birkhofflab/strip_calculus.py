@@ -538,8 +538,28 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
                    method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": _W_RESOLUTION,
                             "maxiter": 400})
-    x_star = float(np.mod(res.x[0], L))
-    y_star = float(np.clip(res.x[1], 0.0, _PI))
+    # Nelder-Mead stops where W is flat to its function tolerance, about
+    # 1e-8 from the extremum; Newton steps on the spline's gradient pin the
+    # critical point.  Only Hessian eigenvalues above 1e-8 of the largest
+    # are inverted, so a direction in which W is flat (an x-invariant W)
+    # takes no step.  The 2 x 2 eigenpairs are in closed form, as a first
+    # LAPACK call would add about 1 MB to a strip-map run's peak memory.
+    p = np.array([np.mod(res.x[0], L), res.x[1]])
+
+    def dw(i, j):
+        return float(surf.ev(p[0], p[1], dx=i, dy=j))
+
+    for _ in range(4):
+        a, b, c = dw(2, 0), dw(1, 1), dw(0, 2)
+        grad = np.array([dw(1, 0), dw(0, 1)])
+        t = 0.5 * math.atan2(2.0 * b, a - c)
+        m, r = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        for lam, angle in ((m + r, t), (m - r, t + 0.5 * _PI)):
+            v = np.array([math.cos(angle), math.sin(angle)])
+            if abs(lam) > 1e-8 * (abs(m) + r):
+                p -= v * (v @ grad) / lam
+    x_star = float(np.mod(p[0], L))
+    y_star = float(np.clip(p[1], 0.0, _PI))
     margin = Ys[1] - Ys[0]
     if not (margin * 0.5 < y_star < _PI - margin * 0.5):
         raise InternalConsistencyError(

@@ -9,7 +9,8 @@ from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import strip_calculus as sc
 from birkhofflab.errors import (InternalConsistencyError,
-                               PinchingViolationError, SectionInvalidError)
+                               PinchingViolationError, ReturnFailure,
+                               SectionInvalidError)
 
 TWO_PI = 2 * math.pi
 
@@ -200,6 +201,16 @@ def zoll_equator_grid(zoll_model):
     return bs.compute_return_grid(bs.build_section(zoll_model), nx=32, ny=65)
 
 
+def _every_node_returns(grid):
+    """Every node of the grid integrated: the trivial group, which applies
+    no group law."""
+    shape = (grid.nx, grid.ny)
+    rep = np.arange(grid.nx * grid.ny).reshape(shape)
+    none = np.zeros(shape, dtype=bool)
+    return bs._symmetric_returns(grid.section, grid.xs, grid.ys, rep, none,
+                                 none, 1e-10, 1e-12)
+
+
 class TestEquatorSymmetry:
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("name", ["spheroid_grid", "zoll_equator_grid"])
@@ -220,10 +231,11 @@ class TestEquatorSymmetry:
 
     @pytest.mark.parametrize("name", ["round_grid", "spheroid_grid"])
     def test_matches_every_node_integrated(self, request, name):
-        # the reference integrates every interior node (the path of every
-        # other base), so it also pins the x-invariance of the return map
+        # the reference integrates every interior node (the trivial group of
+        # every other base), so it also pins the x-invariance of the return
+        # map
         grid = request.getfixturevalue(name)
-        ref = bs._column_returns(grid.section, grid.xs, grid.ys, 1e-10, 1e-12)
+        ref = _every_node_returns(grid)
         assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
@@ -290,7 +302,7 @@ class TestMeridianSymmetry:
         # and the reflection laws on every node the group fills
         sec = oblate_meridian_section
         grid = bs.compute_return_grid(sec, nx=nx, ny=ny)
-        ref = bs._column_returns(sec, grid.xs, grid.ys, 1e-10, 1e-12)
+        ref = _every_node_returns(grid)
         assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
@@ -330,13 +342,13 @@ class TestMeridianSymmetry:
         with pytest.raises(InternalConsistencyError):
             bs._symmetric_returns(sec, xs, ys, *group, 1e-10, 1e-12)
 
-    @pytest.mark.parametrize("base, nx", [("zoll", 16), ("spheroid", 15)])
-    def test_full_path(self, monkeypatch, oblate_meridian_section,
-                       zoll_model, base, nx):
-        # b not even in z, or an odd nx: every node is integrated
-        sec = (bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
-               if base == "zoll" else oblate_meridian_section)
-        assert bs._grid_symmetry(sec, nx, 17) is None
+    def test_trivial_group_sweeps_every_node(self, monkeypatch, zoll_model):
+        # b not even in z: the trivial group, so every interior node is
+        # integrated, split evenly into sweeps of at most _SWEEP_ORBITS
+        sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
+        rep, flip, check = bs._grid_symmetry(sec, 16, 17)
+        assert np.array_equal(rep, np.arange(16 * 17).reshape(16, 17))
+        assert not flip.any() and not check.any()
         seen = []
         returns = bs._returns
 
@@ -345,10 +357,38 @@ class TestMeridianSymmetry:
             return returns(section, xs, ys, *args)
 
         monkeypatch.setattr(bs, "_returns", spy)
-        grid = bs.compute_return_grid(sec, nx=nx, ny=17)
-        assert sum(seen) == nx * 15
-        assert max(seen) == nx * bs._ROW_BATCH
+        monkeypatch.setattr(bs, "_SWEEP_ORBITS", 100)
+        grid = bs.compute_return_grid(sec, nx=16, ny=17)
+        assert seen == [80, 80, 80]
         grid.require_clean()
+
+    def test_odd_nx_keeps_the_reflection(self, monkeypatch,
+                                         oblate_meridian_section):
+        # an odd nx has no half turn, but the reflection maps the columns
+        # onto themselves: about half the grid is integrated (113 of the 225
+        # interior nodes, plus 15 interior checks), and it matches every
+        # node integrated
+        sec = oblate_meridian_section
+        rep, flip, check = bs._grid_symmetry(sec, 15, 17)
+        assert flip.any() and check.sum() == 17
+        seen = []
+        returns = bs._returns
+
+        def spy(section, xs, ys, *args):
+            seen.append(len(xs))
+            return returns(section, xs, ys, *args)
+
+        monkeypatch.setattr(bs, "_returns", spy)
+        grid = bs.compute_return_grid(sec, nx=15, ny=17)
+        monkeypatch.setattr(bs, "_returns", returns)
+        assert seen == [128]
+        ref = _every_node_returns(grid)
+        assert np.array_equal(grid.status, ref["status"])
+        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
+                  "jac_du"):
+            got, want = getattr(grid, k), ref[k]
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) < 1e-10, k
 
 
 class TestLiftAndIdentities:
@@ -426,6 +466,28 @@ class TestConsistencyChecks:
                                                          n_nodes=6)
         assert tau_res < 1e-6
         assert map_res < 1e-6
+
+    def test_composition_check_is_two_sweeps(self, spheroid_grid,
+                                             monkeypatch):
+        # one sweep over the sampled nodes, one over their intermediate
+        # vectors; a transition return that is not found still raises
+        sweep = bs._return_sweep
+        calls = []
+
+        def spy(section, xs, ys, *args, **kwargs):
+            calls.append(len(xs))
+            out = sweep(section, xs, ys, *args, **kwargs)
+            if lose_transition and kwargs.get("slopes") == (+1,):
+                out.n_found[-1] = 0
+            return out
+
+        monkeypatch.setattr(bs, "_return_sweep", spy)
+        lose_transition = False
+        bs.composition_identity_check(spheroid_grid, n_nodes=6)
+        assert calls == [6, 6]
+        lose_transition = True
+        with pytest.raises(ReturnFailure, match="transition"):
+            bs.composition_identity_check(spheroid_grid, n_nodes=6)
 
     def test_single_vector_return_matches_grid(self, spheroid_section,
                                                spheroid_grid):

@@ -103,6 +103,20 @@ class TestTrace:
                          "--start", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-1"])
+    def test_t_end_not_finite_and_positive_exits_2(self, capsys,
+                                                   monkeypatch, t_end):
+        # refused before any integration starts (an infinite span would
+        # never end)
+        def integrate(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(cli.gd, "integrate_adaptive", integrate)
+        code, _, err = run(capsys, "trace", "--metric", SPHEROID,
+                           "--t-end", t_end)
+        assert code == 2
+        assert "t_end must be finite and positive" in err
+
 
 class TestStripReport:
     def test_minus_sin2_preset(self, capsys):
@@ -174,6 +188,15 @@ class TestVerdictCommands:
                            "--samples", "3")
         assert code == 1
         assert json.loads(out)["all_closed"] is False
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_zoll_check_without_samples_exits_2(self, capsys, samples):
+        # no sampled orbit is no evidence: no verdict at all
+        code, out, err = run(capsys, "zoll-check", "--metric", SPHEROID,
+                             "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "--samples must be at least 1" in err
 
     def test_polygon_check_round(self, capsys):
         code, out, _ = run(capsys, "polygon-check", "--metric", ROUND,

@@ -258,6 +258,21 @@ class TestFixedPointTheorem:
         assert point[1] == pytest.approx(math.pi / 2, abs=1e-6)
         assert sigma == pytest.approx(-0.03, abs=1e-7)
 
+    def test_fixed_point_does_not_depend_on_the_start(self, monkeypatch):
+        # Nelder-Mead alone stops about 1e-8 from the extremum, wherever W
+        # is flat to its function tolerance; the Newton polish on the
+        # spline's gradient lands on the critical point from any start
+        gen = sc.random_generating_grid(np.random.default_rng(7))
+        grid = sc.build_from_generating(gen)
+        minimize = sc.minimize
+        points = []
+        for shift in ((0.0, 0.0), (1e-3, 0.0), (0.0, -1e-3), (-1e-3, 1e-3)):
+            monkeypatch.setattr(
+                sc, "minimize", lambda f, x0, shift=shift, **kw:
+                minimize(f, x0 + np.array(shift), **kw))
+            points.append(sc.fixed_point_with_signed_action(grid, gen)[0])
+        assert np.ptp(np.array(points), axis=0).max() < 1e-12
+
     def test_identity_rejected(self):
         grid = sc.identity_map()
         gen = sc.generating_from_map(grid)
