@@ -296,7 +296,8 @@ class BirkhoffGrid:
             "tau_max": float(np.max(self.tau)),
         }
         act = sc.action(lift)
-        out["cal"] = sc.calabi(lift, action_grid=act) if abs(out["flux"]) < 1e-6 else None
+        out["cal"] = (sc.calabi(lift, action_grid=act)
+                      if abs(out["flux"]) < sc.FLUX_TOL else None)
         out["residuals"] = {
             "tau_action_max": verify_tau_action_identity(self, lift, act),
             "omega_preservation_max": sc.omega_preservation_residual(lift),
@@ -534,6 +535,9 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     integration tolerance: a one-node :func:`return_data` call differs from
     its grid node by about 1e-12.
     """
+    if nx < 1 or ny < 3:
+        raise PreconditionError(f"a return grid needs nx >= 1 and ny >= 3 "
+                                f"(an interior row); got {nx} x {ny}")
     L = section.length
     xs = np.arange(nx) * (L / nx)
     ys = np.linspace(0.0, math.pi, ny)
@@ -551,7 +555,7 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
 # the zero-flux lift and the bridge identities
 # ---------------------------------------------------------------------------
 
-def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12):
+def zero_flux_lift(grid, arc_check_nodes=12):
     """Strip map carrying the return data, with the canonical zero-flux lift.
 
     The advance-based lift is trusted only if the sampled return arcs are
@@ -566,10 +570,10 @@ def zero_flux_lift(grid, flux_tol=1e-6, arc_check_nodes=12):
                            ys=grid.ys.copy(), X=grid.X.copy(),
                            Y=grid.Y.copy(), provenance="birkhoff")
     F = sc.flux(lift)
-    if abs(F) > flux_tol:
+    if abs(F) > sc.FLUX_TOL:
         raise InternalConsistencyError(
             f"advance-based lift has flux {F:.3g}, expected 0 within "
-            f"{flux_tol:g}")
+            f"{sc.FLUX_TOL:g}")
     return lift
 
 

@@ -151,6 +151,8 @@ def cmd_metric_info(args):
 
 
 def cmd_trace(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     model = _load_metric(args.metric)
     try:
         theta, phi, psi = (float(v) for v in args.start.split(","))
@@ -241,7 +243,7 @@ def cmd_strip_report(args):
         "fixed_points": [],
         "cal": None,
     }
-    if abs(fl) < 1e-6:
+    if abs(fl) < sc.FLUX_TOL:
         doc["cal"] = sc.calabi(lift)
         if lift.sup_distance_to_identity() > sc.IDENTITY_MAP_EPS:
             point, sigma = sc.fixed_point_with_signed_action(lift, gen)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from .errors import (InternalConsistencyError, NonIntegrableFormError,
                      NotGeneratingError, PreconditionError)
@@ -45,6 +45,7 @@ FLUX_TOL = 1e-6
 IDENTITY_MAP_EPS = 1e-9     # sup-norm threshold below which a map counts as id
 FIXED_TOL = 1e-6            # how far the map may move a located fixed point
 _W_RESOLUTION = 1e-14       # W differences the fixed-point refinement ignores
+_IMAGE_ITERATIONS = 60      # Newton cap of the generated map's solve
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def flux_boundary_path(grid):
 # action and Calabi invariant
 # ---------------------------------------------------------------------------
 
-def action(grid, tol=IDENTITY_TOL):
+def action(grid):
     """The action sigma: d sigma = Phi^* lambda - lambda, normalised so that
     sigma on the lower boundary equals the boundary displacement minus flux.
 
@@ -322,20 +323,21 @@ def action(grid, tol=IDENTITY_TOL):
     # closure test against the horizontal component
     P = cosY * d1X - np.cos(ys)[None, :]
     closure = float(np.max(np.abs(ddx_periodic(sigma, L) - P)))
-    if closure > tol:
+    if closure > IDENTITY_TOL:
         raise NonIntegrableFormError(
-            f"one-form closure residual {closure:.3g} exceeds {tol:.3g}; "
+            f"one-form closure residual {closure:.3g} exceeds "
+            f"{IDENTITY_TOL:.3g}; "
             "the map does not preserve the area form")
     return ActionGrid(length=L, xs=xs, ys=ys, sigma=sigma, flux=F,
                       closure_residual=closure)
 
 
-def calabi(grid, action_grid=None, flux_tol=FLUX_TOL):
+def calabi(grid, action_grid=None):
     """Average action (1 / 2L) integral of sigma * omega; requires zero flux."""
     F = flux(grid)
-    if abs(F) > flux_tol:
+    if abs(F) > FLUX_TOL:
         raise PreconditionError(
-            f"Calabi invariant requires |flux| < {flux_tol:g} (got {F:.3g})")
+            f"Calabi invariant requires |flux| < {FLUX_TOL:g} (got {F:.3g})")
     act = action_grid if action_grid is not None else action(grid)
     return 0.5 * strip_integral(act.sigma, grid.xs, grid.ys,
                                 grid.length) / grid.length
@@ -345,16 +347,33 @@ def calabi(grid, action_grid=None, flux_tol=FLUX_TOL):
 # generating functions
 # ---------------------------------------------------------------------------
 
-def build_from_generating(gen, tol=1e-12):
+def _columns_at(spline, Y, nu=0):
+    """Column i of an axis-1 ``CubicSpline`` of (nx, ny) node data, or its
+    first derivative (``nu=1``), at that column's own points ``Y[i]``.
+    The interval search and power sums repeat scipy's ``PPoly`` evaluation
+    term by term, so each column equals a per-column spline bit for bit.
+    """
+    x = spline.x
+    k = np.clip(np.searchsorted(x, Y, side="right") - 1, 0, len(x) - 2)
+    s = Y - x[k]
+    c0, c1, c2, c3 = spline.c[:, k, np.arange(Y.shape[0])[:, None]]
+    if nu == 1:
+        return c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
+    return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def build_from_generating(gen):
     """Construct the monotone strip map generated by W.
 
     For each node (x, y) the colatitude image Y solves
-    cos(Y) - cos(y) = D1 W(x, Y) (vectorised safeguarded Newton with a
-    bisection fallback), then X - x = D2 W(x, Y) / sin(Y), with the boundary
-    rows taking the L'Hopital limit +- D22 W.
+    cos(Y) - cos(y) = D1 W(x, Y) by Newton's method on the whole grid,
+    safeguarded by bisection of a per-node bracket in [0, pi] (D1 W
+    vanishes on the boundary rows, so the residual changes sign there).  A
+    column stops once its largest residual is below 1e-12.  Then
+    X - x = D2 W(x, Y) / sin(Y), with the boundary rows taking the
+    L'Hopital limit +- D22 W.
     """
     xs, Ys, L = gen.xs, gen.Ys, gen.length
-    nx, ny = gen.nx, gen.ny
     d1W = ddx_periodic(gen.w, L)
     # Structural admissibility: constant boundary rows (so D1 W = 0 there)
     # and D2 W -> 0 at the rows.  The derivative estimate carries O(h^3)
@@ -376,53 +395,36 @@ def build_from_generating(gen, tol=1e-12):
     quot[:, 1:-1] = d2W[:, 1:-1] / np.sin(Ys[1:-1])[None, :]
     quot[:, 0] = d22W[:, 0]
     quot[:, -1] = -d22W[:, -1]
-    X = np.empty((nx, ny))
-    Y = np.empty((nx, ny))
-    cos_y = np.cos(Ys)
-    for i in range(nx):
-        d1_spl = CubicSpline(Ys, d1W[i])
-        quot_spl = CubicSpline(Ys, quot[i])
-
-        def eqn(Yv, target):
-            return np.cos(Yv) - d1_spl(Yv) - target
-
-        Yv = Ys.copy()
-        converged = False
-        for _ in range(60):
-            f = eqn(Yv, cos_y)
-            if np.max(np.abs(f)) < tol:
-                converged = True
-                break
-            df = -np.sin(Yv) - d1_spl(Yv, 1)
-            step = np.where(np.abs(df) > 1e-14, f / np.where(df == 0, 1, df),
-                            0.0)
-            Yv = np.clip(Yv - step, 0.0, _PI)
-        if not converged:
-            # per-node bracketed fallback for stragglers
-            for j in range(ny):
-                fj = eqn(Yv[j], cos_y[j])
-                if abs(fj) < tol:
-                    continue
-                try:
-                    Yv[j] = brentq(lambda s: float(eqn(s, cos_y[j])),
-                                   0.0, _PI, xtol=1e-15)
-                except ValueError as exc:
-                    raise NotGeneratingError(
-                        f"no admissible image angle at node ({i}, {j})"
-                    ) from exc
-        if np.any(np.diff(Yv) <= 0.0):
-            raise NotGeneratingError(
-                "generated column is not monotone; W is too large")
-        Y[i] = Yv
-        X[i] = xs[i] + quot_spl(Yv)
+    d1_spl = CubicSpline(Ys, d1W, axis=1)
+    Y = np.tile(Ys, (gen.nx, 1))
+    lo = np.zeros_like(Y)           # the residual is >= 0 at lo, <= 0 at hi
+    hi = np.full_like(Y, _PI)
+    for _ in range(_IMAGE_ITERATIONS):
+        f = np.cos(Y) - _columns_at(d1_spl, Y) - np.cos(Ys)
+        busy = ~(np.max(np.abs(f), axis=1) < 1e-12)    # NaN stays busy
+        if not busy.any():
+            break
+        lo = np.where(f > 0.0, Y, lo)
+        hi = np.where(f > 0.0, hi, Y)
+        df = -np.sin(Y) - _columns_at(d1_spl, Y, 1)
+        newton = Y - f / np.where(df == 0.0, 1.0, df)
+        inside = (np.abs(df) > 1e-14) & (lo <= newton) & (newton <= hi)
+        Y = np.where(busy[:, None],
+                     np.where(inside, newton, 0.5 * (lo + hi)), Y)
+    else:
+        raise NotGeneratingError(
+            f"no admissible image angle in column {int(np.argmax(busy))}")
+    if np.any(np.diff(Y, axis=1) <= 0.0):
+        raise NotGeneratingError(
+            "generated column is not monotone; W is too large")
+    X = xs[:, None] + _columns_at(CubicSpline(Ys, quot, axis=1), Y)
     Y[:, 0] = 0.0
     Y[:, -1] = _PI
-    grid = StripMapGrid(length=L, xs=xs, ys=Ys.copy(), X=X, Y=Y,
+    return StripMapGrid(length=L, xs=xs, ys=Ys.copy(), X=X, Y=Y,
                         provenance="synthetic")
-    return grid
 
 
-def generating_from_map(grid, tol=IDENTITY_TOL):
+def generating_from_map(grid):
     """Recover the normalised generating function of a monotone map.
 
     The one-form (cos Y - cos y) dx + (X - x) sin Y dY is integrated along
@@ -433,51 +435,42 @@ def generating_from_map(grid, tol=IDENTITY_TOL):
         raise PreconditionError(
             "generating function requires a monotone map (D2 Y > 0)")
     xs, ys, L = grid.xs, grid.ys, grid.length
-    nx, ny = grid.nx, grid.ny
     F = flux(grid)
     Yreg = ys
-    w = np.empty((nx, ny))
-    y_of_Y = np.empty((nx, ny))
-    for i in range(nx):
-        inv = CubicSpline(grid.Y[i], ys)          # monotone columns invert
-        yq = np.clip(inv(Yreg), 0.0, _PI)
-        yq[0], yq[-1] = 0.0, _PI
-        y_of_Y[i] = yq
-        Xq = CubicSpline(ys, grid.X[i])(yq)
-        eta_Y = (Xq - xs[i]) * np.sin(Yreg)
-        w[i] = -F + CubicSpline(Yreg, eta_Y).antiderivative()(Yreg)
+    y_of_Y = np.empty((grid.nx, grid.ny))
+    for i in range(grid.nx):                  # monotone columns invert
+        y_of_Y[i] = CubicSpline(grid.Y[i], ys)(Yreg)
+    y_of_Y = np.clip(y_of_Y, 0.0, _PI)
+    y_of_Y[:, 0], y_of_Y[:, -1] = 0.0, _PI
+    Xq = _columns_at(CubicSpline(ys, grid.X, axis=1), y_of_Y)
+    eta_Y = (Xq - xs[:, None]) * np.sin(Yreg)
+    w = -F + CubicSpline(Yreg, eta_Y, axis=1).antiderivative()(Yreg)
     eta_x = np.cos(Yreg)[None, :] - np.cos(y_of_Y)
     closure = float(np.max(np.abs(ddx_periodic(w, L) - eta_x)))
-    if closure > tol:
+    if closure > IDENTITY_TOL:
         raise NonIntegrableFormError(
             f"generating one-form closure residual {closure:.3g} "
-            f"exceeds {tol:.3g}")
+            f"exceeds {IDENTITY_TOL:.3g}")
     return GeneratingGrid(length=L, xs=xs, Ys=Yreg.copy(), w=w)
 
 
 def action_from_generating(gen, grid):
     """Action via the generating function: sigma = W(x, Y) + (X - x) cos(Y),
     the form that stays regular on the boundary rows."""
-    nx = grid.nx
-    sigma = np.empty_like(grid.X)
-    for i in range(nx):
-        w_spl = CubicSpline(gen.Ys, gen.w[i])
-        sigma[i] = w_spl(grid.Y[i]) + (grid.X[i] - grid.xs[i]) * np.cos(grid.Y[i])
+    w_at_Y = _columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
+    sigma = w_at_Y + (grid.X - grid.xs[:, None]) * np.cos(grid.Y)
     return ActionGrid(length=grid.length, xs=grid.xs, ys=grid.ys,
                       sigma=sigma, flux=flux(grid), closure_residual=0.0)
 
 
-def calabi_from_generating(gen, grid, flux_tol=FLUX_TOL):
+def calabi_from_generating(gen, grid):
     """Calabi invariant as (1 / 2L) of the omega-integral of
     W(x, y) + W(x, Y(x, y)); zero-flux maps only."""
     F = flux(grid)
-    if abs(F) > flux_tol:
+    if abs(F) > FLUX_TOL:
         raise PreconditionError(
-            f"Calabi invariant requires |flux| < {flux_tol:g} (got {F:.3g})")
-    WY = np.empty_like(grid.X)
-    for i in range(grid.nx):
-        WY[i] = CubicSpline(gen.Ys, gen.w[i])(grid.Y[i])
-    total = gen.w + WY
+            f"Calabi invariant requires |flux| < {FLUX_TOL:g} (got {F:.3g})")
+    total = gen.w + _columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
     return 0.5 * strip_integral(total, grid.xs, grid.ys,
                                 grid.length) / grid.length
 

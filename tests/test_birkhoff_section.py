@@ -9,8 +9,8 @@ from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import strip_calculus as sc
 from birkhofflab.errors import (InternalConsistencyError,
-                               PinchingViolationError, ReturnFailure,
-                               SectionInvalidError)
+                               PinchingViolationError, PreconditionError,
+                               ReturnFailure, SectionInvalidError)
 
 TWO_PI = 2 * math.pi
 
@@ -292,6 +292,21 @@ class TestEquatorSymmetry:
 def oblate_meridian_section():
     model = mm.make_spheroid(0.97)
     return bs.build_section(model, gd.meridian_orbit(model))
+
+
+@pytest.mark.parametrize("base", ["equator", "meridian"])
+@pytest.mark.parametrize("nx, ny", [(8, 2), (0, 17)])
+def test_grid_without_nodes_to_integrate_refused(oblate_meridian_section,
+                                                 monkeypatch, base, nx, ny):
+    def returns(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(bs, "_returns", returns)
+    model = oblate_meridian_section.model
+    sec = (bs.build_section(model, gd.equator_orbit(model))
+           if base == "equator" else oblate_meridian_section)
+    with pytest.raises(PreconditionError, match=f"got {nx} x {ny}"):
+        bs.compute_return_grid(sec, nx=nx, ny=ny)
 
 
 class TestMeridianSymmetry:

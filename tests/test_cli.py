@@ -117,6 +117,19 @@ class TestTrace:
         assert code == 2
         assert "t_end must be finite and positive" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2(self, capsys, monkeypatch, samples):
+        # an empty trace is refused before anything is integrated
+        def integrate(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(cli.gd, "integrate_adaptive", integrate)
+        code, out, err = run(capsys, "trace", "--metric", SPHEROID,
+                             "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "--samples must be at least 1" in err
+
 
 class TestStripReport:
     def test_minus_sin2_preset(self, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from birkhofflab import strip_calculus as sc
 from birkhofflab.errors import (InternalConsistencyError,
@@ -195,6 +197,78 @@ class TestGeneratingFunctions:
                                   48, axis=0))
         with pytest.raises(PreconditionError):
             sc.generating_from_map(bad)
+
+
+def _clipped_newton_column(gen, i):
+    """Column i of the generated map by a per-column clipped Newton that
+    stops once the column's largest residual is below 1e-12."""
+    Ys = gen.Ys
+    d1_spl = CubicSpline(Ys, sc.ddx_periodic(gen.w, gen.length)[i])
+    d2W = sc.ddy_mesh(gen.w, Ys)
+    d22W = sc.ddy_mesh(d2W, Ys)
+    quot = np.empty(len(Ys))
+    quot[1:-1] = d2W[i, 1:-1] / np.sin(Ys[1:-1])
+    quot[0], quot[-1] = d22W[i, 0], -d22W[i, -1]
+    Y = Ys.copy()
+    for _ in range(60):
+        f = np.cos(Y) - d1_spl(Y) - np.cos(Ys)
+        if np.max(np.abs(f)) < 1e-12:
+            break
+        df = -np.sin(Y) - d1_spl(Y, 1)
+        step = np.where(np.abs(df) > 1e-14, f / np.where(df == 0, 1, df),
+                        0.0)
+        Y = np.clip(Y - step, 0.0, math.pi)
+    else:
+        raise AssertionError(f"column {i} did not converge")
+    X = gen.xs[i] + CubicSpline(Ys, quot)(Y)
+    Y[0], Y[-1] = 0.0, math.pi
+    return X, Y
+
+
+class TestWholeArrays:
+    def test_columns_at_matches_per_column_splines(self):
+        rng = np.random.default_rng(3)
+        nx, ny = 24, 33
+        ys = np.linspace(0.0, math.pi, ny)
+        data = rng.normal(size=(nx, ny))
+        pts = np.concatenate([rng.uniform(0.0, math.pi, (nx, 40)),
+                              np.tile(ys, (nx, 1)),
+                              np.tile([0.0, math.pi], (nx, 1))], axis=1)
+        spline = CubicSpline(ys, data, axis=1)
+        for nu in (0, 1):
+            want = np.array([CubicSpline(ys, data[i])(pts[i], nu)
+                             for i in range(nx)])
+            got = sc._columns_at(spline, pts, nu)
+            if nu == 0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_build_matches_bracketed_roots(self):
+        # at eps = 1 a Newton without the bisection safeguard does not
+        # converge on most columns.  A solved column has residuals below
+        # 1e-12, so a node lies within 1e-12 / |slope| of its root (1.2e-12
+        # at slope 0.36).
+        gen = eps_sine_generating(1.0)
+        grid = sc.build_from_generating(gen)
+        Ys = gen.Ys
+        d1W = sc.ddx_periodic(gen.w, L)
+        for i in range(gen.nx):
+            d1_spl = CubicSpline(Ys, d1W[i])
+            for j in range(1, gen.ny - 1):
+                root = brentq(lambda s: np.cos(s) - d1_spl(s) - np.cos(Ys[j]),
+                              0.0, math.pi, xtol=1e-15)
+                Y = grid.Y[i, j]
+                slope = abs(np.sin(Y) + d1_spl(Y, 1))
+                assert abs(Y - root) * slope < 1e-12, (i, j)
+
+    def test_build_keeps_the_per_column_stopping_rule(self):
+        gen = sc.random_generating_grid(np.random.default_rng(11))
+        grid = sc.build_from_generating(gen)
+        for i in (0, gen.nx // 2):
+            X, Y = _clipped_newton_column(gen, i)
+            assert np.array_equal(grid.X[i], X)
+            assert np.array_equal(grid.Y[i], Y)
 
 
 class TestActionFromGenerating:
