@@ -246,7 +246,10 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
                         expected_slopes=None, rtol=1e-10, atol=1e-12,
                         project=None):
     """Batch-integrate until each orbit records ``n_events`` roots of the
-    linear event functional  e(y) = y . weights - target.
+    linear event functional  e(y) = y . weights - target;  ``weights`` (d,)
+    or (n, d), ``target`` and ``n_events`` broadcast per orbit.  An orbit
+    wanting fewer events than the most fills the last slots, checked against
+    the last ``expected_slopes``; its unused ones (NaN) count in ``n_found``.
 
     Returns an :class:`EventSweepResult`.  Orbits whose event function
     turns within ``GRAZE_TOL`` of zero in a step without crossing it are
@@ -256,7 +259,7 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     every orbit is one quartic in theta = (t - t_old) / h, whose
     coefficients come from one contraction of the stages with ``weights``.
     On a sub-grid of the step, all sign changes of the quartic (each
-    orbit's in time order, as many as its remaining ``n_events``) and, for
+    orbit's in time order, as many as its remaining events) and, for
     orbits that cross nothing, all sign changes of its derivative are
     gathered and refined together by safeguarded Newton with bisection
     fallback, each root stopping on its own test.  So no event straddles a
@@ -265,21 +268,24 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     """
     y0 = np.array(y0, dtype=float, ndmin=2)
     n, d = y0.shape
-    w = np.asarray(weights, dtype=float)
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (n, d))
+    wanted = np.broadcast_to(n_events, (n,))
+    n_events = int(wanted.max())
     res = EventSweepResult(n, n_events, d)
+    res.n_found[:] = n_events - wanted
     active = np.ones(n, dtype=bool)
 
     def hook(t, h, y_old, stages, y_new):
-        z0 = y_old @ w - target
+        z0 = np.einsum("nd,nd->n", y_old, w) - target
         if t == 0.0:
             # Seeds launched from the section itself carry rounding noise in
             # their event value; snap it so the launch side decides the sign.
             z0 = np.where(np.abs(z0) < 1e-9, 0.0, z0)
-        cw = h * ((stages @ w).T @ _P)                   # (n,4) theta-poly
+        cw = h * (np.einsum("snd,nd->sn", stages, w).T @ _P)  # theta-poly
         zs = np.vstack([z0[None, :], z0[None, :] + _THETA_POWS @ cw.T])
         sgn = np.sign(zs)
-        # A zero start counts on the side the orbit is launched towards.
-        launch = np.sign(stages[0] @ w)
+        # A zero start counts on the side its initial slope points to.
+        launch = np.sign(cw[:, 0])
         sgn[0] = np.where(sgn[0] == 0.0, launch, sgn[0])
         changes = sgn[:-1] * sgn[1:] < 0.0                   # (m,n)
         has_change = changes.any(axis=0)
@@ -320,6 +326,7 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     integrate_adaptive(fun, y0, (0.0, t_max), rtol=rtol, atol=atol,
                        project=project, step_hook=hook)
     if expected_slopes is not None:
+        wrong = np.sign(res.slopes) != np.asarray(expected_slopes)[-n_events:]
         res.grazing |= (res.n_found >= n_events) & np.any(
-            np.sign(res.slopes) != expected_slopes, axis=1)
+            wrong & ~np.isnan(res.t_events), axis=1)
     return res

@@ -11,10 +11,11 @@ normal: downward crossings land on the opposite annulus, upward crossings
 return to the original one.
 
 The first-return data (X, Y, tau) is assembled on a periodic-by-closed grid
-over [0, L) x [0, pi].  Interior nodes are integrated in batches; boundary
-rows are not integrated at all: there the return time is the second
-conjugate time along gamma (forward along the lower row, backward along the
-upper one) and the footpoint advance equals that time, which pins the lift
+over [0, L) x [0, pi].  Boundary rows are integrated in the same return
+sweeps as interior nodes, their event being the Jacobi angle reaching 2 pi:
+there the return time is the second conjugate time along gamma (forward
+along the lower row, backward along the upper one) and the footpoint advance
+equals that time, which pins the lift
 
     X = x + rho - L,     rho = rho_plus + rho_minus in [0, 2L),
 
@@ -58,10 +59,10 @@ STATUS_OK = 0
 STATUS_GRAZING = 1
 STATUS_MISSING = 2
 
-# Most interior orbits integrated in one return sweep.  A sweep holds the
-# stages and events of all its orbits at once, so its memory grows with its
-# size; the oblate audit's 2,350-orbit sweep (the 96 x 96 meridian domain and
-# its checks) is the peak already accepted against the `peak_rss_mb` bound.
+# Most orbits integrated in one return sweep.  A sweep holds the stages and
+# events of all its orbits at once, so its memory grows with its size; the
+# oblate audit's 2,400-orbit sweep (the 96 x 96 meridian domain, boundary
+# rows included, and its checks) is the peak accepted against `peak_rss_mb`.
 _SWEEP_ORBITS = 2400
 _CHECK_COLUMNS = 4         # columns checked against column 0 on the equator
 _AXIS_TILT = 1e-12         # largest misalignment of a normal with the axis
@@ -314,93 +315,86 @@ def return_data(section, x, y, rtol=1e-10, atol=1e-12,
                 horizon_factor=_HORIZON_FACTOR):
     """First-return record of the annulus vector at (x, y).
 
-    Interior angles are integrated with event detection; the boundary rows
-    y in {0, pi} are resolved through the second conjugate time along the
-    base geodesic (forward/backward respectively).
+    Interior angles are integrated with event detection; on the boundary
+    rows y in {0, pi} the orbit runs along the base geodesic (forward and
+    backward respectively) to its second conjugate point.
     """
     if not (0.0 <= y <= math.pi):
         raise PreconditionError("y must lie in [0, pi]")
-    xs = np.array([float(x)])
-    if y == 0.0 or y == math.pi:
-        out = _boundary_returns(section, xs, y == math.pi, rtol, atol)
-    else:
-        out = _returns(section, xs, np.array([float(y)]), rtol, atol,
-                       _horizon(section.model, horizon_factor))
-        if out["status"][0] == STATUS_MISSING:
-            raise ReturnFailure(
-                "return events not found within horizon factor "
-                f"{horizon_factor}")
+    out = _returns(section, np.array([float(x)]), np.array([float(y)]), rtol,
+                   atol, horizon_factor)
+    if out["status"][0] == STATUS_MISSING:
+        raise ReturnFailure(
+            "return events not found within horizon factor "
+            f"{horizon_factor}")
     return ReturnSample(x=float(x), y=float(y),
                         **{k: v[0].item() for k, v in out.items()})
 
 
-def _horizon(model, factor):
+def _horizon(model, factor, ys):
+    """Sweep horizon of the orbits launched at angles ``ys``: ``factor``
+    times 2 pi / sqrt(min K) for a return, the conjugate horizon of order 2
+    along the base, the larger one in a mixed batch."""
     kmin, _ = mm.curvature_extremes(model)
-    return factor * _TWO_PI / math.sqrt(kmin)
+    along = np.isin(ys, (0.0, math.pi))
+    return max(0.0 if along.all() else factor * _TWO_PI / math.sqrt(kmin),
+               gd.conjugate_horizon(kmin, 2) if along.any() else 0.0)
 
 
 def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1)):
     """Crossings of the base plane by the orbits of the annulus vectors at
-    matched coordinates (xs, ys), one event per expected slope."""
-    model = section.model
+    matched coordinates (xs, ys), one event per expected slope; an orbit
+    along the base (y = 0 or pi) records its Jacobi angle reaching 2 pi in
+    the last slot instead."""
     u, w = section.section_vector(xs, ys)
-    seeds = np.zeros((len(u), 8))
-    seeds[:, 0:3] = u
-    seeds[:, 3:6] = w
-    wev = np.zeros(8)
-    wev[0:3] = section.normal
-    return sweep_linear_events(gd.geodesic_rhs(model, jacobi=True), seeds,
-                               horizon, wev, target=0.0,
-                               n_events=len(slopes), expected_slopes=slopes,
-                               rtol=rtol, atol=atol,
-                               project=gd.state_projector(model))
+    seeds = np.hstack([u, w, np.zeros((len(u), 2))])
+    along = np.isin(ys, (0.0, math.pi))           # the boundary rows
+    wev = np.where(along[:, None], np.eye(8)[6],
+                   np.pad(section.normal, (0, 5)))
+    return sweep_linear_events(
+        gd.geodesic_rhs(section.model, jacobi=True), seeds, horizon, wev,
+        target=np.where(along, _TWO_PI, 0.0),
+        n_events=np.where(along, 1, len(slopes)), expected_slopes=slopes,
+        rtol=rtol, atol=atol, project=gd.state_projector(section.model))
 
 
-def _returns(section, xs, ys, rtol, atol, horizon):
+def _returns(section, xs, ys, rtol, atol, horizon_factor=_HORIZON_FACTOR):
     """Return-data arrays (the fields of :class:`ReturnSample` other than
-    x, y) for matched arrays of interior coordinates; flagged nodes are
-    NaN."""
+    x, y) for matched arrays of coordinates, from one sweep; flagged
+    interior nodes are NaN.  A boundary node that misses its conjugate
+    point raises :class:`ReturnFailure`, one whose advance escapes (0, 2L)
+    :class:`PinchingViolationError`."""
     L = section.length
+    horizon = _horizon(section.model, horizon_factor, ys)
     sweep = _return_sweep(section, xs, ys, rtol, atol, horizon)
-    y1 = sweep.y_events[:, 0]
-    y2 = sweep.y_events[:, 1]
-    x1 = section.footpoint(y1[:, 0:3])
-    x2 = section.footpoint(y2[:, 0:3])
-    rho_plus = (x1 - xs) % L
-    rho = rho_plus + (x2 - x1) % L
-    out = {"tau_plus": sweep.t_events[:, 0], "tau": sweep.t_events[:, 1],
-           "rho_plus": rho_plus, "rho": rho, "X": xs + rho - L,
-           "Y": section.angles_of(x2, y2[:, 3:6]), "jac_angle": y2[:, 6],
-           "jac_du": np.exp(y2[:, 7]) * np.cos(y2[:, 6])}
+    along = np.isin(ys, (0.0, math.pi))
     status = np.where(sweep.grazing, STATUS_GRAZING,
-                      np.where(sweep.n_found < 2, STATUS_MISSING, STATUS_OK))
-    for v in out.values():
-        v[status != STATUS_OK] = np.nan
-    out["status"] = status
-    return out
-
-
-def _boundary_returns(section, xs, backward, rtol, atol):
-    """Return-data arrays of a boundary row from the second conjugate time
-    along the base."""
-    L = section.length
-    n = len(xs)
-    u, t, _ = section.frames(xs)
-    seeds = np.zeros((n, 8))
-    seeds[:, 0:3] = u
-    seeds[:, 3:6] = -t if backward else t
-    tau, y_end = gd._conjugate_sweep(section.model, seeds, 2, rtol, atol)
-    rho = 2.0 * L - tau if backward else tau
-    escaped = ~((0.0 < rho) & (rho < 2.0 * L))
+                      np.where(sweep.n_found < sweep.t_events.shape[1],
+                               STATUS_MISSING, STATUS_OK))
+    if np.any(along & (status != STATUS_OK)):
+        raise ReturnFailure(
+            f"conjugate point of order 2 not reached before t={horizon}")
+    y1, y2 = sweep.y_events[:, 0], sweep.y_events[:, -1]
+    x1, x2 = section.footpoint(y1[:, 0:3]), section.footpoint(y2[:, 0:3])
+    tau = sweep.t_events[:, -1]
+    rho_plus = np.where(along, np.nan, (x1 - xs) % L)
+    rho = np.where(along, np.where(ys == math.pi, 2.0 * L - tau, tau),
+                   rho_plus + (x2 - x1) % L)
+    escaped = along & ~((0.0 < rho) & (rho < 2.0 * L))
     if np.any(escaped):
         raise PinchingViolationError(
             f"boundary advance {rho[escaped][0]:.6g} escapes (0, 2L); the "
             "lift pinning hypotheses fail for this metric")
-    return {"tau_plus": np.full(n, np.nan), "tau": tau,
-            "rho_plus": np.full(n, np.nan), "rho": rho, "X": xs + rho - L,
-            "Y": np.full(n, math.pi if backward else 0.0),
-            "jac_angle": np.full(n, _TWO_PI), "jac_du": np.exp(y_end[:, 7]),
-            "status": np.full(n, STATUS_OK)}
+    jac_angle = np.where(along, _TWO_PI, y2[:, 6])
+    out = {"tau_plus": np.where(along, np.nan, sweep.t_events[:, 0]),
+           "tau": tau, "rho_plus": rho_plus, "rho": rho, "X": xs + rho - L,
+           "Y": np.where(along, ys, section.angles_of(x2, y2[:, 3:6])),
+           "jac_angle": jac_angle,
+           "jac_du": np.exp(y2[:, 7]) * np.cos(jac_angle)}
+    for v in out.values():
+        v[status != STATUS_OK] = np.nan
+    out["status"] = status
+    return out
 
 
 def _grid_symmetry(section, nx, ny):
@@ -454,9 +448,9 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
     fundamental domain of the grid symmetry group (see
     :func:`_grid_symmetry`).
 
-    The interior nodes of the domain and the check nodes are integrated in
-    row-major order, split evenly into sweeps of at most ``_SWEEP_ORBITS``
-    orbits; boundary nodes come from the conjugate times.  A rotation keeps
+    The nodes of the domain and the check nodes, boundary rows included,
+    are integrated in row-major order, split evenly into sweeps of at most
+    ``_SWEEP_ORBITS`` orbits (see :func:`_returns`).  A rotation keeps
     every field but X - x; a reflection maps X - x to -(X - x), Y to
     pi - Y and rho_plus to L - rho_plus, and keeps the other fields.  Every
     check node must repeat what its domain node predicts: equal status, and
@@ -469,20 +463,13 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
     swept = (rep == np.arange(nx * ny).reshape(nx, ny)) | check
     vals = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
             for k in _GRID_FIELDS}
-
-    def store(ii, jj, out):
-        for k in _GRID_FIELDS:
-            vals[k][ii, jj] = out[k]
-
-    jj, ii = np.nonzero(swept[:, 1:-1].T)
-    horizon = _horizon(section.model, _HORIZON_FACTOR)
+    jj, ii = np.nonzero(swept.T)
     for part in np.array_split(np.arange(len(ii)),
                                -(-len(ii) // _SWEEP_ORBITS)):
-        i, j = ii[part], jj[part] + 1
-        store(i, j, _returns(section, xs[i], ys[j], rtol, atol, horizon))
-    for j, backward in ((0, False), (ny - 1, True)):
-        ii = np.flatnonzero(swept[:, j])
-        store(ii, j, _boundary_returns(section, xs[ii], backward, rtol, atol))
+        i, j = ii[part], jj[part]
+        out = _returns(section, xs[i], ys[j], rtol, atol)
+        for k in _GRID_FIELDS:
+            vals[k][i, j] = out[k]
 
     ri, rj = np.divmod(rep, ny)
     out = {k: v[ri, rj] for k, v in vals.items()}
@@ -702,7 +689,7 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
     rng = np.random.default_rng(1)
     ii = rng.integers(0, grid.nx, size=n_nodes)
     jj = rng.integers(1, grid.ny - 1, size=n_nodes)
-    horizon = _horizon(sec.model, _HORIZON_FACTOR)
+    horizon = _horizon(sec.model, _HORIZON_FACTOR, grid.ys[jj])
     sweep = _return_sweep(sec, grid.xs[ii], grid.ys[jj], rtol, atol, horizon)
     if np.any(sweep.n_found < 2):
         raise ReturnFailure("return not found during composition check")

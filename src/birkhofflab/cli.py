@@ -127,6 +127,8 @@ def _check_config(args):
     if not (args.tol_int < args.tol_id < args.tol_verdict):
         raise ValueError("tolerances must satisfy integration < identity "
                          "< verdict")
+    if not math.isfinite(getattr(args, "eps", 0.0)):
+        raise ValueError("--eps must be finite")
 
 
 # ---------------------------------------------------------------------------

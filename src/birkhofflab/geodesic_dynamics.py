@@ -310,26 +310,29 @@ def conjugate_time(model, base, order, tol=1e-11):
     """Smallest t with lifted Jacobi angle equal to order * pi (order 1 or 2)."""
     if order not in (1, 2):
         raise PreconditionError("order must be 1 or 2")
-    t, _ = _conjugate_sweep(model, _augmented_initial(model, base), order,
-                            rtol=tol, atol=tol * 1e-2)
-    return float(t[0])
+    return float(_conjugate_sweep(model, _augmented_initial(model, base),
+                                  order, rtol=tol, atol=tol * 1e-2)[0])
+
+
+def conjugate_horizon(kmin, order):
+    """Time within which every geodesic of a metric with min K = ``kmin``
+    meets its conjugate point of the given order."""
+    return order * math.pi / min(1.0, kmin) + 1.0
 
 
 def _conjugate_sweep(model, seeds, order, rtol, atol):
     """Conjugate times of the given order for a batch of (n, 8) augmented
-    seeds, with the augmented states there."""
+    seeds."""
     kmin, _ = mm.curvature_extremes(model)
-    horizon = order * math.pi / min(1.0, kmin) + 1.0
-    w = np.zeros(8)
-    w[6] = 1.0
+    horizon = conjugate_horizon(kmin, order)
     res = sweep_linear_events(
-        geodesic_rhs(model, jacobi=True), seeds, horizon, w,
+        geodesic_rhs(model, jacobi=True), seeds, horizon, np.eye(8)[6],
         target=order * math.pi, n_events=1, expected_slopes=(+1,),
         rtol=rtol, atol=atol, project=state_projector(model))
     if np.any(res.n_found < 1) or np.any(res.grazing):
         raise ReturnFailure(
             f"conjugate point of order {order} not reached before t={horizon}")
-    return res.t_events[:, 0], res.y_events[:, 0]
+    return res.t_events[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,37 +384,57 @@ def meridian_seed(model, phi=0.0):
     return state_from_angle(model, math.pi / 2, phi, 0.0)
 
 
-def _flow_to(model, y0, t_end, tol, store=False):
-    """End state of the flow from ``y0`` over [0, t_end] at the shooting
-    tolerances, with the dense output when ``store`` is set."""
+def _flow_to(model, y0, periods, tol, store=False):
+    """End states (and with ``store`` the dense output) of the flows from
+    the rows of ``y0`` (k, 6) at the shooting tolerances, in the normalised
+    time s = t / T on [0, 1], so each row ends exactly at its period T."""
+    rhs, T = geodesic_rhs(model), np.asarray(periods, dtype=float)[:, None]
     _, y, dense = integrate_adaptive(
-        geodesic_rhs(model), y0[None, :], (0.0, t_end), rtol=tol,
+        lambda s, y: T * rhs(s, y), y0, (0.0, 1.0), rtol=tol,
         atol=tol * 1e-3, project=state_projector(model), store=store)
-    return y[0], dense
+    return y, dense
 
 
-def find_closed_geodesic(model, seed, period_guess, tol=1e-12, n_store=1024):
-    """Shooting refinement of (initial state, period) towards a closed orbit.
+def find_closed_geodesic(model, seeds, period_guesses, tol=1e-12,
+                         n_store=1024):
+    """Shooting refinement of (initial state, period) towards closed orbits.
 
-    The azimuth of the starting point is held fixed to quotient out the
-    rotational symmetry; the colatitude, launch angle, and period are the
-    shooting unknowns.  An exact seed (the equator, a meridian) costs one
-    stored flow, which gives both the closure residual and the orbit
-    samples.  Raises :class:`NoConvergenceError` when the closure residual
-    cannot be brought below ``CLOSURE_TARGET``.
+    Takes one seed and period guess (giving one :class:`ClosedOrbit`) or
+    matching sequences (giving a list), flowed in one stored batch (see
+    :func:`_flow_to`), which is all an exact seed (the equator, a meridian)
+    needs; any other is refined alone.  Raises :class:`NoConvergenceError`
+    when a closure residual cannot be brought below ``CLOSURE_TARGET``.
     """
-    theta0 = seed.point.theta
-    phi0 = seed.point.phi
+    single = isinstance(seeds, GeodesicState)
+    if single:
+        seeds, period_guesses = [seeds], [period_guesses]
+    y0 = np.array([np.concatenate(state_to_ambient(model, s)) for s in seeds])
+    yT, dense = _flow_to(model, y0, period_guesses, tol, store=True)
+    s = np.linspace(0.0, 1.0, n_store, endpoint=False)
+    orbits = []
+    for k, (seed, T) in enumerate(zip(seeds, period_guesses)):
+        resid = float(np.max(np.abs(yT[k] - y0[k])))
+        if resid > 0.1 * CLOSURE_TARGET:
+            T, resid, states = _least_squares_shooting(model, seed, T, tol, s)
+        else:
+            states = dense(s, row=k)
+        orbits.append(ClosedOrbit(model, float(T), states, resid))
+    return orbits[0] if single else orbits
+
+
+def _least_squares_shooting(model, seed, period_guess, tol, s):
+    """Levenberg-Marquardt shooting of one orbit with the azimuth of its
+    start held fixed; returns the period, the closure residual and the
+    states at the normalised times ``s``."""
+    theta0, phi0 = seed.point.theta, seed.point.phi
     dth, dph = seed.direction
     z = math.cos(theta0)
-    E = float(model.profile_E(z))
-    G = float(model.profile_G(z))
-    psi0 = math.atan2(math.sqrt(G) * dph, math.sqrt(E) * dth)
+    psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
+                      math.sqrt(float(model.profile_E(z))) * dth)
 
     def launch(p):
-        u, v = state_to_ambient(model, state_from_angle(model, p[0], phi0,
-                                                        p[1]))
-        return np.concatenate([u, v])
+        return np.concatenate(state_to_ambient(
+            model, state_from_angle(model, p[0], phi0, p[1])))
 
     def residual(p):
         th, ps, T = p
@@ -423,25 +446,19 @@ def find_closed_geodesic(model, seed, period_guess, tol=1e-12, n_store=1024):
         if violation > 0.0:
             return np.full(6, 1.0 + violation)
         y0 = launch(p)
-        return _flow_to(model, y0, T, tol)[0] - y0
+        return _flow_to(model, y0[None, :], [T], tol)[0][0] - y0
 
-    p = np.array([theta0, psi0, period_guess])
-    y0 = launch(p)
-    yT, dense = _flow_to(model, y0, p[2], tol, store=True)
-    resid = float(np.max(np.abs(yT - y0)))
-    if resid > 0.1 * CLOSURE_TARGET:
-        sol = least_squares(residual, x0=p, method="lm", xtol=3e-16,
-                            ftol=3e-16, gtol=3e-16, max_nfev=50 * 4)
-        resid = float(np.max(np.abs(sol.fun)))
-        if resid > CLOSURE_TARGET:
-            raise NoConvergenceError(
-                f"closure residual {resid:.3g} exceeds target "
-                f"{CLOSURE_TARGET:.3g} after shooting refinement")
-        p = sol.x
-        _, dense = _flow_to(model, launch(p), p[2], tol, store=True)
-    T = float(p[2])
-    states = dense(np.linspace(0.0, T, n_store, endpoint=False))[:, 0]
-    return ClosedOrbit(model, T, states, resid)
+    sol = least_squares(residual, x0=np.array([theta0, psi0, period_guess]),
+                        method="lm", xtol=3e-16, ftol=3e-16, gtol=3e-16,
+                        max_nfev=50 * 4)
+    resid = float(np.max(np.abs(sol.fun)))
+    if resid > CLOSURE_TARGET:
+        raise NoConvergenceError(
+            f"closure residual {resid:.3g} exceeds target "
+            f"{CLOSURE_TARGET:.3g} after shooting refinement")
+    _, dense = _flow_to(model, launch(sol.x)[None, :], sol.x[2:], tol,
+                        store=True)
+    return sol.x[2], resid, dense(s, row=0)
 
 
 def equator_orbit(model, n_store=1024, tol=1e-12):

@@ -481,14 +481,15 @@ def calabi_from_generating(gen, grid):
 
 def _refinement_start(interior):
     """Node of ``interior`` (x periodic) that starts the refinement of its
-    minimum.
+    minimum, and whether the refinement holds x fixed.
 
     Nodes within the refinement's resolution of the minimum tie, and a grid
     symmetry makes distinct extrema tie up to rounding.  Of the connected
     sets of tied nodes (8-neighbours), the one holding the last tied node in
     row-major order (the largest x, then the largest Y) is refined, from its
-    lowest node; a single extremum, or a plateau along a circle of fixed
-    points, thus starts at the overall minimum.
+    lowest node; a single extremum thus starts at the overall minimum.  A
+    set covering every column, a circle of fixed points, starts at its
+    lowest node of column 0 and only Y is refined, so x is that node's.
     """
     tied = interior <= interior.min() + _W_RESOLUTION
     nx, ny = tied.shape
@@ -501,7 +502,10 @@ def _refinement_start(interior):
             if 0 <= q[1] < ny and q not in part and tied[q]:
                 part.add(q)
                 todo.append(q)
-    return min(sorted(part), key=interior.__getitem__)
+    circle = len({i for i, _ in part}) == nx
+    start = min(sorted(q for q in part if q[0] == 0 or not circle),
+                key=interior.__getitem__)
+    return (*start, circle)
 
 
 def fixed_point_with_signed_action(grid, gen, branch=None):
@@ -522,12 +526,12 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
         branch = "negative" if cal <= 0.0 else "positive"
     sign = 1.0 if branch == "negative" else -1.0
     w = sign * gen.w
-    i0, j0 = _refinement_start(w[:, 1:-1])
+    i0, j0, circle = _refinement_start(w[:, 1:-1])
     j0 += 1
     xs, Ys, L = gen.xs, gen.Ys, gen.length
     surf = _periodic_spline(xs, Ys, L, w)      # for local refinement
-    res = minimize(lambda p: float(surf.ev(p[0], p[1])),
-                   x0=np.array([xs[i0], Ys[j0]]),
+    res = minimize(lambda q: float(surf.ev(xs[i0] if circle else q[0], q[-1])),
+                   x0=np.array([xs[i0], Ys[j0]])[int(circle):],
                    method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": _W_RESOLUTION,
                             "maxiter": 400})
@@ -537,7 +541,7 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
     # are inverted, so a direction in which W is flat (an x-invariant W)
     # takes no step.  The 2 x 2 eigenpairs are in closed form, as a first
     # LAPACK call would add about 1 MB to a strip-map run's peak memory.
-    p = np.array([np.mod(res.x[0], L), res.x[1]])
+    p = np.array([xs[i0] if circle else np.mod(res.x[0], L), res.x[-1]])
 
     def dw(i, j):
         return float(surf.ev(p[0], p[1], dx=i, dy=j))
@@ -551,7 +555,7 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
             v = np.array([math.cos(angle), math.sin(angle)])
             if abs(lam) > 1e-8 * (abs(m) + r):
                 p -= v * (v @ grad) / lam
-    x_star = float(np.mod(p[0], L))
+    x_star = float(xs[i0] if circle else np.mod(p[0], L))
     y_star = float(np.clip(p[1], 0.0, _PI))
     margin = Ys[1] - Ys[0]
     if not (margin * 0.5 < y_star < _PI - margin * 0.5):

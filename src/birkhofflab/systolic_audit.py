@@ -127,11 +127,14 @@ def simplicity_check(orbit, resolution=1e-6):
 
 
 def candidate_closed_geodesics(model):
-    """The symmetry orbits (equator, meridian), shot closed and
-    deduplicated."""
+    """The symmetry orbits (equator, meridian), shot closed in one flow
+    and deduplicated."""
+    orbits = gd.find_closed_geodesic(
+        model, [gd.equator_seed(model), gd.meridian_seed(model)],
+        [model.equator_length, model.meridian_circuit_length()])
     cands = []
-    _push_candidate(cands, "equator", gd.equator_orbit(model))
-    _push_candidate(cands, "meridian", gd.meridian_orbit(model))
+    for label, orbit in zip(("equator", "meridian"), orbits):
+        _push_candidate(cands, label, orbit)
     return cands
 
 

@@ -138,40 +138,55 @@ class TestSpheroidGrid:
     def test_array_assembly_matches_per_node_reference(self,
                                                        spheroid_section,
                                                        spheroid_grid):
-        # re-run the equator grid's one interior sweep (column 0 and the
-        # check columns) and assemble column 0 node by node
+        # re-run the equator grid's one sweep (column 0 and the check
+        # columns, boundary rows included) and assemble column 0 node by
+        # node
         sec, grid = spheroid_section, spheroid_grid
         L = sec.length
         rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
         domain = rep == np.arange(rep.size).reshape(rep.shape)
         cols = grid.xs[(domain | check).any(axis=1)]
-        xx, yy = np.meshgrid(cols, grid.ys[1:-1])
-        sweep = bs._return_sweep(sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
-                                 bs._horizon(sec.model, bs._HORIZON_FACTOR))
+        xx, yy = np.meshgrid(cols, grid.ys)
+        sweep = bs._return_sweep(
+            sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
+            bs._horizon(sec.model, bs._HORIZON_FACTOR, yy.ravel()))
         for n in range(0, xx.size, len(cols)):
-            j = 1 + n // len(cols)
+            j = n // len(cols)
             x = float(cols[0])
             y1, y2 = sweep.y_events[n]
-            x1 = float(sec.footpoint(y1[0:3])[0])
-            x2 = float(sec.footpoint(y2[0:3])[0])
-            rho_plus = (x1 - x) % L
-            rho = rho_plus + (x2 - x1) % L
+            tau = sweep.t_events[n, -1]
             assert grid.status[0, j] == bs.STATUS_OK
-            assert grid.tau_plus[0, j] == sweep.t_events[n, 0]
-            assert grid.tau[0, j] == sweep.t_events[n, 1]
-            assert grid.rho_plus[0, j] == rho_plus
-            assert grid.X[0, j] == x + rho - L
-            assert grid.Y[0, j] == sec.angles_of(np.array([x2]),
-                                                 y2[None, 3:6])[0]
-            assert grid.jac_angle[0, j] == y2[6]
-            assert abs(grid.jac_du[0, j]
-                       - math.exp(y2[7]) * math.cos(y2[6])) <= 1e-15
+            assert grid.tau[0, j] == tau
+            if j in (0, grid.ny - 1):
+                # the second conjugate point along the base, forward on
+                # the lower row and backward on the upper one
+                rho = tau if j == 0 else 2.0 * L - tau
+                assert np.isnan(grid.tau_plus[0, j])
+                assert np.isnan(grid.rho_plus[0, j])
+                assert grid.X[0, j] == x + rho - L
+                assert grid.Y[0, j] == grid.ys[j]
+                assert grid.jac_angle[0, j] == TWO_PI
+                assert grid.jac_du[0, j] == math.exp(y2[7])
+            else:
+                x1 = float(sec.footpoint(y1[0:3])[0])
+                x2 = float(sec.footpoint(y2[0:3])[0])
+                rho_plus = (x1 - x) % L
+                rho = rho_plus + (x2 - x1) % L
+                assert grid.tau_plus[0, j] == sweep.t_events[n, 0]
+                assert grid.rho_plus[0, j] == rho_plus
+                assert grid.X[0, j] == x + rho - L
+                assert grid.Y[0, j] == sec.angles_of(np.array([x2]),
+                                                     y2[None, 3:6])[0]
+                assert grid.jac_angle[0, j] == y2[6]
+                assert abs(grid.jac_du[0, j]
+                           - math.exp(y2[7]) * math.cos(y2[6])) <= 1e-15
             # every other column is column 0 rotated
             assert np.all(grid.X[:, j] == grid.xs + (x + rho - L - x))
             for k in ("Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                       "jac_du", "status"):
-                assert np.all(getattr(grid, k)[:, j]
-                              == getattr(grid, k)[0, j])
+                assert np.array_equal(getattr(grid, k)[:, j],
+                                      np.full(grid.nx, getattr(grid, k)[0, j]),
+                                      equal_nan=True)
 
 
 def _clairaut_oracle(model, y):
@@ -264,11 +279,11 @@ class TestEquatorSymmetry:
     @pytest.mark.parametrize("base, columns", [("equator", 5),
                                                ("meridian", 13)])
     def test_integrated_columns(self, monkeypatch, base, columns):
-        # the equator integrates column 0 and four check columns; the
-        # meridian (oblate spheroid) its fundamental domain, 61 interior
-        # nodes (columns 0 to 4, the first and last up to row 8), and the
-        # 15 interior ones of its 17 seeded check nodes
-        nodes = {"equator": 5 * 15, "meridian": 61 + 15}[base]
+        # the equator integrates column 0 and four check columns, boundary
+        # rows included; the meridian (oblate spheroid) its fundamental
+        # domain, 69 nodes (columns 0 to 4, the first and last up to row 8),
+        # and its 17 seeded check nodes
+        nodes = {"equator": 5 * 17, "meridian": 69 + 17}[base]
         model = mm.make_spheroid(0.97)
         orbit = (gd.equator_orbit(model) if base == "equator"
                  else gd.meridian_orbit(model))
@@ -346,6 +361,27 @@ class TestMeridianSymmetry:
         with pytest.raises(InternalConsistencyError):
             bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
 
+    def test_boundary_rows_match_one_orbit_conjugate_times(
+            self, oblate_meridian_section):
+        # the boundary nodes of a sweep mixed with interior nodes, against
+        # the second conjugate time of one orbit launched along the base,
+        # forward (y = 0) and backward (y = pi)
+        sec = oblate_meridian_section
+        model = sec.model
+        xs = np.arange(32) * (sec.length / 32)
+        ys = np.linspace(0.0, math.pi, 65)
+        i = np.array([0, 5, 13])
+        x = np.concatenate([xs[i], xs[i], xs[i]])
+        y = np.concatenate([np.zeros(3), np.full(3, math.pi), ys[[7, 30, 50]]])
+        out = bs._returns(sec, x, y, 1e-10, 1e-12)
+        assert np.all(out["status"] == bs.STATUS_OK)
+        for k in range(3):
+            u, v, _ = sec.frames(xs[i[k]])
+            base = gd.state_from_ambient(model, u, v)
+            for tau, state in ((out["tau"][k], base),
+                               (out["tau"][3 + k], gd.reversed_state(base))):
+                assert abs(tau - gd.conjugate_time(model, state, 2)) < 1e-9
+
     def test_check_nodes_refuse_a_surface_not_even_in_z(
             self, oblate_meridian_section, zoll_model):
         # the group of the spheroid's grid, forced on the Zoll meridian,
@@ -358,8 +394,8 @@ class TestMeridianSymmetry:
             bs._symmetric_returns(sec, xs, ys, *group, 1e-10, 1e-12)
 
     def test_trivial_group_sweeps_every_node(self, monkeypatch, zoll_model):
-        # b not even in z: the trivial group, so every interior node is
-        # integrated, split evenly into sweeps of at most _SWEEP_ORBITS
+        # b not even in z: the trivial group, so every node is integrated,
+        # split evenly into sweeps of at most _SWEEP_ORBITS
         sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
         rep, flip, check = bs._grid_symmetry(sec, 16, 17)
         assert np.array_equal(rep, np.arange(16 * 17).reshape(16, 17))
@@ -374,15 +410,14 @@ class TestMeridianSymmetry:
         monkeypatch.setattr(bs, "_returns", spy)
         monkeypatch.setattr(bs, "_SWEEP_ORBITS", 100)
         grid = bs.compute_return_grid(sec, nx=16, ny=17)
-        assert seen == [80, 80, 80]
+        assert seen == [91, 91, 90]
         grid.require_clean()
 
     def test_odd_nx_keeps_the_reflection(self, monkeypatch,
                                          oblate_meridian_section):
         # an odd nx has no half turn, but the reflection maps the columns
-        # onto themselves: about half the grid is integrated (113 of the 225
-        # interior nodes, plus 15 interior checks), and it matches every
-        # node integrated
+        # onto themselves: about half the grid is integrated (128 of the 255
+        # nodes, plus 17 checks), and it matches every node integrated
         sec = oblate_meridian_section
         rep, flip, check = bs._grid_symmetry(sec, 15, 17)
         assert flip.any() and check.sum() == 17
@@ -396,7 +431,7 @@ class TestMeridianSymmetry:
         monkeypatch.setattr(bs, "_returns", spy)
         grid = bs.compute_return_grid(sec, nx=15, ny=17)
         monkeypatch.setattr(bs, "_returns", returns)
-        assert seen == [128]
+        assert seen == [145]
         ref = _every_node_returns(grid)
         assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",

@@ -151,6 +151,21 @@ class TestStripReport:
         assert doc["cal"] == 0.0
         assert doc["fixed_points"] == []
 
+    @pytest.mark.parametrize("preset", ["x-sine", "random"])
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_eps_not_finite_exits_2(self, capsys, monkeypatch, preset, eps):
+        # refused before a map is built (x-sine failed inside scipy, and
+        # random ignored eps and wrote a report holding NaN)
+        def build(*args, **kwargs):
+            raise AssertionError("map built")
+
+        monkeypatch.setattr(cli.sc, "build_from_generating", build)
+        code, out, err = run(capsys, "strip-report", "--w-preset", preset,
+                             "--eps", eps, "--nx", "32", "--ny", "32")
+        assert code == 2
+        assert out == ""
+        assert "--eps must be finite" in err
+
     def test_x_sine_preset_zero_calabi(self, capsys):
         code, out, _ = run(capsys, "strip-report", "--w-preset", "x-sine",
                            "--eps", "0.01", "--nx", "48", "--ny", "96")

@@ -304,6 +304,20 @@ class TestClosedGeodesics:
         assert abs(np.linalg.norm(u) - 1.0) < 1e-9
         assert abs(float(spheroid_model.dot(u, v, v)) - 1.0) < 1e-9
 
+    def test_joint_shooting_equals_one_seed_calls(self, spheroid_model):
+        # the equator and the meridian flowed in one batch, each in its own
+        # normalised time, against one flow each
+        m = spheroid_model
+        seeds = [gd.equator_seed(m), gd.meridian_seed(m)]
+        periods = [m.equator_length, m.meridian_circuit_length()]
+        joint = gd.find_closed_geodesic(m, seeds, periods)
+        for orbit, seed, period in zip(joint, seeds, periods):
+            one = gd.find_closed_geodesic(m, seed, period)
+            assert orbit.length == one.length == period
+            assert orbit.closure_residual < 1e-12
+            assert one.closure_residual < 1e-12
+            assert np.max(np.abs(orbit.states - one.states)) < 1e-12
+
     def test_shooting_diverges_cleanly(self, spheroid_model):
         from birkhofflab.errors import NoConvergenceError
         # no closed geodesic of length ~1 exists on this spheroid

@@ -275,6 +275,58 @@ class TestBatchedEventLocation:
                                        rtol=0, atol=1e-8)
 
 
+class TestPerRowEvents:
+    def test_rows_with_their_own_levels_and_counts(self):
+        # x = cos(omega t + phi) crossing two levels (three events each) and
+        # p = cos(omega t + phi + pi/2) crossing a third level once, in one
+        # sweep: weights, target and n_events are per row, and the rows
+        # wanting one event fill the last slot
+        rng = np.random.default_rng(3)
+        omega = rng.uniform(0.7, 2.0, 9)
+        phi = rng.uniform(0.0, 2 * math.pi, 9)
+        level = np.repeat([0.3, -0.6, 0.45], 3)
+        on_p = np.arange(9) >= 6
+        weights = np.where(on_p[:, None], [0.0, 1.0, 0.0, 0.0],
+                           [1.0, 0.0, 0.0, 0.0])
+        res = sweep_linear_events(
+            phase_oscillators, oscillator_rows(omega, phi, 0.0), 30.0,
+            weights, target=level, n_events=np.where(on_p, 1, 3),
+            rtol=1e-13, atol=1e-15)
+        assert np.all(res.n_found == 3)
+        assert not res.grazing.any()
+        for i in range(9):
+            count = 1 if on_p[i] else 3
+            times, slopes = level_crossings(
+                omega[i], phi[i] + (math.pi / 2 if on_p[i] else 0.0),
+                level[i], count)
+            np.testing.assert_allclose(res.t_events[i, 3 - count:], times,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.slopes[i, 3 - count:], slopes,
+                                       rtol=0, atol=1e-10)
+        assert np.all(np.isnan(res.t_events[on_p, :2]))
+
+    def test_slope_check_skips_unused_slots(self):
+        # x = cos t crosses 1/2 downwards at pi/3 and upwards at 5 pi/3;
+        # p = -sin t crosses 1/2 once, upwards, at 7 pi/6: every slope is
+        # the expected one, and the unused slot of the p row is not checked
+        y0 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        res = sweep_linear_events(oscillator, y0, 7.0,
+                                  np.array([[1.0, 0.0], [0.0, 1.0]]),
+                                  target=0.5, n_events=np.array([2, 1]),
+                                  expected_slopes=(-1, +1),
+                                  rtol=1e-12, atol=1e-14)
+        assert np.all(res.n_found == 2)
+        assert not res.grazing.any()
+        np.testing.assert_allclose(res.t_events[0], [math.pi / 3,
+                                                     5 * math.pi / 3],
+                                   rtol=0, atol=1e-10)
+        assert res.t_events[1, 1] == pytest.approx(7 * math.pi / 6,
+                                                   abs=1e-10)
+        s = math.sqrt(3) / 2
+        np.testing.assert_allclose(res.slopes, [[-s, s], [0.0, s]], rtol=0,
+                                   atol=1e-10)
+
+
 def quartic_root_reference(c, lo, hi, flo):
     """Scalar safeguarded Newton/bisection root of the quartic ``c``
     (ascending powers) inside [lo, hi]; the loop the batched root follows

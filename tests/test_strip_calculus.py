@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from birkhofflab import birkhoff_section as bs
 from birkhofflab import strip_calculus as sc
 from birkhofflab.errors import (InternalConsistencyError,
                                 NonIntegrableFormError, NotGeneratingError,
@@ -346,6 +347,25 @@ class TestFixedPointTheorem:
                 minimize(f, x0 + np.array(shift), **kw))
             points.append(sc.fixed_point_with_signed_action(grid, gen)[0])
         assert np.ptp(np.array(points), axis=0).max() < 1e-12
+
+    def test_circle_of_fixed_points_keeps_its_x(self, spheroid_grid):
+        # The prolate lift over the equator is x-invariant, so its positive
+        # branch is a circle of fixed points (the meridians).  A change of
+        # the grid at rounding level (seeded 1e-13 per row, as every change
+        # of an equator grid is x-invariant) reorders the tied nodes; the
+        # refinement starts at column 0 and refines Y alone, so x stays.
+        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        noise = 1e-13 * np.random.default_rng(4).standard_normal(lift.ny)
+        points = []
+        for dX in (0.0, noise[None, :]):
+            grid = sc.StripMapGrid(length=lift.length, xs=lift.xs,
+                                   ys=lift.ys, X=lift.X + dX, Y=lift.Y)
+            gen = sc.generating_from_map(grid)
+            points.append(sc.fixed_point_with_signed_action(
+                grid, gen, branch="positive")[0])
+        assert points[0][0] == points[1][0] == lift.xs[0]
+        assert points[0][1] == pytest.approx(math.pi / 2, abs=1e-9)
+        assert points[1][1] == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_identity_rejected(self):
         grid = sc.identity_map()

@@ -119,7 +119,7 @@ class TestFixedPointCandidates:
         assert b["match"] == ("refused: W takes no negative value inside "
                               f"the strip beyond the noise floor {floor:.3g}")
         assert b["x"] is None and b["sigma"] is None
-        assert flows == 2
+        assert flows == 1
         assert [c.label for c in rep.candidates] == ["equator", "meridian"]
         assert not rep.warnings
 
@@ -187,11 +187,11 @@ class TestFixedPointCandidates:
         assert round_report.to_dict()["fixed_point"] is fp
 
     @pytest.mark.parametrize("audit", ["prolate_65", "oblate_65"])
-    def test_two_shooting_flows_per_audit(self, audit, request):
-        # one stored flow for each exact symmetric orbit, none for the
+    def test_one_shooting_flow_per_audit(self, audit, request):
+        # one stored flow for both exact symmetric orbits, none for the
         # fixed points, which match them
         _, flows = request.getfixturevalue(audit)
-        assert flows == 2
+        assert flows == 1
 
 
 class TestSimplicity:
