@@ -626,14 +626,19 @@ class MonotonicityReport:
                 and self.max_discrepancy < MONOTONE_CROSSCHECK_TOL)
 
 
+def require_monotonicity_rows(ny):
+    """Refuse a grid with too few rows for :func:`monotonicity_check`."""
+    if ny < 64:
+        raise PreconditionError("monotonicity check requires ny >= 64")
+
+
 def monotonicity_check(grid):
     """Vertical derivative of the angle component, two ways.
 
     Finite differences of the grid are compared against the transversal
     Jacobi derivative at the return time, which equals D2 Y identically.
     """
-    if grid.ny < 64:
-        raise PreconditionError("monotonicity check requires ny >= 64")
+    require_monotonicity_rows(grid.ny)
     d2Y = 1.0 + sc.ddy_mesh(grid.Y - grid.ys[None, :], grid.ys)
     disc = np.abs(d2Y - grid.jac_du)
     rep = MonotonicityReport(

@@ -124,6 +124,9 @@ def _common_flags(p):
 def _check_config(args):
     if args.nx < 16 or args.ny < 16:
         raise ValueError("grid sizes must be at least 16")
+    lo, hi = gd.TOL_INT_RANGE
+    if not (lo <= args.tol_int <= hi):
+        raise ValueError(f"--tol-int must lie in [{lo:g}, {hi:g}]")
     if not (args.tol_int < args.tol_id < args.tol_verdict):
         raise ValueError("tolerances must satisfy integration < identity "
                          "< verdict")

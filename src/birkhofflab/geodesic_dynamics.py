@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import metric_models as mm
 from ._integrate import integrate_adaptive, sweep_linear_events
@@ -37,6 +36,11 @@ from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
 _TWO_PI = 2.0 * math.pi
 # Closure residual (sup norm of the state mismatch) a closed orbit must meet.
 CLOSURE_TARGET = 1e-10
+TOL_INT_RANGE = (1e-12, 1e-6)     # relative integration tolerances accepted
+# Gauss-Newton shooting: parameter push of the forward differences, and cap
+# on the iterations (one flow each).
+_SHOOT_STEP = 1e-7
+_SHOOT_ITERATIONS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +240,9 @@ def integrate_geodesic(model, state, t_end, tol=1e-10):
     """
     if not (0.0 < t_end < math.inf):
         raise PreconditionError("t_end must be finite and positive")
-    if not (1e-12 <= tol <= 1e-6):
-        raise PreconditionError("tol must lie in [1e-12, 1e-6]")
+    lo, hi = TOL_INT_RANGE
+    if not (lo <= tol <= hi):
+        raise PreconditionError(f"tol must lie in [{lo:g}, {hi:g}]")
     u, v = state_to_ambient(model, state)
     y0 = np.concatenate([u, v])[None, :]
     project = state_projector(model)
@@ -402,7 +407,8 @@ def find_closed_geodesic(model, seeds, period_guesses, tol=1e-12,
     Takes one seed and period guess (giving one :class:`ClosedOrbit`) or
     matching sequences (giving a list), flowed in one stored batch (see
     :func:`_flow_to`), which is all an exact seed (the equator, a meridian)
-    needs; any other is refined alone.  Raises :class:`NoConvergenceError`
+    needs; any other by Gauss-Newton, one stored 4-row flow per iteration
+    (see :func:`_gauss_newton_shooting`).  Raises :class:`NoConvergenceError`
     when a closure residual cannot be brought below ``CLOSURE_TARGET``.
     """
     single = isinstance(seeds, GeodesicState)
@@ -415,50 +421,43 @@ def find_closed_geodesic(model, seeds, period_guesses, tol=1e-12,
     for k, (seed, T) in enumerate(zip(seeds, period_guesses)):
         resid = float(np.max(np.abs(yT[k] - y0[k])))
         if resid > 0.1 * CLOSURE_TARGET:
-            T, resid, states = _least_squares_shooting(model, seed, T, tol, s)
+            T, resid, states = _gauss_newton_shooting(model, seed, T, tol, s)
         else:
             states = dense(s, row=k)
         orbits.append(ClosedOrbit(model, float(T), states, resid))
     return orbits[0] if single else orbits
 
 
-def _least_squares_shooting(model, seed, period_guess, tol, s):
-    """Levenberg-Marquardt shooting of one orbit with the azimuth of its
-    start held fixed; returns the period, the closure residual and the
-    states at the normalised times ``s``."""
+def _gauss_newton_shooting(model, seed, period_guess, tol, s):
+    """Gauss-Newton shooting of one orbit in (theta0, psi0, T), the start
+    azimuth held fixed; returns the period, the closure residual and the
+    states at the normalised times ``s``.  Each iteration flows the launch
+    and each parameter pushed by ``_SHOOT_STEP`` as rows of one batch, so
+    their forward differences share the step sizes (internal numerical
+    differentiation); ``lstsq`` solves for the step even where the closed
+    orbits form a family (theta0 along a meridian, a Zoll metric)."""
     theta0, phi0 = seed.point.theta, seed.point.phi
-    dth, dph = seed.direction
-    z = math.cos(theta0)
+    (dth, dph), z = seed.direction, math.cos(theta0)
     psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
                       math.sqrt(float(model.profile_E(z))) * dth)
-
-    def launch(p):
-        return np.concatenate(state_to_ambient(
-            model, state_from_angle(model, p[0], phi0, p[1])))
-
-    def residual(p):
-        th, ps, T = p
-        # steer the solver back when it wanders out of the chart or to a
-        # non-positive period
-        margin = 1e-6
-        violation = (max(0.0, margin - T) + max(0.0, margin - th)
-                     + max(0.0, th - (math.pi - margin)))
-        if violation > 0.0:
-            return np.full(6, 1.0 + violation)
-        y0 = launch(p)
-        return _flow_to(model, y0[None, :], [T], tol)[0][0] - y0
-
-    sol = least_squares(residual, x0=np.array([theta0, psi0, period_guess]),
-                        method="lm", xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                        max_nfev=50 * 4)
-    resid = float(np.max(np.abs(sol.fun)))
-    if resid > CLOSURE_TARGET:
-        raise NoConvergenceError(
-            f"closure residual {resid:.3g} exceeds target "
-            f"{CLOSURE_TARGET:.3g} after shooting refinement")
-    _, dense = _flow_to(model, launch(sol.x)[None, :], sol.x[2:], tol,
-                        store=True)
-    return sol.x[2], resid, dense(s, row=0)
+    p = np.array([theta0, psi0, period_guess])
+    for _ in range(_SHOOT_ITERATIONS):
+        rows = p + _SHOOT_STEP * np.eye(4, 3, -1)    # launch, then pushes
+        y0 = np.array([np.concatenate(state_to_ambient(model, state_from_angle(
+            model, th, phi0, ps))) for th, ps, _ in rows])
+        yT, dense = _flow_to(model, y0, rows[:, 2], tol, store=True)
+        closure = yT - y0
+        resid = float(np.max(np.abs(closure[0])))
+        if resid <= 0.1 * CLOSURE_TARGET:
+            return p[2], resid, dense(s, row=0)
+        jac = (closure[1:] - closure[0]).T / _SHOOT_STEP
+        p = p - np.linalg.lstsq(jac, closure[0], rcond=None)[0]
+        # T -> 0 closes every state, a root that is no orbit
+        if not (0.0 < p[0] < math.pi and p[2] > _SHOOT_STEP):
+            break
+    raise NoConvergenceError(
+        f"closure residual {resid:.3g} exceeds target "
+        f"{CLOSURE_TARGET:.3g} after shooting refinement")
 
 
 def equator_orbit(model, n_store=1024, tol=1e-12):

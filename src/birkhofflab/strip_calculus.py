@@ -135,12 +135,15 @@ class StripMapGrid:
 
 @dataclass
 class GeneratingGrid:
-    """Node values of a generating function W on the (x, Y) mesh."""
+    """Node values of a generating function W on the (x, Y) mesh, with the
+    closure residual of the one-form it was integrated from (0 when W is
+    given)."""
 
     length: float
     xs: np.ndarray
     Ys: np.ndarray
     w: np.ndarray              # (nx, ny)
+    closure_residual: float = 0.0
 
     @property
     def nx(self):
@@ -451,7 +454,8 @@ def generating_from_map(grid):
         raise NonIntegrableFormError(
             f"generating one-form closure residual {closure:.3g} "
             f"exceeds {IDENTITY_TOL:.3g}")
-    return GeneratingGrid(length=L, xs=xs, Ys=Yreg.copy(), w=w)
+    return GeneratingGrid(length=L, xs=xs, Ys=Yreg.copy(), w=w,
+                          closure_residual=closure)
 
 
 def action_from_generating(gen, grid):
@@ -479,11 +483,12 @@ def calabi_from_generating(gen, grid):
 # fixed points with signed action
 # ---------------------------------------------------------------------------
 
-def _refinement_start(interior):
+def _refinement_start(interior, tie):
     """Node of ``interior`` (x periodic) that starts the refinement of its
     minimum, and whether the refinement holds x fixed.
 
-    Nodes within the refinement's resolution of the minimum tie, and a grid
+    Nodes within ``tie`` of the minimum tie: the refinement's resolution or
+    the noise of W, its closure residual, whichever is larger.  A grid
     symmetry makes distinct extrema tie up to rounding.  Of the connected
     sets of tied nodes (8-neighbours), the one holding the last tied node in
     row-major order (the largest x, then the largest Y) is refined, from its
@@ -491,7 +496,7 @@ def _refinement_start(interior):
     set covering every column, a circle of fixed points, starts at its
     lowest node of column 0 and only Y is refined, so x is that node's.
     """
-    tied = interior <= interior.min() + _W_RESOLUTION
+    tied = interior <= interior.min() + tie
     nx, ny = tied.shape
     last = np.unravel_index(np.flatnonzero(tied)[-1], tied.shape)
     part, todo = {last}, [last]
@@ -526,7 +531,8 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
         branch = "negative" if cal <= 0.0 else "positive"
     sign = 1.0 if branch == "negative" else -1.0
     w = sign * gen.w
-    i0, j0, circle = _refinement_start(w[:, 1:-1])
+    i0, j0, circle = _refinement_start(
+        w[:, 1:-1], max(_W_RESOLUTION, gen.closure_residual))
     j0 += 1
     xs, Ys, L = gen.xs, gen.Ys, gen.length
     surf = _periodic_spline(xs, Ys, L, w)      # for local refinement

@@ -251,7 +251,9 @@ def two_gon_perimeter_check(model, grid, tol=1e-6):
 def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
           tol_verdict=1e-4):
     """Full systolic verification; raises :class:`AuditRefused` when the
-    pinching hypothesis behind the lift construction fails."""
+    pinching hypothesis behind the lift construction fails, and
+    :class:`PreconditionError` before any integration when ``ny`` is too
+    small for the monotonicity check."""
     warnings = []
     delta = mm.pinching_constant(model)
     if delta <= LIFT_PINCH_THRESHOLD:
@@ -259,6 +261,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
             f"pinching constant {delta:.4f} is not above "
             f"{LIFT_PINCH_THRESHOLD}; the zero-flux lift construction is "
             "not guaranteed")
+    bs.require_monotonicity_rows(ny)
     monotone_guaranteed = delta > MONOTONE_PINCH_THRESHOLD
     if not monotone_guaranteed:
         warnings.append(

@@ -189,6 +189,14 @@ class TestVerdictCommands:
         assert code == 3
         assert "refused" in err
 
+    @pytest.mark.parametrize("ny", ["16", "32", "63"])
+    def test_systolic_verify_coarse_ny_exits_2(self, capsys, ny):
+        code, out, err = run(capsys, "systolic-verify", "--metric", SPHEROID,
+                             "--nx", "16", "--ny", ny)
+        assert code == 2
+        assert out == ""
+        assert err == "error: monotonicity check requires ny >= 64\n"
+
     def test_return_map_refused_below_threshold(self, capsys):
         code, _, _ = run(capsys, "return-map", "--metric", FAT,
                          "--nx", "16", "--ny", "16")
@@ -309,3 +317,16 @@ class TestConfigValidation:
         code, _, _ = run(capsys, "metric-info", "--metric", ROUND,
                          "--tol-int", "1e-3", "--tol-id", "1e-5")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["return-map", "systolic-verify",
+                                         "polygon-check"])
+    @pytest.mark.parametrize("tol_int", ["-1", "1e-14", "2e-6", "nan"])
+    def test_tol_int_outside_its_range_rejected(self, capsys, command,
+                                                tol_int):
+        # below 1e-12 the sweep's own rounding fails the grid symmetry
+        # check, which would blame the return map
+        code, out, err = run(capsys, command, "--metric", SPHEROID,
+                             "--nx", "16", "--ny", "17", "--tol-int", tol_int)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --tol-int must lie in [1e-12, 1e-06]\n"

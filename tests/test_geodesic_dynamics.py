@@ -293,10 +293,15 @@ class TestClosedGeodesics:
         assert orbit.closure_residual < 1e-10
 
     def test_spheroid_meridian_matches_ellipse_perimeter(self, spheroid_model):
-        orbit = gd.meridian_orbit(spheroid_model)
-        m = 1.0 - 1.0 / 1.03 ** 2
-        oracle = 4.0 * 1.03 * ellipe(m)
-        assert orbit.length == pytest.approx(oracle, abs=1e-9)
+        # the exact seed, and a perturbed one that Gauss-Newton shoots
+        m = spheroid_model
+        oracle = 4.0 * 1.03 * ellipe(1.0 - 1.0 / 1.03 ** 2)
+        perturbed = gd.find_closed_geodesic(
+            m, gd.state_from_angle(m, math.pi / 2, 0.0, 1e-3),
+            m.meridian_circuit_length() * (1.0 + 1e-3))
+        for orbit in (gd.meridian_orbit(m), perturbed):
+            assert orbit.length == pytest.approx(oracle, abs=1e-9)
+            assert orbit.closure_residual <= 0.1 * gd.CLOSURE_TARGET
 
     def test_orbit_interpolation_consistency(self, spheroid_model):
         orbit = gd.equator_orbit(spheroid_model)
@@ -318,9 +323,22 @@ class TestClosedGeodesics:
             assert one.closure_residual < 1e-12
             assert np.max(np.abs(orbit.states - one.states)) < 1e-12
 
-    def test_shooting_diverges_cleanly(self, spheroid_model):
+    def test_shooting_diverges_cleanly(self, spheroid_model, monkeypatch):
         from birkhofflab.errors import NoConvergenceError
-        # no closed geodesic of length ~1 exists on this spheroid
-        seed = gd.state_from_angle(spheroid_model, 1.1, 0.0, 0.8)
-        with pytest.raises(NoConvergenceError):
-            gd.find_closed_geodesic(spheroid_model, seed, 1.0, tol=1e-10)
+        flows, integrate = [0], gd.integrate_adaptive
+
+        def counted(*args, **kwargs):
+            flows[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(gd, "integrate_adaptive", counted)
+        # no closed geodesic of length ~1 exists on this spheroid; from the
+        # second seed Gauss-Newton heads for the trivial root T = 0
+        for theta, psi, period in ((1.1, 0.8, 1.0), (1.577, 1.555, 0.73)):
+            seed = gd.state_from_angle(spheroid_model, theta, 0.0, psi)
+            flows[0] = 0
+            with pytest.raises(NoConvergenceError):
+                gd.find_closed_geodesic(spheroid_model, seed, period,
+                                        tol=1e-10)
+            # the seed's own flow, then at most one flow per iteration
+            assert flows[0] <= 1 + gd._SHOOT_ITERATIONS

@@ -367,6 +367,24 @@ class TestFixedPointTheorem:
         assert points[0][1] == pytest.approx(math.pi / 2, abs=1e-9)
         assert points[1][1] == pytest.approx(math.pi / 2, abs=1e-9)
 
+    def test_circle_of_fixed_points_ties_within_closure_residual(
+            self, spheroid_grid):
+        # Noise on every node leaves W varying along its extremal row by
+        # more than the refinement's resolution but less than the closure
+        # residual of the recovered W; nodes tie within that residual, so
+        # the circle is still found and x stays at column 0.
+        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        noise = 1e-13 * np.random.default_rng(0).standard_normal(
+            lift.X.shape)
+        grid = sc.StripMapGrid(length=lift.length, xs=lift.xs, ys=lift.ys,
+                               X=lift.X + noise, Y=lift.Y)
+        gen = sc.generating_from_map(grid)
+        assert gen.closure_residual > sc._W_RESOLUTION
+        (x, y), _ = sc.fixed_point_with_signed_action(grid, gen,
+                                                      branch="positive")
+        assert x == lift.xs[0]
+        assert y == pytest.approx(math.pi / 2, abs=1e-9)
+
     def test_identity_rejected(self):
         grid = sc.identity_map()
         gen = sc.generating_from_map(grid)

@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ellipe
 
+from birkhofflab import _integrate
 from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
@@ -43,9 +45,10 @@ class TestCandidates:
             assert c.length == pytest.approx(TWO_PI, abs=1e-6)
 
 
-def _counted_audit(c):
-    """Audit of spheroid ``c`` at 32x65 with the integrations made inside
-    ``find_closed_geodesic`` counted."""
+@contextlib.contextmanager
+def _shooting_flows():
+    """Counts the integrations made inside ``find_closed_geodesic`` into
+    the one-element list it yields."""
     depth, flows = [0], [0]
     shoot, integrate = gd.find_closed_geodesic, gd.integrate_adaptive
 
@@ -63,6 +66,13 @@ def _counted_audit(c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gd, "find_closed_geodesic", counted_shoot)
         mp.setattr(gd, "integrate_adaptive", counted_integrate)
+        yield flows
+
+
+def _counted_audit(c):
+    """Audit of spheroid ``c`` at 32x65 with the integrations made inside
+    ``find_closed_geodesic`` counted."""
+    with _shooting_flows() as flows:
         rep = sa.audit(mm.make_spheroid(c), nx=32, ny=65)
     return rep, flows[0]
 
@@ -128,9 +138,12 @@ class TestFixedPointCandidates:
         rep, _ = prolate_65
         cands = sa.candidate_closed_geodesics(spheroid_model)[:1]
         warnings = []
-        block = sa._fixed_point_candidates(
-            cands, spheroid_model, rep.grid, rep.lift, rep.cal,
-            rep.residuals["tau_action_max"], warnings)
+        with _shooting_flows() as flows:
+            block = sa._fixed_point_candidates(
+                cands, spheroid_model, rep.grid, rep.lift, rep.cal,
+                rep.residuals["tau_action_max"], warnings)
+        # the seed's own flow, then one 4-row flow per Gauss-Newton step
+        assert flows[0] <= 6
         b = _branch(rep, True)
         assert block["branches"][0]["match"] == cands[1].label \
             == f"fixed-point({b['x']:.3f},{b['y']:.3f})"
@@ -287,6 +300,16 @@ class TestRefusal:
             sa.audit(mm.make_spheroid(1.5), nx=16, ny=16)
         except AuditRefused as exc:
             assert "pinching" in exc.reason
+
+    def test_coarse_ny_refused_before_integrating(self, spheroid_model,
+                                                  monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before the ny refusal")
+
+        for module in (gd, bs, _integrate):
+            monkeypatch.setattr(module, "integrate_adaptive", integrate)
+        with pytest.raises(PreconditionError, match="ny >= 64"):
+            sa.audit(spheroid_model, nx=16, ny=48)
 
 
 class TestEqualityImpliesIdentityMap:
