@@ -206,6 +206,7 @@ class EventSweepResult:
         self.slopes = np.zeros((n, n_events))
         self.n_found = np.zeros(n, dtype=int)
         self.grazing = np.zeros(n, dtype=bool)
+        self.samples = None
 
 
 def _quartic_roots(coeffs, lo, hi, flo):
@@ -244,7 +245,7 @@ def _quartic_roots(coeffs, lo, hi, flo):
 
 def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
                         expected_slopes=None, rtol=1e-10, atol=1e-12,
-                        project=None):
+                        project=None, sample=None):
     """Batch-integrate until each orbit records ``n_events`` roots of the
     linear event functional  e(y) = y . weights - target;  ``weights`` (d,)
     or (n, d), ``target`` and ``n_events`` broadcast per orbit.  An orbit
@@ -254,6 +255,12 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     Returns an :class:`EventSweepResult`.  Orbits whose event function
     turns within ``GRAZE_TOL`` of zero in a step without crossing it are
     flagged as grazing and abandoned (their remaining events stay NaN).
+
+    ``sample = (rows, columns, times)`` also samples the columns (a slice)
+    of the orbits ``rows`` (k,) at the ascending ``times`` (q,) from the
+    dense output of every accepted step: ``samples`` is (p, k, c), the
+    states at the first p times, those the sweep reaches before it stops.
+    Sampling only reads the steps, so the events are the same without it.
 
     Event location is batched over the whole step.  The event function of
     every orbit is one quartic in theta = (t - t_old) / h, whose
@@ -266,7 +273,7 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     step boundary unnoticed, and crossing states come from one batched
     dense-output evaluation.
     """
-    y0 = np.array(y0, dtype=float, ndmin=2)
+    y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     n, d = y0.shape
     w = np.broadcast_to(np.asarray(weights, dtype=float), (n, d))
     wanted = np.broadcast_to(n_events, (n,))
@@ -274,8 +281,18 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     res = EventSweepResult(n, n_events, d)
     res.n_found[:] = n_events - wanted
     active = np.ones(n, dtype=bool)
+    if sample is not None:
+        rows, cols, times = sample
+        blocks = []
 
     def hook(t, h, y_old, stages, y_new):
+        if sample is not None:
+            # the sample times inside this step, [t, t + h)
+            lo, hi = np.searchsorted(times, (t, t + h))
+            if hi > lo:
+                wt = _P @ _theta_powers((times[lo:hi] - t) / h)
+                blocks.append(y_old[rows, cols] + h * np.einsum(
+                    "sq,skc->qkc", wt, stages[:, rows, cols]))
         z0 = np.einsum("nd,nd->n", y_old, w) - target
         if t == 0.0:
             # Seeds launched from the section itself carry rounding noise in
@@ -288,6 +305,7 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
         launch = np.sign(cw[:, 0])
         sgn[0] = np.where(sgn[0] == 0.0, launch, sgn[0])
         changes = sgn[:-1] * sgn[1:] < 0.0                   # (m,n)
+        del sgn      # freed before locating hits, where a sweep's memory peaks
         has_change = changes.any(axis=0)
         hit = active & has_change
         # Extrema of the orbits that cross nothing: slope sign changes.
@@ -325,6 +343,9 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
 
     integrate_adaptive(fun, y0, (0.0, t_max), rtol=rtol, atol=atol,
                        project=project, step_hook=hook)
+    if sample is not None:
+        res.samples = (np.concatenate(blocks) if blocks else
+                       np.empty((0, len(rows)) + y0[0, cols].shape))
     if expected_slopes is not None:
         wrong = np.sign(res.slopes) != np.asarray(expected_slopes)[-n_events:]
         res.grazing |= (res.n_found >= n_events) & np.any(

@@ -23,6 +23,8 @@ whose flux vanishes.  Each leg advance rho_{+,-} is the unique arc-position
 representative in [0, L); this is well defined because each leg of the
 return arc is injective when the curvature is pinched above 1/4, which is
 what the sampled self-intersection test in :func:`zero_flux_lift` checks.
+Its legs come from the return sweep, which samples a few seeded orbits as
+it steps (see :func:`_symmetric_returns`).
 
 Every model is a surface of revolution about e3.  Isometries that map the
 annulus onto itself commute with the return map.  Over the equator these are
@@ -49,7 +51,7 @@ from scipy.spatial import cKDTree
 from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
-from ._integrate import integrate_adaptive, sweep_linear_events
+from ._integrate import sweep_linear_events
 from .errors import (InternalConsistencyError, PinchingViolationError,
                      PreconditionError, ReturnFailure, SectionInvalidError)
 
@@ -72,7 +74,8 @@ _GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
 _HORIZON_FACTOR = 3.0
 _ADJACENT_SEGMENTS = 3   # segments this close in index are neighbours
 _MAX_FOLD = 6            # largest cover order minimal_period_fold tries
-_ARC_SAMPLES = 600       # dense-output samples per leg of a checked arc
+_ARC_NODES = 12          # swept nodes whose return arcs are sampled
+_ARC_SAMPLES = 600       # least dense-output samples per leg of such an arc
 _BOUNDARY_ROWS = 5       # interior rows extrapolated onto a boundary row
 MONOTONE_CROSSCHECK_TOL = 1e-4   # |D2 Y - jac_du| bound of the report
 
@@ -266,6 +269,9 @@ class BirkhoffGrid:
     jac_angle: np.ndarray      # lifted Jacobi angle at the return time
     jac_du: np.ndarray         # transversal Jacobi derivative at the return
     status: np.ndarray
+    # (i, j, leg_plus, leg_minus) of each sampled return arc: the chart
+    # sphere points of its two legs (see :func:`_arc_legs`)
+    arc_legs: list = field(default_factory=list, repr=False)
 
     @property
     def nx(self):
@@ -331,23 +337,25 @@ def return_data(section, x, y, rtol=1e-10, atol=1e-12,
                         **{k: v[0].item() for k, v in out.items()})
 
 
-def _horizon(model, factor, ys):
-    """Sweep horizon of the orbits launched at angles ``ys``: ``factor``
-    times 2 pi / sqrt(min K) for a return, the conjugate horizon of order 2
-    along the base, the larger one in a mixed batch."""
-    kmin, _ = mm.curvature_extremes(model)
+def _horizon(kmin, factor, ys):
+    """Sweep horizon of the orbits launched at angles ``ys`` on a model of
+    least curvature ``kmin``: ``factor`` times 2 pi / sqrt(kmin) for a
+    return, the conjugate horizon of order 2 along the base, the larger one
+    in a mixed batch."""
     along = np.isin(ys, (0.0, math.pi))
     return max(0.0 if along.all() else factor * _TWO_PI / math.sqrt(kmin),
                gd.conjugate_horizon(kmin, 2) if along.any() else 0.0)
 
 
-def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1)):
+def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1),
+                  sample=None):
     """Crossings of the base plane by the orbits of the annulus vectors at
     matched coordinates (xs, ys), one event per expected slope; an orbit
     along the base (y = 0 or pi) records its Jacobi angle reaching 2 pi in
-    the last slot instead."""
-    u, w = section.section_vector(xs, ys)
-    seeds = np.hstack([u, w, np.zeros((len(u), 2))])
+    the last slot instead.  ``sample`` is passed to
+    :func:`~._integrate.sweep_linear_events`."""
+    seeds = np.hstack([*section.section_vector(xs, ys),
+                       np.zeros((len(xs), 2))])
     along = np.isin(ys, (0.0, math.pi))           # the boundary rows
     wev = np.where(along[:, None], np.eye(8)[6],
                    np.pad(section.normal, (0, 5)))
@@ -355,18 +363,50 @@ def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1)):
         gd.geodesic_rhs(section.model, jacobi=True), seeds, horizon, wev,
         target=np.where(along, _TWO_PI, 0.0),
         n_events=np.where(along, 1, len(slopes)), expected_slopes=slopes,
-        rtol=rtol, atol=atol, project=gd.state_projector(section.model))
+        rtol=rtol, atol=atol, project=gd.state_projector(section.model),
+        sample=sample)
 
 
-def _returns(section, xs, ys, rtol, atol, horizon_factor=_HORIZON_FACTOR):
+def _arc_legs(sweep, rows, times):
+    """(row, leg_plus, leg_minus) of the return arc of each sweep row in
+    ``rows``, from the positions it sampled at ``times``: the samples before
+    the crossing, then the crossing; the crossing, the samples between it
+    and the return, then the return."""
+    ts = times[:len(sweep.samples)]
+    legs = []
+    for k, r in enumerate(rows):
+        t1, t2 = sweep.t_events[r, 0], sweep.t_events[r, -1]
+        p1, p2 = sweep.y_events[r, 0, 0:3], sweep.y_events[r, -1, 0:3]
+        pts = sweep.samples[:, k]
+        legs.append((r, np.vstack([pts[ts < t1], p1]),
+                     np.vstack([p1, pts[(t1 < ts) & (ts < t2)], p2])))
+    return legs
+
+
+def _returns(section, xs, ys, rtol, atol, horizon_factor=_HORIZON_FACTOR,
+             arc=()):
     """Return-data arrays (the fields of :class:`ReturnSample` other than
     x, y) for matched arrays of coordinates, from one sweep; flagged
     interior nodes are NaN.  A boundary node that misses its conjugate
     point raises :class:`ReturnFailure`, one whose advance escapes (0, 2L)
-    :class:`PinchingViolationError`."""
+    :class:`PinchingViolationError`.
+
+    The interior rows ``arc`` sample their positions as the sweep steps,
+    every pi / (sqrt(max K) ``_ARC_SAMPLES``) from 0, so a leg of their
+    return arcs lasting pi / sqrt(max K) or more keeps at least
+    ``_ARC_SAMPLES`` points (the shortest legs of the spheroid grids last
+    3.09 to 3.19 against 3.05, and the round sphere's pi).  ``legs`` then
+    lists the :func:`_arc_legs` of those rows whose status is clean."""
     L = section.length
-    horizon = _horizon(section.model, horizon_factor, ys)
-    sweep = _return_sweep(section, xs, ys, rtol, atol, horizon)
+    kmin, kmax = mm.curvature_extremes(section.model)
+    horizon = _horizon(kmin, horizon_factor, ys)
+    sample = None
+    if len(arc):
+        times = np.arange(0.0, horizon,
+                          math.pi / (math.sqrt(kmax) * _ARC_SAMPLES))
+        sample = (arc, slice(0, 3), times)
+    sweep = _return_sweep(section, xs, ys, rtol, atol, horizon,
+                          sample=sample)
     along = np.isin(ys, (0.0, math.pi))
     status = np.where(sweep.grazing, STATUS_GRAZING,
                       np.where(sweep.n_found < sweep.t_events.shape[1],
@@ -394,6 +434,9 @@ def _returns(section, xs, ys, rtol, atol, horizon_factor=_HORIZON_FACTOR):
     for v in out.values():
         v[status != STATUS_OK] = np.nan
     out["status"] = status
+    if len(arc):
+        out["legs"] = [leg for leg in _arc_legs(sweep, arc, times)
+                       if status[leg[0]] == STATUS_OK]
     return out
 
 
@@ -458,18 +501,31 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
     otherwise :class:`InternalConsistencyError`.
     Symmetric orbits of one sweep differ only by rounding (1e-14 to 1e-12
     relative), as a sweep steps all its orbits alike; orbits of different
-    sweeps differ within the integration tolerance."""
+    sweeps differ within the integration tolerance.
+
+    ``_ARC_NODES`` interior nodes among those integrated, drawn by a seeded
+    generator without replacement, sample their return arcs in their sweeps
+    (see :func:`_returns`); ``arc_legs`` lists them.  Every grid node is the
+    image of an integrated one under an isometry of the annulus, which maps
+    return arcs to return arcs, so their injectivity stands for the whole
+    grid's."""
     nx, ny = len(xs), len(ys)
     swept = (rep == np.arange(nx * ny).reshape(nx, ny)) | check
     vals = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
             for k in _GRID_FIELDS}
     jj, ii = np.nonzero(swept.T)
+    interior = np.flatnonzero((0 < jj) & (jj < ny - 1))
+    arc = np.random.default_rng(0).choice(
+        interior, size=min(_ARC_NODES, len(interior)), replace=False)
+    legs = []
     for part in np.array_split(np.arange(len(ii)),
                                -(-len(ii) // _SWEEP_ORBITS)):
         i, j = ii[part], jj[part]
-        out = _returns(section, xs[i], ys[j], rtol, atol)
+        out = _returns(section, xs[i], ys[j], rtol, atol,
+                       arc=np.flatnonzero(np.isin(part, arc)))
         for k in _GRID_FIELDS:
             vals[k][i, j] = out[k]
+        legs += [(i[r], j[r], *pair) for r, *pair in out.pop("legs", ())]
 
     ri, rj = np.divmod(rep, ny)
     out = {k: v[ri, rj] for k, v in vals.items()}
@@ -491,6 +547,7 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
                 f"grid symmetry check nodes disagree in {k} by "
                 f"{np.nanmax(err):.3g}; the return map does not commute with "
                 "the symmetry group of the annulus")
+    out["arc_legs"] = legs
     return out
 
 
@@ -542,11 +599,12 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
 # the zero-flux lift and the bridge identities
 # ---------------------------------------------------------------------------
 
-def zero_flux_lift(grid, arc_check_nodes=12):
+def zero_flux_lift(grid, arc_check_nodes=_ARC_NODES):
     """Strip map carrying the return data, with the canonical zero-flux lift.
 
-    The advance-based lift is trusted only if the sampled return arcs are
-    injective (each leg separately); a detected self-intersection raises
+    The advance-based lift is trusted only if the return arcs the grid's
+    sweep sampled (the first ``arc_check_nodes`` of them; 0 skips the check)
+    are injective, each leg separately; a detected self-intersection raises
     :class:`PinchingViolationError`.  The vanishing of the flux is verified,
     not assumed.
     """
@@ -564,25 +622,11 @@ def zero_flux_lift(grid, arc_check_nodes=12):
     return lift
 
 
-def check_return_arc_injectivity(grid, n_nodes=12, resolution=1e-6,
-                                 rtol=1e-10, atol=1e-12):
-    """Sampled verification that each return-arc leg is an injective curve.
-
-    The sampled orbits are integrated as one batch up to the longest return
-    time; each leg is sampled from its own orbit's dense output."""
-    model = grid.section.model
-    rng = np.random.default_rng(0)
-    ii = rng.integers(0, grid.nx, size=n_nodes)
-    jj = rng.integers(1, grid.ny - 1, size=n_nodes)
-    u, w = grid.section.section_vector(grid.xs[ii], grid.ys[jj])
-    t_mid, t_end = grid.tau_plus[ii, jj], grid.tau[ii, jj]
-    _, _, dense = integrate_adaptive(
-        gd.geodesic_rhs(model), np.hstack([u, w]), (0.0, np.max(t_end)),
-        rtol=rtol, atol=atol, project=gd.state_projector(model), store=True)
-    for n, (i, j) in enumerate(zip(ii, jj)):
-        ts = np.linspace([0.0, t_mid[n]], [t_mid[n], t_end[n]], _ARC_SAMPLES,
-                         axis=1)
-        legs = dense(ts.ravel(), row=n)[:, 0:3].reshape(2, _ARC_SAMPLES, 3)
+def check_return_arc_injectivity(grid, n_nodes=_ARC_NODES, resolution=1e-6):
+    """Sampled verification that each return-arc leg is an injective curve,
+    on the first ``n_nodes`` arcs of ``grid.arc_legs`` (the legs the return
+    sweep sampled; see :func:`_symmetric_returns`)."""
+    for i, j, *legs in grid.arc_legs[:n_nodes]:
         for pts in legs:
             if curve_self_intersects(pts, closed=False,
                                      resolution=resolution):
@@ -694,7 +738,8 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
     rng = np.random.default_rng(1)
     ii = rng.integers(0, grid.nx, size=n_nodes)
     jj = rng.integers(1, grid.ny - 1, size=n_nodes)
-    horizon = _horizon(sec.model, _HORIZON_FACTOR, grid.ys[jj])
+    horizon = _horizon(mm.curvature_extremes(sec.model)[0], _HORIZON_FACTOR,
+                       grid.ys[jj])
     sweep = _return_sweep(sec, grid.xs[ii], grid.ys[jj], rtol, atol, horizon)
     if np.any(sweep.n_found < 2):
         raise ReturnFailure("return not found during composition check")
@@ -714,10 +759,3 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
                          np.abs(sec.angles_of(x2, y2[:, 3:6]) - grid.Y[ii, jj]))
     return (float(np.max(tau_res, initial=0.0)),
             float(np.max(map_res, initial=0.0)))
-
-
-def action_boundary_identity(grid, lift, action_grid=None):
-    """max |sigma(x, 0) - (tau(x, 0) - L)|: the lower-row action of the
-    zero-flux lift equals the boundary return time minus the base length."""
-    act = action_grid if action_grid is not None else sc.action(lift)
-    return float(np.max(np.abs(act.sigma[:, 0] - (grid.tau[:, 0] - grid.L))))

@@ -183,10 +183,6 @@ def state_from_angle(model, theta, phi, psi, arclength=0.0):
                          arclength=arclength)
 
 
-def unit_speed_defect(model, u, v):
-    return abs(float(model.dot(u, v, v)) - 1.0)
-
-
 class Trajectory:
     """Dense-output geodesic trajectory of one orbit (ambient representation
     inside), from the :class:`~._integrate.DenseOutput` of its
@@ -250,12 +246,6 @@ def integrate_geodesic(model, state, t_end, tol=1e-10):
         geodesic_rhs(model), y0, (0.0, t_end), rtol=tol, atol=tol * 1e-2,
         project=project, store=True)
     return Trajectory(model, dense, t, y[0])
-
-
-def reversed_state(state):
-    return GeodesicState(point=state.point,
-                         direction=(-state.direction[0], -state.direction[1]),
-                         arclength=state.arclength)
 
 
 def clairaut_invariant(model, state):

@@ -601,15 +601,6 @@ def shear_map(f, length=2 * _PI, nx=96, ny=96):
                         X=g.X + shift[None, :], Y=g.Y)
 
 
-def compose_maps(outer, inner):
-    """Grid of outer o inner, interpolating the outer displacement field."""
-    if abs(outer.length - inner.length) > 1e-12:
-        raise PreconditionError("maps must share the same period")
-    Xq, Yq = outer.evaluate(inner.X, inner.Y)
-    return StripMapGrid(length=inner.length, xs=inner.xs, ys=inner.ys,
-                        X=Xq, Y=Yq, provenance="synthetic")
-
-
 def random_generating_grid(rng, length=2 * _PI, nx=96, ny=96,
                            amplitude=0.004, net_flux=0.0, modes_x=2,
                            modes_y=2):

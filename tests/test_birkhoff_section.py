@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import strip_calculus as sc
+from birkhofflab._integrate import integrate_adaptive
 from birkhofflab.errors import (InternalConsistencyError,
                                PinchingViolationError, PreconditionError,
                                ReturnFailure, SectionInvalidError)
+
+import independent_checks as ic
 
 TWO_PI = 2 * math.pi
 
@@ -149,7 +153,8 @@ class TestSpheroidGrid:
         xx, yy = np.meshgrid(cols, grid.ys)
         sweep = bs._return_sweep(
             sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
-            bs._horizon(sec.model, bs._HORIZON_FACTOR, yy.ravel()))
+            bs._horizon(mm.curvature_extremes(sec.model)[0],
+                        bs._HORIZON_FACTOR, yy.ravel()))
         for n in range(0, xx.size, len(cols)):
             j = n // len(cols)
             x = float(cols[0])
@@ -263,8 +268,8 @@ class TestEquatorSymmetry:
                                              monkeypatch, field):
         returns = bs._returns
 
-        def perturbed(section, xs, ys, *args):
-            out = returns(section, xs, ys, *args)
+        def perturbed(section, xs, ys, *args, **kwargs):
+            out = returns(section, xs, ys, *args, **kwargs)
             last = xs == xs.max()
             if field == "status":
                 out["status"][np.nonzero(last)[0][0]] = bs.STATUS_GRAZING
@@ -291,9 +296,9 @@ class TestEquatorSymmetry:
         seen = []
         returns = bs._returns
 
-        def spy(section, xs, ys, *args):
+        def spy(section, xs, ys, *args, **kwargs):
             seen.append(xs)
-            return returns(section, xs, ys, *args)
+            return returns(section, xs, ys, *args, **kwargs)
 
         monkeypatch.setattr(bs, "_returns", spy)
         grid = bs.compute_return_grid(sec, nx=16, ny=17)
@@ -347,8 +352,8 @@ class TestMeridianSymmetry:
         returns = bs._returns
         L = oblate_meridian_section.length
 
-        def perturbed(section, xs, ys, *args):
-            out = returns(section, xs, ys, *args)
+        def perturbed(section, xs, ys, *args, **kwargs):
+            out = returns(section, xs, ys, *args, **kwargs)
             far = xs > 0.3 * L
             assert far.any()
             if field == "status":
@@ -379,7 +384,7 @@ class TestMeridianSymmetry:
             u, v, _ = sec.frames(xs[i[k]])
             base = gd.state_from_ambient(model, u, v)
             for tau, state in ((out["tau"][k], base),
-                               (out["tau"][3 + k], gd.reversed_state(base))):
+                               (out["tau"][3 + k], ic.reversed_state(base))):
                 assert abs(tau - gd.conjugate_time(model, state, 2)) < 1e-9
 
     def test_check_nodes_refuse_a_surface_not_even_in_z(
@@ -403,9 +408,9 @@ class TestMeridianSymmetry:
         seen = []
         returns = bs._returns
 
-        def spy(section, xs, ys, *args):
+        def spy(section, xs, ys, *args, **kwargs):
             seen.append(len(xs))
-            return returns(section, xs, ys, *args)
+            return returns(section, xs, ys, *args, **kwargs)
 
         monkeypatch.setattr(bs, "_returns", spy)
         monkeypatch.setattr(bs, "_SWEEP_ORBITS", 100)
@@ -424,9 +429,9 @@ class TestMeridianSymmetry:
         seen = []
         returns = bs._returns
 
-        def spy(section, xs, ys, *args):
+        def spy(section, xs, ys, *args, **kwargs):
             seen.append(len(xs))
-            return returns(section, xs, ys, *args)
+            return returns(section, xs, ys, *args, **kwargs)
 
         monkeypatch.setattr(bs, "_returns", spy)
         grid = bs.compute_return_grid(sec, nx=15, ny=17)
@@ -470,7 +475,7 @@ class TestLiftAndIdentities:
     def test_action_boundary_identity(self, spheroid_grid):
         lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
         act = sc.action(lift)
-        assert bs.action_boundary_identity(spheroid_grid, lift, act) < 1e-6
+        assert ic.action_boundary_identity(spheroid_grid, lift, act) < 1e-6
 
     def test_strongly_oblong_spheroid_breaks_lift_pinning(self):
         # tau at the boundary rows is 2 pi c > 2L for c = 2.5: the advance
@@ -481,17 +486,69 @@ class TestLiftAndIdentities:
             bs.compute_return_grid(sec, nx=16, ny=17)
 
     def test_self_intersection_detector_on_spiral_arc(self):
-        # open spiral climbing a cylinder-like surface crosses its mirror
-        t = np.linspace(0, 4 * math.pi, 800)
-        height = 0.3 * np.sin(t / 2)
-        r = np.sqrt(1 - height ** 2)
-        pts = np.stack([r * np.cos(t), r * np.sin(t), height], axis=1)
+        pts = spiral_arc()
         assert bs.curve_self_intersects(pts, closed=False)
         arc = pts[:150]          # short piece is injective
         assert not bs.curve_self_intersects(arc, closed=False)
 
     def test_return_arcs_injective_when_pinched(self, spheroid_grid):
         bs.check_return_arc_injectivity(spheroid_grid, n_nodes=6)
+
+    def test_self_intersecting_arc_refuses_the_lift(self, spheroid_grid):
+        # the spiral as the second leg of the grid's last sampled arc: the
+        # lift names that arc's node, and arc_check_nodes=0 skips the check
+        legs = list(spheroid_grid.arc_legs)
+        i, j, leg_plus, _ = legs[-1]
+        legs[-1] = (i, j, leg_plus, spiral_arc())
+        grid = dataclasses.replace(spheroid_grid, arc_legs=legs)
+        with pytest.raises(PinchingViolationError,
+                           match=rf"return arc through node \({i}, {j}\) "
+                                 "self-intersects"):
+            bs.zero_flux_lift(grid)
+        bs.zero_flux_lift(grid, arc_check_nodes=0)
+        bs.zero_flux_lift(grid, arc_check_nodes=len(legs) - 1)
+
+
+def spiral_arc():
+    """Open spiral climbing a cylinder-like surface, crossing its mirror."""
+    t = np.linspace(0, 4 * math.pi, 800)
+    height = 0.3 * np.sin(t / 2)
+    r = np.sqrt(1 - height ** 2)
+    return np.stack([r * np.cos(t), r * np.sin(t), height], axis=1)
+
+
+@pytest.fixture(scope="module")
+def oblate_meridian_grid(oblate_meridian_section):
+    return bs.compute_return_grid(oblate_meridian_section, nx=32, ny=65)
+
+
+@pytest.mark.parametrize("name", ["spheroid_grid", "oblate_meridian_grid"])
+def test_arc_legs_match_one_orbit_integrations(request, name):
+    # the legs sampled by the return sweep, against one stored integration
+    # of each arc's annulus vector, read at the sweep's sample times (every
+    # pi / (sqrt(max K) _ARC_SAMPLES) from 0), its crossing and its return
+    grid = request.getfixturevalue(name)
+    sec = grid.section
+    rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
+    swept = (rep == np.arange(rep.size).reshape(rep.shape)) | check
+    dt = math.pi / (math.sqrt(mm.curvature_extremes(sec.model)[1])
+                    * bs._ARC_SAMPLES)
+    nodes = {(i, j) for i, j, *_ in grid.arc_legs}
+    assert len(nodes) == len(grid.arc_legs) == bs._ARC_NODES
+    for i, j, leg_plus, leg_minus in grid.arc_legs:
+        assert swept[i, j] and 0 < j < grid.ny - 1
+        assert min(len(leg_plus), len(leg_minus)) >= bs._ARC_SAMPLES
+        u, w = sec.section_vector(grid.xs[i], grid.ys[j])
+        _, _, dense = integrate_adaptive(
+            gd.geodesic_rhs(sec.model), np.concatenate([u, w]),
+            (0.0, grid.tau[i, j]), project=gd.state_projector(sec.model),
+            store=True)
+        n = len(leg_plus) - 1
+        ts = np.concatenate([np.arange(n) * dt, [grid.tau_plus[i, j]],
+                             np.arange(n, n + len(leg_minus) - 2) * dt,
+                             [grid.tau[i, j]]])
+        pts = np.vstack([leg_plus, leg_minus[1:]])
+        assert np.max(np.abs(dense(ts, row=0)[:, 0:3] - pts)) < 1e-9
 
 
 class TestMonotonicity:

@@ -275,6 +275,42 @@ class TestBatchedEventLocation:
                                        rtol=0, atol=1e-8)
 
 
+class TestSampling:
+    def test_samples_read_the_steps_and_stop_with_the_sweep(self, step_log):
+        # positions and momenta of five rows of a mixed batch, every 0.01
+        # from 0: the closed form wherever the sweep reached, nothing past
+        # its last step, and the same steps and events as without sampling
+        y0, omega, phi, c = mixed_batch(np.random.default_rng(5), 12, 12, 6,
+                                        peak_level=0.002)
+        rows = np.array([0, 5, 13, 20, 27])
+        times = np.arange(0.0, 30.0, 0.01)
+
+        def sweep(sample=None):
+            return sweep_linear_events(phase_oscillators, y0, 30.0,
+                                       LEVEL_EVENT, n_events=3, rtol=1e-12,
+                                       atol=1e-14, sample=sample)
+
+        plain = sweep()
+        steps = list(step_log)
+        step_log.clear()
+        res = sweep((rows, slice(0, 2), times))
+        assert step_log == steps
+        assert plain.samples is None
+        for k in ("t_events", "y_events", "slopes"):
+            assert np.array_equal(getattr(res, k), getattr(plain, k),
+                                  equal_nan=True)
+        assert np.array_equal(res.n_found, plain.n_found)
+        assert np.array_equal(res.grazing, plain.grazing)
+        t_stop = steps[-1][0] + steps[-1][1]
+        assert t_stop < 20.0
+        assert res.samples.shape == (np.searchsorted(times, t_stop),
+                                     len(rows), 2)
+        phase = omega[rows] * times[:len(res.samples), None] + phi[rows]
+        np.testing.assert_allclose(
+            res.samples, np.stack([np.cos(phase), -np.sin(phase)], axis=-1),
+            rtol=0, atol=1e-9)
+
+
 class TestPerRowEvents:
     def test_rows_with_their_own_levels_and_counts(self):
         # x = cos(omega t + phi) crossing two levels (three events each) and
