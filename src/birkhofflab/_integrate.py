@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationFailure
+from .errors import IntegrationFailure, PreconditionError
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -145,7 +145,7 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     y = np.array(y0, dtype=float, ndmin=2)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (-math.inf < t0 < t1 < math.inf):
-        raise ValueError("t_span must be finite and increasing")
+        raise PreconditionError("t_span must be finite and increasing")
     t = t0
     f = fun(t, y)
     h = min(_initial_step(fun, t, y, f, rtol, atol), t1 - t0)

@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: metric-info, trace, return-map, strip-report, systolic-verify,
-zoll-check, polygon-check.  Exit codes: 0 verdict pass, 1 verdict fail,
-2 usage or parse error, 3 hypothesis refusal (an audit refused up front, a
-lift-pinching hypothesis found to fail during the computation, a base curve
-that carries no annulus, or a map that preserves no area form or has no
-generating function), 4
-computation failure (a shooting that does not converge, a return event not
-found, a step-size underflow or a failed internal consistency check).
+zoll-check, polygon-check.  Each takes only the options it reads, named in
+its ``_command`` line; ``_check_config`` checks the ones given.
+
+Exit codes: 0 verdict pass, 1 verdict fail; an error exits with the code of
+its category in :mod:`birkhofflab.errors` and one stderr line: 2 usage
+(``error:``), 3 hypothesis refusal (``refused:``), 4 computation failure
+(``error:``).  Failures from outside the package (malformed JSON, an
+unreadable file, a ``ValueError`` of numpy or scipy) exit 2.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical runs produce byte-identical files.
@@ -16,6 +17,7 @@ digits, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -28,75 +30,119 @@ from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
 from . import systolic_audit as sa
-from .errors import (AuditRefused, IntegrationFailure, InternalConsistencyError,
-                     NoConvergenceError, NonIntegrableFormError,
-                     NotGeneratingError, PinchingViolationError,
-                     PreconditionError, ReturnFailure, SectionInvalidError)
+from .errors import (BirkhofflabError, ComputationError, RefusedError,
+                     UsageError)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
-EXIT_REFUSED = 3
-EXIT_COMPUTE = 4
+EXIT_USAGE = UsageError.exit_code
+EXIT_REFUSED = RefusedError.exit_code
+EXIT_COMPUTE = ComputationError.exit_code
 
 
 # ---------------------------------------------------------------------------
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x):
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
 def dumps(obj, indent=0):
     """JSON text with sorted keys and 17-significant-digit floats."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dumps(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
-        keys = sorted(obj.keys())
-        if not keys:
-            return "{}"
-        parts = [pad_in + json.dumps(str(k)) + ": " + dumps(obj[k], indent + 1)
-                 for k in keys]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialise {type(obj)!r}")
+        items = [json.dumps(str(k)) + ": " + dumps(obj[k], indent + 1)
+                 for k in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [dumps(v, indent + 1) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
+    else:
+        return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (indent + 1)
+    return (brackets[0] + pad + ("," + pad).join(items) + "\n"
+            + "  " * indent + brackets[1])
+
+
+def _open_out(out):
+    """The file ``out`` opened for writing, or stdout when it is empty."""
+    return (open(out, "w", newline="") if out
+            else contextlib.nullcontext(sys.stdout))
 
 
 def _emit(doc, out):
-    text = dumps(doc) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(out) as fh:
+        fh.write(dumps(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
+# Every option a subcommand may take; each subcommand names its own.
+_OPTIONS = {
+    "--metric": dict(help="metric JSON file or inline JSON object"),
+    "--nx": dict(type=int, default=96),
+    "--ny": dict(type=int, default=96),
+    "--tol-int": dict(type=float, default=1e-10,
+                      help="integration relative tolerance"),
+    "--tol-id": dict(type=float, default=1e-5,
+                     help="identity-residual tolerance"),
+    "--tol-verdict": dict(type=float, default=1e-4,
+                          help="verdict tolerance (relative, scaled by area)"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--seed": dict(type=int, default=0),
+    "--strict": dict(action="store_true",
+                     help="treat warnings as failures"),
+    "--start": dict(default="1.047197551196598,0.0,0.7",
+                    help="initial 'theta,phi,psi'"),
+    "--t-end": dict(type=float, default=2 * math.pi),
+    "--samples": dict(type=int),
+    "--w-preset": dict(default="random",
+                       choices=("zero", "minus-sin2", "x-sine", "random")),
+    "--eps": dict(type=float, default=0.01),
+}
+
+_COMMANDS = {}
+
+
+def _command(name, *options, **defaults):
+    """Register the decorated function as subcommand ``name``, taking
+    ``options`` (keys of ``_OPTIONS``) with ``defaults`` overriding
+    theirs."""
+    def register(fn):
+        _COMMANDS[name] = (fn, options, defaults)
+        return fn
+    return register
+
+
+def _check_config(args):
+    """Refuse the values of the given options that no subcommand can use."""
+    opts = vars(args)
+    if any(opts.get(k, 16) < 16 for k in ("nx", "ny")):
+        raise UsageError("grid sizes must be at least 16")
+    lo, hi = gd.TOL_INT_RANGE
+    if "tol_int" in opts and not (lo <= opts["tol_int"] <= hi):
+        raise UsageError(f"--tol-int must lie in [{lo:g}, {hi:g}]")
+    ladder = [opts[k] for k in ("tol_int", "tol_id", "tol_verdict")
+              if k in opts]
+    if not (all(a < b for a, b in zip(ladder, ladder[1:]))
+            and all(map(math.isfinite, ladder))):
+        raise UsageError("tolerances must be finite and satisfy "
+                         "integration < identity < verdict")
+    if opts.get("format") == "csv" and not opts["out"]:
+        raise UsageError("--out is required with --format csv")
+    if opts.get("samples", 1) < 1:
+        raise UsageError("--samples must be at least 1")
+    if not math.isfinite(opts.get("eps", 0.0)):
+        raise UsageError("--eps must be finite")
+
+
 def _load_metric(spec):
     if spec is None:
-        raise ValueError("--metric is required for this command")
+        raise UsageError("--metric is required for this command")
     spec = spec.strip()
     if spec.startswith("{"):
         return mm.from_json(spec)
@@ -104,40 +150,23 @@ def _load_metric(spec):
         return mm.from_json(fh.read())
 
 
-def _common_flags(p):
-    p.add_argument("--metric", help="metric JSON file or inline JSON object")
-    p.add_argument("--nx", type=int, default=96)
-    p.add_argument("--ny", type=int, default=96)
-    p.add_argument("--tol-int", type=float, default=1e-10,
-                   help="integration relative tolerance")
-    p.add_argument("--tol-id", type=float, default=1e-5,
-                   help="identity-residual tolerance")
-    p.add_argument("--tol-verdict", type=float, default=1e-4,
-                   help="verdict tolerance (relative, scaled by area)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict", action="store_true",
-                   help="treat warnings as failures")
-
-
-def _check_config(args):
-    if args.nx < 16 or args.ny < 16:
-        raise ValueError("grid sizes must be at least 16")
-    lo, hi = gd.TOL_INT_RANGE
-    if not (lo <= args.tol_int <= hi):
-        raise ValueError(f"--tol-int must lie in [{lo:g}, {hi:g}]")
-    if not (args.tol_int < args.tol_id < args.tol_verdict):
-        raise ValueError("tolerances must satisfy integration < identity "
-                         "< verdict")
-    if not math.isfinite(getattr(args, "eps", 0.0)):
-        raise ValueError("--eps must be finite")
+def _return_grid(args):
+    """The metric of ``args``, its pinching constant and its return grid
+    over the equator; a metric the zero-flux lift does not cover is refused
+    before anything is integrated."""
+    model = _load_metric(args.metric)
+    delta = sa.require_lift_pinching(model)
+    grid = bs.compute_return_grid(bs.build_section(model), nx=args.nx,
+                                  ny=args.ny, rtol=args.tol_int,
+                                  atol=args.tol_int * 1e-2)
+    return model, delta, grid
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+@_command("metric-info", "--metric", "--out")
 def cmd_metric_info(args):
     model = _load_metric(args.metric)
     kmin, kmax = mm.curvature_extremes(model)
@@ -155,48 +184,33 @@ def cmd_metric_info(args):
     return EXIT_PASS
 
 
+@_command("trace", "--metric", "--start", "--t-end", "--samples",
+          "--tol-int", "--out", samples=200)
 def cmd_trace(args):
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     model = _load_metric(args.metric)
     try:
         theta, phi, psi = (float(v) for v in args.start.split(","))
-    except Exception as exc:
-        raise ValueError("--start must be 'theta,phi,psi'") from exc
+    except ValueError as exc:
+        raise UsageError("--start must be 'theta,phi,psi'") from exc
     state = gd.state_from_angle(model, theta, phi, psi)
     traj = gd.integrate_geodesic(model, state, args.t_end,
                                  tol=args.tol_int)
     rows = traj.to_csv_rows(args.samples)
-    out = args.out
-    writer = open(out, "w", newline="") if out else sys.stdout
-    try:
-        wr = csv.writer(writer)
+    with _open_out(args.out) as fh:
+        wr = csv.writer(fh)
         wr.writerow(["t", "theta", "phi", "dir1", "dir2"])
-        for row in rows:
-            wr.writerow([repr(float(v)) for v in row])
-    finally:
-        if out:
-            writer.close()
+        wr.writerows([repr(float(v)) for v in row] for row in rows)
     return EXIT_PASS
 
 
+@_command("return-map", "--metric", "--nx", "--ny", "--tol-int", "--tol-id",
+          "--format", "--out")
 def cmd_return_map(args):
-    model = _load_metric(args.metric)
-    delta = mm.pinching_constant(model)
-    if delta <= sa.LIFT_PINCH_THRESHOLD:
-        raise AuditRefused(
-            f"pinching constant {delta:.4f} below the lift threshold "
-            f"{sa.LIFT_PINCH_THRESHOLD}")
-    section = bs.build_section(model)
-    grid = bs.compute_return_grid(section, nx=args.nx, ny=args.ny,
-                                  rtol=args.tol_int, atol=args.tol_int * 1e-2)
+    model, delta, grid = _return_grid(args)
+    summary_path = args.out
     if args.format == "csv":
-        if not args.out:
-            raise ValueError("--out is required with --format csv")
         grid.to_csv(args.out)
-        summary_path = args.out + ".json"
-    else:
-        summary_path = args.out
+        summary_path += ".json"
     doc = grid.summary(model)
     doc["delta"] = delta
     _emit(doc, summary_path)
@@ -205,29 +219,25 @@ def cmd_return_map(args):
 
 
 def _preset_generating(preset, eps, length, nx, ny, seed):
+    if preset == "random":
+        rng = np.random.default_rng(seed)
+        return sc.random_generating_grid(rng, length=length, nx=nx, ny=ny)
     xs, Ys = sc.strip_mesh(length, nx, ny)
     if preset == "zero":
         w = np.zeros((nx, ny))
     elif preset == "minus-sin2":
         w = np.repeat(-eps * np.sin(Ys)[None, :] ** 2, nx, axis=0)
-    elif preset == "x-sine":
+    else:   # "x-sine", the last of the parser's choices
         w = eps * np.sin(2 * math.pi * xs / length)[:, None] \
             * np.sin(Ys)[None, :] ** 2
-    elif preset == "random":
-        rng = np.random.default_rng(seed)
-        return sc.random_generating_grid(rng, length=length, nx=nx, ny=ny)
-    else:
-        raise ValueError(f"unknown generating preset {preset!r}")
     return sc.GeneratingGrid(length=length, xs=xs, Ys=Ys, w=w)
 
 
+@_command("strip-report", "--metric", "--nx", "--ny", "--tol-int",
+          "--w-preset", "--eps", "--seed", "--out")
 def cmd_strip_report(args):
     if args.metric:
-        model = _load_metric(args.metric)
-        section = bs.build_section(model)
-        grid = bs.compute_return_grid(section, nx=args.nx, ny=args.ny,
-                                      rtol=args.tol_int,
-                                      atol=args.tol_int * 1e-2)
+        model, _, grid = _return_grid(args)
         lift = bs.zero_flux_lift(grid)
         gen = sc.generating_from_map(lift)
         source = {"kind": "birkhoff-lift", "metric": mm.to_json(model)}
@@ -258,22 +268,21 @@ def cmd_strip_report(args):
     return EXIT_PASS
 
 
+@_command("systolic-verify", "--metric", "--nx", "--ny", "--tol-int",
+          "--tol-id", "--tol-verdict", "--strict", "--out")
 def cmd_systolic_verify(args):
     model = _load_metric(args.metric)
     report = sa.audit(model, nx=args.nx, ny=args.ny, rtol=args.tol_int,
                       atol=args.tol_int * 1e-2, tol_identity=args.tol_id,
                       tol_verdict=args.tol_verdict)
     _emit(report.to_dict(), args.out)
-    if not report.passed:
-        return EXIT_FAIL
-    if args.strict and report.warnings:
-        return EXIT_FAIL
-    return EXIT_PASS
+    failed = not report.passed or (args.strict and report.warnings)
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
+@_command("zoll-check", "--metric", "--samples", "--seed", "--tol-int",
+          "--tol-id", "--out", samples=8)
 def cmd_zoll_check(args):
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     model = _load_metric(args.metric)
     L = model.equator_length
     rng = np.random.default_rng(args.seed)
@@ -300,12 +309,9 @@ def cmd_zoll_check(args):
     return EXIT_PASS if closed else EXIT_FAIL
 
 
+@_command("polygon-check", "--metric", "--nx", "--ny", "--tol-int", "--out")
 def cmd_polygon_check(args):
-    model = _load_metric(args.metric)
-    section = bs.build_section(model)
-    grid = bs.compute_return_grid(section, nx=args.nx, ny=args.ny,
-                                  rtol=args.tol_int,
-                                  atol=args.tol_int * 1e-2)
+    model, _, grid = _return_grid(args)
     doc = sa.two_gon_perimeter_check(model, grid)
     kmin, _ = mm.curvature_extremes(model)
     doc["perimeter_bound"] = 2 * math.pi / math.sqrt(kmin)
@@ -324,39 +330,11 @@ def build_parser():
         description="Geodesic return maps, strip calculus, and systolic "
                     "audits on two-spheres of revolution.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, extra=None):
+    for name, (fn, options, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
-        _common_flags(p)
-        if extra:
-            extra(p)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("metric-info", cmd_metric_info)
-
-    def trace_flags(p):
-        p.add_argument("--start", default="1.047197551196598,0.0,0.7",
-                       help="initial 'theta,phi,psi'")
-        p.add_argument("--t-end", type=float, default=2 * math.pi)
-        p.add_argument("--samples", type=int, default=200)
-    add("trace", cmd_trace, trace_flags)
-
-    add("return-map", cmd_return_map)
-
-    def strip_flags(p):
-        p.add_argument("--w-preset", default="random",
-                       choices=("zero", "minus-sin2", "x-sine", "random"))
-        p.add_argument("--eps", type=float, default=0.01)
-    add("strip-report", cmd_strip_report, strip_flags)
-
-    add("systolic-verify", cmd_systolic_verify)
-
-    def zoll_flags(p):
-        p.add_argument("--samples", type=int, default=8)
-    add("zoll-check", cmd_zoll_check, zoll_flags)
-
-    add("polygon-check", cmd_polygon_check)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(fn=fn, **defaults)
     return ap
 
 
@@ -365,22 +343,18 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        return EXIT_USAGE if exc.code else EXIT_PASS
     try:
         _check_config(args)
         return args.fn(args)
-    except (AuditRefused, PinchingViolationError, SectionInvalidError,
-            NonIntegrableFormError, NotGeneratingError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            PreconditionError) as exc:
+    except BirkhofflabError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
+        # from outside the package: malformed JSON, an unreadable or
+        # unwritable file, or numpy or scipy refusing a value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoConvergenceError, ReturnFailure, IntegrationFailure,
-            InternalConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -201,7 +201,8 @@ class Trajectory:
         tq = t.reshape(-1)
         inside = (self._dense.t[0] - 1e-12 <= tq) & (tq <= self.t_end + 1e-12)
         if not inside.all():
-            raise ValueError(f"t={tq[~inside][0]} outside trajectory range")
+            raise PreconditionError(
+                f"t={tq[~inside][0]} outside trajectory range")
         y = np.where((tq >= self.t_end)[:, None], self._y_end,
                      self._dense(tq)[:, 0])
         y = y.reshape(t.shape + self._y_end.shape)

@@ -50,6 +50,7 @@ _VALIDATION_SAMPLES = 1024
 # Kind prefix of a model scaled by MetricModel.rescale.
 _RESCALED = "rescaled-"
 _PARAM_LIMIT = 1e150    # larger parameters are refused (squares overflow)
+_MERIDIAN_NODES = 256   # trapezoid nodes of the meridian length
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,13 @@ class MetricModel:
         """Length of the equatorial circle z = 0 (always a closed geodesic)."""
         return _TWO_PI * math.sqrt(self.a)
 
-    def meridian_circuit_length(self, order=256):
-        """Length of the closed meridian geodesic (full theta circuit)."""
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        theta = 0.5 * math.pi * (nodes + 1.0)
-        w = 0.5 * math.pi * weights
-        return 2.0 * float(np.sum(w * np.sqrt(self.profile_E(np.cos(theta)))))
+    def meridian_circuit_length(self):
+        """Length of the closed meridian geodesic (full theta circuit), by
+        the trapezoid rule over theta in [0, 2 pi): the integrand
+        sqrt(E(cos theta)) is smooth and 2 pi-periodic, so the rule
+        converges geometrically."""
+        theta = np.linspace(0.0, _TWO_PI, _MERIDIAN_NODES, endpoint=False)
+        return _TWO_PI * float(np.mean(np.sqrt(self.profile_E(np.cos(theta)))))
 
     def embedded_position(self, u):
         """Representative position in R^3 for a chart point.
@@ -274,17 +276,18 @@ def from_json(doc):
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("metric description must be an object with a 'kind' key")
+        raise ModelInvalidError("metric description must be an object with "
+                                "a 'kind' key")
     kind = doc["kind"]
     base = kind.removeprefix(_RESCALED) if isinstance(kind, str) else None
     if base not in _BUILDERS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    model = _BUILDERS[base](doc)
-    if base != kind:
-        if "scale" not in doc:
-            raise ValueError(f"metric kind {kind!r} needs a 'scale'")
-        model = model.rescale(doc["scale"])
-    return model
+        raise ModelInvalidError(f"unknown metric kind {kind!r}")
+    try:
+        model = _BUILDERS[base](doc)
+        return model if base == kind else model.rescale(doc["scale"])
+    except KeyError as exc:
+        raise ModelInvalidError(
+            f"metric kind {kind!r} needs a {exc}") from None
 
 
 def to_json(model):
@@ -337,11 +340,9 @@ def pinching_constant(model, n_samples=512):
     return kmin / kmax
 
 
-def area(model, quadrature_order=96):
+def area(model):
     """Total surface area by Gauss-Legendre quadrature of the area element."""
-    if quadrature_order < 16:
-        raise ValueError("quadrature_order must be at least 16")
-    nodes, weights = np.polynomial.legendre.leggauss(int(quadrature_order))
+    nodes, weights = np.polynomial.legendre.leggauss(96)
     vals = np.sqrt(model.profile_E(nodes))
     return float(_TWO_PI * math.sqrt(model.a) * np.sum(weights * vals))
 

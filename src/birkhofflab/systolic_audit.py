@@ -25,7 +25,7 @@ extremisers are in the set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,28 +88,12 @@ class SystolicReport:
                          or self.verdicts["zoll_equalities"]))
 
     def to_dict(self):
-        return {
-            "metric": self.metric,
-            "delta": self.delta,
-            "area": self.area,
-            "section_length": self.section_length,
-            "l_min": self.l_min,
-            "l_max_simple": self.l_max_simple,
-            "rho_sys": self.rho_sys,
-            "flux": self.flux,
-            "cal": self.cal,
-            "residuals": self.residuals,
-            "verdicts": self.verdicts,
-            "candidates": [{
-                "label": c.label, "length": c.length,
-                "clairaut": c.clairaut, "simple": c.simple,
-                "primitive": c.primitive,
-                "closure_residual": c.closure_residual,
-            } for c in self.candidates],
-            "fixed_point": self.fixed_point,
-            "warnings": self.warnings,
-            "passed": self.passed,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("grid", "lift")}
+        doc["candidates"] = [{f.name: getattr(c, f.name) for f in fields(c)
+                              if f.name != "orbit"} for c in self.candidates]
+        doc["passed"] = self.passed
+        return doc
 
 
 def simplicity_check(orbit, resolution=1e-6):
@@ -119,7 +103,8 @@ def simplicity_check(orbit, resolution=1e-6):
     reported as not simple so that length extrema ignore them.
     """
     if orbit.closure_residual > gd.CLOSURE_TARGET * 10:
-        raise ValueError("orbit is not closed to the required residual")
+        raise PreconditionError("orbit is not closed to the required "
+                                "residual")
     if bs.minimal_period_fold(orbit) > 1:
         return False
     return not bs.curve_self_intersects(orbit.states[:, 0:3], closed=True,
@@ -248,6 +233,19 @@ def two_gon_perimeter_check(model, grid, tol=1e-6):
             "passed": bool(worst <= 1.0 + tol)}
 
 
+def require_lift_pinching(model):
+    """The pinching constant delta = min K / max K of ``model``; raises
+    :class:`AuditRefused` unless it is above ``LIFT_PINCH_THRESHOLD``, the
+    hypothesis of the zero-flux lift construction."""
+    delta = mm.pinching_constant(model)
+    if delta <= LIFT_PINCH_THRESHOLD:
+        raise AuditRefused(
+            f"pinching constant {delta:.4f} is not above "
+            f"{LIFT_PINCH_THRESHOLD}; the zero-flux lift construction is "
+            "not guaranteed")
+    return delta
+
+
 def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
           tol_verdict=1e-4):
     """Full systolic verification; raises :class:`AuditRefused` when the
@@ -255,12 +253,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, atol=1e-12, tol_identity=1e-5,
     :class:`PreconditionError` before any integration when ``ny`` is too
     small for the monotonicity check."""
     warnings = []
-    delta = mm.pinching_constant(model)
-    if delta <= LIFT_PINCH_THRESHOLD:
-        raise AuditRefused(
-            f"pinching constant {delta:.4f} is not above "
-            f"{LIFT_PINCH_THRESHOLD}; the zero-flux lift construction is "
-            "not guaranteed")
+    delta = require_lift_pinching(model)
     bs.require_monotonicity_rows(ny)
     monotone_guaranteed = delta > MONOTONE_PINCH_THRESHOLD
     if not monotone_guaranteed:

@@ -1,15 +1,19 @@
+import argparse
 import json
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from birkhofflab import cli
 from birkhofflab import systolic_audit as sa
-from birkhofflab.errors import (IntegrationFailure, InternalConsistencyError,
+from birkhofflab.errors import (BirkhofflabError, ComputationError,
+                                IntegrationFailure, InternalConsistencyError,
                                 NoConvergenceError, NonIntegrableFormError,
-                                NotGeneratingError, ReturnFailure,
-                                SectionInvalidError)
+                                NotGeneratingError, RefusedError,
+                                ReturnFailure, SectionInvalidError,
+                                UsageError)
 
 ROUND = '{"kind": "round", "radius": 1.0}'
 SPHEROID = '{"kind": "spheroid", "c": 1.03}'
@@ -56,6 +60,19 @@ class TestMetricInfo:
         code, _, err = run(capsys, "metric-info", "--metric", doc)
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc, key", [
+        ('{"kind": "spheroid"}', "c"),
+        ('{"kind": "zoll"}', "h_coeffs"),
+        ('{"kind": "rescaled-round", "radius": 2}', "scale"),
+        ('{"kind": "rescaled-spheroid", "scale": 2}', "c"),
+    ])
+    def test_missing_parameter_named(self, capsys, doc, key):
+        code, out, err = run(capsys, "metric-info", "--metric", doc)
+        kind = json.loads(doc)["kind"]
+        assert code == 2
+        assert out == ""
+        assert err == f"error: metric kind '{kind}' needs a '{key}'\n"
 
     def test_missing_metric_exits_2(self, capsys):
         code, _, _ = run(capsys, "metric-info")
@@ -242,8 +259,10 @@ class TestVerdictCommands:
         assert doc["violations"] == 0
 
     def test_polygon_check_pinching_violation_refused(self, capsys):
-        # c = 2.5: the boundary advance escapes (0, 2L) inside the return
-        # grid, a failed hypothesis reported as a refusal, not a traceback
+        # c = 2.5 is pinched at 0.026, below the 1/4 the zero-flux lift
+        # needs: refused up front, as by return-map and systolic-verify
+        # (the in-grid PinchingViolationError is covered by
+        # TestErrorTaxonomy)
         code, out, err = run(capsys, "polygon-check", "--metric",
                              '{"kind": "spheroid", "c": 2.5}',
                              "--nx", "16", "--ny", "16")
@@ -309,14 +328,61 @@ class TestHypothesisRefusal:
 
 class TestConfigValidation:
     def test_small_grid_rejected(self, capsys):
-        code, _, _ = run(capsys, "metric-info", "--metric", ROUND,
-                         "--nx", "8")
+        code, _, err = run(capsys, "return-map", "--metric", ROUND,
+                           "--nx", "8")
         assert code == 2
+        assert err == "error: grid sizes must be at least 16\n"
 
     def test_tolerance_ordering_enforced(self, capsys):
-        code, _, _ = run(capsys, "metric-info", "--metric", ROUND,
-                         "--tol-int", "1e-3", "--tol-id", "1e-5")
+        code, _, err = run(capsys, "return-map", "--metric", ROUND,
+                           "--tol-int", "1e-7", "--tol-id", "1e-8")
         assert code == 2
+        assert err == ("error: tolerances must be finite and satisfy "
+                       "integration < identity < verdict\n")
+
+    @pytest.mark.parametrize("command", ["return-map", "zoll-check"])
+    def test_infinite_tolerance_rejected(self, capsys, command):
+        # without --tol-verdict above it, an infinite --tol-id would pass
+        # every residual
+        code, out, err = run(capsys, command, "--metric", SPHEROID,
+                             "--tol-id", "inf")
+        assert code == 2
+        assert out == ""
+        assert "tolerances must be finite" in err
+
+    def test_csv_without_out_refused_before_integrating(self, capsys,
+                                                          monkeypatch):
+        def grid(*args, **kwargs):
+            raise AssertionError("return grid computed")
+
+        monkeypatch.setattr(cli.bs, "compute_return_grid", grid)
+        code, out, err = run(capsys, "return-map", "--metric", ROUND,
+                             "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out is required with --format csv\n"
+
+    @pytest.mark.parametrize("command, option", [
+        ("metric-info", ["--nx", "16"]),
+        ("trace", ["--seed", "1"]),
+        ("systolic-verify", ["--format", "csv"]),
+        ("zoll-check", ["--strict"]),
+        ("polygon-check", ["--tol-id", "1e-5"]),
+    ])
+    def test_option_a_subcommand_does_not_read_refused(self, capsys, command,
+                                                      option):
+        code, out, err = run(capsys, command, "--metric", ROUND, *option)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+    def test_ladder_holds_only_the_tolerances_taken(self, capsys):
+        # zoll-check takes no --tol-verdict, so its default 1e-4 no longer
+        # caps --tol-id
+        code, out, _ = run(capsys, "zoll-check", "--metric", ZOLL,
+                           "--samples", "1", "--tol-id", "1e-3")
+        assert code == 0
+        assert json.loads(out)["all_closed"] is True
 
     @pytest.mark.parametrize("command", ["return-map", "systolic-verify",
                                          "polygon-check"])
@@ -330,3 +396,142 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert err == "error: --tol-int must lie in [1e-12, 1e-06]\n"
+
+
+def _error_classes(cls=BirkhofflabError):
+    """``cls`` and every class derived from it."""
+    return [cls] + [d for sub in cls.__subclasses__()
+                    for d in _error_classes(sub)]
+
+
+# The exit code of every package error, by category.
+EXIT_CODES = {
+    "BirkhofflabError": 2, "UsageError": 2, "ModelInvalidError": 2,
+    "ChartDomainError": 2, "PreconditionError": 2,
+    "RefusedError": 3, "SectionInvalidError": 3, "PinchingViolationError": 3,
+    "NonIntegrableFormError": 3, "NotGeneratingError": 3, "AuditRefused": 3,
+    "ComputationError": 4, "IntegrationFailure": 4, "NoConvergenceError": 4,
+    "ReturnFailure": 4, "InternalConsistencyError": 4,
+}
+
+
+class TestErrorTaxonomy:
+    def test_every_class_has_an_exit_code(self):
+        assert {c.__name__ for c in _error_classes()} == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", _error_classes()[1:],
+                             ids=lambda c: c.__name__)
+    def test_one_category_and_a_builtin_base(self, cls):
+        categories = (UsageError, RefusedError, ComputationError)
+        assert sum(issubclass(cls, c) for c in categories) == 1
+        if cls not in categories:
+            assert issubclass(cls, (ValueError, RuntimeError))
+
+    @pytest.mark.parametrize("cls", _error_classes(),
+                             ids=lambda c: c.__name__)
+    def test_exit_code_and_stderr_line(self, capsys, monkeypatch, cls):
+        def fail(*args, **kwargs):
+            raise cls("the reason")
+
+        monkeypatch.setattr(sa, "audit", fail)
+        code, out, err = run(capsys, "systolic-verify", "--metric",
+                             SPHEROID)
+        assert code == EXIT_CODES[cls.__name__]
+        assert out == ""
+        prefix = "refused" if code == 3 else "error"
+        assert err == f"{prefix}: the reason\n"
+
+    @pytest.mark.parametrize("error", [
+        ValueError("array must not contain infs or NaNs"),
+        FileNotFoundError("no such file"),
+    ], ids=lambda e: type(e).__name__)
+    def test_outside_failures_exit_2(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sa, "audit", fail)
+        code, out, err = run(capsys, "systolic-verify", "--metric",
+                             SPHEROID)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error}\n"
+
+    def test_other_exceptions_are_not_swallowed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(sa, "audit", fail)
+        with pytest.raises(KeyError):
+            cli.main(["systolic-verify", "--metric", SPHEROID])
+
+
+class TestLiftPinchingRefusal:
+    @pytest.mark.parametrize("command", ["return-map", "strip-report",
+                                         "polygon-check", "systolic-verify"])
+    def test_same_refusal_before_integrating(self, capsys, monkeypatch,
+                                             command):
+        # c = 1.5 is pinched at 1.5**-4 ~ 0.198, below the 1/4 the
+        # zero-flux lift needs
+        def grid(*args, **kwargs):
+            raise AssertionError("return grid computed")
+
+        monkeypatch.setattr(cli.bs, "compute_return_grid", grid)
+        code, out, err = run(capsys, command, "--metric", FAT,
+                             "--nx", "16", "--ny", "17")
+        assert code == 3
+        assert out == ""
+        assert err == ("refused: pinching constant 0.1975 is not above "
+                       "0.25; the zero-flux lift construction is not "
+                       "guaranteed\n")
+
+
+def _reads(argv):
+    """The attributes of the parsed ``argv`` that its subcommand reads."""
+    parsed = cli.build_parser().parse_args(argv)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = Recording(**vars(parsed))
+    args.fn(args)
+    return read
+
+
+class TestOptions:
+    def _taken(self):
+        ap = cli.build_parser()
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {name: {a.dest for a in p._actions
+                       if a.option_strings and a.dest != "help"}
+                for name, p in sub.choices.items()}
+
+    def test_option_count(self):
+        taken = self._taken()
+        assert len(taken) == 7
+        assert sum(map(len, taken.values())) == 42
+
+    def test_each_subcommand_reads_every_option_it_takes(self, capsys,
+                                                         tmp_path):
+        grid = ["--nx", "16", "--ny", "17"]
+        runs = [
+            ["metric-info", "--metric", ROUND],
+            ["trace", "--metric", ROUND, "--t-end", "1", "--samples", "3"],
+            ["return-map", "--metric", ROUND, *grid, "--format", "csv",
+             "--out", str(tmp_path / "grid.csv")],
+            ["strip-report", "--w-preset", "zero", *grid],
+            ["strip-report", "--metric", ROUND, *grid],
+            ["systolic-verify", "--metric", ROUND, "--nx", "16",
+             "--ny", "64"],
+            ["zoll-check", "--metric", ROUND, "--samples", "1"],
+            ["polygon-check", "--metric", ROUND, *grid],
+        ]
+        read = defaultdict(set)
+        for argv in runs:
+            read[argv[0]] |= _reads(argv)
+        capsys.readouterr()
+        for name, dests in self._taken().items():
+            assert dests <= read[name], name

@@ -71,7 +71,7 @@ class TestFlow:
             np.testing.assert_array_equal(us[k], y_end[0, 0:3])
             np.testing.assert_array_equal(vs[k], y_end[0, 3:6])
         for bad in ([1.0, 7.0 + 1e-9], [-1e-9, 1.0], [[1.0], [np.nan]]):
-            with pytest.raises(ValueError):
+            with pytest.raises(PreconditionError):
                 traj.ambient(np.array(bad))
 
     def test_time_reversal(self, spheroid_model):

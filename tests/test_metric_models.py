@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe
 
 from birkhofflab import metric_models as mm
 from birkhofflab.errors import (ChartDomainError, ModelInvalidError,
@@ -108,6 +109,23 @@ class TestArea:
         assert got == pytest.approx(adaptive, rel=1e-10)
 
 
+class TestMeridianLength:
+    @pytest.mark.parametrize("c", [0.965, 0.97, 1.03, 1.035, 1.5])
+    def test_spheroid_against_ellipe(self, c):
+        # the meridian is an ellipse with semi-axes 1 and c
+        a, b = max(1.0, c), min(1.0, c)
+        oracle = 4.0 * a * ellipe(1.0 - (b / a) ** 2)
+        got = mm.make_spheroid(c).meridian_circuit_length()
+        assert got == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("model", [
+        mm.make_round(1.0), mm.make_zoll([0.05, 0.0, -0.05]),
+        mm.make_zoll([0.1, 0.0, -0.1])], ids=lambda m: m.kind)
+    def test_two_pi_when_all_geodesics_close(self, model):
+        assert model.meridian_circuit_length() == pytest.approx(
+            2 * math.pi, rel=1e-14)
+
+
 class TestInjectivityBound:
     def test_round(self, round_model):
         assert mm.injectivity_radius_lower_bound(round_model) == \
@@ -191,14 +209,16 @@ class TestJsonInterface:
                     '{"kind": "rescaled-rescaled-round", "scale": 2.0}',
                     '{"kind": "rescaled-round", "scale": -1.0}',
                     '{"kind": 3}'):
-            with pytest.raises(ValueError):
+            with pytest.raises(ModelInvalidError):
                 mm.from_json(doc)
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelInvalidError):
             mm.from_json('{"radius": 1.0}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelInvalidError):
             mm.from_json('{"kind": "torus"}')
+        with pytest.raises(ModelInvalidError, match="needs a 'c'"):
+            mm.from_json('{"kind": "spheroid"}')
         with pytest.raises(json.JSONDecodeError):
             mm.from_json("{not json")
 

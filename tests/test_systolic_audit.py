@@ -222,6 +222,12 @@ class TestSimplicity:
         assert bs.minimal_period_fold(doubled) == 2
         assert not sa.simplicity_check(doubled)
 
+    def test_open_orbit_refused(self, spheroid_model):
+        orbit = gd.equator_orbit(spheroid_model)
+        orbit.closure_residual = 1e-3
+        with pytest.raises(PreconditionError, match="not closed"):
+            sa.simplicity_check(orbit)
+
 
 class TestAuditRound:
     def test_passes_with_equalities(self, round_report):
