@@ -7,6 +7,13 @@ every orbit individually satisfies the requested tolerances.  Dense output
 steps without re-integration; the events of a whole batch are located
 together (see :func:`sweep_linear_events`).
 
+The batch is held column-major: the state is a (d, n) array and the stages
+a (7, d, n) one, so each stage combination is one matrix-vector product
+over whole rows and a right-hand side that works on the d coordinate rows
+reads and writes them without a transposed copy.  Callers still see the
+(n, d) orientation: ``fun``, ``project`` and ``step_hook`` receive
+transposed views of the stepper's arrays.
+
 Grazing is decided by the same root finder: an orbit that crosses nothing
 in a step but whose event quartic has an extremum there (a root of its
 derivative) within ``GRAZE_TOL`` of the level is flagged.  This needs no
@@ -32,7 +39,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
 # Dense-output extrapolation matrix (Shampine's quartic interpolant).
@@ -64,9 +70,10 @@ def _theta_powers(theta):
 # derivative on this sub-grid of every accepted step.
 _SUBSAMPLES = 6
 _THETAS = np.linspace(0.0, 1.0, _SUBSAMPLES + 1)
-_THETA_POWS = np.vstack([_theta_powers(th) for th in _THETAS[1:]])   # (m, 4)
-_SLOPE_POWS = np.vander(_THETAS, 4, increasing=True)                # (m+1, 4)
 GRAZE_TOL = 1e-10   # extremum distance to the level that flags grazing
+# Relative slack of the near-level screen of an event sweep, far above the
+# few ulps by which the evaluated quartic can exceed its coefficient bound.
+_SCREEN_SLACK = 1.0 + 1e-9
 
 
 def dense_state(y_old, h, stages, theta):
@@ -132,57 +139,76 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
                        project=None, step_hook=None, store=False):
     """Advance ``y0`` (shape (n, d) or (d,)) over ``t_span = (t0, t1)``.
 
-    Returns ``(t, y, dense)``.  ``step_hook(t_old, h, y_old, stages, y_new)``
-    runs after every accepted step and may return True to request early
-    termination.  With ``store``, ``dense`` is the :class:`DenseOutput` of
-    the accepted steps (the (n, d) form even for a (d,) ``y0``); otherwise
-    it is None.
+    Returns ``(t, y, dense)`` with ``y`` shaped like ``y0``.
+    ``step_hook(t_old, h, y_old, stages, y_new)`` runs after every accepted
+    step and may return True to request early termination.  With ``store``,
+    ``dense`` is the :class:`DenseOutput` of the accepted steps (the (n, d)
+    form even for a (d,) ``y0``); otherwise it is None.
 
     Error control is per orbit: the controller accepts a step only when the
     worst orbit in the batch meets the tolerance.
+
+    The stepper holds the state as a (d, n) array and the stages as a
+    (7, d, n) array, and forms each stage combination as one product of the
+    tableau row with the stages flattened to (i, d n).  ``fun(t, y)``,
+    ``project(y)`` and ``step_hook`` get (n, d) and (7, n, d) transposed
+    views of these arrays, so ``len(y)`` is the number of orbits; their
+    ``.T`` (``transpose(0, 2, 1)`` for the stages) is the C-contiguous
+    column-major array again, without a copy.  A hook must not keep the
+    views past its return: the stages array is reused by the next step.
+    ``project`` may rewrite its argument in place and returns the new
+    state.  The call structure is that of DP5(4): two RHS calls to start,
+    six per attempted step and one per accepted step.
     """
     single = y0.ndim == 1
-    y = np.array(y0, dtype=float, ndmin=2)
+    y = np.array(np.atleast_2d(y0).T, dtype=float, order="C")      # (d, n)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (-math.inf < t0 < t1 < math.inf):
         raise PreconditionError("t_span must be finite and increasing")
-    t = t0
-    f = fun(t, y)
-    h = min(_initial_step(fun, t, y, f, rtol, atol), t1 - t0)
-    steps = []
-    n, d = y.shape
+
+    def rhs(t, yc):
+        return fun(t, yc.T).T
+
+    d, n = y.shape
+    stages = np.empty((7, d, n))
+    flat = stages.reshape(7, d * n)
+    views = stages.transpose(0, 2, 1)                 # (7, n, d), no copy
     inv_d = 1.0 / d
-    stages = np.empty((7, n, d))
+    t = t0
+    stages[0] = rhs(t, y)
+    h = min(_initial_step(rhs, t, y, stages[0], rtol, atol), t1 - t0)
+    steps = []
     while t < t1:
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationFailure("step size underflow", t=t,
-                                     last_state=y[0] if single else y)
-        stages[0] = f
+                                     last_state=y.T[0] if single else y.T)
         for i in range(1, 7):
-            yi = y + h * np.einsum("s,snd->nd", _A[i], stages[:i])
-            stages[i] = fun(t + _C[i] * h, yi)
-        y_new = y + h * np.einsum("s,snd->nd", _B, stages)
-        err_vec = h * np.einsum("s,snd->nd", _E, stages)
+            yi = y + ((h * _A[i]) @ flat[:i]).reshape(d, n)
+            stages[i] = rhs(t + _C[i] * h, yi)
+        # The last stage is taken at the new state: the 5th-order weights
+        # are the tableau's last row (first same as last).
+        y_new = yi
+        err_vec = ((h * _E) @ flat).reshape(d, n)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         ratio = err_vec / scale
         # RMS error of the worst orbit
-        worst = math.sqrt(float(np.max(np.einsum("nd,nd->n", ratio, ratio)))
+        worst = math.sqrt(float(np.max(np.einsum("dn,dn->n", ratio, ratio)))
                           * inv_d)
         if not math.isfinite(worst):
             worst = math.inf          # overflowing step: shrink and retry
         if worst <= 1.0:
             stop = False
             if step_hook is not None:
-                stop = bool(step_hook(t, h, y, stages, y_new))
+                stop = bool(step_hook(t, h, y.T, views, y_new.T))
             if store:
                 # y is never written after the step; stages is reused.
-                steps.append((t, h, y, stages.copy()))
+                steps.append((t, h, y.T, stages.copy().transpose(0, 2, 1)))
             t = t + h
             y = y_new
             if project is not None:
-                y = project(y)
-            f = fun(t, y)
+                y = np.ascontiguousarray(project(y.T).T)
+            stages[0] = rhs(t, y)
             factor = (_MAX_FACTOR if worst == 0.0
                       else min(_MAX_FACTOR, _SAFETY * worst ** -0.2))
             if stop:
@@ -190,7 +216,8 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
         else:
             factor = max(_MIN_FACTOR, _SAFETY * worst ** -0.2)
         h = h * factor
-    return t, (y[0] if single else y), DenseOutput(steps) if store else None
+    return (t, y.T[0] if single else y.T,
+            DenseOutput(steps) if store else None)
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +291,37 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
 
     Event location is batched over the whole step.  The event function of
     every orbit is one quartic in theta = (t - t_old) / h, whose
-    coefficients come from one contraction of the stages with ``weights``.
-    On a sub-grid of the step, all sign changes of the quartic (each
-    orbit's in time order, as many as its remaining events) and, for
-    orbits that cross nothing, all sign changes of its derivative are
-    gathered and refined together by safeguarded Newton with bisection
-    fallback, each root stopping on its own test.  So no event straddles a
-    step boundary unnoticed, and crossing states come from one batched
-    dense-output evaluation.
+    coefficients come from one contraction of the stepper's (7, d, n)
+    stages with ``weights``, over the columns the weights read.  On a
+    sub-grid of the step, all sign changes of the quartic (each orbit's in
+    time order, as many as its remaining events) and, for orbits that cross
+    nothing, all sign changes of its derivative are gathered and refined
+    together by safeguarded Newton with bisection fallback, each root
+    stopping on its own test.  So no event straddles a step boundary
+    unnoticed, and crossing states come from one batched dense-output
+    evaluation.
+
+    Only the active orbits near the level reach that search.  Over the step
+    the quartic moves at most the sum of its coefficients' magnitudes away
+    from its start value z0, so an orbit with |z0| beyond that sum plus
+    ``GRAZE_TOL`` can neither cross the level nor turn within ``GRAZE_TOL``
+    of it.  ``_SCREEN_SLACK`` covers the rounding of the sub-grid and
+    extremum evaluations, so this holds in floating point too: the screen
+    drops only orbits the search would leave untouched, and the search
+    treats each orbit on its own, so the events, slopes and grazing flags
+    are bit-identical to those of the unscreened search.
     """
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     n, d = y0.shape
     w = np.broadcast_to(np.asarray(weights, dtype=float), (n, d))
+    reads = np.flatnonzero(np.any(w != 0.0, axis=0))    # columns e reads
+    w_reads = np.ascontiguousarray(w[:, reads].T)       # (u, n)
     wanted = np.broadcast_to(n_events, (n,))
     n_events = int(wanted.max())
     res = EventSweepResult(n, n_events, d)
     res.n_found[:] = n_events - wanted
     active = np.ones(n, dtype=bool)
+    tg = _THETAS[:, None]                               # the sub-grid
     if sample is not None:
         rows, cols, times = sample
         blocks = []
@@ -293,50 +334,58 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
                 wt = _P @ _theta_powers((times[lo:hi] - t) / h)
                 blocks.append(y_old[rows, cols] + h * np.einsum(
                     "sq,skc->qkc", wt, stages[:, rows, cols]))
-        z0 = np.einsum("nd,nd->n", y_old, w) - target
+        # the stepper's (d, n) state and (7, d, n) stages behind the views
+        yc, sc = y_old.T, stages.transpose(0, 2, 1)
+        z0 = np.einsum("un,un->n", yc[reads], w_reads) - target
         if t == 0.0:
             # Seeds launched from the section itself carry rounding noise in
             # their event value; snap it so the launch side decides the sign.
             z0 = np.where(np.abs(z0) < 1e-9, 0.0, z0)
-        cw = h * (np.einsum("snd,nd->sn", stages, w).T @ _P)  # theta-poly
-        zs = np.vstack([z0[None, :], z0[None, :] + _THETA_POWS @ cw.T])
+        cw = h * (_P.T @ np.einsum("sun,un->sn", sc[:, reads], w_reads))
+        near = np.flatnonzero(active & (np.abs(z0) <= _SCREEN_SLACK * (
+            np.abs(cw).sum(axis=0) + GRAZE_TOL)))
+        if not len(near):
+            return False
+        z0, cw = z0[near], cw[:, near]         # (k,), (4, k) theta-poly
+        c1, c2, c3, c4 = cw
+        zs = z0 + tg * (c1 + tg * (c2 + tg * (c3 + tg * c4)))    # (m+1, k)
         sgn = np.sign(zs)
         # A zero start counts on the side its initial slope points to.
-        launch = np.sign(cw[:, 0])
-        sgn[0] = np.where(sgn[0] == 0.0, launch, sgn[0])
-        changes = sgn[:-1] * sgn[1:] < 0.0                   # (m,n)
-        del sgn      # freed before locating hits, where a sweep's memory peaks
-        has_change = changes.any(axis=0)
-        hit = active & has_change
+        sgn[0] = np.where(sgn[0] == 0.0, np.sign(c1), sgn[0])
+        changes = sgn[:-1] * sgn[1:] < 0.0                       # (m, k)
+        hit = changes.any(axis=0)
         # Extrema of the orbits that cross nothing: slope sign changes.
-        dcw = cw * np.arange(1.0, 5.0)                   # (n,4) slope poly
-        dzs = _SLOPE_POWS @ dcw.T                        # (m+1,n)
-        turns = (dzs[:-1] * dzs[1:] < 0.0) & (active & ~has_change)
+        dcw = cw * np.arange(1.0, 5.0)[:, None]                  # slope poly
+        d1, d2, d3, d4 = dcw
+        dzs = d1 + tg * (d2 + tg * (d3 + tg * d4))               # (m+1, k)
+        turns = (dzs[:-1] * dzs[1:] < 0.0) & ~hit
         if not (hit.any() or turns.any()):
             return False
         # Keep each orbit's crossings in time order up to its cap.
         rank = np.cumsum(changes, axis=0)
-        keep = changes & hit & (res.n_found + rank <= n_events)
+        keep = changes & hit & (res.n_found[near] + rank <= n_events)
         i, m = np.nonzero(keep.T)                 # orbit-major, m ascending
         g, mg = np.nonzero(turns.T)
         sub = np.concatenate([m, mg])             # sub-interval of each root
         roots = _quartic_roots(
-            np.vstack([np.column_stack([z0[i], cw[i]]),
-                       np.column_stack([dcw[g], np.zeros(len(g))])]),
+            np.vstack([np.column_stack([z0[i], cw[:, i].T]),
+                       np.column_stack([dcw[:, g].T, np.zeros(len(g))])]),
             _THETAS[sub], _THETAS[sub + 1],
             np.concatenate([zs[m, i], dzs[mg, g]]))
         th, th_g = roots[:len(i)], roots[len(i):]
-        k = res.n_found[i] + rank[m, i] - 1
-        res.t_events[i, k] = t + th * h
-        res.y_events[i, k] = dense_state(y_old[i], h, stages[:, i], th)
-        c1, c2, c3, c4 = cw[i].T
-        res.slopes[i, k] = (c1 + th * (2 * c2 + th *
-                            (3 * c3 + 4 * th * c4))) / h
-        res.n_found += keep.sum(axis=0)
-        active[hit & (res.n_found >= n_events)] = False
-        c1, c2, c3, c4 = cw[g].T
+        orbit = near[i]
+        k = res.n_found[orbit] + rank[m, i] - 1
+        res.t_events[orbit, k] = t + th * h
+        res.y_events[orbit, k] = dense_state(y_old[orbit], h,
+                                             stages[:, orbit], th)
+        c1, c2, c3, c4 = cw[:, i]
+        res.slopes[orbit, k] = (c1 + th * (2 * c2 + th *
+                                (3 * c3 + 4 * th * c4))) / h
+        res.n_found[near] += keep.sum(axis=0)
+        active[near[hit & (res.n_found[near] >= n_events)]] = False
+        c1, c2, c3, c4 = cw[:, g]
         z_ext = z0[g] + th_g * (c1 + th_g * (c2 + th_g * (c3 + th_g * c4)))
-        grazing = g[np.abs(z_ext) < GRAZE_TOL]
+        grazing = near[g[np.abs(z_ext) < GRAZE_TOL]]
         res.grazing[grazing] = True
         active[grazing] = False
         return not np.any(active)

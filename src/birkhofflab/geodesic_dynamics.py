@@ -66,15 +66,17 @@ def geodesic_rhs(model, jacobi=False):
     """Vectorised RHS for batches of shape (n, 6) or, with the Jacobi
     augmentation, (n, 8) where columns 6, 7 hold (theta, log r).
 
-    The arithmetic runs on one row-contiguous (d, n) copy of the state, and
-    the result is returned as the (n, d) transpose of a (d, n) array.
+    The arithmetic runs on the (d, n) rows of the state, which are the
+    stepper's own column-major array when ``y`` is the view it hands out
+    (any other layout is copied once), and the result is returned as the
+    (n, d) transpose of a (d, n) array.
     """
     a = float(model.a)
     b_of = _horner(model.b_coef)
     bp_of = _horner(model.bp_coef)
 
     def rhs(t, y):
-        yt = y.T.copy()
+        yt = np.ascontiguousarray(y.T)
         u, v = yt[0:3], yt[3:6]
         z = u[2]
         v3sq = v[2] * v[2]
@@ -108,17 +110,20 @@ def geodesic_rhs(model, jacobi=False):
 def state_projector(model):
     """Renormaliser applied after each accepted step: |u| = 1, u.v = 0,
     g(v, v) = 1.  Columns 0:6 of ``y`` are rewritten in place, any further
-    columns are left alone."""
+    columns are left alone; on the stepper's column-major view that is done
+    on its rows directly, any other layout is copied and written back."""
     a = float(model.a)
     b_of = _horner(model.b_coef)
 
     def project(y):
-        yt = y[:, 0:6].T.copy()
+        rows = y[:, 0:6].T
+        yt = np.ascontiguousarray(rows)
         u, v = yt[0:3], yt[3:6]
         u /= np.sqrt((u * u).sum(axis=0))
         v -= (u * v).sum(axis=0) * u
         v /= np.sqrt(a * (v * v).sum(axis=0) + b_of(u[2]) * (v[2] * v[2]))
-        y[:, 0:6] = yt.T
+        if yt is not rows:
+            y[:, 0:6] = yt.T
         return y
 
     return project

@@ -6,6 +6,8 @@ import numpy as np
 
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import strip_calculus as sc
+from birkhofflab._integrate import (_P, _THETAS, GRAZE_TOL, EventSweepResult,
+                                    _quartic_roots, dense_state)
 from birkhofflab.errors import PreconditionError
 
 
@@ -36,3 +38,81 @@ def action_boundary_identity(grid, lift, action_grid=None):
     zero-flux lift equals the boundary return time minus the base length."""
     act = action_grid if action_grid is not None else sc.action(lift)
     return float(np.max(np.abs(act.sigma[:, 0] - (grid.tau[:, 0] - grid.L))))
+
+
+class UnscreenedEventHook:
+    """Step hook of :func:`birkhofflab._integrate.sweep_linear_events`
+    without its near-level screen: the event search runs on every active
+    orbit of every step.
+
+    Run as a second hook of the same integration, it sees the same steps.
+    Its quartic coefficients come from the same contraction, and every
+    later value is elementwise per orbit, so a sound screen leaves the
+    sweep's results bit-identical to :meth:`result`."""
+
+    def __init__(self, y0, weights, target=0.0, n_events=2):
+        n, d = np.atleast_2d(y0).shape
+        w = np.broadcast_to(np.asarray(weights, dtype=float), (n, d))
+        self.reads = np.flatnonzero(np.any(w != 0.0, axis=0))
+        self.w_reads = np.ascontiguousarray(w[:, self.reads].T)
+        self.target = target
+        wanted = np.broadcast_to(n_events, (n,))
+        self.n_events = int(wanted.max())
+        self.res = EventSweepResult(n, self.n_events, d)
+        self.res.n_found[:] = self.n_events - wanted
+        self.active = np.ones(n, dtype=bool)
+
+    def __call__(self, t, h, y_old, stages, y_new):
+        res, active, cap = self.res, self.active, self.n_events
+        yc, sc = y_old.T, stages.transpose(0, 2, 1)
+        z0 = np.einsum("un,un->n", yc[self.reads], self.w_reads) - self.target
+        if t == 0.0:
+            z0 = np.where(np.abs(z0) < 1e-9, 0.0, z0)
+        cw = h * (_P.T @ np.einsum("sun,un->sn", sc[:, self.reads],
+                                   self.w_reads))
+        tg = _THETAS[:, None]
+        c1, c2, c3, c4 = cw
+        zs = z0 + tg * (c1 + tg * (c2 + tg * (c3 + tg * c4)))
+        sgn = np.sign(zs)
+        sgn[0] = np.where(sgn[0] == 0.0, np.sign(c1), sgn[0])
+        changes = sgn[:-1] * sgn[1:] < 0.0
+        hit = active & changes.any(axis=0)
+        dcw = cw * np.arange(1.0, 5.0)[:, None]
+        d1, d2, d3, d4 = dcw
+        dzs = d1 + tg * (d2 + tg * (d3 + tg * d4))
+        turns = (dzs[:-1] * dzs[1:] < 0.0) & active & ~changes.any(axis=0)
+        rank = np.cumsum(changes, axis=0)
+        keep = changes & hit & (res.n_found + rank <= cap)
+        i, m = np.nonzero(keep.T)
+        g, mg = np.nonzero(turns.T)
+        sub = np.concatenate([m, mg])
+        roots = _quartic_roots(
+            np.vstack([np.column_stack([z0[i], cw[:, i].T]),
+                       np.column_stack([dcw[:, g].T, np.zeros(len(g))])]),
+            _THETAS[sub], _THETAS[sub + 1],
+            np.concatenate([zs[m, i], dzs[mg, g]]))
+        th, th_g = roots[:len(i)], roots[len(i):]
+        k = res.n_found[i] + rank[m, i] - 1
+        res.t_events[i, k] = t + th * h
+        res.y_events[i, k] = dense_state(y_old[i], h, stages[:, i], th)
+        c1, c2, c3, c4 = cw[:, i]
+        res.slopes[i, k] = (c1 + th * (2 * c2 + th *
+                            (3 * c3 + 4 * th * c4))) / h
+        res.n_found += keep.sum(axis=0)
+        active[hit & (res.n_found >= cap)] = False
+        c1, c2, c3, c4 = cw[:, g]
+        z_ext = z0[g] + th_g * (c1 + th_g * (c2 + th_g * (c3 + th_g * c4)))
+        grazing = g[np.abs(z_ext) < GRAZE_TOL]
+        res.grazing[grazing] = True
+        active[grazing] = False
+        return not np.any(active)
+
+    def result(self, expected_slopes=None):
+        """The sweep's result, with the slope check of the filled slots."""
+        res = self.res
+        if expected_slopes is not None:
+            wrong = (np.sign(res.slopes)
+                     != np.asarray(expected_slopes)[-self.n_events:])
+            res.grazing |= (res.n_found >= self.n_events) & np.any(
+                wrong & ~np.isnan(res.t_events), axis=1)
+        return res

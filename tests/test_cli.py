@@ -88,10 +88,11 @@ class TestMetricInfo:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
-        _, out1, _ = run(capsys, "strip-report", "--seed", "9",
-                         "--nx", "32", "--ny", "96")
-        _, out2, _ = run(capsys, "strip-report", "--seed", "9",
-                         "--nx", "32", "--ny", "96")
+        code1, out1, _ = run(capsys, "strip-report", "--seed", "9",
+                             "--nx", "48", "--ny", "96")
+        code2, out2, _ = run(capsys, "strip-report", "--seed", "9",
+                             "--nx", "48", "--ny", "96")
+        assert code1 == code2 == 0
         assert out1 == out2
 
     def test_keys_sorted(self, capsys):
@@ -182,6 +183,30 @@ class TestStripReport:
         assert code == 2
         assert out == ""
         assert "--eps must be finite" in err
+
+    @pytest.mark.parametrize("nx, ny, option", [
+        (16, 17, "--nx"), (16, 32, "--nx"), (32, 32, "--nx"),
+        (16, 64, "--nx"), (48, 32, "--ny")])
+    def test_random_preset_on_a_coarse_grid_exits_2(self, capsys,
+                                                     monkeypatch, nx, ny,
+                                                     option):
+        # refused before a map is built: the D2 W boundary check (16 x 17)
+        # or the fixed-point check (the others) failed on these grids
+        def build(*args, **kwargs):
+            raise AssertionError("map built")
+
+        monkeypatch.setattr(cli.sc, "build_from_generating", build)
+        code, out, err = run(capsys, "strip-report", "--nx", str(nx),
+                             "--ny", str(ny))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {option} must be at least 48 with "
+                       "--w-preset random\n")
+
+    def test_random_preset_at_the_smallest_grid(self, capsys):
+        code, out, _ = run(capsys, "strip-report", "--nx", "48", "--ny", "48")
+        assert code == 0
+        assert json.loads(out)["source"]["preset"] == "random"
 
     def test_x_sine_preset_zero_calabi(self, capsys):
         code, out, _ = run(capsys, "strip-report", "--w-preset", "x-sine",

@@ -20,6 +20,28 @@ def closure_defect(model, state, t_end, tol=1e-10):
     return max(float(np.max(np.abs(u1 - u0))), float(np.max(np.abs(v1 - v0))))
 
 
+def test_rhs_and_projector_read_either_layout(spheroid_model):
+    # the stepper hands out (n, d) views of column-major (d, n) arrays; a
+    # row-major batch gives the same values, and both are projected in place
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(5, 3))
+    y = np.hstack([u / np.linalg.norm(u, axis=1)[:, None],
+                   rng.normal(size=(5, 3)), rng.uniform(0, 3, (5, 2))])
+    view = np.asfortranarray(y)
+    assert view.T.flags.c_contiguous
+    rhs = gd.geodesic_rhs(spheroid_model, jacobi=True)
+    np.testing.assert_array_equal(rhs(0.0, view), rhs(0.0, y))
+    project = gd.state_projector(spheroid_model)
+    rows, cols = y.copy(), view.copy(order="F")
+    assert project(rows) is rows and project(cols) is cols
+    np.testing.assert_array_equal(rows, cols)
+    np.testing.assert_array_equal(rows[:, 6:], y[:, 6:])
+    for u, v in zip(rows[:, 0:3], rows[:, 3:6]):
+        assert abs(float(u @ u) - 1.0) < 1e-15
+        assert abs(float(u @ v)) < 1e-15
+        assert ic.unit_speed_defect(spheroid_model, u, v) < 1e-14
+
+
 class TestFlow:
     def test_round_great_circles_close(self, round_model):
         rng = np.random.default_rng(3)

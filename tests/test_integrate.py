@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from birkhofflab import _integrate
-from birkhofflab._integrate import (_quartic_roots, dense_state,
+from birkhofflab import birkhoff_section as bs
+from birkhofflab import geodesic_dynamics as gd
+from birkhofflab import metric_models as mm
+from birkhofflab._integrate import (GRAZE_TOL, _quartic_roots, dense_state,
                                     integrate_adaptive, sweep_linear_events)
 from birkhofflab.errors import IntegrationFailure
+from independent_checks import UnscreenedEventHook
 
 
 def oscillator(t, y):
@@ -60,6 +64,50 @@ class TestStepper:
         full = dense(tq)
         for row in range(len(y0)):
             assert np.array_equal(dense(tq, row=row), full[:, row])
+
+    @pytest.mark.parametrize("y0", [np.array([1.0, 0.0]),
+                                    np.array([[1.0, 0.0], [0.0, 2.0],
+                                              [-0.5, 0.3]])],
+                             ids=["single", "batch"])
+    def test_callback_and_result_shapes(self, y0):
+        # the contract the callers and the layer tracer read: fun, project
+        # and step_hook see (n, d) states, len(y) rows, (7, n, d) stages;
+        # the result has the shape of y0 and the dense output (q, n, d);
+        # the calls follow DP5(4): 2 to start, 6 per attempted step and 1
+        # per accepted step
+        n, d = np.atleast_2d(y0).shape
+        seen = {"fun": [], "project": [], "hook": []}
+
+        def fun(t, y):
+            seen["fun"].append((y.shape, len(y)))
+            return oscillator(t, y)
+
+        def project(y):
+            seen["project"].append(y.shape)
+            return y
+
+        def hook(t, h, y_old, stages, y_new):
+            seen["hook"].append((y_old.shape, stages.shape, y_new.shape))
+            # stage 0 is the derivative at the step's start
+            assert np.array_equal(stages[0], oscillator(t, y_old))
+
+        t, y, dense = integrate_adaptive(fun, y0, (0.0, 3.0), rtol=1e-10,
+                                         atol=1e-12, project=project,
+                                         step_hook=hook, store=True)
+        assert t == 3.0
+        assert y.shape == y0.shape
+        assert set(seen["fun"]) == {((n, d), n)}
+        assert set(seen["project"]) == {(n, d)}
+        assert set(seen["hook"]) == {((n, d), (7, n, d), (n, d))}
+        accepted = len(seen["hook"])
+        assert len(seen["project"]) == accepted
+        spare = len(seen["fun"]) - 2 - 7 * accepted
+        assert spare >= 0 and spare % 6 == 0
+        tq = np.linspace(0.0, 3.0, 5)
+        assert dense(tq).shape == (5, n, d)
+        assert dense(tq, row=n - 1).shape == (5, d)
+        np.testing.assert_allclose(dense(tq[-1:])[0], np.atleast_2d(y),
+                                   rtol=0, atol=1e-12)
 
     def test_blowup_raises_integration_failure(self):
         def blowup(t, y):
@@ -361,6 +409,91 @@ class TestPerRowEvents:
         s = math.sqrt(3) / 2
         np.testing.assert_allclose(res.slopes, [[-s, s], [0.0, s]], rtol=0,
                                    atol=1e-10)
+
+
+def grazing_rows(level_gap, amplitude=1.0):
+    """Rows x = a cos(t + phi) whose event level sits ``level_gap`` beyond
+    the maximum a or the minimum -a: peaks that turn that far from the
+    level without crossing it."""
+    gap = np.asarray(level_gap, dtype=float)
+    phi = np.linspace(0.3, 2.8, gap.size)
+    c = np.where(np.arange(gap.size) % 2, -amplitude - gap, amplitude + gap)
+    rows = oscillator_rows(1.0, phi, c)
+    rows[:, 0:2] *= amplitude
+    return rows
+
+
+@pytest.fixture
+def with_reference(monkeypatch):
+    """An event sweep that keeps, in its list ``pairs``, the (result,
+    reference) of every call, also those of the return sweeps: the
+    unscreened reference hook rides in the sweep's own integration, on the
+    same steps, and stops when the sweep's hook stops."""
+    pairs = []
+    sweep, integrate = sweep_linear_events, integrate_adaptive
+
+    def paired(fun, y0, t_max, weights, target=0.0, n_events=2,
+               expected_slopes=None, **kw):
+        ref = UnscreenedEventHook(y0, weights, target, n_events)
+
+        def tee(fun, y0, t_span, step_hook=None, **kw):
+            def both(*args):
+                stop = step_hook(*args)
+                assert ref(*args) == stop
+                return stop
+            return integrate(fun, y0, t_span, step_hook=both, **kw)
+
+        monkeypatch.setattr(_integrate, "integrate_adaptive", tee)
+        res = sweep(fun, y0, t_max, weights, target, n_events,
+                    expected_slopes, **kw)
+        monkeypatch.setattr(_integrate, "integrate_adaptive", integrate)
+        pairs.append((res, ref.result(expected_slopes)))
+        return res
+
+    monkeypatch.setattr(bs, "sweep_linear_events", paired)
+    paired.pairs = pairs
+    return paired
+
+
+def assert_same_events(pairs):
+    assert pairs
+    for res, ref in pairs:
+        for k in ("t_events", "y_events", "slopes", "n_found", "grazing"):
+            assert np.array_equal(getattr(res, k), getattr(ref, k),
+                                  equal_nan=True), k
+
+
+class TestNearLevelScreen:
+    """The sweep skips the event search on orbits that stay farther from the
+    level than the step can move them; the results are those of the
+    unscreened search to the bit."""
+
+    def test_oscillators_match_the_unscreened_search(self, with_reference):
+        # level-0 crossings, double crossings just below a maximum, starts
+        # on the level, and peaks turning at 0.5, 0.9, 1.1 and 2 GRAZE_TOL
+        # from the level, of unit amplitude and of amplitude 1e-8: a step
+        # moves those by less than GRAZE_TOL, so only the screen's margin
+        # of GRAZE_TOL keeps the ones that graze
+        y0, *_ = mixed_batch(np.random.default_rng(5), 12, 12, 6,
+                             peak_level=0.002)
+        gaps = GRAZE_TOL * np.array([0.5, 0.9, 1.1, 2.0, 0.5, 0.9, 1.1, 2.0])
+        y0 = np.vstack([y0, grazing_rows(gaps),
+                        grazing_rows(gaps, amplitude=1e-8)])
+        res = with_reference(phase_oscillators, y0, 30.0, LEVEL_EVENT,
+                             n_events=3, rtol=1e-13, atol=1e-15)
+        assert_same_events(with_reference.pairs)
+        # the peaks inside GRAZE_TOL are flagged, those beyond it are not
+        assert np.array_equal(res.grazing[-16:], np.tile(gaps < GRAZE_TOL, 2))
+        assert np.all(res.n_found[:-16] == 3)
+
+    def test_oblate_meridian_sweep_matches_the_unscreened_search(
+            self, with_reference):
+        model = mm.make_spheroid(0.97)
+        section = bs.build_section(model, gd.meridian_orbit(model))
+        grid = bs.compute_return_grid(section, nx=16, ny=17)
+        grid.require_clean()
+        assert len(with_reference.pairs) == 1
+        assert_same_events(with_reference.pairs)
 
 
 def quartic_root_reference(c, lo, hi, flo):

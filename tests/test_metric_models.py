@@ -25,6 +25,12 @@ def prolate_area(c):
     return 2.0 * math.pi * (1.0 + (c / e) * math.asin(e))
 
 
+def oblate_area(c):
+    """Closed-form oblate spheroid area, semi-axes (1, 1, c), c < 1."""
+    e = math.sqrt(1.0 - c ** 2)
+    return 2.0 * math.pi * (1.0 + (c * c / e) * math.atanh(e))
+
+
 class TestCurvature:
     def test_round_is_constant(self, round_model):
         for theta in (0.0, 0.4, 1.2, math.pi / 2, 3.0, math.pi):
@@ -91,10 +97,28 @@ class TestPinching:
 
 
 class TestArea:
-    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 7.5])
     def test_round(self, r):
         assert mm.area(mm.make_round(r)) == \
-            pytest.approx(4 * math.pi * r ** 2, rel=1e-10)
+            pytest.approx(4 * math.pi * r ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [0.5, 0.965, 0.97, 1.03, 1.035, 1.5, 2.5])
+    def test_spheroid_closed_form(self, c):
+        exact = prolate_area(c) if c > 1.0 else oblate_area(c)
+        assert mm.area(mm.make_spheroid(c)) == pytest.approx(exact,
+                                                             rel=1e-13)
+
+    def test_solves_no_eigenproblem(self, monkeypatch, spheroid_model):
+        # Gauss-Legendre nodes come from an eigenproblem (multi-threaded
+        # LAPACK); the area's Clenshaw-Curtis rule needs none
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenproblem solved")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert mm.area(spheroid_model) == pytest.approx(prolate_area(1.03),
+                                                        rel=1e-13)
 
     def test_zoll_area_is_round_area(self, zoll_model):
         assert mm.area(zoll_model) == pytest.approx(4 * math.pi, rel=1e-12)
