@@ -41,6 +41,10 @@ EXIT_COMPUTE = ComputationError.exit_code
 # Smallest --nx, --ny of the random strip preset: from 48 x 48 on, seeds 0
 # to 39 all pass the map's D2 W and fixed-point checks; coarser grids do not.
 RANDOM_MIN_GRID = 48
+# Smallest --ny of the sin(Y)^2 strip presets: below 21 rows the sixth-order
+# D2 W of sin(Y)^2 on the boundary rows exceeds 1e-4 max |W| (1.4e-4 at 20,
+# 9.8e-5 at 21), at every --eps and --nx, and the map builder refuses W.
+SIN2_MIN_NY = 21
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +150,10 @@ def _check_config(args):
             if opts[opt] < RANDOM_MIN_GRID:
                 raise UsageError(f"--{opt} must be at least "
                                  f"{RANDOM_MIN_GRID} with --w-preset random")
+    if (opts.get("w_preset") in ("minus-sin2", "x-sine") and not opts["metric"]
+            and opts["ny"] < SIN2_MIN_NY):
+        raise UsageError(f"--ny must be at least {SIN2_MIN_NY} with "
+                         f"--w-preset {opts['w_preset']}")
 
 
 def _load_metric(spec):

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
 from .errors import (InternalConsistencyError, NonIntegrableFormError,
@@ -350,19 +352,83 @@ def calabi(grid, action_grid=None):
 # generating functions
 # ---------------------------------------------------------------------------
 
+# Cubic splines of the columns of (nx, ny) data with per-column knots x,
+# (nx, ny), and coefficients c laid out as an axis-1 CubicSpline's.
+_ColumnSplines = namedtuple("_ColumnSplines", "x c")
+
+
 def _columns_at(spline, Y, nu=0):
     """Column i of an axis-1 ``CubicSpline`` of (nx, ny) node data, or its
     first derivative (``nu=1``), at that column's own points ``Y[i]``.
-    The interval search and power sums repeat scipy's ``PPoly`` evaluation
-    term by term, so each column equals a per-column spline bit for bit.
+    ``spline`` may also hold per-column knots ``x``, (nx, ny), as
+    :func:`_inverse_columns` gives; the interval search then runs per
+    column.  The search, ``searchsorted(side="right") - 1`` clipped to the
+    first and last interval, and the power sums repeat scipy's ``PPoly``
+    evaluation term by term, also at the last knot and outside the knots,
+    so each column equals a per-column spline bit for bit.
     """
-    x = spline.x
-    k = np.clip(np.searchsorted(x, Y, side="right") - 1, 0, len(x) - 2)
-    s = Y - x[k]
-    c0, c1, c2, c3 = spline.c[:, k, np.arange(Y.shape[0])[:, None]]
+    x, cols = spline.x, np.arange(Y.shape[0])[:, None]
+    if x.ndim == 1:
+        k = np.searchsorted(x, Y, side="right")
+    else:
+        k = np.array([np.searchsorted(xi, yi, side="right")
+                      for xi, yi in zip(x, Y)])
+    k = np.clip(k - 1, 0, x.shape[-1] - 2)
+    s = Y - (x[k] if x.ndim == 1 else x[cols, k])
+    c0, c1, c2, c3 = spline.c[:, k, cols]
     if nu == 1:
         return c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
     return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _inverse_columns(knots, values):
+    """The not-a-knot cubic splines ``CubicSpline(knots[i], values)`` of
+    every column i at once, for :func:`_columns_at`.
+
+    The rows of each tridiagonal system for the knot slopes are filled as
+    scipy fills them, and the nx systems are solved as one block-diagonal
+    system by one LAPACK ``gtsv`` call.  The entries that couple
+    neighbouring blocks are zero.  ``gtsv`` swaps rows only where the
+    sub-diagonal entry exceeds the diagonal one in size, so never at a
+    zero, and eliminates a zero sub-diagonal entry with multiplier exactly
+    0, which leaves the next block untouched: each block's solution is
+    bit-identical to a per-column solve.  The Hermite coefficients follow
+    ``CubicHermiteSpline``'s order of operations.
+    """
+    bad = (~np.all(np.isfinite(knots), axis=1)
+           | np.any(np.diff(knots, axis=1) <= 0.0, axis=1))
+    if bad.any():
+        raise PreconditionError(
+            f"column {int(np.argmax(bad))} of the map is not finite and "
+            "strictly increasing in y, so it has no inverse")
+    nx, n = knots.shape
+    h = np.diff(knots, axis=1)
+    slope = np.diff(values) / h
+    ab = np.zeros((3, nx, n))
+    b = np.empty((nx, n))
+    ab[1, :, 1:-1] = 2 * (h[:, :-1] + h[:, 1:])
+    ab[0, :, 2:] = h[:, :-1]
+    ab[2, :, :-2] = h[:, 1:]
+    b[:, 1:-1] = 3 * (h[:, 1:] * slope[:, :-1] + h[:, :-1] * slope[:, 1:])
+    # The not-a-knot rows.  scipy squares the end spacings as NumPy
+    # scalars, that is by C pow, whose result differs from h * h in the
+    # last bit for about one h in a thousand.
+    sq0, sq1 = (np.array([math.pow(v, 2) for v in h[:, j]]) for j in (0, -1))
+    d = knots[:, 2] - knots[:, 0]
+    ab[1, :, 0], ab[0, :, 1] = h[:, 1], d
+    b[:, 0] = ((h[:, 0] + 2 * d) * h[:, 1] * slope[:, 0]
+               + sq0 * slope[:, 1]) / d
+    d = knots[:, -1] - knots[:, -3]
+    ab[1, :, -1], ab[2, :, -2] = h[:, -2], d
+    b[:, -1] = (sq1 * slope[:, -2]
+                + (2 * d + h[:, -1]) * h[:, -2] * slope[:, -1]) / d
+    m = solve_banded((1, 1), ab.reshape(3, -1), b.reshape(-1),
+                     overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).reshape(nx, n)
+    t = (m[:, :-1] + m[:, 1:] - 2 * slope) / h
+    c = np.stack((t / h, (slope - m[:, :-1]) / h - t, m[:, :-1],
+                  np.broadcast_to(values[:-1], t.shape)))
+    return _ColumnSplines(knots, c.transpose(0, 2, 1))
 
 
 def build_from_generating(gen):
@@ -430,8 +496,13 @@ def build_from_generating(gen):
 def generating_from_map(grid):
     """Recover the normalised generating function of a monotone map.
 
-    The one-form (cos Y - cos y) dx + (X - x) sin Y dY is integrated along
-    verticals of the (x, Y) mesh; the x-component provides the closure test.
+    Column i is inverted by the spline through its own knots Y[i] with
+    values y: :func:`_inverse_columns` builds all of them in one
+    block-diagonal ``gtsv`` solve, which equals ``CubicSpline(Y[i], y)``
+    bit for bit as no entry couples two columns, and refuses a column that
+    is not finite and strictly increasing.  The one-form
+    (cos Y - cos y) dx + (X - x) sin Y dY is then integrated along verticals
+    of the (x, Y) mesh; the x-component provides the closure test.
     """
     _, _, _, d2Y = map_derivatives(grid)
     if np.min(d2Y) <= 0.0:
@@ -440,9 +511,8 @@ def generating_from_map(grid):
     xs, ys, L = grid.xs, grid.ys, grid.length
     F = flux(grid)
     Yreg = ys
-    y_of_Y = np.empty((grid.nx, grid.ny))
-    for i in range(grid.nx):                  # monotone columns invert
-        y_of_Y[i] = CubicSpline(grid.Y[i], ys)(Yreg)
+    y_of_Y = _columns_at(_inverse_columns(grid.Y, ys),
+                         np.broadcast_to(Yreg, grid.Y.shape))
     y_of_Y = np.clip(y_of_Y, 0.0, _PI)
     y_of_Y[:, 0], y_of_Y[:, -1] = 0.0, _PI
     Xq = _columns_at(CubicSpline(ys, grid.X, axis=1), y_of_Y)

@@ -3,6 +3,7 @@ the package's results from other routes, so they are kept out of the
 package itself."""
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import strip_calculus as sc
@@ -116,3 +117,10 @@ class UnscreenedEventHook:
             res.grazing |= (res.n_found >= self.n_events) & np.any(
                 wrong & ~np.isnan(res.t_events), axis=1)
         return res
+
+
+def per_column_splines(knots, values, queries):
+    """Row i: scipy's not-a-knot ``CubicSpline(knots[i], values)`` at
+    ``queries[i]``, one spline built per column."""
+    return np.array([CubicSpline(k, values)(q)
+                     for k, q in zip(knots, queries)])

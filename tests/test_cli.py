@@ -208,6 +208,22 @@ class TestStripReport:
         assert code == 0
         assert json.loads(out)["source"]["preset"] == "random"
 
+    @pytest.mark.parametrize("preset", ["minus-sin2", "x-sine"])
+    @pytest.mark.parametrize("ny", [20, 21])
+    def test_sin2_presets_need_21_rows(self, capsys, preset, ny):
+        # below 21 rows the map builder refuses W (exit 3, "D2 W must
+        # vanish on the boundary rows"), so the option is refused first
+        code, out, err = run(capsys, "strip-report", "--w-preset", preset,
+                             "--nx", "16", "--ny", str(ny))
+        if ny < cli.SIN2_MIN_NY:
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: --ny must be at least 21 with "
+                           f"--w-preset {preset}\n")
+        else:
+            assert code == 0
+            assert json.loads(out)["source"]["preset"] == preset
+
     def test_x_sine_preset_zero_calabi(self, capsys):
         code, out, _ = run(capsys, "strip-report", "--w-preset", "x-sine",
                            "--eps", "0.01", "--nx", "48", "--ny", "96")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -201,6 +203,21 @@ class TestGeneratingFunctions:
         with pytest.raises(PreconditionError):
             sc.generating_from_map(bad)
 
+    @pytest.mark.parametrize("column, node, value", [
+        (0, 50, "repeat"), (7, 20, math.nan)])
+    def test_column_without_inverse_refused(self, column, node, value):
+        # A repeated node (min D2 Y is still 0.25) or a NaN passes the D2 Y
+        # check, but its column has no inverse spline.
+        base = sc.identity_map()
+        Y = base.Y.copy()
+        Y[column, node] = Y[column, node - 1] if value == "repeat" else value
+        bad = sc.StripMapGrid(length=L, xs=base.xs, ys=base.ys, X=base.X,
+                              Y=Y)
+        assert not np.min(sc.map_derivatives(bad)[3]) <= 0.0
+        with pytest.raises(PreconditionError,
+                           match=f"^column {column} of the map is not"):
+            sc.generating_from_map(bad)
+
 
 def _clipped_newton_column(gen, i):
     """Column i of the generated map by a per-column clipped Newton that
@@ -228,6 +245,16 @@ def _clipped_newton_column(gen, i):
     return X, Y
 
 
+def _knot_queries(rng, knots, n_inside=40):
+    """Points inside the knot range of each column, on every knot, on
+    both ends, one ulp and 1e-3 outside them."""
+    lo, hi = knots[:, :1], knots[:, -1:]
+    return np.concatenate([rng.uniform(lo, hi, (len(knots), n_inside)),
+                           knots, np.nextafter(lo, -np.inf),
+                           np.nextafter(hi, np.inf), lo - 1e-3, hi + 1e-3],
+                          axis=1)
+
+
 class TestWholeArrays:
     def test_columns_at_matches_per_column_splines(self):
         rng = np.random.default_rng(3)
@@ -246,6 +273,36 @@ class TestWholeArrays:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_inverse_columns_match_per_column_splines(self):
+        # Random non-uniform knots, one strictly increasing row per column.
+        # Each first spacing is one whose square by C pow, which scipy's
+        # scalar arithmetic takes, differs from h * h.
+        rng = np.random.default_rng(8)
+        nx, ny = 24, 33
+        h = rng.uniform(0.01, 1.0, 100_000)
+        steps = rng.uniform(0.01, 1.0, (nx, ny - 1))
+        steps[:, 0] = h[[math.pow(v, 2) != v * v for v in h]][:nx]
+        knots = np.cumsum(np.concatenate([np.zeros((nx, 1)), steps], axis=1),
+                          axis=1)
+        ys = np.linspace(0.0, math.pi, ny)
+        pts = _knot_queries(rng, knots)
+        got = sc._columns_at(sc._inverse_columns(knots, ys), pts)
+        assert np.array_equal(got, ic.per_column_splines(knots, ys, pts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 12), ny=st.integers(4, 48),
+           spread=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_inverse_columns_property(self, nx, ny, spread, seed):
+        # neighbouring knot spacings differ by factors up to exp(2 spread)
+        rng = np.random.default_rng(seed)
+        steps = np.exp(spread * rng.uniform(-1.0, 1.0, (nx, ny - 1)))
+        knots = np.cumsum(np.concatenate(
+            [rng.uniform(-1.0, 1.0, (nx, 1)), steps], axis=1), axis=1)
+        values = rng.normal(size=ny)
+        pts = _knot_queries(rng, knots, n_inside=8)
+        got = sc._columns_at(sc._inverse_columns(knots, values), pts)
+        assert np.array_equal(got, ic.per_column_splines(knots, values, pts))
 
     def test_build_matches_bracketed_roots(self):
         # at eps = 1 a Newton without the bisection safeguard does not

@@ -9,6 +9,7 @@ from birkhofflab import _integrate
 from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
+from birkhofflab import strip_calculus as sc
 from birkhofflab import systolic_audit as sa
 from birkhofflab.errors import AuditRefused, PreconditionError
 
@@ -193,6 +194,22 @@ class TestFixedPointCandidates:
         assert warnings == ["no fixed-point candidates: generating "
                             "function requires a monotone map (D2 Y > 0)"]
         assert len(cands) == 2
+
+    def test_column_without_inverse_refuses_the_block(self):
+        # A lift with a repeated node passes the D2 Y check; the error
+        # raised for its column is caught, so the audit records the
+        # refusal instead of ending.
+        base = sc.identity_map()
+        Y = base.Y.copy()
+        Y[0, 50] = Y[0, 49]
+        lift = sc.StripMapGrid(length=base.length, xs=base.xs, ys=base.ys,
+                               X=base.X, Y=Y)
+        warnings = []
+        block = sa._fixed_point_candidates([], None, None, lift, 0.0, 1e-9,
+                                           warnings)
+        assert block["branches"] == []
+        assert block["refused"].startswith("column 0 of the map is not")
+        assert warnings == [f"no fixed-point candidates: {block['refused']}"]
 
     def test_identity_map_runs_no_theorem(self, round_report):
         fp = round_report.fixed_point
