@@ -34,7 +34,6 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import solve_banded
-from scipy.optimize import minimize
 
 from .errors import (InternalConsistencyError, NonIntegrableFormError,
                      NotGeneratingError, PreconditionError)
@@ -48,6 +47,8 @@ IDENTITY_MAP_EPS = 1e-9     # sup-norm threshold below which a map counts as id
 FIXED_TOL = 1e-6            # how far the map may move a located fixed point
 _W_RESOLUTION = 1e-14       # W differences the fixed-point refinement ignores
 _IMAGE_ITERATIONS = 60      # Newton cap of the generated map's solve
+_NEWTON_ITERATIONS = 30     # Newton cap of the fixed-point search
+_STEP_ROUNDING = 1e-14      # fixed-point steps below W's derivative rounding
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +584,49 @@ def _refinement_start(interior, tie):
     return (*start, circle)
 
 
+def _newton_step(surf, p, circle):
+    """Newton step on the gradient of the spline ``surf`` at ``p``.
+
+    Only Hessian eigenvalues above 1e-8 of the largest are inverted, so a
+    direction in which W is flat (an x-invariant W) takes no step, and each
+    is inverted in size, so a direction of negative curvature steps
+    downhill.  The 2 x 2 eigenpairs are in closed form, as a first LAPACK
+    call would add about 1 MB to a strip-map run's peak memory.  A circle
+    of fixed points steps in Y alone.
+    """
+    def dw(i, j):
+        return float(surf.ev(p[0], p[1], dx=i, dy=j))
+
+    if circle:
+        return np.array([0.0, dw(0, 1) / abs(dw(0, 2))])
+    a, b, c = dw(2, 0), dw(1, 1), dw(0, 2)
+    grad = np.array([dw(1, 0), dw(0, 1)])
+    t = 0.5 * math.atan2(2.0 * b, a - c)
+    m, r = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    step = np.zeros(2)
+    for lam, angle in ((m + r, t), (m - r, t + 0.5 * _PI)):
+        v = np.array([math.cos(angle), math.sin(angle)])
+        if abs(lam) > 1e-8 * (abs(m) + r):
+            step += v * (v @ grad) / abs(lam)
+    return step
+
+
+def _map_near(grid, x, y, half=5):
+    """The map's (X, Y) at one point, from bicubic splines of the
+    displacements X - x and Y - y on the window of 2 half x 2 half grid
+    nodes around it (periodic in x, kept inside the rows)."""
+    h = grid.length / grid.nx
+    cols = np.arange(-half + 1, half + 1) + math.floor(x / h)
+    j = max(min(int(np.searchsorted(grid.ys, y)) - half, grid.ny - 2 * half), 0)
+    rows = slice(j, j + 2 * half)
+    i = cols % grid.nx
+    ys = grid.ys[rows]
+    dX = grid.X[i, rows] - grid.xs[i, None]
+    dY = grid.Y[i, rows] - ys
+    return (x + float(RectBivariateSpline(cols * h, ys, dX).ev(x, y)),
+            y + float(RectBivariateSpline(cols * h, ys, dY).ev(x, y)))
+
+
 def fixed_point_with_signed_action(grid, gen, branch=None):
     """Interior fixed point whose action sign matches the Calabi sign.
 
@@ -590,6 +634,13 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
     minimum (resp. maximum) of the generating function is a fixed point with
     negative (resp. positive) action.  ``branch`` may force "negative" or
     "positive"; by default it follows the sign of the Calabi invariant.
+
+    The extremum is the critical point that Newton's method on the gradient
+    of W's periodic bicubic spline reaches from the grid extremum (see
+    :func:`_newton_step`).  Each step is capped at one cell and x is wrapped
+    into [0, L) after it; the iteration stops once a step is below the
+    rounding of W's derivatives.  The map read at that point from its own
+    grid must fix it to within ``FIXED_TOL``.
     """
     F = flux(grid)
     if abs(F) > FLUX_TOL:
@@ -605,44 +656,31 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
         w[:, 1:-1], max(_W_RESOLUTION, gen.closure_residual))
     j0 += 1
     xs, Ys, L = gen.xs, gen.Ys, gen.length
-    surf = _periodic_spline(xs, Ys, L, w)      # for local refinement
-    res = minimize(lambda q: float(surf.ev(xs[i0] if circle else q[0], q[-1])),
-                   x0=np.array([xs[i0], Ys[j0]])[int(circle):],
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": _W_RESOLUTION,
-                            "maxiter": 400})
-    # Nelder-Mead stops where W is flat to its function tolerance, about
-    # 1e-8 from the extremum; Newton steps on the spline's gradient pin the
-    # critical point.  Only Hessian eigenvalues above 1e-8 of the largest
-    # are inverted, so a direction in which W is flat (an x-invariant W)
-    # takes no step.  The 2 x 2 eigenpairs are in closed form, as a first
-    # LAPACK call would add about 1 MB to a strip-map run's peak memory.
-    p = np.array([xs[i0] if circle else np.mod(res.x[0], L), res.x[-1]])
-
-    def dw(i, j):
-        return float(surf.ev(p[0], p[1], dx=i, dy=j))
-
-    for _ in range(4):
-        a, b, c = dw(2, 0), dw(1, 1), dw(0, 2)
-        grad = np.array([dw(1, 0), dw(0, 1)])
-        t = 0.5 * math.atan2(2.0 * b, a - c)
-        m, r = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
-        for lam, angle in ((m + r, t), (m - r, t + 0.5 * _PI)):
-            v = np.array([math.cos(angle), math.sin(angle)])
-            if abs(lam) > 1e-8 * (abs(m) + r):
-                p -= v * (v @ grad) / lam
-    x_star = float(xs[i0] if circle else np.mod(p[0], L))
-    y_star = float(np.clip(p[1], 0.0, _PI))
+    surf = _periodic_spline(xs, Ys, L, w)
+    cell = np.array([L / gen.nx, Ys[1] - Ys[0]])
+    p = np.array([xs[i0], Ys[j0]])
+    for _ in range(_NEWTON_ITERATIONS):
+        step = _newton_step(surf, p, circle)
+        step /= max(1.0, float(np.max(np.abs(step) / cell)))
+        p = p - step
+        p[0] = np.mod(p[0], L)
+        if not 0.0 <= p[1] <= _PI or np.all(np.abs(step) <= _STEP_ROUNDING):
+            break
+    else:
+        raise InternalConsistencyError(
+            f"Newton's method found no extremum of the generating function "
+            f"in {_NEWTON_ITERATIONS} steps")
+    x_star, y_star = float(p[0]), float(np.clip(p[1], 0.0, _PI))
     margin = Ys[1] - Ys[0]
     if not (margin * 0.5 < y_star < _PI - margin * 0.5):
         raise InternalConsistencyError(
             "extremum of the generating function landed on the boundary")
-    Xq, Yq = grid.evaluate(np.array([x_star]), np.array([y_star]))
-    if abs(Xq[0] - x_star) > FIXED_TOL or abs(Yq[0] - y_star) > FIXED_TOL:
+    Xq, Yq = _map_near(grid, x_star, y_star)
+    if abs(Xq - x_star) > FIXED_TOL or abs(Yq - y_star) > FIXED_TOL:
         raise InternalConsistencyError(
             f"located extremum is not fixed by the map "
-            f"(|dx| = {abs(Xq[0] - x_star):.3g}, "
-            f"|dy| = {abs(Yq[0] - y_star):.3g})")
+            f"(|dx| = {abs(Xq - x_star):.3g}, "
+            f"|dy| = {abs(Yq - y_star):.3g})")
     sigma_val = float(sign * surf.ev(x_star, y_star))
     return (x_star, y_star), sigma_val
 

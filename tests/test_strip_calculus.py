@@ -393,18 +393,22 @@ class TestFixedPointTheorem:
         assert sigma == pytest.approx(-0.03, abs=1e-7)
 
     def test_fixed_point_does_not_depend_on_the_start(self, monkeypatch):
-        # Nelder-Mead alone stops about 1e-8 from the extremum, wherever W
-        # is flat to its function tolerance; the Newton polish on the
-        # spline's gradient lands on the critical point from any start
+        # Newton on the spline's gradient lands on the same critical point
+        # from the start node and from each of its 8 neighbours
         gen = sc.random_generating_grid(np.random.default_rng(7))
         grid = sc.build_from_generating(gen)
-        minimize = sc.minimize
-        points = []
-        for shift in ((0.0, 0.0), (1e-3, 0.0), (0.0, -1e-3), (-1e-3, 1e-3)):
-            monkeypatch.setattr(
-                sc, "minimize", lambda f, x0, shift=shift, **kw:
-                minimize(f, x0 + np.array(shift), **kw))
-            points.append(sc.fixed_point_with_signed_action(grid, gen)[0])
+        start = sc._refinement_start
+        points = [sc.fixed_point_with_signed_action(grid, gen)[0]]
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == dj == 0:
+                    continue
+                monkeypatch.setattr(
+                    sc, "_refinement_start", lambda w, tie, di=di, dj=dj:
+                    ((start(w, tie)[0] + di) % w.shape[0],
+                     start(w, tie)[1] + dj, False))
+                points.append(sc.fixed_point_with_signed_action(grid,
+                                                                gen)[0])
         assert np.ptp(np.array(points), axis=0).max() < 1e-12
 
     def test_circle_of_fixed_points_keeps_its_x(self, spheroid_grid):
