@@ -30,6 +30,15 @@ def minus_sin2_generating(eps=0.02, nx=96, ny=96):
     return sc.GeneratingGrid(length=L, xs=xs, Ys=Ys, w=w)
 
 
+def seed5_generating(k):
+    """Map k (from 0) of the maps drawn from one ``default_rng(5)`` stream
+    with the ``random_generating_grid`` defaults."""
+    rng = np.random.default_rng(5)
+    for _ in range(k):
+        sc.random_generating_grid(rng)
+    return sc.random_generating_grid(rng)
+
+
 class TestFlux:
     def test_identity(self):
         assert sc.flux(sc.identity_map()) == 0.0
@@ -410,6 +419,40 @@ class TestFixedPointTheorem:
                 points.append(sc.fixed_point_with_signed_action(grid,
                                                                 gen)[0])
         assert np.ptp(np.array(points), axis=0).max() < 1e-12
+
+    def test_periodic_spline_agrees_across_the_seam(self):
+        # W, D1 W and D2 W of the padded spline repeat with period L
+        gen = seed5_generating(158)
+        surf = sc._periodic_spline(gen.xs, gen.Ys, L, gen.w)
+        x, y = np.meshgrid(np.linspace(0.0, L / gen.nx, 11),
+                           np.linspace(0.0, math.pi, 61), indexing="ij")
+        for dx, dy in ((0, 0), (1, 0), (0, 1)):
+            gap = surf.ev(x + L, y, dx=dx, dy=dy) - surf.ev(x, y, dx=dx,
+                                                            dy=dy)
+            assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(gen.w))
+
+    @pytest.mark.parametrize("k, branch", [
+        (109, "positive"), (142, "positive"), (158, "positive"),
+        (199, "negative")])
+    def test_extremum_left_of_the_seam(self, monkeypatch, k, branch):
+        # The extremum lies just left of x = L and the grid extremum is in
+        # column 0, so the first step crosses the seam.  x is wrapped after
+        # every step: the spline's gradient vanishes at the point found, and
+        # a start in column nx - 1 finds the same point.
+        gen = seed5_generating(k)
+        grid = sc.build_from_generating(gen)
+        sign = 1.0 if branch == "negative" else -1.0
+        i0, j0, _ = sc._refinement_start(sign * gen.w[:, 1:-1], 0.0)
+        assert i0 == 0
+        (x, y), _ = sc.fixed_point_with_signed_action(grid, gen, branch)
+        assert L - L / gen.nx < x < L
+        surf = sc._periodic_spline(gen.xs, gen.Ys, L, gen.w)
+        assert abs(surf.ev(x, y, dx=1)) <= 1e-15
+        assert abs(surf.ev(x, y, dy=1)) <= 1e-15
+        monkeypatch.setattr(sc, "_refinement_start",
+                            lambda w, tie: (gen.nx - 1, j0, False))
+        assert sc.fixed_point_with_signed_action(grid, gen, branch)[0] \
+            == pytest.approx((x, y), abs=1e-12)
 
     def test_circle_of_fixed_points_keeps_its_x(self, spheroid_grid):
         # The prolate lift over the equator is x-invariant, so its positive
