@@ -99,15 +99,6 @@ class StripMapGrid:
         return float(max(np.max(np.abs(self.displacement())),
                          np.max(np.abs(self.Y - self.ys[None, :]))))
 
-    def evaluate(self, xq, yq):
-        """Map values at off-node points, interpolating the periodic
-        displacement field with bivariate splines."""
-        dx_s, dy_s = _displacement_splines(self)
-        xw = np.mod(xq, self.length)
-        Xq = xq + dx_s.ev(xw, yq)
-        Yq = np.clip(yq + dy_s.ev(xw, yq), 0.0, _PI)
-        return Xq, Yq
-
     def validate(self, tol=IDENTITY_TOL):
         """Check the defining grid invariants; raises on violation."""
         if np.max(np.abs(self.Y[:, 0])) > 1e-7 \
@@ -270,21 +261,13 @@ def omega_preservation_residual(grid):
 
 def _periodic_spline(xs, ys, length, F):
     """Bicubic spline of node data F (nx, ny), periodic in x with period
-    ``length``.  The mesh is padded by 16 periodic images on each side: the
-    spline's end conditions then reach the period only at rounding level
-    (with 4 images, W and D1 W differ across x = 0 and x = L by up to 1e-10
-    and 1e-8, which moves an extremum near the seam by up to 2.5e-6)."""
+    ``length``.  The mesh is padded by 16 periodic images on each side, so
+    the spline's end conditions reach the period only at rounding level:
+    with 4 images, W and D1 W differ across x = 0 and x = L by up to 1e-9
+    and 1e-7, which moves an extremum near the seam by up to 2.5e-6."""
     i = np.arange(-16, len(xs) + 16)
     return RectBivariateSpline(xs[i % len(xs)] + length * (i // len(xs)), ys,
                                F[i % len(xs)], kx=3, ky=3)
-
-
-def _displacement_splines(grid):
-    """Periodic bicubic splines of (X - x, Y - y)."""
-    return (_periodic_spline(grid.xs, grid.ys, grid.length,
-                             grid.displacement()),
-            _periodic_spline(grid.xs, grid.ys, grid.length,
-                             grid.Y - grid.ys[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +344,16 @@ def calabi(grid, action_grid=None):
 _ColumnSplines = namedtuple("_ColumnSplines", "x c")
 
 
-def _columns_at(spline, Y, nu=0):
-    """Column i of an axis-1 ``CubicSpline`` of (nx, ny) node data, or its
-    first derivative (``nu=1``), at that column's own points ``Y[i]``.
-    ``spline`` may also hold per-column knots ``x``, (nx, ny), as
-    :func:`_inverse_columns` gives; the interval search then runs per
-    column.  The search, ``searchsorted(side="right") - 1`` clipped to the
-    first and last interval, and the power sums repeat scipy's ``PPoly``
-    evaluation term by term, also at the last knot and outside the knots,
-    so each column equals a per-column spline bit for bit.
+def _columns_at(spline, Y, slope=False):
+    """Column i of an axis-1 ``CubicSpline`` of (nx, ny) node data at that
+    column's own points ``Y[i]``; with ``slope``, the pair of it and its
+    first derivative, from the one interval search.  ``spline`` may also
+    hold per-column knots ``x``, (nx, ny), as :func:`_inverse_columns`
+    gives; the interval search then runs per column.  The search,
+    ``searchsorted(side="right") - 1`` clipped to the first and last
+    interval, and the power sums repeat scipy's ``PPoly`` evaluation term
+    by term, also at the last knot and outside the knots, so each column
+    equals a per-column spline bit for bit.
     """
     x, cols = spline.x, np.arange(Y.shape[0])[:, None]
     if x.ndim == 1:
@@ -380,9 +364,10 @@ def _columns_at(spline, Y, nu=0):
     k = np.clip(k - 1, 0, x.shape[-1] - 2)
     s = Y - (x[k] if x.ndim == 1 else x[cols, k])
     c0, c1, c2, c3 = spline.c[:, k, cols]
-    if nu == 1:
-        return c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
-    return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+    value = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+    if slope:
+        return value, c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
+    return value
 
 
 def _inverse_columns(knots, values):
@@ -473,13 +458,14 @@ def build_from_generating(gen):
     lo = np.zeros_like(Y)           # the residual is >= 0 at lo, <= 0 at hi
     hi = np.full_like(Y, _PI)
     for _ in range(_IMAGE_ITERATIONS):
-        f = np.cos(Y) - _columns_at(d1_spl, Y) - np.cos(Ys)
+        d1, d11 = _columns_at(d1_spl, Y, slope=True)
+        f = np.cos(Y) - d1 - np.cos(Ys)
         busy = ~(np.max(np.abs(f), axis=1) < 1e-12)    # NaN stays busy
         if not busy.any():
             break
         lo = np.where(f > 0.0, Y, lo)
         hi = np.where(f > 0.0, hi, Y)
-        df = -np.sin(Y) - _columns_at(d1_spl, Y, 1)
+        df = -np.sin(Y) - d11
         newton = Y - f / np.where(df == 0.0, 1.0, df)
         inside = (np.abs(df) > 1e-14) & (lo <= newton) & (newton <= hi)
         Y = np.where(busy[:, None],
@@ -601,7 +587,8 @@ def _newton_step(surf, p, circle):
         return float(surf.ev(p[0], p[1], dx=i, dy=j))
 
     if circle:
-        return np.array([0.0, dw(0, 1) / abs(dw(0, 2))])
+        c = dw(0, 2)
+        return np.array([0.0, dw(0, 1) / abs(c) if c else 0.0])
     a, b, c = dw(2, 0), dw(1, 1), dw(0, 2)
     grad = np.array([dw(1, 0), dw(0, 1)])
     t = 0.5 * math.atan2(2.0 * b, a - c)
@@ -620,7 +607,8 @@ def _map_near(grid, x, y, half=5):
     nodes around it (periodic in x, kept inside the rows)."""
     h = grid.length / grid.nx
     cols = np.arange(-half + 1, half + 1) + math.floor(x / h)
-    j = max(min(int(np.searchsorted(grid.ys, y)) - half, grid.ny - 2 * half), 0)
+    j = int(np.searchsorted(grid.ys, y)) - half
+    j = max(min(j, grid.ny - 2 * half), 0)
     rows = slice(j, j + 2 * half)
     i = cols % grid.nx
     ys = grid.ys[rows]
@@ -667,6 +655,7 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
         step /= max(1.0, float(np.max(np.abs(step) / cell)))
         p = p - step
         p[0] = np.mod(p[0], L)
+        # past a boundary row the spline is constant: the margin refuses
         if not 0.0 <= p[1] <= _PI or np.all(np.abs(step) <= _STEP_ROUNDING):
             break
     else:

@@ -26,10 +26,15 @@ def reversed_state(state):
 
 
 def compose_maps(outer, inner):
-    """Grid of outer o inner, interpolating the outer displacement field."""
+    """Grid of outer o inner, interpolating the outer displacement fields
+    X - x and Y - y with periodic bicubic splines."""
     if abs(outer.length - inner.length) > 1e-12:
         raise PreconditionError("maps must share the same period")
-    Xq, Yq = outer.evaluate(inner.X, inner.Y)
+    dX, dY = (sc._periodic_spline(outer.xs, outer.ys, outer.length, d)
+              for d in (outer.displacement(), outer.Y - outer.ys[None, :]))
+    xw = np.mod(inner.X, outer.length)
+    Xq = inner.X + dX.ev(xw, inner.Y)
+    Yq = np.clip(inner.Y + dY.ev(xw, inner.Y), 0.0, np.pi)
     return sc.StripMapGrid(length=inner.length, xs=inner.xs, ys=inner.ys,
                            X=Xq, Y=Yq, provenance="synthetic")
 

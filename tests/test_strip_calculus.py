@@ -274,14 +274,12 @@ class TestWholeArrays:
                               np.tile(ys, (nx, 1)),
                               np.tile([0.0, math.pi], (nx, 1))], axis=1)
         spline = CubicSpline(ys, data, axis=1)
-        for nu in (0, 1):
-            want = np.array([CubicSpline(ys, data[i])(pts[i], nu)
-                             for i in range(nx)])
-            got = sc._columns_at(spline, pts, nu)
-            if nu == 0:
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want)) < 1e-12
+        want, want_slope = (np.array([CubicSpline(ys, data[i])(pts[i], nu)
+                                      for i in range(nx)]) for nu in (0, 1))
+        got, slope = sc._columns_at(spline, pts, slope=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(sc._columns_at(spline, pts), want)
+        assert np.max(np.abs(slope - want_slope)) < 1e-12
 
     def test_inverse_columns_match_per_column_splines(self):
         # Random non-uniform knots, one strictly increasing row per column.
