@@ -601,11 +601,11 @@ def _newton_step(surf, p, circle):
     return step
 
 
-def _map_near(grid, x, y, half=5):
+def _map_near(grid, x, y):
     """The map's (X, Y) at one point, from bicubic splines of the
-    displacements X - x and Y - y on the window of 2 half x 2 half grid
-    nodes around it (periodic in x, kept inside the rows)."""
-    h = grid.length / grid.nx
+    displacements X - x and Y - y on the window of 10 x 10 grid nodes
+    around it (periodic in x, kept inside the rows)."""
+    h, half = grid.length / grid.nx, 5
     cols = np.arange(-half + 1, half + 1) + math.floor(x / h)
     j = int(np.searchsorted(grid.ys, y)) - half
     j = max(min(j, grid.ny - 2 * half), 0)
@@ -662,9 +662,8 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
         raise InternalConsistencyError(
             f"Newton's method found no extremum of the generating function "
             f"in {_NEWTON_ITERATIONS} steps")
-    x_star, y_star = float(p[0]), float(np.clip(p[1], 0.0, _PI))
-    margin = Ys[1] - Ys[0]
-    if not (margin * 0.5 < y_star < _PI - margin * 0.5):
+    x_star, y_star = map(float, p)
+    if not (cell[1] * 0.5 < y_star < _PI - cell[1] * 0.5):
         raise InternalConsistencyError(
             "extremum of the generating function landed on the boundary")
     Xq, Yq = _map_near(grid, x_star, y_star)

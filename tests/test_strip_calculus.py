@@ -429,6 +429,24 @@ class TestFixedPointTheorem:
                                                             dy=dy)
             assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(gen.w))
 
+    def test_fixed_map_check_reads_a_window_of_the_grid(self):
+        # The map at one point from a 10 x 10 window of its grid agrees with
+        # the periodic spline of the whole grid, across the seam and near
+        # the boundary rows, far inside FIXED_TOL.
+        rng = np.random.default_rng(5)
+        gen = sc.random_generating_grid(rng, amplitude=0.006)
+        grid = sc.build_from_generating(gen)
+        dX, dY = (sc._periodic_spline(grid.xs, grid.ys, L, d)
+                  for d in (grid.displacement(), grid.Y - grid.ys[None, :]))
+        xs = np.concatenate([rng.uniform(0.0, L, 40),
+                             [0.0, 1e-12, L - 1e-12, L / grid.nx]])
+        ys = np.concatenate([rng.uniform(0.05, math.pi - 0.05, 40),
+                             [0.04, math.pi - 0.04, 1.0, 2.0]])
+        for x, y in zip(xs, ys):
+            X, Y = sc._map_near(grid, x, y)
+            assert abs(X - x - dX.ev(x, y)) < 1e-8
+            assert abs(Y - y - dY.ev(x, y)) < 1e-8
+
     @pytest.mark.parametrize("k, branch", [
         (109, "positive"), (142, "positive"), (158, "positive"),
         (199, "negative")])
@@ -440,7 +458,8 @@ class TestFixedPointTheorem:
         gen = seed5_generating(k)
         grid = sc.build_from_generating(gen)
         sign = 1.0 if branch == "negative" else -1.0
-        i0, j0, _ = sc._refinement_start(sign * gen.w[:, 1:-1], 0.0)
+        i0, j0, _ = sc._refinement_start(sign * gen.w[:, 1:-1],
+                                         sc._W_RESOLUTION)
         assert i0 == 0
         (x, y), _ = sc.fixed_point_with_signed_action(grid, gen, branch)
         assert L - L / gen.nx < x < L
