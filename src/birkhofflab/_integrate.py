@@ -158,13 +158,16 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     views past its return: the stages array is reused by the next step.
     ``project`` may rewrite its argument in place and returns the new
     state.  The call structure is that of DP5(4): two RHS calls to start,
-    six per attempted step and one per accepted step.
+    six per attempted step and one per accepted step.  A step size below
+    rounding, or NaN, raises :class:`IntegrationFailure`.
     """
     single = y0.ndim == 1
     y = np.array(np.atleast_2d(y0).T, dtype=float, order="C")      # (d, n)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (-math.inf < t0 < t1 < math.inf):
         raise PreconditionError("t_span must be finite and increasing")
+    if not np.all(np.isfinite(y)):
+        raise PreconditionError("initial state must be finite")
 
     def rhs(t, yc):
         return fun(t, yc.T).T
@@ -180,7 +183,7 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     steps = []
     while t < t1:
         h = min(h, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        if not h >= 1e-14 * max(1.0, abs(t)):      # NaN fails too
             raise IntegrationFailure("step size underflow", t=t,
                                      last_state=y.T[0] if single else y.T)
         for i in range(1, 7):

@@ -73,7 +73,9 @@ _GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
 # Return-sweep horizon in units of 2 pi / sqrt(min K).
 _HORIZON_FACTOR = 3.0
 _ADJACENT_SEGMENTS = 3   # segments this close in index are neighbours
+_CURVE_RESOLUTION = 1e-6  # closer segments count as a self-intersection
 _MAX_FOLD = 6            # largest cover order minimal_period_fold tries
+_FOLD_TOL = 1e-7         # state mismatch below which a shift is a period
 _ARC_NODES = 12          # swept nodes whose return arcs are sampled
 _ARC_SAMPLES = 600       # least dense-output samples per leg of such an arc
 _BOUNDARY_ROWS = 5       # interior rows extrapolated onto a boundary row
@@ -107,9 +109,9 @@ def _segment_pair_distance(p1, q1, p2, q2):
     return math.sqrt(diff @ diff)
 
 
-def curve_self_intersects(points, closed=True, resolution=1e-6):
-    """Whether a polyline in R^3 approaches itself closer than ``resolution``
-    away from parameter-adjacent segments."""
+def curve_self_intersects(points, closed=True):
+    """Whether a polyline in R^3 approaches itself closer than
+    ``_CURVE_RESOLUTION`` away from parameter-adjacent segments."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     segs_a = pts
@@ -118,19 +120,19 @@ def curve_self_intersects(points, closed=True, resolution=1e-6):
     mids = 0.5 * (segs_a[:nseg] + segs_b[:nseg])
     seg_len = np.max(np.linalg.norm(segs_b[:nseg] - segs_a[:nseg], axis=1))
     tree = cKDTree(mids)
-    pairs = tree.query_pairs(r=2.0 * seg_len + resolution)
+    pairs = tree.query_pairs(r=2.0 * seg_len + _CURVE_RESOLUTION)
     for i, j in pairs:
         gap = min(abs(i - j), nseg - abs(i - j)) if closed else abs(i - j)
         if gap <= _ADJACENT_SEGMENTS:
             continue
         d = _segment_pair_distance(segs_a[i], segs_b[i % n],
                                    segs_a[j], segs_b[j % n])
-        if d < resolution:
+        if d < _CURVE_RESOLUTION:
             return True
     return False
 
 
-def minimal_period_fold(orbit, tol=1e-7):
+def minimal_period_fold(orbit):
     """Smallest integer m > 1 such that the stored orbit is an m-fold cover
     of a shorter closed orbit, or 1 if it is primitive."""
     states = orbit.states
@@ -139,7 +141,8 @@ def minimal_period_fold(orbit, tol=1e-7):
         if n % m:
             continue
         shift = n // m
-        if np.max(np.abs(states - np.roll(states, -shift, axis=0))) < tol:
+        shifted = np.roll(states, -shift, axis=0)
+        if np.max(np.abs(states - shifted)) < _FOLD_TOL:
             return m
     return 1
 
@@ -190,19 +193,19 @@ class BirkhoffSection:
         return np.arctan2(st, ct)
 
 
-def build_section(model, orbit=None, resolution=1e-6):
+def build_section(model, orbit=None):
     """Annulus over ``orbit`` (default: the equatorial geodesic).
 
-    The base curve must be simple at the given spatial resolution and must
+    The base curve must be simple at ``_CURVE_RESOLUTION`` and must
     lie on a plane through the origin of the chart sphere; otherwise a
     :class:`SectionInvalidError` is raised.
     """
     if orbit is None:
         orbit = gd.equator_orbit(model)
     pts = orbit.states[:, 0:3]
-    if curve_self_intersects(pts, closed=True, resolution=resolution):
+    if curve_self_intersects(pts, closed=True):
         raise SectionInvalidError("base curve is not simple at resolution "
-                                  f"{resolution:g}")
+                                  f"{_CURVE_RESOLUTION:g}")
     normal = orbit.plane_normal() if hasattr(orbit, "plane_normal") else None
     if normal is None:
         raise SectionInvalidError(
@@ -291,8 +294,8 @@ class BirkhoffGrid:
         sc._write_node_csv(path, ["x", "y", "X", "Y", "tau"], self.xs,
                            self.ys, self.X, self.Y, self.tau)
 
-    def summary(self, model=None):
-        lift = zero_flux_lift(self, arc_check_nodes=0)
+    def summary(self, model):
+        lift = zero_flux_lift(self)
         out = {
             "L": self.L,
             "nx": self.nx,
@@ -308,17 +311,14 @@ class BirkhoffGrid:
         out["residuals"] = {
             "tau_action_max": verify_tau_action_identity(self, lift, act),
             "omega_preservation_max": sc.omega_preservation_residual(lift),
+            "area_identity_rel": verify_area_identity(self, lift, model,
+                                                      action_grid=act),
+            "contact_volume_rel": contact_volume_check(self, model),
         }
-        if model is not None:
-            out["residuals"]["area_identity_rel"] = \
-                verify_area_identity(self, lift, model, action_grid=act)
-            out["residuals"]["contact_volume_rel"] = \
-                contact_volume_check(self, model)
         return out
 
 
-def return_data(section, x, y, rtol=1e-10, atol=1e-12,
-                horizon_factor=_HORIZON_FACTOR):
+def return_data(section, x, y, rtol=1e-10):
     """First-return record of the annulus vector at (x, y).
 
     Interior angles are integrated with event detection; on the boundary
@@ -327,33 +327,34 @@ def return_data(section, x, y, rtol=1e-10, atol=1e-12,
     """
     if not (0.0 <= y <= math.pi):
         raise PreconditionError("y must lie in [0, pi]")
-    out = _returns(section, np.array([float(x)]), np.array([float(y)]), rtol,
-                   atol, horizon_factor)
+    out = _returns(section, np.array([float(x)]), np.array([float(y)]), rtol)
     if out["status"][0] == STATUS_MISSING:
         raise ReturnFailure(
             "return events not found within horizon factor "
-            f"{horizon_factor}")
+            f"{_HORIZON_FACTOR}")
     return ReturnSample(x=float(x), y=float(y),
                         **{k: v[0].item() for k, v in out.items()})
 
 
-def _horizon(kmin, factor, ys):
+def _horizon(kmin, ys):
     """Sweep horizon of the orbits launched at angles ``ys`` on a model of
-    least curvature ``kmin``: ``factor`` times 2 pi / sqrt(kmin) for a
-    return, the conjugate horizon of order 2 along the base, the larger one
-    in a mixed batch."""
+    least curvature ``kmin``: ``_HORIZON_FACTOR`` times 2 pi / sqrt(kmin)
+    for a return, the conjugate horizon of order 2 along the base, the
+    larger one in a mixed batch."""
     along = np.isin(ys, (0.0, math.pi))
-    return max(0.0 if along.all() else factor * _TWO_PI / math.sqrt(kmin),
+    return max(0.0 if along.all()
+               else _HORIZON_FACTOR * _TWO_PI / math.sqrt(kmin),
                gd.conjugate_horizon(kmin, 2) if along.any() else 0.0)
 
 
-def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1),
+def _return_sweep(section, xs, ys, rtol, horizon, slopes=(-1, +1),
                   sample=None):
     """Crossings of the base plane by the orbits of the annulus vectors at
     matched coordinates (xs, ys), one event per expected slope; an orbit
     along the base (y = 0 or pi) records its Jacobi angle reaching 2 pi in
-    the last slot instead.  ``sample`` is passed to
-    :func:`~._integrate.sweep_linear_events`."""
+    the last slot instead.  The absolute tolerance is ``rtol * 1e-2``, the
+    ratio of :func:`~.geodesic_dynamics.integrate_geodesic`.  ``sample`` is
+    passed to :func:`~._integrate.sweep_linear_events`."""
     seeds = np.hstack([*section.section_vector(xs, ys),
                        np.zeros((len(xs), 2))])
     along = np.isin(ys, (0.0, math.pi))           # the boundary rows
@@ -363,8 +364,8 @@ def _return_sweep(section, xs, ys, rtol, atol, horizon, slopes=(-1, +1),
         gd.geodesic_rhs(section.model, jacobi=True), seeds, horizon, wev,
         target=np.where(along, _TWO_PI, 0.0),
         n_events=np.where(along, 1, len(slopes)), expected_slopes=slopes,
-        rtol=rtol, atol=atol, project=gd.state_projector(section.model),
-        sample=sample)
+        rtol=rtol, atol=rtol * 1e-2,
+        project=gd.state_projector(section.model), sample=sample)
 
 
 def _arc_legs(sweep, rows, times):
@@ -383,8 +384,7 @@ def _arc_legs(sweep, rows, times):
     return legs
 
 
-def _returns(section, xs, ys, rtol, atol, horizon_factor=_HORIZON_FACTOR,
-             arc=()):
+def _returns(section, xs, ys, rtol, arc=()):
     """Return-data arrays (the fields of :class:`ReturnSample` other than
     x, y) for matched arrays of coordinates, from one sweep; flagged
     interior nodes are NaN.  A boundary node that misses its conjugate
@@ -399,14 +399,13 @@ def _returns(section, xs, ys, rtol, atol, horizon_factor=_HORIZON_FACTOR,
     lists the :func:`_arc_legs` of those rows whose status is clean."""
     L = section.length
     kmin, kmax = mm.curvature_extremes(section.model)
-    horizon = _horizon(kmin, horizon_factor, ys)
+    horizon = _horizon(kmin, ys)
     sample = None
     if len(arc):
         times = np.arange(0.0, horizon,
                           math.pi / (math.sqrt(kmax) * _ARC_SAMPLES))
         sample = (arc, slice(0, 3), times)
-    sweep = _return_sweep(section, xs, ys, rtol, atol, horizon,
-                          sample=sample)
+    sweep = _return_sweep(section, xs, ys, rtol, horizon, sample=sample)
     along = np.isin(ys, (0.0, math.pi))
     status = np.where(sweep.grazing, STATUS_GRAZING,
                       np.where(sweep.n_found < sweep.t_events.shape[1],
@@ -486,7 +485,7 @@ def _grid_symmetry(section, nx, ny):
     return rep, flip, check
 
 
-def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
+def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
     """Return-data arrays of shape (len(xs), len(ys)) filled from the
     fundamental domain of the grid symmetry group (see
     :func:`_grid_symmetry`).
@@ -521,7 +520,7 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
     for part in np.array_split(np.arange(len(ii)),
                                -(-len(ii) // _SWEEP_ORBITS)):
         i, j = ii[part], jj[part]
-        out = _returns(section, xs[i], ys[j], rtol, atol,
+        out = _returns(section, xs[i], ys[j], rtol,
                        arc=np.flatnonzero(np.isin(part, arc)))
         for k in _GRID_FIELDS:
             vals[k][i, j] = out[k]
@@ -551,7 +550,7 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol, atol):
     return out
 
 
-def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
+def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
     """First-return data over the full annulus grid.
 
     Isometries of the model that map the annulus onto itself commute with
@@ -586,7 +585,7 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
     xs = np.arange(nx) * (L / nx)
     ys = np.linspace(0.0, math.pi, ny)
     arrays = _symmetric_returns(section, xs, ys,
-                                *_grid_symmetry(section, nx, ny), rtol, atol)
+                                *_grid_symmetry(section, nx, ny), rtol)
 
     grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
     ok = grid.status == STATUS_OK
@@ -599,21 +598,19 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10, atol=1e-12):
 # the zero-flux lift and the bridge identities
 # ---------------------------------------------------------------------------
 
-def zero_flux_lift(grid, arc_check_nodes=_ARC_NODES):
+def zero_flux_lift(grid):
     """Strip map carrying the return data, with the canonical zero-flux lift.
 
     The advance-based lift is trusted only if the return arcs the grid's
-    sweep sampled (the first ``arc_check_nodes`` of them; 0 skips the check)
-    are injective, each leg separately; a detected self-intersection raises
-    :class:`PinchingViolationError`.  The vanishing of the flux is verified,
-    not assumed.
+    sweep sampled are injective, each leg separately; a detected
+    self-intersection raises :class:`PinchingViolationError`.  The
+    vanishing of the flux is verified, not assumed.
     """
     grid.require_clean()
-    if arc_check_nodes:
-        check_return_arc_injectivity(grid, n_nodes=arc_check_nodes)
+    check_return_arc_injectivity(grid)
     lift = sc.StripMapGrid(length=grid.L, xs=grid.xs.copy(),
                            ys=grid.ys.copy(), X=grid.X.copy(),
-                           Y=grid.Y.copy(), provenance="birkhoff")
+                           Y=grid.Y.copy())
     F = sc.flux(lift)
     if abs(F) > sc.FLUX_TOL:
         raise InternalConsistencyError(
@@ -622,20 +619,19 @@ def zero_flux_lift(grid, arc_check_nodes=_ARC_NODES):
     return lift
 
 
-def check_return_arc_injectivity(grid, n_nodes=_ARC_NODES, resolution=1e-6):
+def check_return_arc_injectivity(grid):
     """Sampled verification that each return-arc leg is an injective curve,
-    on the first ``n_nodes`` arcs of ``grid.arc_legs`` (the legs the return
-    sweep sampled; see :func:`_symmetric_returns`)."""
-    for i, j, *legs in grid.arc_legs[:n_nodes]:
+    on the arcs of ``grid.arc_legs`` (the legs the return sweep sampled; see
+    :func:`_symmetric_returns`)."""
+    for i, j, *legs in grid.arc_legs:
         for pts in legs:
-            if curve_self_intersects(pts, closed=False,
-                                     resolution=resolution):
+            if curve_self_intersects(pts, closed=False):
                 raise PinchingViolationError(
                     f"return arc through node ({i}, {j}) self-intersects; "
                     "the advance pinning hypotheses fail")
 
 
-def verify_tau_action_identity(grid, lift, action_grid=None, ):
+def verify_tau_action_identity(grid, lift, action_grid=None):
     """max |tau - L - sigma| over the grid: the return time must equal the
     base length plus the action of the zero-flux lift."""
     act = action_grid if action_grid is not None else sc.action(lift)
@@ -726,7 +722,7 @@ def boundary_consistency_check(grid):
     return max(out)
 
 
-def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
+def composition_identity_check(grid, n_nodes=10, rtol=1e-10):
     """Re-seeded composition residuals on a node subsample.
 
     The intermediate hit of each return orbit is converted to coordinates on
@@ -738,15 +734,14 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10, atol=1e-12):
     rng = np.random.default_rng(1)
     ii = rng.integers(0, grid.nx, size=n_nodes)
     jj = rng.integers(1, grid.ny - 1, size=n_nodes)
-    horizon = _horizon(mm.curvature_extremes(sec.model)[0], _HORIZON_FACTOR,
-                       grid.ys[jj])
-    sweep = _return_sweep(sec, grid.xs[ii], grid.ys[jj], rtol, atol, horizon)
+    horizon = _horizon(mm.curvature_extremes(sec.model)[0], grid.ys[jj])
+    sweep = _return_sweep(sec, grid.xs[ii], grid.ys[jj], rtol, horizon)
     if np.any(sweep.n_found < 2):
         raise ReturnFailure("return not found during composition check")
     # coordinates of the intermediate vectors on the opposite annulus
     y1 = sweep.y_events[:, 0]
     x1 = sec.footpoint(y1[:, 0:3])
-    res2 = _return_sweep(sec, x1, sec.angles_of(x1, y1[:, 3:6]), rtol, atol,
+    res2 = _return_sweep(sec, x1, sec.angles_of(x1, y1[:, 3:6]), rtol,
                          horizon, slopes=(+1,))
     if np.any(res2.n_found < 1):
         raise ReturnFailure("transition return not found")

@@ -125,6 +125,15 @@ def _command(name, *options, **defaults):
     return register
 
 
+def _start(text):
+    """The (theta, phi, psi) floats of ``--start``."""
+    try:
+        theta, phi, psi = (float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise UsageError("--start must be 'theta,phi,psi'") from exc
+    return theta, phi, psi
+
+
 def _check_config(args):
     """Refuse the values of the given options that no subcommand can use."""
     opts = vars(args)
@@ -145,6 +154,8 @@ def _check_config(args):
         raise UsageError("--samples must be at least 1")
     if not math.isfinite(opts.get("eps", 0.0)):
         raise UsageError("--eps must be finite")
+    if "start" in opts and not all(map(math.isfinite, _start(opts["start"]))):
+        raise UsageError("--start components must be finite")
     if opts.get("w_preset") == "random" and not opts["metric"]:
         for opt in ("nx", "ny"):
             if opts[opt] < RANDOM_MIN_GRID:
@@ -173,8 +184,7 @@ def _return_grid(args):
     model = _load_metric(args.metric)
     delta = sa.require_lift_pinching(model)
     grid = bs.compute_return_grid(bs.build_section(model), nx=args.nx,
-                                  ny=args.ny, rtol=args.tol_int,
-                                  atol=args.tol_int * 1e-2)
+                                  ny=args.ny, rtol=args.tol_int)
     return model, delta, grid
 
 
@@ -204,11 +214,7 @@ def cmd_metric_info(args):
           "--tol-int", "--out", samples=200)
 def cmd_trace(args):
     model = _load_metric(args.metric)
-    try:
-        theta, phi, psi = (float(v) for v in args.start.split(","))
-    except ValueError as exc:
-        raise UsageError("--start must be 'theta,phi,psi'") from exc
-    state = gd.state_from_angle(model, theta, phi, psi)
+    state = gd.state_from_angle(model, *_start(args.start))
     traj = gd.integrate_geodesic(model, state, args.t_end,
                                  tol=args.tol_int)
     rows = traj.to_csv_rows(args.samples)
@@ -277,7 +283,8 @@ def cmd_strip_report(args):
     if abs(fl) < sc.FLUX_TOL:
         doc["cal"] = sc.calabi(lift)
         if lift.sup_distance_to_identity() > sc.IDENTITY_MAP_EPS:
-            point, sigma = sc.fixed_point_with_signed_action(lift, gen)
+            branch = "negative" if doc["cal"] <= 0.0 else "positive"
+            point, sigma = sc.fixed_point_with_signed_action(lift, gen, branch)
             doc["fixed_points"].append(
                 {"x": point[0], "y": point[1], "sigma": sigma})
     _emit(doc, args.out)
@@ -289,8 +296,7 @@ def cmd_strip_report(args):
 def cmd_systolic_verify(args):
     model = _load_metric(args.metric)
     report = sa.audit(model, nx=args.nx, ny=args.ny, rtol=args.tol_int,
-                      atol=args.tol_int * 1e-2, tol_identity=args.tol_id,
-                      tol_verdict=args.tol_verdict)
+                      tol_identity=args.tol_id, tol_verdict=args.tol_verdict)
     _emit(report.to_dict(), args.out)
     failed = not report.passed or (args.strict and report.warnings)
     return EXIT_FAIL if failed else EXIT_PASS

@@ -41,6 +41,9 @@ TOL_INT_RANGE = (1e-12, 1e-6)     # relative integration tolerances accepted
 # on the iterations (one flow each).
 _SHOOT_STEP = 1e-7
 _SHOOT_ITERATIONS = 8
+_SHOOT_TOL = 1e-12        # relative tolerance of the shooting flows
+_ORBIT_SAMPLES = 1024     # stored states of a closed orbit
+_CONJUGATE_TOL = 1e-11    # relative tolerance of conjugate_time
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,6 @@ class GeodesicState:
 
     point: mm.SurfacePoint
     direction: tuple
-    arclength: float = 0.0
 
 
 def state_to_ambient(model, state):
@@ -157,7 +159,7 @@ def state_to_ambient(model, state):
     return u, dth * e_th + dph * e_ph
 
 
-def state_from_ambient(model, u, v, arclength=0.0):
+def state_from_ambient(model, u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     th, ph = mm.unitvec_to_chart(u)
@@ -169,11 +171,10 @@ def state_from_ambient(model, u, v, arclength=0.0):
     dph = float(u[0] * v[1] - u[1] * v[0]) / (st * st)
     point = mm.SurfacePoint(theta=th, phi=ph,
                             position=model.embedded_position(u))
-    return GeodesicState(point=point, direction=(dth, dph),
-                         arclength=arclength)
+    return GeodesicState(point=point, direction=(dth, dph))
 
 
-def state_from_angle(model, theta, phi, psi, arclength=0.0):
+def state_from_angle(model, theta, phi, psi):
     """Unit-speed state at (theta, phi) making angle ``psi`` with the
     meridian direction (psi = pi/2 points along increasing phi)."""
     z = math.cos(theta)
@@ -184,8 +185,7 @@ def state_from_angle(model, theta, phi, psi, arclength=0.0):
     dth = math.cos(psi) / math.sqrt(E)
     dph = math.sin(psi) / math.sqrt(G)
     point = mm.surface_point(model, theta, phi)
-    return GeodesicState(point=point, direction=(dth, dph),
-                         arclength=arclength)
+    return GeodesicState(point=point, direction=(dth, dph))
 
 
 class Trajectory:
@@ -215,7 +215,7 @@ class Trajectory:
 
     def state(self, t):
         u, v = self.ambient(t)
-        return state_from_ambient(self.model, u, v, arclength=t)
+        return state_from_ambient(self.model, u, v)
 
     def to_csv_rows(self, n):
         """Rows (t, theta, phi, dtheta, dphi) at n uniform times over
@@ -225,7 +225,7 @@ class Trajectory:
         rows = []
         for t, y in zip(ts, ys):
             try:
-                s = state_from_ambient(self.model, y[0:3], y[3:6], t)
+                s = state_from_ambient(self.model, y[0:3], y[3:6])
                 rows.append((t, s.point.theta, s.point.phi,
                              s.direction[0], s.direction[1]))
             except ChartDomainError:
@@ -291,9 +291,10 @@ def _augmented_initial(model, state):
     return np.concatenate([u, v, [0.0, 0.0]])[None, :]
 
 
-def jacobi_polar_advance(model, base, t_end, tol=1e-10):
+def jacobi_polar_advance(model, base, t_end):
     """Advance the polar Jacobi data (theta(0) = 0, r(0) = 1) for time
-    ``t_end`` along the geodesic through ``base``."""
+    ``t_end`` along the geodesic through ``base``, at the default tolerances
+    of :func:`~._integrate.integrate_adaptive`."""
     if t_end < 0.0:
         raise PreconditionError("t_end must be non-negative")
     if t_end == 0.0:
@@ -301,39 +302,33 @@ def jacobi_polar_advance(model, base, t_end, tol=1e-10):
     y0 = _augmented_initial(model, base)
     t, y, _ = integrate_adaptive(
         geodesic_rhs(model, jacobi=True), y0, (0.0, t_end),
-        rtol=tol, atol=tol * 1e-2, project=state_projector(model))
+        project=state_projector(model))
     row = y[0]
     return JacobiPolarState(theta=float(row[6]), r=float(math.exp(row[7])),
                             t=t)
 
 
-def conjugate_time(model, base, order, tol=1e-11):
+def conjugate_time(model, base, order):
     """Smallest t with lifted Jacobi angle equal to order * pi (order 1 or 2)."""
     if order not in (1, 2):
         raise PreconditionError("order must be 1 or 2")
-    return float(_conjugate_sweep(model, _augmented_initial(model, base),
-                                  order, rtol=tol, atol=tol * 1e-2)[0])
+    kmin, _ = mm.curvature_extremes(model)
+    horizon = conjugate_horizon(kmin, order)
+    res = sweep_linear_events(
+        geodesic_rhs(model, jacobi=True), _augmented_initial(model, base),
+        horizon, np.eye(8)[6], target=order * math.pi, n_events=1,
+        expected_slopes=(+1,), rtol=_CONJUGATE_TOL,
+        atol=_CONJUGATE_TOL * 1e-2, project=state_projector(model))
+    if res.n_found[0] < 1 or res.grazing[0]:
+        raise ReturnFailure(
+            f"conjugate point of order {order} not reached before t={horizon}")
+    return float(res.t_events[0, 0])
 
 
 def conjugate_horizon(kmin, order):
     """Time within which every geodesic of a metric with min K = ``kmin``
     meets its conjugate point of the given order."""
     return order * math.pi / min(1.0, kmin) + 1.0
-
-
-def _conjugate_sweep(model, seeds, order, rtol, atol):
-    """Conjugate times of the given order for a batch of (n, 8) augmented
-    seeds."""
-    kmin, _ = mm.curvature_extremes(model)
-    horizon = conjugate_horizon(kmin, order)
-    res = sweep_linear_events(
-        geodesic_rhs(model, jacobi=True), seeds, horizon, np.eye(8)[6],
-        target=order * math.pi, n_events=1, expected_slopes=(+1,),
-        rtol=rtol, atol=atol, project=state_projector(model))
-    if np.any(res.n_found < 1) or np.any(res.grazing):
-        raise ReturnFailure(
-            f"conjugate point of order {order} not reached before t={horizon}")
-    return res.t_events[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +371,26 @@ class ClosedOrbit:
         return normal / np.linalg.norm(normal)
 
 
-def equator_seed(model, x=0.0):
-    phi = x / math.sqrt(model.a)
-    return state_from_angle(model, math.pi / 2, phi, math.pi / 2)
+def equator_seed(model):
+    return state_from_angle(model, math.pi / 2, 0.0, math.pi / 2)
 
 
-def meridian_seed(model, phi=0.0):
-    return state_from_angle(model, math.pi / 2, phi, 0.0)
+def meridian_seed(model):
+    return state_from_angle(model, math.pi / 2, 0.0, 0.0)
 
 
-def _flow_to(model, y0, periods, tol, store=False):
-    """End states (and with ``store`` the dense output) of the flows from
-    the rows of ``y0`` (k, 6) at the shooting tolerances, in the normalised
-    time s = t / T on [0, 1], so each row ends exactly at its period T."""
+def _flow_to(model, y0, periods):
+    """End states and dense output of the flows from the rows of ``y0``
+    (k, 6) at the shooting tolerances, in the normalised time s = t / T on
+    [0, 1], so each row ends exactly at its period T."""
     rhs, T = geodesic_rhs(model), np.asarray(periods, dtype=float)[:, None]
     _, y, dense = integrate_adaptive(
-        lambda s, y: T * rhs(s, y), y0, (0.0, 1.0), rtol=tol,
-        atol=tol * 1e-3, project=state_projector(model), store=store)
+        lambda s, y: T * rhs(s, y), y0, (0.0, 1.0), rtol=_SHOOT_TOL,
+        atol=_SHOOT_TOL * 1e-3, project=state_projector(model), store=True)
     return y, dense
 
 
-def find_closed_geodesic(model, seeds, period_guesses, tol=1e-12,
-                         n_store=1024):
+def find_closed_geodesic(model, seeds, period_guesses):
     """Shooting refinement of (initial state, period) towards closed orbits.
 
     Takes one seed and period guess (giving one :class:`ClosedOrbit`) or
@@ -406,25 +399,26 @@ def find_closed_geodesic(model, seeds, period_guesses, tol=1e-12,
     needs; any other by Gauss-Newton, one stored 4-row flow per iteration
     (see :func:`_gauss_newton_shooting`).  Raises :class:`NoConvergenceError`
     when a closure residual cannot be brought below ``CLOSURE_TARGET``.
+    Each orbit stores ``_ORBIT_SAMPLES`` states.
     """
     single = isinstance(seeds, GeodesicState)
     if single:
         seeds, period_guesses = [seeds], [period_guesses]
     y0 = np.array([np.concatenate(state_to_ambient(model, s)) for s in seeds])
-    yT, dense = _flow_to(model, y0, period_guesses, tol, store=True)
-    s = np.linspace(0.0, 1.0, n_store, endpoint=False)
+    yT, dense = _flow_to(model, y0, period_guesses)
+    s = np.linspace(0.0, 1.0, _ORBIT_SAMPLES, endpoint=False)
     orbits = []
     for k, (seed, T) in enumerate(zip(seeds, period_guesses)):
         resid = float(np.max(np.abs(yT[k] - y0[k])))
         if resid > 0.1 * CLOSURE_TARGET:
-            T, resid, states = _gauss_newton_shooting(model, seed, T, tol, s)
+            T, resid, states = _gauss_newton_shooting(model, seed, T, s)
         else:
             states = dense(s, row=k)
         orbits.append(ClosedOrbit(model, float(T), states, resid))
     return orbits[0] if single else orbits
 
 
-def _gauss_newton_shooting(model, seed, period_guess, tol, s):
+def _gauss_newton_shooting(model, seed, period_guess, s):
     """Gauss-Newton shooting of one orbit in (theta0, psi0, T), the start
     azimuth held fixed; returns the period, the closure residual and the
     states at the normalised times ``s``.  Each iteration flows the launch
@@ -441,7 +435,7 @@ def _gauss_newton_shooting(model, seed, period_guess, tol, s):
         rows = p + _SHOOT_STEP * np.eye(4, 3, -1)    # launch, then pushes
         y0 = np.array([np.concatenate(state_to_ambient(model, state_from_angle(
             model, th, phi0, ps))) for th, ps, _ in rows])
-        yT, dense = _flow_to(model, y0, rows[:, 2], tol, store=True)
+        yT, dense = _flow_to(model, y0, rows[:, 2])
         closure = yT - y0
         resid = float(np.max(np.abs(closure[0])))
         if resid <= 0.1 * CLOSURE_TARGET:
@@ -456,15 +450,13 @@ def _gauss_newton_shooting(model, seed, period_guess, tol, s):
         f"{CLOSURE_TARGET:.3g} after shooting refinement")
 
 
-def equator_orbit(model, n_store=1024, tol=1e-12):
+def equator_orbit(model):
     """The equatorial closed geodesic, refined and sampled."""
     return find_closed_geodesic(model, equator_seed(model),
-                                model.equator_length, tol=tol,
-                                n_store=n_store)
+                                model.equator_length)
 
 
-def meridian_orbit(model, phi=0.0, n_store=1024, tol=1e-12):
-    """The meridian closed geodesic through azimuth ``phi``."""
-    return find_closed_geodesic(model, meridian_seed(model, phi),
-                                model.meridian_circuit_length(), tol=tol,
-                                n_store=n_store)
+def meridian_orbit(model):
+    """The meridian closed geodesic through azimuth 0."""
+    return find_closed_geodesic(model, meridian_seed(model),
+                                model.meridian_circuit_length())

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 
-from .errors import ChartDomainError, ModelInvalidError, PreconditionError
+from .errors import ChartDomainError, ModelInvalidError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -52,6 +52,7 @@ _RESCALED = "rescaled-"
 _PARAM_LIMIT = 1e150    # larger parameters are refused (squares overflow)
 _MERIDIAN_NODES = 256   # trapezoid nodes of the meridian length
 _AREA_INTERVALS = 96    # Clenshaw-Curtis intervals of the area (even)
+_CURVATURE_SAMPLES = 512  # heights sampled by curvature_extremes
 
 
 @dataclass(frozen=True)
@@ -311,12 +312,10 @@ def gaussian_curvature(model, point):
     return float(model.curvature(z))
 
 
-def curvature_extremes(model, n_samples=512):
+def curvature_extremes(model):
     """(min K, max K) over the sphere, by dense height sampling plus local
     bounded refinement around each sampled extreme."""
-    if n_samples < 64:
-        raise PreconditionError(f"n_samples must be at least 64 (got {n_samples})")
-    zs = np.linspace(-1.0, 1.0, int(n_samples))
+    zs = np.linspace(-1.0, 1.0, _CURVATURE_SAMPLES)
     ks = model.curvature(zs)
     if not np.all(ks > 0.0):
         raise ModelInvalidError("curvature sample is not positive")
@@ -335,9 +334,9 @@ def curvature_extremes(model, n_samples=512):
     return kmin, kmax
 
 
-def pinching_constant(model, n_samples=512):
+def pinching_constant(model):
     """delta = min K / max K, estimated by sampling the curvature profile."""
-    kmin, kmax = curvature_extremes(model, n_samples)
+    kmin, kmax = curvature_extremes(model)
     return kmin / kmax
 
 
@@ -365,7 +364,7 @@ def area(model):
     return float(_TWO_PI * math.sqrt(model.a) * np.sum(weights * vals))
 
 
-def injectivity_radius_lower_bound(model, n_samples=512):
+def injectivity_radius_lower_bound(model):
     """pi / sqrt(max K), the classical curvature bound on the injectivity radius."""
-    _, kmax = curvature_extremes(model, n_samples)
+    _, kmax = curvature_extremes(model)
     return math.pi / math.sqrt(kmax)

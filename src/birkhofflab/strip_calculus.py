@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -49,6 +49,8 @@ _W_RESOLUTION = 1e-14       # W differences the fixed-point refinement ignores
 _IMAGE_ITERATIONS = 60      # Newton cap of the generated map's solve
 _NEWTON_ITERATIONS = 30     # Newton cap of the fixed-point search
 _STEP_ROUNDING = 1e-14      # fixed-point steps below W's derivative rounding
+_STENCIL = 7                # nodes of the sixth-order y-derivative
+_RANDOM_MODES = 2           # x harmonics and y profiles of a random W
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,6 @@ class StripMapGrid:
     ys: np.ndarray
     X: np.ndarray              # (nx, ny)
     Y: np.ndarray              # (nx, ny)
-    provenance: str = "synthetic"
 
     @property
     def nx(self):
@@ -116,15 +117,14 @@ class StripMapGrid:
                         self.X, self.Y)
 
     @classmethod
-    def from_csv(cls, path, length, provenance="synthetic"):
+    def from_csv(cls, path, length):
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         xs = np.unique(data[:, 0])
         ys = np.unique(data[:, 1])
         nx, ny = len(xs), len(ys)
         X = data[:, 2].reshape(nx, ny)
         Y = data[:, 3].reshape(nx, ny)
-        return cls(length=length, xs=xs, ys=ys, X=X, Y=Y,
-                   provenance=provenance)
+        return cls(length=length, xs=xs, ys=ys, X=X, Y=Y)
 
 
 @dataclass
@@ -212,18 +212,18 @@ def _fornberg_weights(z, x, m):
 _DIFF_CACHE = {}
 
 
-def _diff_matrix(ys, stencil=7):
+def _diff_matrix(ys):
     """Dense differentiation matrix of sixth order on the (uniform) y-mesh."""
-    key = (len(ys), float(ys[0]), float(ys[-1]), stencil)
+    key = (len(ys), float(ys[0]), float(ys[-1]))
     D = _DIFF_CACHE.get(key)
     if D is None:
         n = len(ys)
         D = np.zeros((n, n))
-        half = stencil // 2
+        half = _STENCIL // 2
         for j in range(n):
-            lo = min(max(j - half, 0), n - stencil)
-            w = _fornberg_weights(ys[j], ys[lo:lo + stencil], 1)[:, 1]
-            D[j, lo:lo + stencil] = w
+            lo = min(max(j - half, 0), n - _STENCIL)
+            w = _fornberg_weights(ys[j], ys[lo:lo + _STENCIL], 1)[:, 1]
+            D[j, lo:lo + _STENCIL] = w
         _DIFF_CACHE[key] = D
     return D
 
@@ -479,8 +479,7 @@ def build_from_generating(gen):
     X = xs[:, None] + _columns_at(CubicSpline(Ys, quot, axis=1), Y)
     Y[:, 0] = 0.0
     Y[:, -1] = _PI
-    return StripMapGrid(length=L, xs=xs, ys=Ys.copy(), X=X, Y=Y,
-                        provenance="synthetic")
+    return StripMapGrid(length=L, xs=xs, ys=Ys.copy(), X=X, Y=Y)
 
 
 def generating_from_map(grid):
@@ -701,8 +700,7 @@ def shear_map(f, length=2 * _PI, nx=96, ny=96):
 
 
 def random_generating_grid(rng, length=2 * _PI, nx=96, ny=96,
-                           amplitude=0.004, net_flux=0.0, modes_x=2,
-                           modes_y=2):
+                           amplitude=0.004, net_flux=0.0):
     """Seeded random admissible generating grid.
 
     The interior part is built from sin(Y)^2 * T(cos Y) profiles (so W and
@@ -713,10 +711,10 @@ def random_generating_grid(rng, length=2 * _PI, nx=96, ny=96,
     w = np.zeros((nx, ny))
     sin2 = np.sin(Ys) ** 2
     cosY = np.cos(Ys)
-    for jy in range(modes_y):
+    for jy in range(_RANDOM_MODES):
         prof = sin2 * cosY ** jy
         w += rng.uniform(-amplitude, amplitude) * prof[None, :]
-        for kx in range(1, modes_x + 1):
+        for kx in range(1, _RANDOM_MODES + 1):
             ck = rng.uniform(-amplitude, amplitude) / kx
             sk = rng.uniform(-amplitude, amplitude) / kx
             w += (ck * np.cos(2 * _PI * kx * xs / length)[:, None]

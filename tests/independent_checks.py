@@ -21,8 +21,7 @@ def reversed_state(state):
     """The same point with the direction reversed."""
     return gd.GeodesicState(point=state.point,
                             direction=(-state.direction[0],
-                                       -state.direction[1]),
-                            arclength=state.arclength)
+                                       -state.direction[1]))
 
 
 def compose_maps(outer, inner):
@@ -36,7 +35,7 @@ def compose_maps(outer, inner):
     Xq = inner.X + dX.ev(xw, inner.Y)
     Yq = np.clip(inner.Y + dY.ev(xw, inner.Y), 0.0, np.pi)
     return sc.StripMapGrid(length=inner.length, xs=inner.xs, ys=inner.ys,
-                           X=Xq, Y=Yq, provenance="synthetic")
+                           X=Xq, Y=Yq)
 
 
 def action_boundary_identity(grid, lift, action_grid=None):

@@ -124,7 +124,7 @@ class TestSpheroidGrid:
         assert np.min(spheroid_grid.tau) > 0
 
     def test_omega_preservation(self, spheroid_grid):
-        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(spheroid_grid)
         assert sc.omega_preservation_residual(lift) < 1e-5
 
     def test_meridian_row_is_fixed(self, spheroid_grid):
@@ -152,9 +152,8 @@ class TestSpheroidGrid:
         cols = grid.xs[(domain | check).any(axis=1)]
         xx, yy = np.meshgrid(cols, grid.ys)
         sweep = bs._return_sweep(
-            sec, xx.ravel(), yy.ravel(), 1e-10, 1e-12,
-            bs._horizon(mm.curvature_extremes(sec.model)[0],
-                        bs._HORIZON_FACTOR, yy.ravel()))
+            sec, xx.ravel(), yy.ravel(), 1e-10,
+            bs._horizon(mm.curvature_extremes(sec.model)[0], yy.ravel()))
         for n in range(0, xx.size, len(cols)):
             j = n // len(cols)
             x = float(cols[0])
@@ -228,7 +227,7 @@ def _every_node_returns(grid):
     rep = np.arange(grid.nx * grid.ny).reshape(shape)
     none = np.zeros(shape, dtype=bool)
     return bs._symmetric_returns(grid.section, grid.xs, grid.ys, rep, none,
-                                 none, 1e-10, 1e-12)
+                                 none, 1e-10)
 
 
 class TestEquatorSymmetry:
@@ -378,7 +377,7 @@ class TestMeridianSymmetry:
         i = np.array([0, 5, 13])
         x = np.concatenate([xs[i], xs[i], xs[i]])
         y = np.concatenate([np.zeros(3), np.full(3, math.pi), ys[[7, 30, 50]]])
-        out = bs._returns(sec, x, y, 1e-10, 1e-12)
+        out = bs._returns(sec, x, y, 1e-10)
         assert np.all(out["status"] == bs.STATUS_OK)
         for k in range(3):
             u, v, _ = sec.frames(xs[i[k]])
@@ -396,7 +395,7 @@ class TestMeridianSymmetry:
         ys = np.linspace(0.0, math.pi, 17)
         group = bs._grid_symmetry(oblate_meridian_section, 16, 17)
         with pytest.raises(InternalConsistencyError):
-            bs._symmetric_returns(sec, xs, ys, *group, 1e-10, 1e-12)
+            bs._symmetric_returns(sec, xs, ys, *group, 1e-10)
 
     def test_trivial_group_sweeps_every_node(self, monkeypatch, zoll_model):
         # b not even in z: the trivial group, so every node is integrated,
@@ -456,12 +455,12 @@ class TestLiftAndIdentities:
         assert abs(sc.flux(lift)) < 1e-6
 
     def test_tau_action_identity(self, spheroid_grid):
-        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(spheroid_grid)
         act = sc.action(lift)
         assert bs.verify_tau_action_identity(spheroid_grid, lift, act) < 1e-5
 
     def test_area_identity(self, spheroid_grid, spheroid_model):
-        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(spheroid_grid)
         assert bs.verify_area_identity(spheroid_grid, lift,
                                        spheroid_model) < 1e-4
 
@@ -473,7 +472,7 @@ class TestLiftAndIdentities:
         assert bs.contact_volume_check(round_grid, round_model) < 1e-4
 
     def test_action_boundary_identity(self, spheroid_grid):
-        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(spheroid_grid)
         act = sc.action(lift)
         assert ic.action_boundary_identity(spheroid_grid, lift, act) < 1e-6
 
@@ -492,11 +491,11 @@ class TestLiftAndIdentities:
         assert not bs.curve_self_intersects(arc, closed=False)
 
     def test_return_arcs_injective_when_pinched(self, spheroid_grid):
-        bs.check_return_arc_injectivity(spheroid_grid, n_nodes=6)
+        bs.check_return_arc_injectivity(spheroid_grid)
 
     def test_self_intersecting_arc_refuses_the_lift(self, spheroid_grid):
         # the spiral as the second leg of the grid's last sampled arc: the
-        # lift names that arc's node, and arc_check_nodes=0 skips the check
+        # lift names that arc's node
         legs = list(spheroid_grid.arc_legs)
         i, j, leg_plus, _ = legs[-1]
         legs[-1] = (i, j, leg_plus, spiral_arc())
@@ -505,8 +504,16 @@ class TestLiftAndIdentities:
                            match=rf"return arc through node \({i}, {j}\) "
                                  "self-intersects"):
             bs.zero_flux_lift(grid)
-        bs.zero_flux_lift(grid, arc_check_nodes=0)
-        bs.zero_flux_lift(grid, arc_check_nodes=len(legs) - 1)
+
+    def test_self_intersecting_arc_refuses_the_summary(self, spheroid_grid,
+                                                       spheroid_model):
+        # the return-map report checks the sampled arcs like every lift
+        legs = list(spheroid_grid.arc_legs)
+        i, j, leg_plus, _ = legs[0]
+        legs[0] = (i, j, leg_plus, spiral_arc())
+        grid = dataclasses.replace(spheroid_grid, arc_legs=legs)
+        with pytest.raises(PinchingViolationError, match="self-intersects"):
+            grid.summary(spheroid_model)
 
 
 def spiral_arc():
@@ -610,10 +617,12 @@ class TestConsistencyChecks:
         assert s.tau == pytest.approx(TWO_PI * 1.03, abs=1e-9)
         assert s.Y == 0.0
 
-    def test_return_failure_on_tiny_horizon(self, spheroid_section):
+    def test_return_failure_on_tiny_horizon(self, spheroid_section,
+                                            monkeypatch):
         from birkhofflab.errors import ReturnFailure
+        monkeypatch.setattr(bs, "_HORIZON_FACTOR", 0.05)
         with pytest.raises(ReturnFailure):
-            bs.return_data(spheroid_section, 0.5, 1.0, horizon_factor=0.05)
+            bs.return_data(spheroid_section, 0.5, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -624,14 +633,14 @@ def zoll_grid(zoll_model):
 
 class TestZollGrid:
     def test_return_map_is_identity(self, zoll_grid):
-        lift = bs.zero_flux_lift(zoll_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(zoll_grid)
         assert lift.sup_distance_to_identity() < 1e-5
 
     def test_tau_is_common_period(self, zoll_grid):
         assert np.max(np.abs(zoll_grid.tau - TWO_PI)) < 1e-6
 
     def test_calabi_vanishes(self, zoll_grid, zoll_model):
-        lift = bs.zero_flux_lift(zoll_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(zoll_grid)
         assert abs(sc.calabi(lift)) < 1e-6
         assert bs.verify_area_identity(zoll_grid, lift, zoll_model) < 1e-4
 

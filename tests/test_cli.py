@@ -135,6 +135,20 @@ class TestTrace:
         assert code == 2
         assert "t_end must be finite and positive" in err
 
+    @pytest.mark.parametrize("start", ["1,0,nan", "nan,0,0.7", "1,inf,0.7"])
+    def test_non_finite_start_exits_2(self, capsys, monkeypatch, start):
+        # refused before any integration starts: a NaN launch angle makes
+        # every step size NaN
+        def integrate(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(cli.gd, "integrate_adaptive", integrate)
+        code, out, err = run(capsys, "trace", "--metric", ROUND,
+                             "--start", start)
+        assert code == 2
+        assert out == ""
+        assert "--start components must be finite" in err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_2(self, capsys, monkeypatch, samples):
         # an empty trace is refused before anything is integrated
@@ -230,6 +244,18 @@ class TestStripReport:
         doc = json.loads(out)
         assert abs(doc["cal"]) < 1e-6
         assert abs(doc["flux"] - doc["flux_boundary_path"]) < 1e-6
+
+    def test_fixed_point_takes_the_sign_of_the_reported_calabi(self, capsys):
+        # on this grid cal is -3.3e-17: the point is the minimum of W at
+        # (3 pi / 2, pi / 2), sigma = -eps, as the printed sign demands
+        code, out, _ = run(capsys, "strip-report", "--w-preset", "x-sine",
+                           "--nx", "16", "--ny", "21")
+        doc = json.loads(out)
+        assert code == 0 and doc["cal"] <= 0.0
+        (point,) = doc["fixed_points"]
+        assert point["sigma"] <= 0.0
+        assert point["x"] == pytest.approx(1.5 * math.pi, abs=1e-9)
+        assert point["y"] == pytest.approx(0.5 * math.pi, abs=1e-9)
 
 
 class TestVerdictCommands:

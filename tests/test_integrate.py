@@ -9,7 +9,7 @@ from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab._integrate import (GRAZE_TOL, _quartic_roots, dense_state,
                                     integrate_adaptive, sweep_linear_events)
-from birkhofflab.errors import IntegrationFailure
+from birkhofflab.errors import IntegrationFailure, PreconditionError
 from independent_checks import UnscreenedEventHook
 
 
@@ -118,6 +118,34 @@ class TestStepper:
                                rtol=1e-10, atol=1e-12)
         assert info.value.last_state is not None
         assert info.value.t < 2.0
+
+    @staticmethod
+    def capped(fun, calls=10_000):
+        """``fun`` that fails the test after ``calls`` calls, so a stepper
+        that never ends cannot hang it."""
+        count = [0]
+
+        def capped_fun(t, y):
+            count[0] += 1
+            assert count[0] <= calls, "the integration does not end"
+            return fun(t, y)
+
+        return capped_fun
+
+    def test_non_finite_start_is_refused(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(PreconditionError, match="finite"):
+                integrate_adaptive(self.capped(oscillator),
+                                   np.array([[1.0, bad]]), (0.0, 1.0))
+
+    def test_nan_right_hand_side_fails_the_step(self):
+        # _initial_step turns NaN, and every step size after it
+        def nan_rhs(t, y):
+            return np.full_like(y, math.nan)
+
+        with pytest.raises(IntegrationFailure, match="step size"):
+            integrate_adaptive(self.capped(nan_rhs), np.array([[1.0, 0.0]]),
+                               (0.0, 1.0))
 
 
 class TestEventSweep:

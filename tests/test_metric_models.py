@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 from birkhofflab import metric_models as mm
-from birkhofflab.errors import (ChartDomainError, ModelInvalidError,
-                                PreconditionError)
+from birkhofflab.errors import ChartDomainError, ModelInvalidError
 
 
 def ellipsoid_curvature(c, theta):
@@ -83,17 +82,12 @@ class TestPinching:
         assert mm.area(scaled) == pytest.approx(3.7 * mm.area(spheroid_model),
                                                 rel=1e-12)
 
-    def test_estimate_improves_with_samples(self):
-        # denser sampling must not move the estimate away from the truth
-        m = mm.make_spheroid(1.2)
-        exact = 1.2 ** -4
-        coarse = abs(mm.pinching_constant(m, n_samples=64) - exact)
-        fine = abs(mm.pinching_constant(m, n_samples=1024) - exact)
-        assert fine <= coarse + 1e-14
-
-    def test_requires_enough_samples(self, round_model):
-        with pytest.raises(PreconditionError):
-            mm.pinching_constant(round_model, n_samples=10)
+    def test_estimate_reaches_the_closed_form(self):
+        # the sampled extremes and their refinement give the spheroid's
+        # delta = min(c, 1/c)^4 to rounding, prolate and oblate
+        for c in (1.2, 0.8):
+            assert abs(mm.pinching_constant(mm.make_spheroid(c))
+                       - min(c, 1 / c) ** 4) <= 1e-15
 
 
 class TestArea:

@@ -477,7 +477,7 @@ class TestFixedPointTheorem:
         # the grid at rounding level (seeded 1e-13 per row, as every change
         # of an equator grid is x-invariant) reorders the tied nodes; the
         # refinement starts at column 0 and refines Y alone, so x stays.
-        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(spheroid_grid)
         noise = 1e-13 * np.random.default_rng(4).standard_normal(lift.ny)
         points = []
         for dX in (0.0, noise[None, :]):
@@ -496,7 +496,7 @@ class TestFixedPointTheorem:
         # more than the refinement's resolution but less than the closure
         # residual of the recovered W; nodes tie within that residual, so
         # the circle is still found and x stays at column 0.
-        lift = bs.zero_flux_lift(spheroid_grid, arc_check_nodes=0)
+        lift = bs.zero_flux_lift(spheroid_grid)
         noise = 1e-13 * np.random.default_rng(0).standard_normal(
             lift.X.shape)
         grid = sc.StripMapGrid(length=lift.length, xs=lift.xs, ys=lift.ys,

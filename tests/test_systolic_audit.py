@@ -232,7 +232,7 @@ class TestSimplicity:
         assert sa.simplicity_check(gd.meridian_orbit(spheroid_model))
 
     def test_doubled_cover_excluded(self, spheroid_model):
-        base = gd.equator_orbit(spheroid_model, n_store=512)
+        base = gd.equator_orbit(spheroid_model)
         doubled = gd.ClosedOrbit(spheroid_model, 2 * base.length,
                                  np.vstack([base.states, base.states]),
                                  base.closure_residual)
