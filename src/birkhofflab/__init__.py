@@ -9,8 +9,8 @@ from .metric_models import (MetricModel, SurfacePoint, area, from_json,
                             make_spheroid, make_zoll, pinching_constant,
                             surface_point, to_json)
 from .geodesic_dynamics import (ClosedOrbit, GeodesicState, JacobiPolarState,
-                                Trajectory, clairaut_invariant,
-                                conjugate_time, equator_orbit, equator_seed,
+                                clairaut_invariant, conjugate_time,
+                                equator_orbit, equator_seed,
                                 find_closed_geodesic, integrate_geodesic,
                                 jacobi_polar_advance, meridian_orbit,
                                 meridian_seed, state_from_angle)

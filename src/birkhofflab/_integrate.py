@@ -3,9 +3,11 @@
 A single Dormand-Prince 5(4) stepper advances a whole batch of orbits with a
 shared step size; the error controller uses the worst per-orbit error, so
 every orbit individually satisfies the requested tolerances.  Dense output
-(the classical quartic interpolant) supports event location inside accepted
-steps without re-integration; the events of a whole batch are located
-together (see :func:`sweep_linear_events`).
+(the classical quartic interpolant) is read on the step in hand, from a step
+hook: it locates events inside accepted steps, those of a whole batch
+together (see :func:`sweep_linear_events`), and samples states between
+steps (see :func:`sampler`), without re-integration and without keeping
+the steps.
 
 The batch is held column-major: the state is a (d, n) array and the stages
 a (7, d, n) one, so each stage combination is one matrix-vector product
@@ -62,10 +64,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-def _theta_powers(theta):
-    return np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-
-
 # Event sweeps look for sign changes of the event quartic and of its
 # derivative on this sub-grid of every accepted step.
 _SUBSAMPLES = 6
@@ -81,43 +79,38 @@ def dense_state(y_old, h, stages, theta):
 
     ``stages`` may be (7, d) for a single orbit or (7, n, d) for a batch;
     the result matches the trailing shape.  For a batch, ``theta`` may also
-    be an (n,) array and ``h`` an (n, 1) array, one value per row.
+    be an (n,) array, one value per row.
     """
-    w = _P @ _theta_powers(theta)                      # (7,) or (7, n)
+    w = _P @ np.array([theta, theta ** 2, theta ** 3, theta ** 4])  # (7, ...)
     return y_old + h * np.einsum("s...,s...d->...d", w, stages)
 
 
-class DenseOutput:
-    """Dense output of one integration of n orbits over m accepted steps,
-    built from their (t, h, y, stages) tuples: step starts ``t`` and sizes
-    ``h`` (m,), start states ``y`` (m, n, d) and stages (7, m, n, d).
+def sampler(rows, cols, times):
+    """A step hook that evaluates the columns ``cols`` of the orbits
+    ``rows`` (k,) at the ascending ``times`` that fall in each accepted
+    step [t, t + h), by :func:`dense_state` on the step in hand, and the
+    list it appends each step's (p, k, c) block to, in time order.  The
+    hook never stops the integration.
 
-    The list ``steps`` is consumed: each step is released as it is written
-    into the arrays, so the steps are never held twice."""
+    A sample's value does not depend on the rows or times sampled with it.
+    numpy forms the weights of a lone sample by a matrix-vector product,
+    whose sums round differently from the matrix product of two or more,
+    so a lone sample is evaluated twice."""
+    blocks = []
 
-    def __init__(self, steps):
-        m, (n, d) = len(steps), steps[0][2].shape
-        self.t, self.h = np.empty(m), np.empty(m)
-        self.y, self.stages = np.empty((m, n, d)), np.empty((7, m, n, d))
-        for k in range(m - 1, -1, -1):
-            self.t[k], self.h[k], self.y[k], self.stages[:, k] = steps.pop()
+    def hook(t, h, y_old, stages, y_new):
+        lo, hi = np.searchsorted(times, (t, t + h))
+        if hi > lo:
+            q, k = hi - lo, len(rows)
+            theta = np.repeat((times[lo:hi] - t) / h, 1 + (q * k == 1))
+            m = len(theta)
+            y0, sk = y_old[rows][:, cols], stages[:, rows][..., cols]
+            y = dense_state(np.tile(y0, (m, 1)), h, np.tile(sk, (1, m, 1)),
+                            np.repeat(theta, k))
+            blocks.append(y[:q * k].reshape(q, k, -1))
+        return False
 
-    def __call__(self, t, row=None):
-        """States (q, n, d) at the times ``t`` (q,), each interpolated in
-        the step that contains it (the first or last step outside the
-        covered span); with ``row``, the (q, d) states of that orbit
-        alone."""
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0,
-                    len(self.t) - 1)
-        rows = slice(None) if row is None else slice(row, row + 1)
-        y0, stages = self.y[k, rows], self.stages[:, k, rows]
-        q, n, d = y0.shape
-        theta = np.repeat((t - self.t[k]) / self.h[k], n)
-        h = np.repeat(self.h[k], n)[:, None]
-        y = dense_state(y0.reshape(q * n, d), h,
-                        stages.reshape(7, q * n, d), theta).reshape(q, n, d)
-        return y if row is None else y[:, 0]
+    return hook, blocks
 
 
 def _initial_step(fun, t0, y0, f0, rtol, atol):
@@ -136,14 +129,13 @@ def _initial_step(fun, t0, y0, f0, rtol, atol):
 
 
 def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
-                       project=None, step_hook=None, store=False):
+                       project=None, step_hook=None):
     """Advance ``y0`` (shape (n, d) or (d,)) over ``t_span = (t0, t1)``.
 
-    Returns ``(t, y, dense)`` with ``y`` shaped like ``y0``.
+    Returns ``(t, y)`` with ``y`` shaped like ``y0``.
     ``step_hook(t_old, h, y_old, stages, y_new)`` runs after every accepted
-    step and may return True to request early termination.  With ``store``,
-    ``dense`` is the :class:`DenseOutput` of the accepted steps (the (n, d)
-    form even for a (d,) ``y0``); otherwise it is None.
+    step and may return True to request early termination; states between
+    steps are read there (see :func:`sampler`).
 
     Error control is per orbit: the controller accepts a step only when the
     worst orbit in the batch meets the tolerance.
@@ -180,7 +172,6 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     t = t0
     stages[0] = rhs(t, y)
     h = min(_initial_step(rhs, t, y, stages[0], rtol, atol), t1 - t0)
-    steps = []
     while t < t1:
         h = min(h, t1 - t)
         if not h >= 1e-14 * max(1.0, abs(t)):      # NaN fails too
@@ -204,9 +195,6 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
             stop = False
             if step_hook is not None:
                 stop = bool(step_hook(t, h, y.T, views, y_new.T))
-            if store:
-                # y is never written after the step; stages is reused.
-                steps.append((t, h, y.T, stages.copy().transpose(0, 2, 1)))
             t = t + h
             y = y_new
             if project is not None:
@@ -219,8 +207,7 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
         else:
             factor = max(_MIN_FACTOR, _SAFETY * worst ** -0.2)
         h = h * factor
-    return (t, y.T[0] if single else y.T,
-            DenseOutput(steps) if store else None)
+    return t, y.T[0] if single else y.T
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +273,11 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     turns within ``GRAZE_TOL`` of zero in a step without crossing it are
     flagged as grazing and abandoned (their remaining events stay NaN).
 
-    ``sample = (rows, columns, times)`` also samples the columns (a slice)
-    of the orbits ``rows`` (k,) at the ascending ``times`` (q,) from the
-    dense output of every accepted step: ``samples`` is (p, k, c), the
-    states at the first p times, those the sweep reaches before it stops.
+    ``sample = (rows, cols, times)`` also samples the columns ``cols`` of
+    the orbits ``rows`` (k,) at the ascending ``times`` (q,) by
+    :func:`sampler`, the times ascending from 0: ``samples`` is (p, k, c),
+    the states at the first p times, those the sweep reaches before it
+    stops.
     Sampling only reads the steps, so the events are the same without it.
 
     Event location is batched over the whole step.  The event function of
@@ -326,17 +314,11 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     active = np.ones(n, dtype=bool)
     tg = _THETAS[:, None]                               # the sub-grid
     if sample is not None:
-        rows, cols, times = sample
-        blocks = []
+        sample_hook, blocks = sampler(*sample)
 
     def hook(t, h, y_old, stages, y_new):
         if sample is not None:
-            # the sample times inside this step, [t, t + h)
-            lo, hi = np.searchsorted(times, (t, t + h))
-            if hi > lo:
-                wt = _P @ _theta_powers((times[lo:hi] - t) / h)
-                blocks.append(y_old[rows, cols] + h * np.einsum(
-                    "sq,skc->qkc", wt, stages[:, rows, cols]))
+            sample_hook(t, h, y_old, stages, y_new)
         # the stepper's (d, n) state and (7, d, n) stages behind the views
         yc, sc = y_old.T, stages.transpose(0, 2, 1)
         z0 = np.einsum("un,un->n", yc[reads], w_reads) - target
@@ -396,8 +378,7 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
     integrate_adaptive(fun, y0, (0.0, t_max), rtol=rtol, atol=atol,
                        project=project, step_hook=hook)
     if sample is not None:
-        res.samples = (np.concatenate(blocks) if blocks else
-                       np.empty((0, len(rows)) + y0[0, cols].shape))
+        res.samples = np.concatenate(blocks)
     if expected_slopes is not None:
         wrong = np.sign(res.slopes) != np.asarray(expected_slopes)[-n_events:]
         res.grazing |= (res.n_found >= n_events) & np.any(

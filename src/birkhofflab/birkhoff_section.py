@@ -206,7 +206,7 @@ def build_section(model, orbit=None):
     if curve_self_intersects(pts, closed=True):
         raise SectionInvalidError("base curve is not simple at resolution "
                                   f"{_CURVE_RESOLUTION:g}")
-    normal = orbit.plane_normal() if hasattr(orbit, "plane_normal") else None
+    normal = orbit.plane_normal()
     if normal is None:
         raise SectionInvalidError(
             "base geodesic does not lie on a central plane; only planar "
@@ -295,27 +295,10 @@ class BirkhoffGrid:
                            self.ys, self.X, self.Y, self.tau)
 
     def summary(self, model):
-        lift = zero_flux_lift(self)
-        out = {
-            "L": self.L,
-            "nx": self.nx,
-            "ny": self.ny,
-            "flux": sc.flux(lift),
-            "sup_distance_to_identity": lift.sup_distance_to_identity(),
-            "tau_min": float(np.min(self.tau)),
-            "tau_max": float(np.max(self.tau)),
-        }
-        act = sc.action(lift)
-        out["cal"] = (sc.calabi(lift, action_grid=act)
-                      if abs(out["flux"]) < sc.FLUX_TOL else None)
-        out["residuals"] = {
-            "tau_action_max": verify_tau_action_identity(self, lift, act),
-            "omega_preservation_max": sc.omega_preservation_residual(lift),
-            "area_identity_rel": verify_area_identity(self, lift, model,
-                                                      action_grid=act),
-            "contact_volume_rel": contact_volume_check(self, model),
-        }
-        return out
+        return {"L": self.L, "nx": self.nx, "ny": self.ny,
+                "tau_min": float(np.min(self.tau)),
+                "tau_max": float(np.max(self.tau)),
+                **lift_numbers(self, model)[1]}
 
 
 def return_data(section, x, y, rtol=1e-10):
@@ -617,6 +600,26 @@ def zero_flux_lift(grid):
             f"advance-based lift has flux {F:.3g}, expected 0 within "
             f"{sc.FLUX_TOL:g}")
     return lift
+
+
+def lift_numbers(grid, model):
+    """The zero-flux lift of ``grid`` and the numbers of it that the
+    return-map and audit reports share: flux, Calabi invariant, sup
+    distance to the identity and the four identity residuals."""
+    lift = zero_flux_lift(grid)
+    act = sc.action(lift)
+    return lift, {
+        "flux": sc.flux(lift),
+        "cal": sc.calabi(lift, action_grid=act),
+        "sup_distance_to_identity": lift.sup_distance_to_identity(),
+        "residuals": {
+            "tau_action_max": verify_tau_action_identity(grid, lift, act),
+            "omega_preservation_max": sc.omega_preservation_residual(lift),
+            "area_identity_rel": verify_area_identity(grid, lift, model,
+                                                      action_grid=act),
+            "contact_volume_rel": contact_volume_check(grid, model),
+        },
+    }
 
 
 def check_return_arc_injectivity(grid):

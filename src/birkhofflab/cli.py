@@ -8,7 +8,8 @@ Exit codes: 0 verdict pass, 1 verdict fail; an error exits with the code of
 its category in :mod:`birkhofflab.errors` and one stderr line: 2 usage
 (``error:``), 3 hypothesis refusal (``refused:``), 4 computation failure
 (``error:``).  Failures from outside the package (malformed JSON, an
-unreadable file, a ``ValueError`` of numpy or scipy) exit 2.
+unreadable file, a ``ValueError`` or ``MemoryError`` of numpy or scipy)
+exit 2.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical runs produce byte-identical files.
@@ -30,8 +31,8 @@ from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
 from . import systolic_audit as sa
-from .errors import (BirkhofflabError, ComputationError, RefusedError,
-                     UsageError)
+from .errors import (BirkhofflabError, ChartDomainError, ComputationError,
+                     RefusedError, UsageError)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -215,9 +216,18 @@ def cmd_metric_info(args):
 def cmd_trace(args):
     model = _load_metric(args.metric)
     state = gd.state_from_angle(model, *_start(args.start))
-    traj = gd.integrate_geodesic(model, state, args.t_end,
-                                 tol=args.tol_int)
-    rows = traj.to_csv_rows(args.samples)
+    if not (0.0 < args.t_end < math.inf):      # before times are built on it
+        raise UsageError("t_end must be finite and positive")
+    ts = np.linspace(0.0, args.t_end, args.samples)
+    rows = []
+    for t, y in zip(ts, gd.integrate_geodesic(model, state, args.t_end, ts,
+                                              tol=args.tol_int)):
+        try:
+            s = gd.state_from_ambient(model, y[0:3], y[3:6])
+            rows.append((t, s.point.theta, s.point.phi, *s.direction))
+        except ChartDomainError:       # a pole passage has no chart angles
+            rows.append((t, math.acos(max(-1, min(1, y[2]))), math.nan,
+                         math.nan, math.nan))
     with _open_out(args.out) as fh:
         wr = csv.writer(fh)
         wr.writerow(["t", "theta", "phi", "dir1", "dir2"])
@@ -315,8 +325,8 @@ def cmd_zoll_check(args):
         psi = rng.uniform(0.0, 2 * math.pi)
         state = gd.state_from_angle(model, theta, phi, psi)
         u0, v0 = gd.state_to_ambient(model, state)
-        traj = gd.integrate_geodesic(model, state, L, tol=args.tol_int)
-        u1, v1 = traj.ambient(L)
+        y1 = gd.integrate_geodesic(model, state, L, [L], tol=args.tol_int)[0]
+        u1, v1 = y1[0:3], y1[3:6]
         worst = max(worst, float(np.max(np.abs(u1 - u0))),
                     float(np.max(np.abs(v1 - v0))))
     closed = worst < args.tol_id
@@ -372,9 +382,10 @@ def main(argv=None):
     except BirkhofflabError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # from outside the package: malformed JSON, an unreadable or
-        # unwritable file, or numpy or scipy refusing a value
+        # unwritable file, or numpy or scipy refusing a value (among them
+        # an array too large to allocate)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric_models as mm
-from ._integrate import integrate_adaptive, sweep_linear_events
+from ._integrate import integrate_adaptive, sampler, sweep_linear_events
 from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
                      ReturnFailure)
 
@@ -188,54 +188,11 @@ def state_from_angle(model, theta, phi, psi):
     return GeodesicState(point=point, direction=(dth, dph))
 
 
-class Trajectory:
-    """Dense-output geodesic trajectory of one orbit (ambient representation
-    inside), from the :class:`~._integrate.DenseOutput` of its
-    integration."""
-
-    def __init__(self, model, dense, t_end, y_end):
-        self.model = model
-        self._dense = dense
-        self.t_end = t_end
-        self._y_end = y_end
-
-    def ambient(self, t):
-        """(u, v) at time t from the stored dense output; for an array of
-        times, u and v have the shape of ``t`` plus a trailing axis of 3."""
-        t = np.asarray(t, dtype=float)
-        tq = t.reshape(-1)
-        inside = (self._dense.t[0] - 1e-12 <= tq) & (tq <= self.t_end + 1e-12)
-        if not inside.all():
-            raise PreconditionError(
-                f"t={tq[~inside][0]} outside trajectory range")
-        y = np.where((tq >= self.t_end)[:, None], self._y_end,
-                     self._dense(tq)[:, 0])
-        y = y.reshape(t.shape + self._y_end.shape)
-        return y[..., 0:3], y[..., 3:6]
-
-    def state(self, t):
-        u, v = self.ambient(t)
-        return state_from_ambient(self.model, u, v)
-
-    def to_csv_rows(self, n):
-        """Rows (t, theta, phi, dtheta, dphi) at n uniform times over
-        [0, t_end]; chart components are NaN at pole passages."""
-        ts = np.linspace(0.0, self.t_end, n)
-        ys = np.hstack(self.ambient(ts))
-        rows = []
-        for t, y in zip(ts, ys):
-            try:
-                s = state_from_ambient(self.model, y[0:3], y[3:6])
-                rows.append((t, s.point.theta, s.point.phi,
-                             s.direction[0], s.direction[1]))
-            except ChartDomainError:
-                rows.append((t, math.acos(max(-1, min(1, y[2]))),
-                             math.nan, math.nan, math.nan))
-        return rows
-
-
-def integrate_geodesic(model, state, t_end, tol=1e-10):
-    """Integrate the geodesic flow from ``state`` for time ``t_end``.
+def integrate_geodesic(model, state, t_end, times, tol=1e-10):
+    """Ambient states (q, 6) of the geodesic flow from ``state`` at the
+    ascending ``times`` (q,) in [0, t_end], sampled as the flow is
+    integrated to ``t_end``; a time at ``t_end`` takes the final projected
+    state.
 
     ``tol`` is the relative tolerance of the embedded pair; the absolute
     tolerance is tied two decades below it.
@@ -245,13 +202,19 @@ def integrate_geodesic(model, state, t_end, tol=1e-10):
     lo, hi = TOL_INT_RANGE
     if not (lo <= tol <= hi):
         raise PreconditionError(f"tol must lie in [{lo:g}, {hi:g}]")
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and np.all((0.0 <= times) & (times <= t_end))
+            and np.all(np.diff(times) >= 0.0)):
+        raise PreconditionError("times must ascend within [0, t_end]")
+    inner = times[times < t_end]
+    hook, blocks = sampler([0], slice(None), inner)
     u, v = state_to_ambient(model, state)
-    y0 = np.concatenate([u, v])[None, :]
-    project = state_projector(model)
-    t, y, dense = integrate_adaptive(
-        geodesic_rhs(model), y0, (0.0, t_end), rtol=tol, atol=tol * 1e-2,
-        project=project, store=True)
-    return Trajectory(model, dense, t, y[0])
+    _, y = integrate_adaptive(
+        geodesic_rhs(model), np.concatenate([u, v])[None, :], (0.0, t_end),
+        rtol=tol, atol=tol * 1e-2, project=state_projector(model),
+        step_hook=hook)
+    return np.concatenate(
+        [*blocks, np.repeat(y[None], len(times) - len(inner), axis=0)])[:, 0]
 
 
 def clairaut_invariant(model, state):
@@ -300,7 +263,7 @@ def jacobi_polar_advance(model, base, t_end):
     if t_end == 0.0:
         return JacobiPolarState(theta=0.0, r=1.0, t=0.0)
     y0 = _augmented_initial(model, base)
-    t, y, _ = integrate_adaptive(
+    t, y = integrate_adaptive(
         geodesic_rhs(model, jacobi=True), y0, (0.0, t_end),
         project=state_projector(model))
     row = y[0]
@@ -379,53 +342,57 @@ def meridian_seed(model):
     return state_from_angle(model, math.pi / 2, 0.0, 0.0)
 
 
-def _flow_to(model, y0, periods):
-    """End states and dense output of the flows from the rows of ``y0``
-    (k, 6) at the shooting tolerances, in the normalised time s = t / T on
-    [0, 1], so each row ends exactly at its period T."""
+def _flow_to(model, y0, periods, rows):
+    """End states of the flows from the rows of ``y0`` (k, 6) at the
+    shooting tolerances, in the normalised time s = t / T on [0, 1], so
+    each row ends exactly at its period T, and the states (m, len(rows), 6)
+    of the rows ``rows`` at the m = ``_ORBIT_SAMPLES`` times s = i / m."""
     rhs, T = geodesic_rhs(model), np.asarray(periods, dtype=float)[:, None]
-    _, y, dense = integrate_adaptive(
+    hook, blocks = sampler(rows, slice(None), np.linspace(
+        0.0, 1.0, _ORBIT_SAMPLES, endpoint=False))
+    _, y = integrate_adaptive(
         lambda s, y: T * rhs(s, y), y0, (0.0, 1.0), rtol=_SHOOT_TOL,
-        atol=_SHOOT_TOL * 1e-3, project=state_projector(model), store=True)
-    return y, dense
+        atol=_SHOOT_TOL * 1e-3, project=state_projector(model),
+        step_hook=hook)
+    return y, np.concatenate(blocks)
 
 
 def find_closed_geodesic(model, seeds, period_guesses):
     """Shooting refinement of (initial state, period) towards closed orbits.
 
     Takes one seed and period guess (giving one :class:`ClosedOrbit`) or
-    matching sequences (giving a list), flowed in one stored batch (see
+    matching sequences (giving a list), flowed in one sampled batch (see
     :func:`_flow_to`), which is all an exact seed (the equator, a meridian)
-    needs; any other by Gauss-Newton, one stored 4-row flow per iteration
-    (see :func:`_gauss_newton_shooting`).  Raises :class:`NoConvergenceError`
-    when a closure residual cannot be brought below ``CLOSURE_TARGET``.
-    Each orbit stores ``_ORBIT_SAMPLES`` states.
+    needs; any other by Gauss-Newton, one 4-row flow per iteration that
+    samples its first row (see :func:`_gauss_newton_shooting`).  Raises
+    :class:`NoConvergenceError` when a closure residual cannot be brought
+    below ``CLOSURE_TARGET``.  Each orbit stores ``_ORBIT_SAMPLES`` states.
     """
     single = isinstance(seeds, GeodesicState)
     if single:
         seeds, period_guesses = [seeds], [period_guesses]
     y0 = np.array([np.concatenate(state_to_ambient(model, s)) for s in seeds])
-    yT, dense = _flow_to(model, y0, period_guesses)
-    s = np.linspace(0.0, 1.0, _ORBIT_SAMPLES, endpoint=False)
+    yT, states = _flow_to(model, y0, period_guesses, np.arange(len(y0)))
     orbits = []
     for k, (seed, T) in enumerate(zip(seeds, period_guesses)):
         resid = float(np.max(np.abs(yT[k] - y0[k])))
         if resid > 0.1 * CLOSURE_TARGET:
-            T, resid, states = _gauss_newton_shooting(model, seed, T, s)
+            T, resid, orbit_states = _gauss_newton_shooting(model, seed, T)
         else:
-            states = dense(s, row=k)
-        orbits.append(ClosedOrbit(model, float(T), states, resid))
+            orbit_states = states[:, k]
+        orbits.append(ClosedOrbit(model, float(T), orbit_states, resid))
     return orbits[0] if single else orbits
 
 
-def _gauss_newton_shooting(model, seed, period_guess, s):
+def _gauss_newton_shooting(model, seed, period_guess):
     """Gauss-Newton shooting of one orbit in (theta0, psi0, T), the start
     azimuth held fixed; returns the period, the closure residual and the
-    states at the normalised times ``s``.  Each iteration flows the launch
-    and each parameter pushed by ``_SHOOT_STEP`` as rows of one batch, so
-    their forward differences share the step sizes (internal numerical
-    differentiation); ``lstsq`` solves for the step even where the closed
-    orbits form a family (theta0 along a meridian, a Zoll metric)."""
+    states of the launch that its last flow sampled (see :func:`_flow_to`).
+    Each iteration flows the launch and each parameter pushed by
+    ``_SHOOT_STEP`` as rows of one batch, so their forward differences
+    share the step sizes (internal numerical differentiation); ``lstsq``
+    solves for the step even where the closed orbits form a family (theta0
+    along a meridian, a Zoll metric)."""
     theta0, phi0 = seed.point.theta, seed.point.phi
     (dth, dph), z = seed.direction, math.cos(theta0)
     psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
@@ -435,11 +402,11 @@ def _gauss_newton_shooting(model, seed, period_guess, s):
         rows = p + _SHOOT_STEP * np.eye(4, 3, -1)    # launch, then pushes
         y0 = np.array([np.concatenate(state_to_ambient(model, state_from_angle(
             model, th, phi0, ps))) for th, ps, _ in rows])
-        yT, dense = _flow_to(model, y0, rows[:, 2])
+        yT, states = _flow_to(model, y0, rows[:, 2], [0])
         closure = yT - y0
         resid = float(np.max(np.abs(closure[0])))
         if resid <= 0.1 * CLOSURE_TARGET:
-            return p[2], resid, dense(s, row=0)
+            return p[2], resid, states[:, 0]
         jac = (closure[1:] - closure[0]).T / _SHOOT_STEP
         p = p - np.linalg.lstsq(jac, closure[0], rcond=None)[0]
         # T -> 0 closes every state, a root that is no orbit

@@ -271,17 +271,15 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     base = min((c for c in cands if c.simple), key=lambda c: c.length)
     section = bs.build_section(model, base.orbit)
     grid = bs.compute_return_grid(section, nx=nx, ny=ny, rtol=rtol)
-    lift = bs.zero_flux_lift(grid)
-    act = sc.action(lift)
-    flux_val = sc.flux(lift)
-    cal_val = sc.calabi(lift, action_grid=act)
+    lift, numbers = bs.lift_numbers(grid, model)
+    flux_val, cal_val = numbers["flux"], numbers["cal"]
     mono = bs.monotonicity_check(grid)
     if monotone_guaranteed and not mono.monotone:
         warnings.append("monotonicity failed despite the pinching guarantee")
 
-    sup_id = lift.sup_distance_to_identity()
+    sup_id = numbers["sup_distance_to_identity"]
     zoll_flag = sup_id < ZOLL_SUP_TOL
-    tau_action_max = bs.verify_tau_action_identity(grid, lift, act)
+    tau_action_max = numbers["residuals"]["tau_action_max"]
     fixed_point = _fixed_point_candidates(cands, model, grid, lift, cal_val,
                                           tau_action_max, warnings)
     lengths = [c.length for c in cands if c.primitive]
@@ -289,13 +287,9 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     l_max_simple = max(c.length for c in cands if c.simple)
 
     residuals = {
-        "tau_action_max": tau_action_max,
-        "area_identity_rel": bs.verify_area_identity(grid, lift, model,
-                                                     action_grid=act),
-        "contact_volume_rel": bs.contact_volume_check(grid, model),
+        **numbers["residuals"],
         "flux_abs": abs(flux_val),
         "monotone_crosscheck_max": mono.max_discrepancy,
-        "omega_preservation_max": sc.omega_preservation_residual(lift),
         "boundary_consistency_max": bs.boundary_consistency_check(grid),
         "sup_distance_to_identity": sup_id,
         "lower_margin": target - l_min ** 2,

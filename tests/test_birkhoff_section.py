@@ -9,7 +9,7 @@ from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab import strip_calculus as sc
-from birkhofflab._integrate import integrate_adaptive
+from birkhofflab._integrate import integrate_adaptive, sampler
 from birkhofflab.errors import (InternalConsistencyError,
                                PinchingViolationError, PreconditionError,
                                ReturnFailure, SectionInvalidError)
@@ -531,9 +531,10 @@ def oblate_meridian_grid(oblate_meridian_section):
 
 @pytest.mark.parametrize("name", ["spheroid_grid", "oblate_meridian_grid"])
 def test_arc_legs_match_one_orbit_integrations(request, name):
-    # the legs sampled by the return sweep, against one stored integration
-    # of each arc's annulus vector, read at the sweep's sample times (every
-    # pi / (sqrt(max K) _ARC_SAMPLES) from 0), its crossing and its return
+    # the legs sampled by the return sweep, against one sampled
+    # integration of each arc's annulus vector, read at the sweep's sample
+    # times (every pi / (sqrt(max K) _ARC_SAMPLES) from 0), its crossing and
+    # its return (the integration runs a sample interval past the return)
     grid = request.getfixturevalue(name)
     sec = grid.section
     rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
@@ -546,16 +547,17 @@ def test_arc_legs_match_one_orbit_integrations(request, name):
         assert swept[i, j] and 0 < j < grid.ny - 1
         assert min(len(leg_plus), len(leg_minus)) >= bs._ARC_SAMPLES
         u, w = sec.section_vector(grid.xs[i], grid.ys[j])
-        _, _, dense = integrate_adaptive(
-            gd.geodesic_rhs(sec.model), np.concatenate([u, w]),
-            (0.0, grid.tau[i, j]), project=gd.state_projector(sec.model),
-            store=True)
         n = len(leg_plus) - 1
         ts = np.concatenate([np.arange(n) * dt, [grid.tau_plus[i, j]],
                              np.arange(n, n + len(leg_minus) - 2) * dt,
                              [grid.tau[i, j]]])
+        hook, blocks = sampler([0], slice(0, 3), ts)
+        integrate_adaptive(
+            gd.geodesic_rhs(sec.model), np.concatenate([u, w]),
+            (0.0, grid.tau[i, j] + dt),
+            project=gd.state_projector(sec.model), step_hook=hook)
         pts = np.vstack([leg_plus, leg_minus[1:]])
-        assert np.max(np.abs(dense(ts, row=0)[:, 0:3] - pts)) < 1e-9
+        assert np.max(np.abs(np.concatenate(blocks)[:, 0] - pts)) < 1e-9
 
 
 class TestMonotonicity:

@@ -134,6 +134,7 @@ class TestTrace:
                            "--t-end", t_end)
         assert code == 2
         assert "t_end must be finite and positive" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("start", ["1,0,nan", "nan,0,0.7", "1,inf,0.7"])
     def test_non_finite_start_exits_2(self, capsys, monkeypatch, start):
@@ -522,6 +523,18 @@ class TestErrorTaxonomy:
         assert code == 2
         assert out == ""
         assert err == f"error: {error}\n"
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        # numpy refusing an array too large to allocate (--samples 1e12
+        # asks for 7.28 TiB), raised here without allocating it
+        def integrate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli.gd, "integrate_geodesic", integrate)
+        code, out, err = run(capsys, "trace", "--metric", ROUND)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Unable to allocate 7.28 TiB\n"
 
     def test_other_exceptions_are_not_swallowed(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import independent_checks as ic
 
 def closure_defect(model, state, t_end, tol=1e-10):
     u0, v0 = gd.state_to_ambient(model, state)
-    traj = gd.integrate_geodesic(model, state, t_end, tol=tol)
-    u1, v1 = traj.ambient(t_end)
+    y1 = gd.integrate_geodesic(model, state, t_end, [t_end], tol=tol)[0]
+    u1, v1 = y1[0:3], y1[3:6]
     return max(float(np.max(np.abs(u1 - u0))), float(np.max(np.abs(v1 - v0))))
 
 
@@ -67,43 +68,57 @@ class TestFlow:
 
     def test_unit_speed_preserved(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 0.9, 0.2, 0.8)
-        traj = gd.integrate_geodesic(spheroid_model, s, 15.0)
-        for t in np.linspace(0, 15.0, 40):
-            u, v = traj.ambient(t)
+        ts = np.linspace(0, 15.0, 40)
+        ys = gd.integrate_geodesic(spheroid_model, s, 15.0, ts)
+        for y in ys:
+            u, v = y[0:3], y[3:6]
             assert ic.unit_speed_defect(spheroid_model, u, v) < 1e-9
 
-    def test_ambient_at_an_array_of_times(self, spheroid_model):
+    def test_states_at_an_array_of_times(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 0.9, 0.2, 0.8)
-        traj = gd.integrate_geodesic(spheroid_model, s, 7.0)
-        ts = np.concatenate([np.linspace(0.0, 7.0, 57), [7.0 + 5e-13]])
-        us, vs = traj.ambient(ts)
-        assert us.shape == vs.shape == (len(ts), 3)
+        ts = np.concatenate([np.linspace(0.0, 7.0, 57), [7.0]])
+        ys = gd.integrate_geodesic(spheroid_model, s, 7.0, ts)
+        assert ys.shape == (len(ts), 6)
         # 2 ulp at the scale of the state (|u| = 1, |v| of order 1)
         ulp2 = 2 * np.spacing(1.0)
-        for t, u, v in zip(ts, us, vs):
-            u1, v1 = traj.ambient(t)
-            np.testing.assert_allclose(u, u1, rtol=0, atol=ulp2)
-            np.testing.assert_allclose(v, v1, rtol=0, atol=ulp2)
-        # from t_end on, the integrator's final state, not the interpolant
+        for t, y in zip(ts, ys):
+            y1 = gd.integrate_geodesic(spheroid_model, s, 7.0, [t])[0]
+            np.testing.assert_allclose(y, y1, rtol=0, atol=ulp2)
+        # at t_end, the integrator's final state, not the interpolant
         y0 = np.concatenate(gd.state_to_ambient(spheroid_model, s))[None, :]
-        _, y_end, _ = integrate_adaptive(
+        _, y_end = integrate_adaptive(
             gd.geodesic_rhs(spheroid_model), y0, (0.0, 7.0), rtol=1e-10,
             atol=1e-12, project=gd.state_projector(spheroid_model))
         for k in (-2, -1):
-            np.testing.assert_array_equal(us[k], y_end[0, 0:3])
-            np.testing.assert_array_equal(vs[k], y_end[0, 3:6])
-        for bad in ([1.0, 7.0 + 1e-9], [-1e-9, 1.0], [[1.0], [np.nan]]):
+            np.testing.assert_array_equal(ys[k], y_end[0])
+        for bad in ([1.0, 7.0 + 1e-9], [-1e-9, 1.0], [[1.0], [np.nan]],
+                    [2.0, 1.0]):
             with pytest.raises(PreconditionError):
-                traj.ambient(np.array(bad))
+                gd.integrate_geodesic(spheroid_model, s, 7.0, bad)
+
+    def test_memory_does_not_grow_with_t_end(self):
+        # only the samples asked for are kept, not the steps to t_end (at
+        # the coarsest tolerance, where the steps still hold about 3 MB, as
+        # tracemalloc slows the run sevenfold)
+        model = mm.make_spheroid(1.1)
+        s = gd.state_from_angle(model, 1.0, 0.0, 0.7)
+        tracemalloc.start()
+        try:
+            gd.integrate_geodesic(model, s, 300.0, [0.0, 150.0, 300.0],
+                                  tol=gd.TOL_INT_RANGE[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_time_reversal(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 1.2, 0.4, 0.33)
-        traj = gd.integrate_geodesic(spheroid_model, s, 5.0)
-        mid = traj.state(5.0)
-        back = gd.integrate_geodesic(spheroid_model, ic.reversed_state(mid),
-                                     5.0)
+        y = gd.integrate_geodesic(spheroid_model, s, 5.0, [5.0])[0]
+        mid = gd.state_from_ambient(spheroid_model, y[0:3], y[3:6])
+        y1 = gd.integrate_geodesic(spheroid_model, ic.reversed_state(mid),
+                                   5.0, [5.0])[0]
         u0, v0 = gd.state_to_ambient(spheroid_model, s)
-        u1, v1 = back.ambient(5.0)
+        u1, v1 = y1[0:3], y1[3:6]
         assert np.max(np.abs(u1 - u0)) < 1e-8
         assert np.max(np.abs(v1 + v0)) < 1e-8
 
@@ -116,9 +131,9 @@ class TestFlow:
     def test_preconditions(self, round_model):
         s = gd.equator_seed(round_model)
         with pytest.raises(PreconditionError):
-            gd.integrate_geodesic(round_model, s, -1.0)
+            gd.integrate_geodesic(round_model, s, -1.0, [0.0])
         with pytest.raises(PreconditionError):
-            gd.integrate_geodesic(round_model, s, 1.0, tol=1e-3)
+            gd.integrate_geodesic(round_model, s, 1.0, [1.0], tol=1e-3)
 
 
 def rhs_reference_row(model, y, jacobi):
@@ -208,10 +223,11 @@ class TestClairaut:
     def test_drift_along_orbit(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 1.0, 0.1, 0.77)
         nu0 = gd.clairaut_invariant(spheroid_model, s)
-        traj = gd.integrate_geodesic(spheroid_model, s, 20.0)
+        ys = gd.integrate_geodesic(spheroid_model, s, 20.0,
+                                   np.linspace(0, 20, 60))
         worst = 0.0
-        for t in np.linspace(0, 20, 60):
-            u, v = traj.ambient(t)
+        for y in ys:
+            u, v = y[0:3], y[3:6]
             nu = spheroid_model.a * (u[0] * v[1] - u[1] * v[0])
             worst = max(worst, abs(nu - nu0))
         assert worst < 1e-7

@@ -8,7 +8,8 @@ from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab._integrate import (GRAZE_TOL, _quartic_roots, dense_state,
-                                    integrate_adaptive, sweep_linear_events)
+                                    integrate_adaptive, sampler,
+                                    sweep_linear_events)
 from birkhofflab.errors import IntegrationFailure, PreconditionError
 from independent_checks import UnscreenedEventHook
 
@@ -23,7 +24,7 @@ def oscillator(t, y):
 class TestStepper:
     def test_harmonic_oscillator_accuracy(self):
         y0 = np.array([[1.0, 0.0], [0.0, 2.0]])
-        t, y, _ = integrate_adaptive(oscillator, y0, (0.0, 2 * math.pi),
+        t, y = integrate_adaptive(oscillator, y0, (0.0, 2 * math.pi),
                                      rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(y - y0)) < 1e-9
 
@@ -40,30 +41,43 @@ class TestStepper:
         omegas = np.array([1.0, 25.0])
         y0 = np.column_stack([np.ones(2), np.zeros(2), omegas])
         t_end = 2 * math.pi
-        t, y, _ = integrate_adaptive(mixed, y0, (0.0, t_end),
+        t, y = integrate_adaptive(mixed, y0, (0.0, t_end),
                                      rtol=1e-10, atol=1e-12)
         exact = np.cos(omegas * t_end)
         assert np.max(np.abs(y[:, 0] - exact)) < 1e-8
 
-    def test_dense_output_matches_endpoints(self):
+    def test_sample_at_a_step_start_and_mid_step(self):
         y0 = np.array([[1.0, 0.0]])
-        _, _, dense = integrate_adaptive(oscillator, y0, (0.0, 3.0),
-                                         rtol=1e-10, atol=1e-12, store=True)
-        k = len(dense.t) // 2
-        assert np.max(np.abs(dense(dense.t[[k]])[0] - dense.y[k])) < 1e-12
-        tq = dense.t[k] + 0.37 * dense.h[k]
-        yq = dense(np.array([tq]))[0, 0]
-        assert abs(yq[0] - math.cos(tq)) < 1e-10
+        starts = []
 
-    def test_dense_output_row_matches_batch(self):
-        # one orbit's states are those of the whole batch, in that row
+        def record(t, h, y_old, stages, y_new):
+            starts.append((t, h, y_old.copy()))
+
+        integrate_adaptive(oscillator, y0, (0.0, 3.0), rtol=1e-10,
+                           atol=1e-12, step_hook=record)
+        t, h, y_start = starts[len(starts) // 2]
+        tq = t + 0.37 * h
+        hook, blocks = sampler([0], slice(None), np.array([t, tq]))
+        integrate_adaptive(oscillator, y0, (0.0, 3.0), rtol=1e-10,
+                           atol=1e-12, step_hook=hook)
+        (at_start, mid), = blocks
+        assert np.max(np.abs(at_start - y_start)) < 1e-12
+        assert abs(mid[0, 0] - math.cos(tq)) < 1e-10
+
+    def test_sampled_row_matches_batch(self):
+        # one orbit's samples are those of the whole batch, in that row
         y0 = np.array([[1.0, 0.0], [0.0, 2.0], [-0.5, 0.3]])
-        _, _, dense = integrate_adaptive(oscillator, y0, (0.0, 3.0),
-                                         rtol=1e-10, atol=1e-12, store=True)
-        tq = np.linspace(0.0, 3.0, 41)
-        full = dense(tq)
+        tq = np.linspace(0.0, 3.0, 41)[:-1]
+
+        def samples(rows):
+            hook, blocks = sampler(rows, slice(None), tq)
+            integrate_adaptive(oscillator, y0, (0.0, 3.0), rtol=1e-10,
+                               atol=1e-12, step_hook=hook)
+            return np.concatenate(blocks)
+
+        full = samples(np.arange(len(y0)))
         for row in range(len(y0)):
-            assert np.array_equal(dense(tq, row=row), full[:, row])
+            assert np.array_equal(samples([row])[:, 0], full[:, row])
 
     @pytest.mark.parametrize("y0", [np.array([1.0, 0.0]),
                                     np.array([[1.0, 0.0], [0.0, 2.0],
@@ -72,11 +86,14 @@ class TestStepper:
     def test_callback_and_result_shapes(self, y0):
         # the contract the callers and the layer tracer read: fun, project
         # and step_hook see (n, d) states, len(y) rows, (7, n, d) stages;
-        # the result has the shape of y0 and the dense output (q, n, d);
-        # the calls follow DP5(4): 2 to start, 6 per attempted step and 1
-        # per accepted step
+        # the result has the shape of y0 and the samples (q, k, d); the
+        # calls follow DP5(4): 2 to start, 6 per attempted step and 1 per
+        # accepted step
         n, d = np.atleast_2d(y0).shape
         seen = {"fun": [], "project": [], "hook": []}
+        tq = np.linspace(0.0, 3.0, 5)[:-1]
+        every, every_blocks = sampler(np.arange(n), slice(None), tq)
+        last, last_blocks = sampler([n - 1], slice(None), tq)
 
         def fun(t, y):
             seen["fun"].append((y.shape, len(y)))
@@ -90,10 +107,12 @@ class TestStepper:
             seen["hook"].append((y_old.shape, stages.shape, y_new.shape))
             # stage 0 is the derivative at the step's start
             assert np.array_equal(stages[0], oscillator(t, y_old))
+            every(t, h, y_old, stages, y_new)
+            last(t, h, y_old, stages, y_new)
 
-        t, y, dense = integrate_adaptive(fun, y0, (0.0, 3.0), rtol=1e-10,
-                                         atol=1e-12, project=project,
-                                         step_hook=hook, store=True)
+        t, y = integrate_adaptive(fun, y0, (0.0, 3.0), rtol=1e-10,
+                                  atol=1e-12, project=project,
+                                  step_hook=hook)
         assert t == 3.0
         assert y.shape == y0.shape
         assert set(seen["fun"]) == {((n, d), n)}
@@ -103,11 +122,10 @@ class TestStepper:
         assert len(seen["project"]) == accepted
         spare = len(seen["fun"]) - 2 - 7 * accepted
         assert spare >= 0 and spare % 6 == 0
-        tq = np.linspace(0.0, 3.0, 5)
-        assert dense(tq).shape == (5, n, d)
-        assert dense(tq, row=n - 1).shape == (5, d)
-        np.testing.assert_allclose(dense(tq[-1:])[0], np.atleast_2d(y),
-                                   rtol=0, atol=1e-12)
+        assert np.concatenate(every_blocks).shape == (4, n, d)
+        assert np.concatenate(last_blocks).shape == (4, 1, d)
+        np.testing.assert_allclose(np.concatenate(every_blocks)[0],
+                                   np.atleast_2d(y0), rtol=0, atol=1e-12)
 
     def test_blowup_raises_integration_failure(self):
         def blowup(t, y):
