@@ -3,11 +3,9 @@ revolution: transversal-annulus sections, strip-map flux/action/Calabi
 calculus, and sharp systolic inequality audits."""
 
 from . import errors
-from .metric_models import (MetricModel, SurfacePoint, area, from_json,
-                            gaussian_curvature,
-                            injectivity_radius_lower_bound, make_round,
+from .metric_models import (MetricModel, area, from_json, make_round,
                             make_spheroid, make_zoll, pinching_constant,
-                            surface_point, to_json)
+                            to_json)
 from .geodesic_dynamics import (ClosedOrbit, GeodesicState, JacobiPolarState,
                                 clairaut_invariant, conjugate_time,
                                 equator_orbit, equator_seed,
@@ -20,13 +18,11 @@ from .birkhoff_section import (BirkhoffGrid, BirkhoffSection, build_section,
                                return_data, verify_area_identity,
                                verify_tau_action_identity, zero_flux_lift)
 from .strip_calculus import (ActionGrid, GeneratingGrid, StripMapGrid,
-                             action, action_from_generating,
-                             build_from_generating, calabi,
+                             action, build_from_generating, calabi,
                              calabi_from_generating,
                              fixed_point_with_signed_action, flux,
                              flux_boundary_path, generating_from_map,
-                             identity_map, random_generating_grid, shear_map,
-                             translation_map)
+                             random_generating_grid)
 from .systolic_audit import (SystolicReport, audit,
                              candidate_closed_geodesics, simplicity_check,
                              two_gon_perimeter_check)

@@ -41,6 +41,7 @@ group, whose domain is every grid node.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -291,8 +292,14 @@ class BirkhoffGrid:
                 f"{bad} grid nodes are flagged; returns are unreliable")
 
     def to_csv(self, path):
-        sc._write_node_csv(path, ["x", "y", "X", "Y", "tau"], self.xs,
-                           self.ys, self.X, self.Y, self.tau)
+        """One row per grid node, x-major: x, y, X, Y, tau as repr(float)."""
+        with open(path, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["x", "y", "X", "Y", "tau"])
+            for i, x in enumerate(self.xs):
+                for j, y in enumerate(self.ys):
+                    wr.writerow([repr(float(v)) for v in (
+                        x, y, self.X[i, j], self.Y[i, j], self.tau[i, j])])
 
     def summary(self, model):
         return {"L": self.L, "nx": self.nx, "ny": self.ny,

@@ -46,6 +46,7 @@ RANDOM_MIN_GRID = 48
 # D2 W of sin(Y)^2 on the boundary rows exceeds 1e-4 max |W| (1.4e-4 at 20,
 # 9.8e-5 at 21), at every --eps and --nx, and the map builder refuses W.
 SIN2_MIN_NY = 21
+TRACE_MAX_LENGTHS = 100   # longest trace --t-end, in equator lengths
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +219,17 @@ def cmd_trace(args):
     state = gd.state_from_angle(model, *_start(args.start))
     if not (0.0 < args.t_end < math.inf):      # before times are built on it
         raise UsageError("t_end must be finite and positive")
+    t_max = TRACE_MAX_LENGTHS * model.equator_length
+    if args.t_end > t_max:
+        raise UsageError(f"--t-end must be at most {t_max:.6g}, "
+                         f"{TRACE_MAX_LENGTHS} equator lengths of the metric")
     ts = np.linspace(0.0, args.t_end, args.samples)
     rows = []
     for t, y in zip(ts, gd.integrate_geodesic(model, state, args.t_end, ts,
                                               tol=args.tol_int)):
         try:
             s = gd.state_from_ambient(model, y[0:3], y[3:6])
-            rows.append((t, s.point.theta, s.point.phi, *s.direction))
+            rows.append((t, s.theta, s.phi, *s.direction))
         except ChartDomainError:       # a pole passage has no chart angles
             rows.append((t, math.acos(max(-1, min(1, y[2]))), math.nan,
                          math.nan, math.nan))

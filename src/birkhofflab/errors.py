@@ -83,7 +83,3 @@ class NotGeneratingError(RefusedError, ValueError):
 
 class AuditRefused(RefusedError, RuntimeError):
     """The audit hypotheses are not met; no verdict is produced."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason

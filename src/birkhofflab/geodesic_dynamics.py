@@ -138,18 +138,19 @@ def state_projector(model):
 
 @dataclass
 class GeodesicState:
-    """Point plus unit direction in chart coordinates.
+    """Chart point (theta in [0, pi], phi in [0, 2 pi)) and unit direction.
 
     ``direction`` holds the chart velocities (dtheta/dt, dphi/dt) of the
     unit-speed parametrisation.
     """
 
-    point: mm.SurfacePoint
+    theta: float
+    phi: float
     direction: tuple
 
 
 def state_to_ambient(model, state):
-    th, ph = state.point.theta, state.point.phi
+    th, ph = state.theta, state.phi
     u = mm.chart_to_unitvec(th, ph)
     dth, dph = state.direction
     e_th = np.array([math.cos(th) * math.cos(ph),
@@ -169,14 +170,15 @@ def state_from_ambient(model, u, v):
                                "direction components exist there")
     dth = -float(v[2]) / st
     dph = float(u[0] * v[1] - u[1] * v[0]) / (st * st)
-    point = mm.SurfacePoint(theta=th, phi=ph,
-                            position=model.embedded_position(u))
-    return GeodesicState(point=point, direction=(dth, dph))
+    return GeodesicState(theta=th, phi=ph, direction=(dth, dph))
 
 
 def state_from_angle(model, theta, phi, psi):
     """Unit-speed state at (theta, phi) making angle ``psi`` with the
     meridian direction (psi = pi/2 points along increasing phi)."""
+    if not (0.0 <= theta <= math.pi) or not math.isfinite(phi):
+        raise ChartDomainError(
+            f"chart coordinates (theta={theta}, phi={phi}) out of range")
     z = math.cos(theta)
     E = float(model.profile_E(z))
     G = float(model.profile_G(z))
@@ -184,8 +186,7 @@ def state_from_angle(model, theta, phi, psi):
         raise ChartDomainError("direction frame undefined at the poles")
     dth = math.cos(psi) / math.sqrt(E)
     dph = math.sin(psi) / math.sqrt(G)
-    point = mm.surface_point(model, theta, phi)
-    return GeodesicState(point=point, direction=(dth, dph))
+    return GeodesicState(theta=theta, phi=phi % _TWO_PI, direction=(dth, dph))
 
 
 def integrate_geodesic(model, state, t_end, times, tol=1e-10):
@@ -217,13 +218,10 @@ def integrate_geodesic(model, state, t_end, times, tol=1e-10):
         [*blocks, np.repeat(y[None], len(times) - len(inner), axis=0)])[:, 0]
 
 
-def clairaut_invariant(model, state):
-    """G * dphi/dt = a (u1 v2 - u2 v1); constant along geodesics of any
-    revolution metric and used as an integration diagnostic."""
-    if isinstance(state, GeodesicState):
-        u, v = state_to_ambient(model, state)
-    else:
-        u, v = np.asarray(state[0:3]), np.asarray(state[3:6])
+def clairaut_invariant(model, y):
+    """G * dphi/dt = a (u1 v2 - u2 v1) of the ambient state ``y`` = (u, v);
+    constant along geodesics of any revolution metric."""
+    u, v = y[0:3], y[3:6]
     return float(model.a * (u[0] * v[1] - u[1] * v[0]))
 
 
@@ -320,8 +318,7 @@ class ClosedOrbit:
 
     @property
     def clairaut(self):
-        u, v = self.states[0, 0:3], self.states[0, 3:6]
-        return self.model.a * (u[0] * v[1] - u[1] * v[0])
+        return clairaut_invariant(self.model, self.states[0])
 
     def plane_normal(self):
         """Unit normal of the plane through the origin containing the orbit,
@@ -393,7 +390,7 @@ def _gauss_newton_shooting(model, seed, period_guess):
     share the step sizes (internal numerical differentiation); ``lstsq``
     solves for the step even where the closed orbits form a family (theta0
     along a meridian, a Zoll metric)."""
-    theta0, phi0 = seed.point.theta, seed.point.phi
+    theta0, phi0 = seed.theta, seed.phi
     (dth, dph), z = seed.direction, math.cos(theta0)
     psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
                       math.sqrt(float(model.profile_E(z))) * dth)

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 
-from .errors import ChartDomainError, ModelInvalidError
+from .errors import ModelInvalidError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -118,9 +118,6 @@ class MetricModel:
         return (self.a * np.einsum("...i,...i->...", v, w)
                 + self.b(z) * v[..., 2] * w[..., 2])
 
-    def norm(self, u, v):
-        return np.sqrt(self.dot(u, v, v))
-
     # -- derived global quantities -------------------------------------
 
     @property
@@ -136,21 +133,6 @@ class MetricModel:
         theta = np.linspace(0.0, _TWO_PI, _MERIDIAN_NODES, endpoint=False)
         return _TWO_PI * float(np.mean(np.sqrt(self.profile_E(np.cos(theta)))))
 
-    def embedded_position(self, u):
-        """Representative position in R^3 for a chart point.
-
-        The spheroid uses its genuine isometric embedding; for the other
-        kinds the chart-sphere coordinates (scaled by the radius for the
-        round model) are reported.
-        """
-        u = np.asarray(u, dtype=float)
-        if self.kind == "spheroid":
-            c = self.params["c"]
-            return u * np.array([1.0, 1.0, c])
-        if self.kind == "round":
-            return u * self.params["radius"]
-        return u.copy()
-
     def rescale(self, factor):
         """The conformally scaled metric factor * g (lengths scale by
         sqrt(factor)).  Scaling a rescaled model composes the factors: the
@@ -160,32 +142,12 @@ class MetricModel:
             raise ModelInvalidError("scale factor must be positive")
         base, scale = self, factor
         if self.kind.startswith(_RESCALED):
-            base = _BUILDERS[self.kind[len(_RESCALED):]](self.params)
+            base = _build(self.kind[len(_RESCALED):], self.params)
             scale *= self.params["scale"]
         return MetricModel(kind=_RESCALED + base.kind,
                            params=dict(base.params, scale=scale),
                            a=base.a * scale,
                            b_coef=base.b_coef * scale)
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Chart point (colatitude theta in [0, pi], azimuth phi in [0, 2 pi))
-    together with its representative embedded position."""
-
-    theta: float
-    phi: float
-    position: np.ndarray
-
-    @property
-    def height(self):
-        return math.cos(self.theta)
-
-
-def _check_chart(theta, phi):
-    if not (0.0 <= theta <= math.pi) or not math.isfinite(phi):
-        raise ChartDomainError(
-            f"chart coordinates (theta={theta}, phi={phi}) out of range")
 
 
 def chart_to_unitvec(theta, phi):
@@ -197,13 +159,6 @@ def unitvec_to_chart(u):
     theta = math.acos(min(1.0, max(-1.0, float(u[2]))))
     phi = math.atan2(float(u[1]), float(u[0])) % _TWO_PI
     return theta, phi
-
-
-def surface_point(model, theta, phi):
-    _check_chart(theta, phi % _TWO_PI if math.isfinite(phi) else phi)
-    u = chart_to_unitvec(theta, phi)
-    return SurfacePoint(theta=theta, phi=phi % _TWO_PI,
-                        position=model.embedded_position(u))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +175,7 @@ def _real(value, name):
                             f"{_PARAM_LIMIT:g} in magnitude (got {value!r})")
 
 
-def make_round(radius=1.0):
+def make_round(radius):
     radius = _real(radius, "round sphere radius")
     if radius <= 0.0:
         raise ModelInvalidError("round sphere radius must be positive")
@@ -263,18 +218,27 @@ def make_zoll(h_coeffs):
                        a=1.0, b_coef=np.trim_zeros(b, "b") if np.any(b) else np.zeros(1))
 
 
-_BUILDERS = {
-    "round": lambda doc: make_round(doc.get("radius", 1.0)),
-    "spheroid": lambda doc: make_spheroid(doc["c"]),
-    "zoll": lambda doc: make_zoll(doc["h_coeffs"]),
+# Each kind's builder and its parameters in argument order, with the value
+# a document that omits one takes (None: the document must give it).
+_KINDS = {
+    "round": (make_round, {"radius": 1.0}),
+    "spheroid": (make_spheroid, {"c": None}),
+    "zoll": (make_zoll, {"h_coeffs": None}),
 }
+
+
+def _build(kind, params):
+    """Base-kind model from ``params``; a missing one raises ``KeyError``."""
+    make, names = _KINDS[kind]
+    return make(*(params[k] if v is None else params.get(k, v)
+                  for k, v in names.items()))
 
 
 def from_json(doc):
     """Build a model from a JSON document (string or parsed dict).
 
     ``rescaled-<kind>`` documents carry the parameters of the base kind
-    plus the ``scale`` factor."""
+    plus the ``scale`` factor; any other key is refused."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -282,10 +246,15 @@ def from_json(doc):
                                 "a 'kind' key")
     kind = doc["kind"]
     base = kind.removeprefix(_RESCALED) if isinstance(kind, str) else None
-    if base not in _BUILDERS:
+    if base not in _KINDS:
         raise ModelInvalidError(f"unknown metric kind {kind!r}")
+    known = {"kind", *_KINDS[base][1], *(("scale",) if base != kind else ())}
+    for key in doc:
+        if key not in known:
+            raise ModelInvalidError(
+                f"metric kind {kind!r} has no parameter {key!r}")
     try:
-        model = _BUILDERS[base](doc)
+        model = _build(base, doc)
         return model if base == kind else model.rescale(doc["scale"])
     except KeyError as exc:
         raise ModelInvalidError(
@@ -299,18 +268,6 @@ def to_json(model):
 # ---------------------------------------------------------------------------
 # pointwise and global operations
 # ---------------------------------------------------------------------------
-
-def gaussian_curvature(model, point):
-    """Gaussian curvature at a surface point (or at a raw colatitude)."""
-    if isinstance(point, SurfacePoint):
-        _check_chart(point.theta, point.phi)
-        z = point.height
-    else:
-        theta = float(point)
-        _check_chart(theta, 0.0)
-        z = math.cos(theta)
-    return float(model.curvature(z))
-
 
 def curvature_extremes(model):
     """(min K, max K) over the sphere, by dense height sampling plus local
@@ -362,9 +319,3 @@ def area(model):
     nodes, weights = _AREA_RULE
     vals = np.sqrt(model.profile_E(nodes))
     return float(_TWO_PI * math.sqrt(model.a) * np.sum(weights * vals))
-
-
-def injectivity_radius_lower_bound(model):
-    """pi / sqrt(max K), the classical curvature bound on the injectivity radius."""
-    _, kmax = curvature_extremes(model)
-    return math.pi / math.sqrt(kmax)

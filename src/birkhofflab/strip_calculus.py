@@ -25,7 +25,6 @@ of W); the mirrored statement holds for non-negative Calabi invariant.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -63,18 +62,6 @@ def strip_mesh(length, nx, ny):
     return xs, ys
 
 
-def _write_node_csv(path, header, xs, ys, *values):
-    """One CSV row per mesh node, x-major: the node coordinates, then each
-    (nx, ny) array of ``values`` at that node, all as repr(float)."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for i in range(len(xs)):
-            for j in range(len(ys)):
-                wr.writerow([repr(float(xs[i])), repr(float(ys[j]))]
-                            + [repr(float(v[i, j])) for v in values])
-
-
 @dataclass
 class StripMapGrid:
     """Discrete strip map: node values of the lift Phi = (X, Y)."""
@@ -100,32 +87,6 @@ class StripMapGrid:
         return float(max(np.max(np.abs(self.displacement())),
                          np.max(np.abs(self.Y - self.ys[None, :]))))
 
-    def validate(self, tol=IDENTITY_TOL):
-        """Check the defining grid invariants; raises on violation."""
-        if np.max(np.abs(self.Y[:, 0])) > 1e-7 \
-                or np.max(np.abs(self.Y[:, -1] - _PI)) > 1e-7:
-            raise InternalConsistencyError("boundary rows are not preserved")
-        res = omega_preservation_residual(self)
-        if res > tol:
-            raise NonIntegrableFormError(
-                f"area form not preserved at grid resolution "
-                f"(residual {res:.3g} > {tol:.3g})")
-        return res
-
-    def to_csv(self, path):
-        _write_node_csv(path, ["x", "y", "X", "Y"], self.xs, self.ys,
-                        self.X, self.Y)
-
-    @classmethod
-    def from_csv(cls, path, length):
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        xs = np.unique(data[:, 0])
-        ys = np.unique(data[:, 1])
-        nx, ny = len(xs), len(ys)
-        X = data[:, 2].reshape(nx, ny)
-        Y = data[:, 3].reshape(nx, ny)
-        return cls(length=length, xs=xs, ys=ys, X=X, Y=Y)
-
 
 @dataclass
 class GeneratingGrid:
@@ -150,27 +111,12 @@ class GeneratingGrid:
     def boundary_values(self):
         return float(np.mean(self.w[:, 0])), float(np.mean(self.w[:, -1]))
 
-    def to_csv(self, path):
-        _write_node_csv(path, ["x", "Y", "W"], self.xs, self.Ys, self.w)
-
-    @classmethod
-    def from_csv(cls, path, length):
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        xs = np.unique(data[:, 0])
-        Ys = np.unique(data[:, 1])
-        return cls(length=length, xs=xs, Ys=Ys,
-                   w=data[:, 2].reshape(len(xs), len(Ys)))
-
 
 @dataclass
 class ActionGrid:
     """Node values of the action sigma of a strip map."""
 
-    length: float
-    xs: np.ndarray
-    ys: np.ndarray
     sigma: np.ndarray          # (nx, ny)
-    flux: float
     closure_residual: float
 
 
@@ -304,7 +250,7 @@ def action(grid):
     failure means the input does not preserve the area form.
     """
     F = flux(grid)
-    xs, ys, L = grid.xs, grid.ys, grid.length
+    ys, L = grid.ys, grid.length
     disp = grid.displacement()
     d1X, d2X, _, _ = map_derivatives(grid)
     cosY = np.cos(grid.Y)
@@ -320,8 +266,7 @@ def action(grid):
             f"one-form closure residual {closure:.3g} exceeds "
             f"{IDENTITY_TOL:.3g}; "
             "the map does not preserve the area form")
-    return ActionGrid(length=L, xs=xs, ys=ys, sigma=sigma, flux=F,
-                      closure_residual=closure)
+    return ActionGrid(sigma=sigma, closure_residual=closure)
 
 
 def calabi(grid, action_grid=None):
@@ -517,15 +462,6 @@ def generating_from_map(grid):
                           closure_residual=closure)
 
 
-def action_from_generating(gen, grid):
-    """Action via the generating function: sigma = W(x, Y) + (X - x) cos(Y),
-    the form that stays regular on the boundary rows."""
-    w_at_Y = _columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
-    sigma = w_at_Y + (grid.X - grid.xs[:, None]) * np.cos(grid.Y)
-    return ActionGrid(length=grid.length, xs=grid.xs, ys=grid.ys,
-                      sigma=sigma, flux=flux(grid), closure_residual=0.0)
-
-
 def calabi_from_generating(gen, grid):
     """Calabi invariant as (1 / 2L) of the omega-integral of
     W(x, y) + W(x, Y(x, y)); zero-flux maps only."""
@@ -676,28 +612,8 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
 
 
 # ---------------------------------------------------------------------------
-# synthetic constructors
+# random generating functions
 # ---------------------------------------------------------------------------
-
-def identity_map(length=2 * _PI, nx=96, ny=96):
-    xs, ys = strip_mesh(length, nx, ny)
-    X = np.tile(xs[:, None], (1, ny)).astype(float)
-    Y = np.tile(ys[None, :], (nx, 1)).astype(float)
-    return StripMapGrid(length=length, xs=xs, ys=ys, X=X, Y=Y)
-
-
-def translation_map(c, length=2 * _PI, nx=96, ny=96):
-    g = identity_map(length, nx, ny)
-    return StripMapGrid(length=length, xs=g.xs, ys=g.ys, X=g.X + c, Y=g.Y)
-
-
-def shear_map(f, length=2 * _PI, nx=96, ny=96):
-    """(x, y) -> (x + f(y), y); preserves omega for any smooth f."""
-    g = identity_map(length, nx, ny)
-    shift = np.asarray(f(g.ys), dtype=float)
-    return StripMapGrid(length=length, xs=g.xs, ys=g.ys,
-                        X=g.X + shift[None, :], Y=g.Y)
-
 
 def random_generating_grid(rng, length=2 * _PI, nx=96, ny=96,
                            amplitude=0.004, net_flux=0.0):

@@ -19,9 +19,37 @@ def unit_speed_defect(model, u, v):
 
 def reversed_state(state):
     """The same point with the direction reversed."""
-    return gd.GeodesicState(point=state.point,
+    return gd.GeodesicState(theta=state.theta, phi=state.phi,
                             direction=(-state.direction[0],
                                        -state.direction[1]))
+
+
+def identity_map(length=2 * np.pi, nx=96, ny=96):
+    xs, ys = sc.strip_mesh(length, nx, ny)
+    X = np.tile(xs[:, None], (1, ny)).astype(float)
+    Y = np.tile(ys[None, :], (nx, 1)).astype(float)
+    return sc.StripMapGrid(length=length, xs=xs, ys=ys, X=X, Y=Y)
+
+
+def translation_map(c, length=2 * np.pi, nx=96, ny=96):
+    g = identity_map(length, nx, ny)
+    return sc.StripMapGrid(length=length, xs=g.xs, ys=g.ys, X=g.X + c, Y=g.Y)
+
+
+def shear_map(f, length=2 * np.pi, nx=96, ny=96):
+    """(x, y) -> (x + f(y), y); preserves omega for any smooth f."""
+    g = identity_map(length, nx, ny)
+    shift = np.asarray(f(g.ys), dtype=float)
+    return sc.StripMapGrid(length=length, xs=g.xs, ys=g.ys,
+                           X=g.X + shift[None, :], Y=g.Y)
+
+
+def action_from_generating(gen, grid):
+    """Action via the generating function: sigma = W(x, Y) + (X - x) cos(Y),
+    the form that stays regular on the boundary rows."""
+    w_at_Y = sc._columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
+    sigma = w_at_Y + (grid.X - grid.xs[:, None]) * np.cos(grid.Y)
+    return sc.ActionGrid(sigma=sigma, closure_residual=0.0)
 
 
 def compose_maps(outer, inner):

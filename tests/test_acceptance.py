@@ -20,6 +20,8 @@ from birkhofflab import strip_calculus as sc
 from birkhofflab import systolic_audit as sa
 from birkhofflab.errors import InternalConsistencyError, NonIntegrableFormError
 
+import independent_checks as ic
+
 TWO_PI = 2 * math.pi
 PI = math.pi
 
@@ -188,7 +190,7 @@ def test_criterion_7_refusal_paths(capsys):
                          "--nx", "16", "--ny", "16"])
         capsys.readouterr()
         assert code == 3
-        base = sc.identity_map(nx=48, ny=48)
+        base = ic.identity_map(nx=48, ny=48)
         bad = sc.StripMapGrid(length=base.length, xs=base.xs, ys=base.ys,
                               X=base.X, Y=base.Y + 0.2 * np.sin(base.Y))
         with pytest.raises(NonIntegrableFormError):

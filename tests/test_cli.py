@@ -74,6 +74,30 @@ class TestMetricInfo:
         assert out == ""
         assert err == f"error: metric kind '{kind}' needs a '{key}'\n"
 
+    @pytest.mark.parametrize("doc, key", [
+        ('{"kind": "round", "radus": 2}', "radus"),
+        ('{"kind": "spheroid", "c": 1.03, "scale": 4}', "scale"),
+        ('{"kind": "rescaled-round", "scale": 2, "c": 1.1}', "c"),
+    ])
+    def test_unknown_parameter_named(self, capsys, doc, key):
+        # a misspelt or foreign key is refused, not dropped
+        code, out, err = run(capsys, "metric-info", "--metric", doc)
+        kind = json.loads(doc)["kind"]
+        assert code == 2
+        assert out == ""
+        assert err == f"error: metric kind '{kind}' has no parameter '{key}'\n"
+
+    @pytest.mark.parametrize("doc, bound", [
+        (ROUND, pytest.approx(math.pi)),
+        ('{"kind": "round", "radius": 2.0}',
+         pytest.approx(2 * math.pi, rel=1e-10)),
+        (SPHEROID, pytest.approx(math.pi / 1.03, rel=1e-10)),
+    ], ids=["round", "round_radius", "spheroid"])
+    def test_injectivity_bound(self, capsys, doc, bound):
+        code, out, _ = run(capsys, "metric-info", "--metric", doc)
+        assert code == 0
+        assert json.loads(out)["injectivity_radius_lower_bound"] == bound
+
     def test_missing_metric_exits_2(self, capsys):
         code, _, _ = run(capsys, "metric-info")
         assert code == 2
@@ -135,6 +159,33 @@ class TestTrace:
         assert code == 2
         assert "t_end must be finite and positive" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("metric, below, above", [
+        (ROUND, "628.3", "628.4"),
+        ('{"kind": "round", "radius": 2}', "1256.6", "1256.7"),
+    ], ids=["radius-1", "radius-2"])
+    def test_t_end_above_100_equator_lengths_exits_2(self, capsys,
+                                                     monkeypatch, metric,
+                                                     below, above):
+        # refused before any integration starts; the stand-in integrator
+        # returns the launch state at every time at once
+        calls = []
+
+        def integrate(model, state, t_end, times, tol):
+            calls.append(t_end)
+            y0 = np.concatenate(cli.gd.state_to_ambient(model, state))
+            return np.tile(y0, (len(times), 1))
+
+        monkeypatch.setattr(cli.gd, "integrate_geodesic", integrate)
+        code, out, _ = run(capsys, "trace", "--metric", metric,
+                           "--t-end", below, "--samples", "3")
+        assert code == 0 and len(out.splitlines()) == 4
+        for t_end in (above, "1e7"):
+            code, out, err = run(capsys, "trace", "--metric", metric,
+                                 "--t-end", t_end, "--samples", "3")
+            assert code == 2 and out == ""
+            assert "100 equator lengths" in err
+        assert calls == [float(below)]
 
     @pytest.mark.parametrize("start", ["1,0,nan", "nan,0,0.7", "1,inf,0.7"])
     def test_non_finite_start_exits_2(self, capsys, monkeypatch, start):

@@ -9,7 +9,7 @@ from scipy.special import ellipe
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import metric_models as mm
 from birkhofflab._integrate import integrate_adaptive
-from birkhofflab.errors import PreconditionError
+from birkhofflab.errors import ChartDomainError, PreconditionError
 
 import independent_checks as ic
 
@@ -136,6 +136,15 @@ class TestFlow:
             gd.integrate_geodesic(round_model, s, 1.0, [1.0], tol=1e-3)
 
 
+class TestStates:
+    @pytest.mark.parametrize("theta, phi", [
+        (-0.5, 0.0), (3.5, 0.0), (1.0, math.nan), (1.0, math.inf),
+    ], ids=["theta-below-0", "theta-above-pi", "phi-nan", "phi-inf"])
+    def test_chart_range_enforced(self, round_model, theta, phi):
+        with pytest.raises(ChartDomainError):
+            gd.state_from_angle(round_model, theta, phi, 0.3)
+
+
 def rhs_reference_row(model, y, jacobi):
     """The module docstring's equations for one state row, in plain floats:
     u'' = (mu u - q e3) / a and, with ``jacobi``, the polar Jacobi pair
@@ -209,20 +218,26 @@ class TestRhsReference:
         self.check(model, np.asfortranarray(stages[3]), True)
 
 
+def ambient(model, state):
+    return np.concatenate(gd.state_to_ambient(model, state))
+
+
 class TestClairaut:
     def test_equator_round(self, round_model):
+        seed = gd.equator_seed(round_model)
         assert gd.clairaut_invariant(round_model,
-                                     gd.equator_seed(round_model)) == \
+                                     ambient(round_model, seed)) == \
             pytest.approx(1.0, abs=1e-14)
 
     def test_meridian_zero(self, spheroid_model):
+        seed = gd.meridian_seed(spheroid_model)
         assert gd.clairaut_invariant(spheroid_model,
-                                     gd.meridian_seed(spheroid_model)) == \
+                                     ambient(spheroid_model, seed)) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_drift_along_orbit(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 1.0, 0.1, 0.77)
-        nu0 = gd.clairaut_invariant(spheroid_model, s)
+        nu0 = gd.clairaut_invariant(spheroid_model, ambient(spheroid_model, s))
         ys = gd.integrate_geodesic(spheroid_model, s, 20.0,
                                    np.linspace(0, 20, 60))
         worst = 0.0

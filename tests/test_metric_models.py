@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 from birkhofflab import metric_models as mm
-from birkhofflab.errors import ChartDomainError, ModelInvalidError
+from birkhofflab.errors import ModelInvalidError
 
 
 def ellipsoid_curvature(c, theta):
@@ -33,32 +33,24 @@ def oblate_area(c):
 class TestCurvature:
     def test_round_is_constant(self, round_model):
         for theta in (0.0, 0.4, 1.2, math.pi / 2, 3.0, math.pi):
-            p = mm.surface_point(round_model, theta, 0.3)
-            assert mm.gaussian_curvature(round_model, p) == pytest.approx(1.0)
+            assert round_model.curvature(math.cos(theta)) == \
+                pytest.approx(1.0)
 
     def test_round_radius_scaling(self):
         m = mm.make_round(2.0)
-        p = mm.surface_point(m, 1.0, 0.0)
-        assert mm.gaussian_curvature(m, p) == pytest.approx(0.25, rel=1e-14)
+        assert m.curvature(math.cos(1.0)) == pytest.approx(0.25, rel=1e-14)
 
     def test_spheroid_pole_and_equator(self, spheroid_model):
         c = 1.03
-        pole = mm.surface_point(spheroid_model, 0.0, 0.0)
-        equator = mm.surface_point(spheroid_model, math.pi / 2, 0.0)
-        assert mm.gaussian_curvature(spheroid_model, pole) == \
+        assert spheroid_model.curvature(math.cos(0.0)) == \
             pytest.approx(c ** 2, rel=1e-12)
-        assert mm.gaussian_curvature(spheroid_model, equator) == \
+        assert spheroid_model.curvature(math.cos(math.pi / 2)) == \
             pytest.approx(c ** -2, rel=1e-12)
 
     def test_spheroid_matches_embedded_formula(self, spheroid_model):
         for theta in np.linspace(0.01, math.pi - 0.01, 17):
-            p = mm.surface_point(spheroid_model, theta, 0.0)
-            assert mm.gaussian_curvature(spheroid_model, p) == \
+            assert spheroid_model.curvature(math.cos(theta)) == \
                 pytest.approx(ellipsoid_curvature(1.03, theta), rel=1e-11)
-
-    def test_point_outside_chart(self, round_model):
-        with pytest.raises(ChartDomainError):
-            mm.gaussian_curvature(round_model, -0.5)
 
 
 class TestPinching:
@@ -144,20 +136,6 @@ class TestMeridianLength:
             2 * math.pi, rel=1e-14)
 
 
-class TestInjectivityBound:
-    def test_round(self, round_model):
-        assert mm.injectivity_radius_lower_bound(round_model) == \
-            pytest.approx(math.pi)
-
-    def test_round_radius(self):
-        assert mm.injectivity_radius_lower_bound(mm.make_round(2.0)) == \
-            pytest.approx(2 * math.pi, rel=1e-10)
-
-    def test_spheroid(self, spheroid_model):
-        assert mm.injectivity_radius_lower_bound(spheroid_model) == \
-            pytest.approx(math.pi / 1.03, rel=1e-10)
-
-
 class TestZollProfiles:
     def test_zero_profile_equals_round(self, round_model):
         z = mm.make_zoll([0.0])
@@ -239,19 +217,6 @@ class TestJsonInterface:
             mm.from_json('{"kind": "spheroid"}')
         with pytest.raises(json.JSONDecodeError):
             mm.from_json("{not json")
-
-
-class TestSurfacePoint:
-    def test_spheroid_embedding_equation(self, spheroid_model):
-        c = 1.03
-        for theta in np.linspace(0, math.pi, 9):
-            p = mm.surface_point(spheroid_model, theta, 1.1)
-            x, y, z = p.position
-            assert abs(x ** 2 + y ** 2 + (z / c) ** 2 - 1.0) < 1e-12
-
-    def test_chart_range_enforced(self, round_model):
-        with pytest.raises(ChartDomainError):
-            mm.surface_point(round_model, 3.5, 0.0)
 
 
 def test_construction_positive_curvature_enforced():
