@@ -47,6 +47,8 @@ RANDOM_MIN_GRID = 48
 # 9.8e-5 at 21), at every --eps and --nx, and the map builder refuses W.
 SIN2_MIN_NY = 21
 TRACE_MAX_LENGTHS = 100   # longest trace --t-end, in equator lengths
+MAX_GRID = 512            # largest --nx, --ny (costs measured in README)
+MAX_SAMPLES = 10_000      # largest --samples (costs measured in README)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,8 @@ def _check_config(args):
     opts = vars(args)
     if any(opts.get(k, 16) < 16 for k in ("nx", "ny")):
         raise UsageError("grid sizes must be at least 16")
+    if any(opts.get(k, 16) > MAX_GRID for k in ("nx", "ny")):
+        raise UsageError(f"grid sizes must be at most {MAX_GRID}")
     lo, hi = gd.TOL_INT_RANGE
     if "tol_int" in opts and not (lo <= opts["tol_int"] <= hi):
         raise UsageError(f"--tol-int must lie in [{lo:g}, {hi:g}]")
@@ -154,6 +158,8 @@ def _check_config(args):
         raise UsageError("--out is required with --format csv")
     if opts.get("samples", 1) < 1:
         raise UsageError("--samples must be at least 1")
+    if opts.get("samples", 1) > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}")
     if not math.isfinite(opts.get("eps", 0.0)):
         raise UsageError("--eps must be finite")
     if "start" in opts and not all(map(math.isfinite, _start(opts["start"]))):
@@ -225,8 +231,8 @@ def cmd_trace(args):
                          f"{TRACE_MAX_LENGTHS} equator lengths of the metric")
     ts = np.linspace(0.0, args.t_end, args.samples)
     rows = []
-    for t, y in zip(ts, gd.integrate_geodesic(model, state, args.t_end, ts,
-                                              tol=args.tol_int)):
+    for t, y in zip(ts, gd.integrate_geodesic(model, [state], args.t_end, ts,
+                                              tol=args.tol_int)[:, 0]):
         try:
             s = gd.state_from_ambient(model, y[0:3], y[3:6])
             rows.append((t, s.theta, s.phi, *s.direction))
@@ -323,17 +329,13 @@ def cmd_zoll_check(args):
     model = _load_metric(args.metric)
     L = model.equator_length
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.samples):
-        theta = math.acos(rng.uniform(-0.95, 0.95))
-        phi = rng.uniform(0.0, 2 * math.pi)
-        psi = rng.uniform(0.0, 2 * math.pi)
-        state = gd.state_from_angle(model, theta, phi, psi)
-        u0, v0 = gd.state_to_ambient(model, state)
-        y1 = gd.integrate_geodesic(model, state, L, [L], tol=args.tol_int)[0]
-        u1, v1 = y1[0:3], y1[3:6]
-        worst = max(worst, float(np.max(np.abs(u1 - u0))),
-                    float(np.max(np.abs(v1 - v0))))
+    states = [gd.state_from_angle(model, math.acos(rng.uniform(-0.95, 0.95)),
+                                  rng.uniform(0.0, 2 * math.pi),
+                                  rng.uniform(0.0, 2 * math.pi))
+              for _ in range(args.samples)]       # theta, phi, psi in turn
+    y0, y1 = gd.integrate_geodesic(model, states, L, [0.0, L],
+                                   tol=args.tol_int)
+    worst = float(np.max(np.abs(y1 - y0)))
     closed = worst < args.tol_id
     doc = {
         "metric": mm.to_json(model),

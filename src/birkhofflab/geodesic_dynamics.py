@@ -189,14 +189,14 @@ def state_from_angle(model, theta, phi, psi):
     return GeodesicState(theta=theta, phi=phi % _TWO_PI, direction=(dth, dph))
 
 
-def integrate_geodesic(model, state, t_end, times, tol=1e-10):
-    """Ambient states (q, 6) of the geodesic flow from ``state`` at the
-    ascending ``times`` (q,) in [0, t_end], sampled as the flow is
-    integrated to ``t_end``; a time at ``t_end`` takes the final projected
-    state.
+def integrate_geodesic(model, states, t_end, times, tol=1e-10):
+    """Ambient states (q, n, 6) of the geodesic flows from the n ``states``,
+    integrated as the rows of one batch to ``t_end`` and sampled at the
+    ascending ``times`` (q,) in [0, t_end]; a time at ``t_end`` takes the
+    final projected states.
 
-    ``tol`` is the relative tolerance of the embedded pair; the absolute
-    tolerance is tied two decades below it.
+    ``tol`` is the relative tolerance of the embedded pair, met by every
+    row; the absolute tolerance is tied two decades below it.
     """
     if not (0.0 < t_end < math.inf):
         raise PreconditionError("t_end must be finite and positive")
@@ -207,15 +207,15 @@ def integrate_geodesic(model, state, t_end, times, tol=1e-10):
     if not (times.ndim == 1 and np.all((0.0 <= times) & (times <= t_end))
             and np.all(np.diff(times) >= 0.0)):
         raise PreconditionError("times must ascend within [0, t_end]")
+    y0 = np.array([np.concatenate(state_to_ambient(model, s))
+                   for s in states])
     inner = times[times < t_end]
-    hook, blocks = sampler([0], slice(None), inner)
-    u, v = state_to_ambient(model, state)
+    hook, blocks = sampler(np.arange(len(y0)), slice(None), inner)
     _, y = integrate_adaptive(
-        geodesic_rhs(model), np.concatenate([u, v])[None, :], (0.0, t_end),
-        rtol=tol, atol=tol * 1e-2, project=state_projector(model),
-        step_hook=hook)
+        geodesic_rhs(model), y0, (0.0, t_end), rtol=tol, atol=tol * 1e-2,
+        project=state_projector(model), step_hook=hook)
     return np.concatenate(
-        [*blocks, np.repeat(y[None], len(times) - len(inner), axis=0)])[:, 0]
+        [*blocks, np.repeat(y[None], len(times) - len(inner), axis=0)])
 
 
 def clairaut_invariant(model, y):
@@ -288,8 +288,9 @@ def conjugate_time(model, base, order):
 
 def conjugate_horizon(kmin, order):
     """Time within which every geodesic of a metric with min K = ``kmin``
-    meets its conjugate point of the given order."""
-    return order * math.pi / min(1.0, kmin) + 1.0
+    meets its conjugate point of the given order: the Sturm bound plus a
+    margin, both scaled by 1 / sqrt(kmin) as the metric is."""
+    return (order * math.pi + 1.0) / math.sqrt(kmin)
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,17 @@ class TestConsistencyChecks:
         with pytest.raises(ReturnFailure):
             bs.return_data(spheroid_section, 0.5, 1.0)
 
+    @pytest.mark.parametrize("kmin", [1e-12, 1e-6, 0.03, 1.0, 4.0, 1e6,
+                                      1e12])
+    def test_mixed_batch_keeps_the_return_horizon(self, kmin):
+        # the boundary rows' conjugate horizon scales with the metric, as
+        # the return horizon does, and stays below it, so the boundary rows
+        # do not stretch a mixed sweep (nor its arc-sample times)
+        ys = np.array([0.0, 1.0, math.pi])
+        assert bs._horizon(kmin, ys) == bs._horizon(kmin, ys[1:2])
+        assert bs._horizon(kmin, ys) == pytest.approx(
+            3 * TWO_PI / math.sqrt(kmin), rel=1e-15)
+
 
 @pytest.fixture(scope="module")
 def zoll_grid(zoll_model):

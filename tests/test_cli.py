@@ -27,6 +27,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def standing_flow(calls):
+    """A stand-in for ``integrate_geodesic`` that records the number of
+    states and ``t_end`` of each call and returns the launch states at
+    every time at once."""
+    def integrate(model, states, t_end, times, tol):
+        calls.append((len(states), t_end))
+        y0 = [np.concatenate(cli.gd.state_to_ambient(model, s))
+              for s in states]
+        return np.tile(y0, (len(times), 1, 1))
+
+    return integrate
+
+
 class TestMetricInfo:
     def test_round(self, capsys):
         code, out, _ = run(capsys, "metric-info", "--metric", ROUND)
@@ -167,16 +180,10 @@ class TestTrace:
     def test_t_end_above_100_equator_lengths_exits_2(self, capsys,
                                                      monkeypatch, metric,
                                                      below, above):
-        # refused before any integration starts; the stand-in integrator
-        # returns the launch state at every time at once
+        # refused before any integration starts
         calls = []
-
-        def integrate(model, state, t_end, times, tol):
-            calls.append(t_end)
-            y0 = np.concatenate(cli.gd.state_to_ambient(model, state))
-            return np.tile(y0, (len(times), 1))
-
-        monkeypatch.setattr(cli.gd, "integrate_geodesic", integrate)
+        monkeypatch.setattr(cli.gd, "integrate_geodesic",
+                            standing_flow(calls))
         code, out, _ = run(capsys, "trace", "--metric", metric,
                            "--t-end", below, "--samples", "3")
         assert code == 0 and len(out.splitlines()) == 4
@@ -185,7 +192,34 @@ class TestTrace:
                                  "--t-end", t_end, "--samples", "3")
             assert code == 2 and out == ""
             assert "100 equator lengths" in err
-        assert calls == [float(below)]
+        assert calls == [(1, float(below))]
+
+    @pytest.mark.parametrize("t_end", ["1e-20", "1e-300"])
+    def test_t_end_below_rounding_exits_0(self, capsys, t_end):
+        # a span shorter than the stepper's rounding floor is one step
+        code, out, err = run(capsys, "trace", "--metric", ROUND,
+                             "--t-end", t_end, "--samples", "2")
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert len(rows) == 3 and rows[2].startswith(t_end + ",")
+
+    @pytest.mark.parametrize("command", ["trace", "zoll-check"])
+    def test_samples_above_the_bound_exit_2(self, capsys, monkeypatch,
+                                            command):
+        # refused before any integration starts; the largest count is taken
+        calls = []
+        monkeypatch.setattr(cli.gd, "integrate_geodesic",
+                            standing_flow(calls))
+        top = str(cli.MAX_SAMPLES)
+        code, out, err = run(capsys, command, "--metric", ROUND,
+                             "--samples", str(cli.MAX_SAMPLES + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: --samples must be at most {top}\n"
+        code, _, _ = run(capsys, command, "--metric", ROUND,
+                         "--samples", "1000000000000")
+        assert code == 2 and calls == []
+        code, _, _ = run(capsys, command, "--metric", ROUND, "--samples", top)
+        assert code == 0 and len(calls) == 1
 
     @pytest.mark.parametrize("start", ["1,0,nan", "nan,0,0.7", "1,inf,0.7"])
     def test_non_finite_start_exits_2(self, capsys, monkeypatch, start):
@@ -370,6 +404,22 @@ class TestVerdictCommands:
         assert out == ""
         assert "--samples must be at least 1" in err
 
+    def test_zoll_check_is_one_integration(self, capsys, monkeypatch):
+        # every sample is a row of one batch, flowed to the common period
+        calls, integrate = [], cli.gd.integrate_adaptive
+
+        def counted(fun, y0, *args, **kwargs):
+            calls.append(len(y0))
+            return integrate(fun, y0, *args, **kwargs)
+
+        monkeypatch.setattr(cli.gd, "integrate_adaptive", counted)
+        code, out, _ = run(capsys, "zoll-check", "--metric", ZOLL,
+                           "--samples", "8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_closed"] is True and doc["samples"] == 8
+        assert calls == [8]
+
     def test_polygon_check_round(self, capsys):
         code, out, _ = run(capsys, "polygon-check", "--metric", ROUND,
                            "--nx", "16", "--ny", "17")
@@ -451,6 +501,30 @@ class TestConfigValidation:
                            "--nx", "8")
         assert code == 2
         assert err == "error: grid sizes must be at least 16\n"
+
+    @pytest.mark.parametrize("command", ["return-map", "strip-report",
+                                         "polygon-check", "systolic-verify"])
+    def test_grid_above_the_bound_exits_2(self, capsys, monkeypatch,
+                                          command):
+        # refused before the return grid is computed; the largest size is
+        # taken (the stand-in then stops the command with exit 4)
+        calls = []
+
+        def grid(section, nx, ny, rtol):
+            calls.append((nx, ny))
+            raise ReturnFailure("stand-in return grid")
+
+        monkeypatch.setattr(cli.bs, "compute_return_grid", grid)
+        top, over = str(cli.MAX_GRID), str(cli.MAX_GRID + 1)
+        for nx, ny in ((over, top), (top, over), ("100000", "100000")):
+            code, out, err = run(capsys, command, "--metric", ROUND,
+                                 "--nx", nx, "--ny", ny)
+            assert code == 2 and out == ""
+            assert err == f"error: grid sizes must be at most {top}\n"
+        assert calls == []
+        code, _, _ = run(capsys, command, "--metric", ROUND,
+                         "--nx", top, "--ny", top)
+        assert code == 4 and calls == [(cli.MAX_GRID, cli.MAX_GRID)]
 
     def test_tolerance_ordering_enforced(self, capsys):
         code, _, err = run(capsys, "return-map", "--metric", ROUND,
@@ -576,8 +650,8 @@ class TestErrorTaxonomy:
         assert err == f"error: {error}\n"
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
-        # numpy refusing an array too large to allocate (--samples 1e12
-        # asks for 7.28 TiB), raised here without allocating it
+        # numpy refusing an array too large to allocate, raised here
+        # without allocating it
         def integrate(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB")
 

@@ -16,7 +16,7 @@ import independent_checks as ic
 
 def closure_defect(model, state, t_end, tol=1e-10):
     u0, v0 = gd.state_to_ambient(model, state)
-    y1 = gd.integrate_geodesic(model, state, t_end, [t_end], tol=tol)[0]
+    y1 = gd.integrate_geodesic(model, [state], t_end, [t_end], tol=tol)[0, 0]
     u1, v1 = y1[0:3], y1[3:6]
     return max(float(np.max(np.abs(u1 - u0))), float(np.max(np.abs(v1 - v0))))
 
@@ -69,7 +69,7 @@ class TestFlow:
     def test_unit_speed_preserved(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 0.9, 0.2, 0.8)
         ts = np.linspace(0, 15.0, 40)
-        ys = gd.integrate_geodesic(spheroid_model, s, 15.0, ts)
+        ys = gd.integrate_geodesic(spheroid_model, [s], 15.0, ts)[:, 0]
         for y in ys:
             u, v = y[0:3], y[3:6]
             assert ic.unit_speed_defect(spheroid_model, u, v) < 1e-9
@@ -77,12 +77,12 @@ class TestFlow:
     def test_states_at_an_array_of_times(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 0.9, 0.2, 0.8)
         ts = np.concatenate([np.linspace(0.0, 7.0, 57), [7.0]])
-        ys = gd.integrate_geodesic(spheroid_model, s, 7.0, ts)
+        ys = gd.integrate_geodesic(spheroid_model, [s], 7.0, ts)[:, 0]
         assert ys.shape == (len(ts), 6)
         # 2 ulp at the scale of the state (|u| = 1, |v| of order 1)
         ulp2 = 2 * np.spacing(1.0)
         for t, y in zip(ts, ys):
-            y1 = gd.integrate_geodesic(spheroid_model, s, 7.0, [t])[0]
+            y1 = gd.integrate_geodesic(spheroid_model, [s], 7.0, [t])[0, 0]
             np.testing.assert_allclose(y, y1, rtol=0, atol=ulp2)
         # at t_end, the integrator's final state, not the interpolant
         y0 = np.concatenate(gd.state_to_ambient(spheroid_model, s))[None, :]
@@ -94,7 +94,26 @@ class TestFlow:
         for bad in ([1.0, 7.0 + 1e-9], [-1e-9, 1.0], [[1.0], [np.nan]],
                     [2.0, 1.0]):
             with pytest.raises(PreconditionError):
-                gd.integrate_geodesic(spheroid_model, s, 7.0, bad)
+                gd.integrate_geodesic(spheroid_model, [s], 7.0, bad)
+
+    def test_batch_rows_follow_their_own_flows(self, spheroid_model):
+        # the rows share step sizes, so each agrees with its own flow to
+        # the tolerance, not bitwise; time 0 is the launch state itself
+        rng = np.random.default_rng(5)
+        states = [gd.state_from_angle(spheroid_model,
+                                      math.acos(rng.uniform(-0.9, 0.9)),
+                                      rng.uniform(0, 2 * math.pi),
+                                      rng.uniform(0, 2 * math.pi))
+                  for _ in range(3)]
+        ts = [0.0, 3.0, 7.0]
+        ys = gd.integrate_geodesic(spheroid_model, states, 7.0, ts)
+        assert ys.shape == (3, 3, 6)
+        for k, s in enumerate(states):
+            np.testing.assert_array_equal(
+                ys[0, k], np.concatenate(gd.state_to_ambient(spheroid_model,
+                                                             s)))
+            y1 = gd.integrate_geodesic(spheroid_model, [s], 7.0, ts)[:, 0]
+            np.testing.assert_allclose(ys[:, k], y1, rtol=0, atol=1e-8)
 
     def test_memory_does_not_grow_with_t_end(self):
         # only the samples asked for are kept, not the steps to t_end (at
@@ -104,7 +123,7 @@ class TestFlow:
         s = gd.state_from_angle(model, 1.0, 0.0, 0.7)
         tracemalloc.start()
         try:
-            gd.integrate_geodesic(model, s, 300.0, [0.0, 150.0, 300.0],
+            gd.integrate_geodesic(model, [s], 300.0, [0.0, 150.0, 300.0],
                                   tol=gd.TOL_INT_RANGE[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -113,10 +132,10 @@ class TestFlow:
 
     def test_time_reversal(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 1.2, 0.4, 0.33)
-        y = gd.integrate_geodesic(spheroid_model, s, 5.0, [5.0])[0]
+        y = gd.integrate_geodesic(spheroid_model, [s], 5.0, [5.0])[0, 0]
         mid = gd.state_from_ambient(spheroid_model, y[0:3], y[3:6])
-        y1 = gd.integrate_geodesic(spheroid_model, ic.reversed_state(mid),
-                                   5.0, [5.0])[0]
+        y1 = gd.integrate_geodesic(spheroid_model, [ic.reversed_state(mid)],
+                                   5.0, [5.0])[0, 0]
         u0, v0 = gd.state_to_ambient(spheroid_model, s)
         u1, v1 = y1[0:3], y1[3:6]
         assert np.max(np.abs(u1 - u0)) < 1e-8
@@ -131,9 +150,9 @@ class TestFlow:
     def test_preconditions(self, round_model):
         s = gd.equator_seed(round_model)
         with pytest.raises(PreconditionError):
-            gd.integrate_geodesic(round_model, s, -1.0, [0.0])
+            gd.integrate_geodesic(round_model, [s], -1.0, [0.0])
         with pytest.raises(PreconditionError):
-            gd.integrate_geodesic(round_model, s, 1.0, [1.0], tol=1e-3)
+            gd.integrate_geodesic(round_model, [s], 1.0, [1.0], tol=1e-3)
 
 
 class TestStates:
@@ -238,8 +257,8 @@ class TestClairaut:
     def test_drift_along_orbit(self, spheroid_model):
         s = gd.state_from_angle(spheroid_model, 1.0, 0.1, 0.77)
         nu0 = gd.clairaut_invariant(spheroid_model, ambient(spheroid_model, s))
-        ys = gd.integrate_geodesic(spheroid_model, s, 20.0,
-                                   np.linspace(0, 20, 60))
+        ys = gd.integrate_geodesic(spheroid_model, [s], 20.0,
+                                   np.linspace(0, 20, 60))[:, 0]
         worst = 0.0
         for y in ys:
             u, v = y[0:3], y[3:6]

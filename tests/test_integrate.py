@@ -156,6 +156,22 @@ class TestStepper:
                 integrate_adaptive(self.capped(oscillator),
                                    np.array([[1.0, bad]]), (0.0, 1.0))
 
+    @pytest.mark.parametrize("t_end", [1e-20, 1e-300])
+    def test_span_below_rounding_is_one_step(self, t_end):
+        # the underflow floor applies to the controller's step, not to the
+        # step clipped to the span's end: two RHS calls to start, six for
+        # the step and one after it
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return oscillator(t, y)
+
+        y0 = np.array([[1.0, 0.0]])
+        t, y = integrate_adaptive(counted, y0, (0.0, t_end))
+        assert t == t_end and len(calls) == 9
+        np.testing.assert_array_equal(y, [[1.0, -t_end]])   # cos, -sin
+
     def test_nan_right_hand_side_fails_the_step(self):
         # _initial_step turns NaN, and every step size after it
         def nan_rhs(t, y):
