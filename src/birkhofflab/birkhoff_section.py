@@ -11,8 +11,8 @@ normal: downward crossings land on the opposite annulus, upward crossings
 return to the original one.
 
 The first-return data (X, Y, tau) is assembled on a periodic-by-closed grid
-over [0, L) x [0, pi].  Boundary rows are integrated in the same return
-sweeps as interior nodes, their event being the Jacobi angle reaching 2 pi:
+over [0, L) x [0, pi].  Swept boundary rows ride in the same return sweeps
+as interior nodes, their event being the Jacobi angle reaching 2 pi:
 there the return time is the second conjugate time along gamma (forward
 along the lower row, backward along the upper one) and the footpoint advance
 equals that time, which pins the lift
@@ -24,19 +24,21 @@ representative in [0, L); this is well defined because each leg of the
 return arc is injective when the curvature is pinched above 1/4, which is
 what the sampled self-intersection test in :func:`zero_flux_lift` checks.
 Its legs come from the return sweep, which samples a few seeded orbits as
-it steps (see :func:`_symmetric_returns`).
+it steps (see :func:`_equator_returns` and :func:`_symmetric_returns`).
 
-Every model is a surface of revolution about e3.  Isometries that map the
-annulus onto itself commute with the return map.  Over the equator these are
-the rotations about e3, so by Clairaut's integral the return map is an
-x-invariant shear (x, y) -> (x + Theta(y), y); over a meridian of a surface
-symmetric under z -> -z, a reflection and, for an even number of grid
-columns, a half turn.  :func:`compute_return_grid` integrates a fundamental
-domain of that group on the grid plus a few seeded check nodes, verifies the
-check nodes against the group's field laws and fills the grid from the
-domain.  Every other base (a meridian of a surface without that symmetry, a
-great circle of the round sphere tilted against the axis) gets the trivial
-group, whose domain is every grid node.
+Every model is a surface of revolution about e3.  Over the equator,
+Clairaut's integral makes the return map an x-invariant shear
+(x, y) -> (x + rho(y) - L, y), and :func:`compute_return_grid` fills every
+field from 1-D quadratures in y; it integrates only a few seeded check
+nodes, which must repeat the quadrature and whose arcs the arc check
+samples.  Over a meridian, isometries that map the annulus onto itself
+commute with the return map: on a surface symmetric under z -> -z, a
+reflection and, for an even number of grid columns, a half turn.  The
+return grid integrates a fundamental domain of that group plus a few seeded
+check nodes, verifies the check nodes against the group's field laws and
+fills the grid from the domain.  Every other base (a meridian of a surface
+without that symmetry, a great circle of the round sphere tilted against
+the axis) gets the trivial group, whose domain is every grid node.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ STATUS_MISSING = 2
 # oblate audit's 2,400-orbit sweep (the 96 x 96 meridian domain, boundary
 # rows included, and its checks) is the peak accepted against `peak_rss_mb`.
 _SWEEP_ORBITS = 2400
-_CHECK_COLUMNS = 4         # columns checked against column 0 on the equator
 _AXIS_TILT = 1e-12         # largest misalignment of a normal with the axis
 _GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                 "jac_du", "status")
@@ -81,6 +82,9 @@ _ARC_NODES = 12          # swept nodes whose return arcs are sampled
 _ARC_SAMPLES = 600       # least dense-output samples per leg of such an arc
 _BOUNDARY_ROWS = 5       # interior rows extrapolated onto a boundary row
 MONOTONE_CROSSCHECK_TOL = 1e-4   # |D2 Y - jac_du| bound of the report
+# Least relative error expected of a sweep at any rtol: rounding over its
+# steps leaves about 1e-12 (7e-12 of L in X - x on a spheroid of c = 1.99).
+_SWEEP_FLOOR = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +433,97 @@ def _returns(section, xs, ys, rtol, arc=()):
     return out
 
 
+def _clairaut_rows(section, ys):
+    """Return-data rows over the equator at the angles ``ys``, by Clairaut
+    quadrature (see :func:`compute_return_grid`): a dict of (len(ys),)
+    arrays holding the fields of :class:`ReturnSample` other than x, y and
+    X, with rho in [0, 2L) and rho_plus in [0, L).  Boundary rows are the
+    second conjugate point along the base, where K = 1 / E(0) is constant;
+    one whose advance escapes (0, 2L) raises
+    :class:`PinchingViolationError`."""
+    model, L = section.model, section.length
+    ra = math.sqrt(model.a)
+    speed = model.meridian_speed
+
+    def excess(z):      # (sqrt(E) - sqrt(a)) / (1 - z^2)
+        return model.b(z) / (speed(z) + ra)
+
+    def z_excess_prime(z):
+        r = speed(z)
+        return z * (model.bprime(z) / (r + ra) - model.b(z)
+                    * model.profile_E_prime(z) / (2.0 * r * (r + ra) ** 2))
+
+    along = np.isin(ys, (0.0, math.pi))
+    s, cy = np.sin(ys), np.cos(ys)
+    side = np.sign(section.normal[2]) * s
+    # The advance is cos y * I past the round sphere's +-L (+-L/2 on a leg).
+    # Its y-derivative -s I + cos y^2 J / s is taken under the integral, as
+    # a finite difference of the mod-2L advance would jump at y = pi/2;
+    # -s times it vanishes with s on the boundary rows, whose angle is 2 pi.
+    I = mm.period_integral(excess, s)
+    J = mm.period_integral(z_excess_prime, s)
+    conj = _TWO_PI * float(speed(0.0))
+    tau = np.where(along, conj, mm.period_integral(speed, s))
+    rho = np.where(along, np.where(ys == math.pi, 2.0 * L - conj, conj),
+                   np.mod(L * np.sign(cy) + cy * I, 2.0 * L))
+    escaped = along & ~((0.0 < rho) & (rho < 2.0 * L))
+    if np.any(escaped):
+        raise PinchingViolationError(
+            f"boundary advance {rho[escaped][0]:.6g} escapes (0, 2L); the "
+            "lift pinning hypotheses fail for this metric")
+    leg = np.where(along, np.nan, 1.0)
+    return {"tau_plus": leg * mm.leg_integral(speed, side), "tau": tau,
+            "rho_plus": leg * np.mod(0.5 * L * np.sign(cy)
+                                     + cy * mm.leg_integral(excess, side), L),
+            "rho": rho, "Y": ys,
+            "jac_angle": _TWO_PI + np.arctan(s * s * I - cy * cy * J),
+            "jac_du": np.ones(len(ys))}
+
+
+def _equator_returns(section, xs, ys, rtol):
+    """Return-data arrays of shape (len(xs), len(ys)) over the equator:
+    every column is the :func:`_clairaut_rows`, X shifted by x.
+
+    ``_ARC_NODES`` interior nodes, drawn by a seeded generator without
+    replacement, are integrated in one sweep that samples their return
+    arcs (see :func:`_returns`); ``arc_legs`` lists them.  Each must be
+    clean and repeat the quadrature, or :class:`InternalConsistencyError`
+    is raised: X - x, tau, tau_plus and rho_plus within tol L and Y within
+    tol pi, tol = max(rtol, ``_SWEEP_FLOOR``); the Jacobi fields within
+    ``MONOTONE_CROSSCHECK_TOL`` max(r, 1 / r), with r = sqrt(a), as the
+    sweep's polar Jacobi equation is not scale-free (on round spheres of
+    radius r its angle errs by up to about 55 rtol r for r from 30 to 1e5,
+    jac_du by about 200 rtol at r = 1e-4).  The rotations about the axis
+    map a node's return arc onto those of its row, so each sampled arc
+    stands for its row."""
+    nx, ny, L = len(xs), len(ys), section.length
+    rows = _clairaut_rows(section, ys)
+    out = {k: np.tile(rows[k], (nx, 1)) for k in _GRID_FIELDS[1:-1]}
+    out["X"] = xs[:, None] + (rows["rho"] - L)
+    out["status"] = np.full((nx, ny), STATUS_OK)
+    interior = np.arange(nx * ny).reshape(nx, ny)[:, 1:-1].ravel()
+    i, j = np.divmod(np.sort(np.random.default_rng(0).choice(
+        interior, size=min(_ARC_NODES, len(interior)), replace=False)), ny)
+    got = _returns(section, xs[i], ys[j], rtol, arc=np.arange(len(i)))
+    if np.any(got["status"] != STATUS_OK):
+        raise InternalConsistencyError(
+            "equator check nodes disagree in their node status")
+    tol = max(rtol, _SWEEP_FLOOR)
+    scale = math.sqrt(section.model.a)
+    jac = MONOTONE_CROSSCHECK_TOL * max(scale, 1.0 / scale)
+    bounds = {"Y": tol * math.pi, "jac_angle": jac, "jac_du": jac}
+    for k in _GRID_FIELDS[:-1]:
+        err = np.abs(got[k] - out[k][i, j])
+        if np.any(err > bounds.get(k, tol * L)):
+            raise InternalConsistencyError(
+                f"equator check nodes disagree in {k} by {np.max(err):.3g}; "
+                "the sweep does not repeat the Clairaut quadrature")
+    out["arc_legs"] = [(i[r], j[r], *pair) for r, *pair in got["legs"]]
+    return out
+
+
 def _grid_symmetry(section, nx, ny):
-    """The symmetry group of the annulus grid (see
+    """The symmetry group of a meridian-base grid (see
     :func:`compute_return_grid`) as (nx, ny) arrays: ``rep``, the flat index
     i * ny + j of the node of the fundamental domain (the smallest flat
     index of each orbit) that a node is the image of; ``flip``, whether that
@@ -440,14 +533,8 @@ def _grid_symmetry(section, nx, ny):
     n = section.normal
     I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     maps = [(I, J, False)]
-    check_columns = False
-    if math.hypot(n[0], n[1]) < _AXIS_TILT:
-        # The equator: the rotations shift the columns (generated one at a
-        # time, as there are nx of them).
-        maps = (((I + k) % nx, J, False) for k in range(nx))
-        check_columns = True
-    elif (abs(n[2]) < _AXIS_TILT and not np.any(section.model.b_coef[1::2])
-          and abs(section.frames(0.0)[0][2]) < _AXIS_TILT):
+    if (abs(n[2]) < _AXIS_TILT and not np.any(section.model.b_coef[1::2])
+            and abs(section.frames(0.0)[0][2]) < _AXIS_TILT):
         # A meridian launched from the equator: the reflection z -> -z maps
         # (x, y) to (-x, pi - y); for even nx, the half turn about the plane
         # normal shifts x by L/2, and it composes with the reflection.
@@ -462,23 +549,17 @@ def _grid_symmetry(section, nx, ny):
         image = gi * ny + gj
         flip = np.where(image < rep, reflects, flip)
         rep = np.minimum(image, rep)
-    rng = np.random.default_rng(0)
     check = np.zeros((nx, ny), dtype=bool)
-    if check_columns:
-        # whole columns, so the sweep is the one of column 0 and its checks
-        check[rng.choice(np.arange(1, nx), size=min(_CHECK_COLUMNS, nx - 1),
-                         replace=False)] = True
-    else:
-        outside = np.flatnonzero(rep != node)
-        check.flat[rng.choice(outside, size=min(ny, len(outside)),
-                              replace=False)] = True
+    outside = np.flatnonzero(rep != node)
+    check.flat[np.random.default_rng(0).choice(
+        outside, size=min(ny, len(outside)), replace=False)] = True
     return rep, flip, check
 
 
 def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
     """Return-data arrays of shape (len(xs), len(ys)) filled from the
-    fundamental domain of the grid symmetry group (see
-    :func:`_grid_symmetry`).
+    fundamental domain of a grid symmetry group (see :func:`_grid_symmetry`
+    for a meridian's; the trivial group integrates every node).
 
     The nodes of the domain and the check nodes, boundary rows included,
     are integrated in row-major order, split evenly into sweeps of at most
@@ -543,15 +624,26 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
 def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
     """First-return data over the full annulus grid.
 
-    Isometries of the model that map the annulus onto itself commute with
-    the return map.  Every grid gets the group of those that act on it, and
-    only its fundamental domain and seeded check nodes are integrated; the
-    domain fills the grid by the group's field laws after every check node
-    has repeated them (see :func:`_symmetric_returns`):
+    Over the equator, Clairaut's integral sqrt(a) cos y makes the return map
+    the shear (x, y) -> (x + rho(y) - L, y), and every field is a 1-D
+    quadrature in y (see :func:`_clairaut_rows`).  With s = sin y,
+    c = sqrt(a) cos y and z = s sin psi on the side the normal points to,
+    tau is the integral of sqrt(E(z)) over psi in [0, 2 pi) and
+    rho = sqrt(a) (2 pi sign(cos y) + (c / a) integral of
+    b / (sqrt(E) + sqrt(a))); tau_plus and rho_plus are the same integrals
+    over [0, pi], with the round part pi sign(cos y).  Y = y, jac_du = 1 and
+    jac_angle = 2 pi + atan(-sin y rho'(y)); the boundary rows return at
+    the second conjugate time 2 pi sqrt(E(0)), K being constant along the
+    equator.  Only ``_ARC_NODES`` seeded check nodes are integrated (see
+    :func:`_equator_returns`).
 
-    * over the equator, the rotations about the axis by 2 pi k / nx: the
-      return map is the x-invariant shear (x, y) -> (x + Theta(y), y).
-      Column 0 is the domain; ``_CHECK_COLUMNS`` seeded columns are checked.
+    Over a meridian, the isometries of the model that map the annulus onto
+    itself commute with the return map.  The grid gets the group of those
+    that act on it, and only its fundamental domain and seeded check nodes
+    are integrated; the domain fills the grid by the group's field laws
+    after every check node has repeated them (see
+    :func:`_symmetric_returns`):
+
     * over a meridian launched from the equator, when b is even in z (the
       odd ``b_coef`` entries vanish: round and spheroid), the reflection
       (i, j) -> (-i mod nx, ny - 1 - j).  For even nx it joins the half
@@ -574,8 +666,12 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
     L = section.length
     xs = np.arange(nx) * (L / nx)
     ys = np.linspace(0.0, math.pi, ny)
-    arrays = _symmetric_returns(section, xs, ys,
-                                *_grid_symmetry(section, nx, ny), rtol)
+    n = section.normal
+    if math.hypot(n[0], n[1]) < _AXIS_TILT:
+        arrays = _equator_returns(section, xs, ys, rtol)
+    else:
+        arrays = _symmetric_returns(section, xs, ys,
+                                    *_grid_symmetry(section, nx, ny), rtol)
 
     grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
     ok = grid.status == STATUS_OK

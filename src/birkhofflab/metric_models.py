@@ -50,7 +50,7 @@ _VALIDATION_SAMPLES = 1024
 # Kind prefix of a model scaled by MetricModel.rescale.
 _RESCALED = "rescaled-"
 _PARAM_LIMIT = 1e150    # larger parameters are refused (squares overflow)
-_MERIDIAN_NODES = 256   # trapezoid nodes of the meridian length
+_PERIOD_NODES = 256     # trapezoid nodes of period_integral
 _AREA_INTERVALS = 96    # Clenshaw-Curtis intervals of the area (even)
 _CURVATURE_SAMPLES = 512  # heights sampled by curvature_extremes
 
@@ -125,13 +125,14 @@ class MetricModel:
         """Length of the equatorial circle z = 0 (always a closed geodesic)."""
         return _TWO_PI * math.sqrt(self.a)
 
+    def meridian_speed(self, z):
+        """sqrt(E(z)): arclength per unit of colatitude at height z."""
+        return np.sqrt(self.profile_E(z))
+
     def meridian_circuit_length(self):
-        """Length of the closed meridian geodesic (full theta circuit), by
-        the trapezoid rule over theta in [0, 2 pi): the integrand
-        sqrt(E(cos theta)) is smooth and 2 pi-periodic, so the rule
-        converges geometrically."""
-        theta = np.linspace(0.0, _TWO_PI, _MERIDIAN_NODES, endpoint=False)
-        return _TWO_PI * float(np.mean(np.sqrt(self.profile_E(np.cos(theta)))))
+        """Length of the closed meridian geodesic (full theta circuit): the
+        :func:`period_integral` of the meridian speed at s = 1."""
+        return float(period_integral(self.meridian_speed, 1.0))
 
     def rescale(self, factor):
         """The conformally scaled metric factor * g (lengths scale by
@@ -309,6 +310,26 @@ def _clenshaw_curtis(n):
 
 
 _AREA_RULE = _clenshaw_curtis(_AREA_INTERVALS)
+_PERIOD_COS = np.cos(np.linspace(0.0, _TWO_PI, _PERIOD_NODES, endpoint=False))
+# sin(psi) at the area rule's nodes mapped onto psi in [0, pi], and weights
+_LEG_SIN = np.cos(0.5 * math.pi * _AREA_RULE[0])
+_LEG_WEIGHTS = 0.5 * math.pi * _AREA_RULE[1]
+
+
+def period_integral(f, s):
+    """Integral of f(s cos theta) over theta in [0, 2 pi) for each s, by
+    the trapezoid rule on ``_PERIOD_NODES`` nodes.  ``f`` maps an array of
+    heights to values elementwise; for a smooth f the integrand is smooth
+    and 2 pi-periodic, so the rule converges geometrically."""
+    return _TWO_PI * np.mean(f(np.multiply.outer(s, _PERIOD_COS)), axis=-1)
+
+
+def leg_integral(f, s):
+    """Integral of f(s sin psi) over psi in [0, pi] for each s, by the
+    area's Clenshaw-Curtis rule: for an f that is not even the integrand
+    is not pi-periodic, and the trapezoid rule would converge only
+    algebraically."""
+    return f(np.multiply.outer(s, _LEG_SIN)) @ _LEG_WEIGHTS
 
 
 def area(model):
@@ -317,5 +338,5 @@ def area(model):
     rule converges geometrically (rounding level at 96 intervals for the
     spheroids of c in [0.5, 2.5])."""
     nodes, weights = _AREA_RULE
-    vals = np.sqrt(model.profile_E(nodes))
-    return float(_TWO_PI * math.sqrt(model.a) * np.sum(weights * vals))
+    return float(_TWO_PI * math.sqrt(model.a)
+                 * np.sum(weights * model.meridian_speed(nodes)))

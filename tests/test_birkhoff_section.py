@@ -139,58 +139,6 @@ class TestSpheroidGrid:
         assert np.max(np.abs(spheroid_grid.Y[:, j] - math.pi / 2)) < 1e-8
 
 
-    def test_array_assembly_matches_per_node_reference(self,
-                                                       spheroid_section,
-                                                       spheroid_grid):
-        # re-run the equator grid's one sweep (column 0 and the check
-        # columns, boundary rows included) and assemble column 0 node by
-        # node
-        sec, grid = spheroid_section, spheroid_grid
-        L = sec.length
-        rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
-        domain = rep == np.arange(rep.size).reshape(rep.shape)
-        cols = grid.xs[(domain | check).any(axis=1)]
-        xx, yy = np.meshgrid(cols, grid.ys)
-        sweep = bs._return_sweep(
-            sec, xx.ravel(), yy.ravel(), 1e-10,
-            bs._horizon(mm.curvature_extremes(sec.model)[0], yy.ravel()))
-        for n in range(0, xx.size, len(cols)):
-            j = n // len(cols)
-            x = float(cols[0])
-            y1, y2 = sweep.y_events[n]
-            tau = sweep.t_events[n, -1]
-            assert grid.status[0, j] == bs.STATUS_OK
-            assert grid.tau[0, j] == tau
-            if j in (0, grid.ny - 1):
-                # the second conjugate point along the base, forward on
-                # the lower row and backward on the upper one
-                rho = tau if j == 0 else 2.0 * L - tau
-                assert np.isnan(grid.tau_plus[0, j])
-                assert np.isnan(grid.rho_plus[0, j])
-                assert grid.X[0, j] == x + rho - L
-                assert grid.Y[0, j] == grid.ys[j]
-                assert grid.jac_angle[0, j] == TWO_PI
-                assert grid.jac_du[0, j] == math.exp(y2[7])
-            else:
-                x1 = float(sec.footpoint(y1[0:3])[0])
-                x2 = float(sec.footpoint(y2[0:3])[0])
-                rho_plus = (x1 - x) % L
-                rho = rho_plus + (x2 - x1) % L
-                assert grid.tau_plus[0, j] == sweep.t_events[n, 0]
-                assert grid.rho_plus[0, j] == rho_plus
-                assert grid.X[0, j] == x + rho - L
-                assert grid.Y[0, j] == sec.angles_of(np.array([x2]),
-                                                     y2[None, 3:6])[0]
-                assert grid.jac_angle[0, j] == y2[6]
-                assert abs(grid.jac_du[0, j]
-                           - math.exp(y2[7]) * math.cos(y2[6])) <= 1e-15
-            # every other column is column 0 rotated
-            assert np.all(grid.X[:, j] == grid.xs + (x + rho - L - x))
-            for k in ("Y", "tau", "tau_plus", "rho_plus", "jac_angle",
-                      "jac_du", "status"):
-                assert np.array_equal(getattr(grid, k)[:, j],
-                                      np.full(grid.nx, getattr(grid, k)[0, j]),
-                                      equal_nan=True)
 
 
 def _clairaut_oracle(model, y):
@@ -262,9 +210,11 @@ class TestEquatorSymmetry:
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert np.nanmax(np.abs(got - want)) < 1e-10, k
 
-    @pytest.mark.parametrize("field", ["X", "tau", "status"])
+    @pytest.mark.parametrize("field", ["X", "tau", "status", "Y", "jac_du"])
     def test_disagreeing_check_column_raises(self, spheroid_section,
                                              monkeypatch, field):
+        # a check node off the quadrature by more than its field's bound
+        # (1e-4 for the Jacobi fields, about 1e-9 for the others)
         returns = bs._returns
 
         def perturbed(section, xs, ys, *args, **kwargs):
@@ -273,38 +223,56 @@ class TestEquatorSymmetry:
             if field == "status":
                 out["status"][np.nonzero(last)[0][0]] = bs.STATUS_GRAZING
             else:
-                out[field][last] += 1e-6
+                out[field][last] += 1e-3 if field == "jac_du" else 1e-6
             return out
 
         monkeypatch.setattr(bs, "_returns", perturbed)
         with pytest.raises(InternalConsistencyError):
             bs.compute_return_grid(spheroid_section, nx=16, ny=17)
 
-    @pytest.mark.parametrize("base, columns", [("equator", 5),
-                                               ("meridian", 13)])
-    def test_integrated_columns(self, monkeypatch, base, columns):
-        # the equator integrates column 0 and four check columns, boundary
-        # rows included; the meridian (oblate spheroid) its fundamental
-        # domain, 69 nodes (columns 0 to 4, the first and last up to row 8),
-        # and its 17 seeded check nodes
-        nodes = {"equator": 5 * 17, "meridian": 69 + 17}[base]
+    @pytest.mark.parametrize("name", ["zoll_equator_grid", "fat_equator_grid"])
+    def test_rows_match_the_sweep(self, request, name):
+        # every row of one column swept, boundary rows included, against
+        # the quadrature; the Zoll metric's b is not even in z, so its legs
+        # pin the side the orbits leave to
+        grid = request.getfixturevalue(name)
+        ref = bs._returns(grid.section, np.full(grid.ny, grid.xs[3]),
+                          grid.ys, 1e-10)
+        assert np.all(ref["status"] == bs.STATUS_OK)
+        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
+                  "jac_du"):
+            got, want = getattr(grid, k)[3], ref[k]
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) < 1e-10, k
+
+    def test_sweeps_the_arc_nodes_only(self, monkeypatch):
+        # one sweep of _ARC_NODES interior nodes, no boundary row, each of
+        # them a check node whose return arc is sampled
         model = mm.make_spheroid(0.97)
-        orbit = (gd.equator_orbit(model) if base == "equator"
-                 else gd.meridian_orbit(model))
-        sec = bs.build_section(model, orbit)
+        sec = bs.build_section(model, gd.equator_orbit(model))
         seen = []
         returns = bs._returns
 
         def spy(section, xs, ys, *args, **kwargs):
-            seen.append(xs)
+            seen.append((xs, ys, kwargs["arc"]))
             return returns(section, xs, ys, *args, **kwargs)
 
         monkeypatch.setattr(bs, "_returns", spy)
         grid = bs.compute_return_grid(sec, nx=16, ny=17)
-        xs = np.concatenate(seen)
-        assert len(np.unique(xs)) == columns
-        assert len(xs) == nodes
+        [(xs, ys, arc)] = seen
+        assert len(xs) == bs._ARC_NODES
+        assert np.all((0.0 < ys) & (ys < math.pi))
+        assert np.array_equal(arc, np.arange(bs._ARC_NODES))
+        nodes = [(grid.xs[i], grid.ys[j]) for i, j, *_ in grid.arc_legs]
+        assert nodes == list(zip(xs, ys))
         grid.require_clean()
+
+
+@pytest.fixture(scope="module")
+def fat_equator_grid():
+    # c = 1.5 is pinched below 1/4: no lift, but its return grid exists
+    return bs.compute_return_grid(bs.build_section(mm.make_spheroid(1.5)),
+                                  nx=8, ny=33)
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +332,23 @@ class TestMeridianSymmetry:
         monkeypatch.setattr(bs, "_returns", perturbed)
         with pytest.raises(InternalConsistencyError):
             bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
+
+    def test_integrated_columns(self, monkeypatch, oblate_meridian_section):
+        # the fundamental domain, 69 nodes (columns 0 to 4, the first and
+        # last up to row 8), and its 17 seeded check nodes
+        seen = []
+        returns = bs._returns
+
+        def spy(section, xs, ys, *args, **kwargs):
+            seen.append(xs)
+            return returns(section, xs, ys, *args, **kwargs)
+
+        monkeypatch.setattr(bs, "_returns", spy)
+        grid = bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
+        xs = np.concatenate(seen)
+        assert len(np.unique(xs)) == 13
+        assert len(xs) == 69 + 17
+        grid.require_clean()
 
     def test_boundary_rows_match_one_orbit_conjugate_times(
             self, oblate_meridian_section):
@@ -537,8 +522,12 @@ def test_arc_legs_match_one_orbit_integrations(request, name):
     # its return (the integration runs a sample interval past the return)
     grid = request.getfixturevalue(name)
     sec = grid.section
-    rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
-    swept = (rep == np.arange(rep.size).reshape(rep.shape)) | check
+    # the equator sweeps only its arc nodes; the meridian samples arcs
+    # among the nodes of its domain and its checks
+    swept = np.ones((grid.nx, grid.ny), dtype=bool)
+    if name == "oblate_meridian_grid":
+        rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
+        swept = (rep == np.arange(rep.size).reshape(rep.shape)) | check
     dt = math.pi / (math.sqrt(mm.curvature_extremes(sec.model)[1])
                     * bs._ARC_SAMPLES)
     nodes = {(i, j) for i, j, *_ in grid.arc_legs}

@@ -353,6 +353,25 @@ class TestVerdictCommands:
         assert doc["passed"] is True
         assert doc["verdicts"]["zoll_flag"] is True
 
+    @pytest.mark.parametrize("radius, tol", [(1e-3, "1e-10"), (1e3, "1e-10"),
+                                             (1e-3, "1e-6"), (1e3, "1e-6")])
+    def test_systolic_verify_round_passes_at_any_scale(self, capsys, radius,
+                                                       tol):
+        # the equator's check nodes hold the sweep's Jacobi data to a bound
+        # that grows with the length scale, as its error does
+        code, _, err = run(capsys, "systolic-verify", "--metric",
+                           json.dumps({"kind": "round", "radius": radius}),
+                           "--nx", "16", "--ny", "64", "--tol-int", tol)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("c", [1.03, 1.1])
+    def test_return_map_at_the_finest_tolerance(self, capsys, c):
+        # at rtol 1e-12 the check nodes meet the sweep's rounding floor
+        code, _, err = run(capsys, "return-map", "--metric",
+                           json.dumps({"kind": "spheroid", "c": c}),
+                           "--tol-int", "1e-12")
+        assert code == 0, err
+
     def test_systolic_verify_fat_spheroid_refused(self, capsys):
         code, _, err = run(capsys, "systolic-verify", "--metric", FAT,
                            "--nx", "16", "--ny", "16")

@@ -136,6 +136,32 @@ class TestMeridianLength:
             2 * math.pi, rel=1e-14)
 
 
+    @pytest.mark.parametrize("model", [
+        mm.make_spheroid(0.97), mm.make_spheroid(1.03),
+        mm.make_zoll([0.1, 0.0, -0.1]), mm.make_round(3.0).rescale(0.5)],
+        ids=lambda m: m.kind)
+    def test_the_y_pi_half_row_of_the_period_integral(self, model):
+        # the meridian is the orbit launched at y = pi/2 from the equator:
+        # its length is that row of the equator quadrature, bit for bit,
+        # and the 256-node trapezoid sum it always was
+        theta = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+        length = model.meridian_circuit_length()
+        ys = np.linspace(0.0, math.pi, 65)
+        assert length == 2 * math.pi * float(
+            np.mean(np.sqrt(model.profile_E(np.cos(theta)))))
+        assert mm.period_integral(model.meridian_speed,
+                                  np.sin(ys))[32] == length
+
+
+@pytest.mark.parametrize("s", [-0.9, -0.3, 0.0, 0.5, 1.0])
+def test_leg_integral_against_adaptive_quadrature(s):
+    # b of the Zoll metric is not even, so the leg's side matters
+    model = mm.make_zoll([0.1, 0.0, -0.1])
+    want, _ = quad(lambda p: float(model.meridian_speed(s * math.sin(p))),
+                   0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
+    assert abs(mm.leg_integral(model.meridian_speed, s) - want) < 1e-13
+
+
 class TestZollProfiles:
     def test_zero_profile_equals_round(self, round_model):
         z = mm.make_zoll([0.0])
