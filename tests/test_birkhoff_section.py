@@ -139,8 +139,6 @@ class TestSpheroidGrid:
         assert np.max(np.abs(spheroid_grid.Y[:, j] - math.pi / 2)) < 1e-8
 
 
-
-
 def _clairaut_oracle(model, y):
     """(tau_plus, tau, rho) of the equator return at angle y from 1-D
     quadratures over theta, with z = sin(y) sin(theta) and the Clairaut
