@@ -83,7 +83,7 @@ _ARC_SAMPLES = 600       # least dense-output samples per leg of such an arc
 _BOUNDARY_ROWS = 5       # interior rows extrapolated onto a boundary row
 MONOTONE_CROSSCHECK_TOL = 1e-4   # |D2 Y - jac_du| bound of the report
 # Least relative error expected of a sweep at any rtol: rounding over its
-# steps leaves about 1e-12 (7e-12 of L in X - x on a spheroid of c = 1.99).
+# steps leaves about 1e-12 of L (X - x is 7e-12 off on a spheroid c = 1.99).
 _SWEEP_FLOOR = 1e-11
 
 
@@ -523,7 +523,7 @@ def _equator_returns(section, xs, ys, rtol):
 
 
 def _grid_symmetry(section, nx, ny):
-    """The symmetry group of a meridian-base grid (see
+    """The symmetry group of a grid over a base other than the equator (see
     :func:`compute_return_grid`) as (nx, ny) arrays: ``rep``, the flat index
     i * ny + j of the node of the fundamental domain (the smallest flat
     index of each orbit) that a node is the image of; ``flip``, whether that
