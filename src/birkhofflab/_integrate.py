@@ -151,9 +151,9 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     ``project`` may rewrite its argument in place and returns the new
     state.  The call structure is that of DP5(4): two RHS calls to start,
     six per attempted step and one per accepted step.  A step size below
-    rounding, or NaN, raises :class:`IntegrationFailure` (the controller's
-    step, before its clip to the span's end, so a span below rounding is
-    one step).
+    rounding (1e-14 times the larger of |t| and the span), or NaN, raises
+    :class:`IntegrationFailure` (the controller's step, before its clip to
+    the span's end, so a span below rounding is one step).
     """
     single = y0.ndim == 1
     y = np.array(np.atleast_2d(y0).T, dtype=float, order="C")      # (d, n)
@@ -175,7 +175,7 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     stages[0] = rhs(t, y)
     h = _initial_step(rhs, t, y, stages[0], rtol, atol)
     while t < t1:
-        if not h >= 1e-14 * max(1.0, abs(t)):      # NaN fails too
+        if not h >= 1e-14 * max(abs(t), t1 - t0):   # NaN fails too
             raise IntegrationFailure("step size underflow", t=t,
                                      last_state=y.T[0] if single else y.T)
         h = min(h, t1 - t)

@@ -34,11 +34,12 @@ from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
                      ReturnFailure)
 
 _TWO_PI = 2.0 * math.pi
-# Closure residual (sup norm of the state mismatch) a closed orbit must meet.
+# Closure residual (sup norm of the mismatch of (u, sqrt(a) v)) a closed
+# orbit must meet.
 CLOSURE_TARGET = 1e-10
 TOL_INT_RANGE = (1e-12, 1e-6)     # relative integration tolerances accepted
-# Gauss-Newton shooting: parameter push of the forward differences, and cap
-# on the iterations (one flow each).
+# Gauss-Newton shooting: angle push of the forward differences, and cap on
+# the iterations (one flow each).
 _SHOOT_STEP = 1e-7
 _SHOOT_ITERATIONS = 8
 _SHOOT_TOL = 1e-12        # relative tolerance of the shooting flows
@@ -210,12 +211,22 @@ def integrate_geodesic(model, states, t_end, times, tol=1e-10):
     y0 = np.array([np.concatenate(state_to_ambient(model, s))
                    for s in states])
     inner = times[times < t_end]
-    hook, blocks = sampler(np.arange(len(y0)), slice(None), inner)
+    y, blocks = _flow(model, y0, t_end, tol, np.arange(len(y0)), inner)
+    return np.concatenate(
+        [*blocks, np.repeat(y[None], len(times) - len(inner), axis=0)])
+
+
+def _flow(model, y0, t_end, tol, rows, times):
+    """End states (n, 6) of the flows from the rows of ``y0`` (n, 6),
+    integrated as one batch over [0, ``t_end``] at the relative tolerance
+    ``tol`` (absolute ``tol * 1e-2``), and the list of (p, len(rows), 6)
+    blocks that the rows ``rows`` give at the ascending ``times`` in
+    [0, t_end), in time order."""
+    hook, blocks = sampler(rows, slice(None), times)
     _, y = integrate_adaptive(
         geodesic_rhs(model), y0, (0.0, t_end), rtol=tol, atol=tol * 1e-2,
         project=state_projector(model), step_hook=hook)
-    return np.concatenate(
-        [*blocks, np.repeat(y[None], len(times) - len(inner), axis=0)])
+    return y, blocks
 
 
 def clairaut_invariant(model, y):
@@ -340,75 +351,45 @@ def meridian_seed(model):
     return state_from_angle(model, math.pi / 2, 0.0, 0.0)
 
 
-def _flow_to(model, y0, periods, rows):
-    """End states of the flows from the rows of ``y0`` (k, 6) at the
-    shooting tolerances, in the normalised time s = t / T on [0, 1], so
-    each row ends exactly at its period T, and the states (m, len(rows), 6)
-    of the rows ``rows`` at the m = ``_ORBIT_SAMPLES`` times s = i / m."""
-    rhs, T = geodesic_rhs(model), np.asarray(periods, dtype=float)[:, None]
-    hook, blocks = sampler(rows, slice(None), np.linspace(
-        0.0, 1.0, _ORBIT_SAMPLES, endpoint=False))
-    _, y = integrate_adaptive(
-        lambda s, y: T * rhs(s, y), y0, (0.0, 1.0), rtol=_SHOOT_TOL,
-        atol=_SHOOT_TOL * 1e-3, project=state_projector(model),
-        step_hook=hook)
-    return y, np.concatenate(blocks)
+def find_closed_geodesic(model, seed, period_guess):
+    """A closed orbit through the start azimuth of ``seed`` by Gauss-Newton
+    shooting in (theta0, psi0, T); an exact seed (a meridian) closes on its
+    first flow.
 
-
-def find_closed_geodesic(model, seeds, period_guesses):
-    """Shooting refinement of (initial state, period) towards closed orbits.
-
-    Takes one seed and period guess (giving one :class:`ClosedOrbit`) or
-    matching sequences (giving a list), flowed in one sampled batch (see
-    :func:`_flow_to`), which is all an exact seed (the equator, a meridian)
-    needs; any other by Gauss-Newton, one 4-row flow per iteration that
-    samples its first row (see :func:`_gauss_newton_shooting`).  Raises
-    :class:`NoConvergenceError` when a closure residual cannot be brought
-    below ``CLOSURE_TARGET``.  Each orbit stores ``_ORBIT_SAMPLES`` states.
+    Each iteration flows the launch and the launch with theta0 and psi0
+    pushed by ``_SHOOT_STEP`` as the rows of one batch to T, so their
+    forward differences share the step sizes (internal numerical
+    differentiation); the period column of the Jacobian is the vector
+    field at the launch's end state.  Closure is measured on
+    (u, sqrt(a) v), both of order one for a unit-speed state at any scale.
+    ``lstsq`` solves for the step even where the closed orbits form a
+    family (theta0 along a meridian, a Zoll metric).  Raises
+    :class:`NoConvergenceError` when the closure residual cannot be
+    brought below ``CLOSURE_TARGET``.  The orbit stores the
+    ``_ORBIT_SAMPLES`` states that the launch of the last flow sampled.
     """
-    single = isinstance(seeds, GeodesicState)
-    if single:
-        seeds, period_guesses = [seeds], [period_guesses]
-    y0 = np.array([np.concatenate(state_to_ambient(model, s)) for s in seeds])
-    yT, states = _flow_to(model, y0, period_guesses, np.arange(len(y0)))
-    orbits = []
-    for k, (seed, T) in enumerate(zip(seeds, period_guesses)):
-        resid = float(np.max(np.abs(yT[k] - y0[k])))
-        if resid > 0.1 * CLOSURE_TARGET:
-            T, resid, orbit_states = _gauss_newton_shooting(model, seed, T)
-        else:
-            orbit_states = states[:, k]
-        orbits.append(ClosedOrbit(model, float(T), orbit_states, resid))
-    return orbits[0] if single else orbits
-
-
-def _gauss_newton_shooting(model, seed, period_guess):
-    """Gauss-Newton shooting of one orbit in (theta0, psi0, T), the start
-    azimuth held fixed; returns the period, the closure residual and the
-    states of the launch that its last flow sampled (see :func:`_flow_to`).
-    Each iteration flows the launch and each parameter pushed by
-    ``_SHOOT_STEP`` as rows of one batch, so their forward differences
-    share the step sizes (internal numerical differentiation); ``lstsq``
-    solves for the step even where the closed orbits form a family (theta0
-    along a meridian, a Zoll metric)."""
     theta0, phi0 = seed.theta, seed.phi
     (dth, dph), z = seed.direction, math.cos(theta0)
     psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
                       math.sqrt(float(model.profile_E(z))) * dth)
     p = np.array([theta0, psi0, period_guess])
+    weight = np.repeat([1.0, math.sqrt(model.a)], 3)
     for _ in range(_SHOOT_ITERATIONS):
-        rows = p + _SHOOT_STEP * np.eye(4, 3, -1)    # launch, then pushes
+        T, pushes = p[2], p[:2] + _SHOOT_STEP * np.eye(3, 2, -1)
         y0 = np.array([np.concatenate(state_to_ambient(model, state_from_angle(
-            model, th, phi0, ps))) for th, ps, _ in rows])
-        yT, states = _flow_to(model, y0, rows[:, 2], [0])
-        closure = yT - y0
+            model, th, phi0, ps))) for th, ps in pushes])
+        yT, states = _flow(model, y0, T, _SHOOT_TOL, [0], np.linspace(
+            0.0, T, _ORBIT_SAMPLES, endpoint=False))
+        closure = (yT - y0) * weight
         resid = float(np.max(np.abs(closure[0])))
         if resid <= 0.1 * CLOSURE_TARGET:
-            return p[2], resid, states[:, 0]
-        jac = (closure[1:] - closure[0]).T / _SHOOT_STEP
+            return ClosedOrbit(model, T, np.concatenate(states)[:, 0], resid)
+        jac = np.column_stack([*(closure[1:] - closure[0]) / _SHOOT_STEP,
+                               geodesic_rhs(model)(T, yT[:1])[0] * weight])
         p = p - np.linalg.lstsq(jac, closure[0], rcond=None)[0]
         # T -> 0 closes every state, a root that is no orbit
-        if not (0.0 < p[0] < math.pi and p[2] > _SHOOT_STEP):
+        if not (0.0 < p[0] < math.pi
+                and p[2] > _SHOOT_STEP * period_guess):
             break
     raise NoConvergenceError(
         f"closure residual {resid:.3g} exceeds target "
@@ -416,9 +397,15 @@ def _gauss_newton_shooting(model, seed, period_guess):
 
 
 def equator_orbit(model):
-    """The equatorial closed geodesic, refined and sampled."""
-    return find_closed_geodesic(model, equator_seed(model),
-                                model.equator_length)
+    """The equatorial closed geodesic in closed form: the circle z = 0 run
+    along increasing phi (the direction of :func:`equator_seed`) at chart
+    speed 1 / sqrt(a), sampled at ``_ORBIT_SAMPLES`` states; it closes
+    exactly."""
+    phi = np.linspace(0.0, _TWO_PI, _ORBIT_SAMPLES, endpoint=False)
+    c, s, zero = np.cos(phi), np.sin(phi), np.zeros_like(phi)
+    speed = 1.0 / math.sqrt(model.a)
+    return ClosedOrbit(model, model.equator_length, np.column_stack(
+        [c, s, zero, -speed * s, speed * c, zero]), 0.0)
 
 
 def meridian_orbit(model):

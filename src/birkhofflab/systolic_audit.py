@@ -9,13 +9,14 @@ lift with flux/action/Calabi data, and the verdicts
 with equality (within tolerance) detected exactly when the return map is
 the identity, the signature of an all-geodesics-closed metric.
 
-The candidates are the symmetry orbits (equator, meridian), shot closed,
-plus the closed geodesics of the fixed-point theorem: the interior extrema
-of the generating function W of the lift are fixed points (x*, y*) of action
-sigma*, closing up geodesics of length L + sigma* whose Clairaut value is
-that of the annulus vector at (x*, y*).  A fixed point whose prediction
-matches a listed candidate adds nothing; only an unmatched one is shot,
-from its predicted state.
+The candidates are the symmetry orbits, the equator in closed form (the
+circle z = 0) and the meridian shot closed, plus the closed geodesics of
+the fixed-point theorem: the interior extrema of the generating function W
+of the lift are fixed points (x*, y*) of action sigma*, closing up
+geodesics of length L + sigma* whose Clairaut value is that of the annulus
+vector at (x*, y*).  A fixed point whose prediction matches a listed
+candidate adds nothing; only an unmatched one is shot, from its predicted
+state.
 
 The candidate set is finite, so the reported l_min / l_max are extrema over
 candidates, not global ones; on the symmetric test families the true
@@ -112,13 +113,11 @@ def simplicity_check(orbit):
 
 
 def candidate_closed_geodesics(model):
-    """The symmetry orbits (equator, meridian), shot closed in one flow
-    and deduplicated."""
-    orbits = gd.find_closed_geodesic(
-        model, [gd.equator_seed(model), gd.meridian_seed(model)],
-        [model.equator_length, model.meridian_circuit_length()])
+    """The symmetry orbits, deduplicated: the equator in closed form and
+    the meridian shot closed."""
     cands = []
-    for label, orbit in zip(("equator", "meridian"), orbits):
+    for label, orbit in (("equator", gd.equator_orbit(model)),
+                         ("meridian", gd.meridian_orbit(model))):
         _push_candidate(cands, label, orbit)
     return cands
 

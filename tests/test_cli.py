@@ -354,11 +354,14 @@ class TestVerdictCommands:
         assert doc["verdicts"]["zoll_flag"] is True
 
     @pytest.mark.parametrize("radius, tol", [(1e-3, "1e-10"), (1e3, "1e-10"),
-                                             (1e-3, "1e-6"), (1e3, "1e-6")])
+                                             (1e-3, "1e-6"), (1e3, "1e-6"),
+                                             (1e-6, "1e-10"), (1e-8, "1e-10")])
     def test_systolic_verify_round_passes_at_any_scale(self, capsys, radius,
                                                        tol):
         # the equator's check nodes hold the sweep's Jacobi data to a bound
-        # that grows with the length scale, as its error does
+        # that grows with the length scale, as its error does; the meridian
+        # closes on (u, sqrt(a) v), in a flow whose steps (of order the
+        # radius) stay above a floor scaled by its span
         code, _, err = run(capsys, "systolic-verify", "--metric",
                            json.dumps({"kind": "round", "radius": radius}),
                            "--nx", "16", "--ny", "64", "--tol-int", tol)

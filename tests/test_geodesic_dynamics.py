@@ -383,19 +383,34 @@ class TestClosedGeodesics:
         assert abs(np.linalg.norm(u) - 1.0) < 1e-9
         assert abs(float(spheroid_model.dot(u, v, v)) - 1.0) < 1e-9
 
-    def test_joint_shooting_equals_one_seed_calls(self, spheroid_model):
-        # the equator and the meridian flowed in one batch, each in its own
-        # normalised time, against one flow each
+    def test_equator_closed_form_matches_a_flow(self, spheroid_model):
+        # the circle z = 0 against one period of the flow from the seed,
+        # sampled at the orbit's own arclengths
         m = spheroid_model
-        seeds = [gd.equator_seed(m), gd.meridian_seed(m)]
-        periods = [m.equator_length, m.meridian_circuit_length()]
-        joint = gd.find_closed_geodesic(m, seeds, periods)
-        for orbit, seed, period in zip(joint, seeds, periods):
-            one = gd.find_closed_geodesic(m, seed, period)
-            assert orbit.length == one.length == period
-            assert orbit.closure_residual < 1e-12
-            assert one.closure_residual < 1e-12
-            assert np.max(np.abs(orbit.states - one.states)) < 1e-12
+        orbit = gd.equator_orbit(m)
+        ts = np.linspace(0.0, orbit.length, len(orbit.states),
+                         endpoint=False)
+        ys = gd.integrate_geodesic(m, [gd.equator_seed(m)], orbit.length,
+                                   ts, tol=1e-12)[:, 0]
+        assert orbit.length == m.equator_length
+        assert orbit.closure_residual == 0.0
+        assert np.max(np.abs(orbit.states - ys)) < 1e-12
+
+    def test_each_gauss_newton_flow_holds_three_rows(self, spheroid_model,
+                                                     monkeypatch):
+        # the launch and its two angle pushes; the period column is the
+        # vector field, so no fourth row
+        m, rows, integrate = spheroid_model, [], gd.integrate_adaptive
+
+        def spy(fun, y0, *args, **kwargs):
+            rows.append(len(y0))
+            return integrate(fun, y0, *args, **kwargs)
+
+        monkeypatch.setattr(gd, "integrate_adaptive", spy)
+        gd.find_closed_geodesic(
+            m, gd.state_from_angle(m, math.pi / 2, 0.0, 1e-3),
+            m.meridian_circuit_length() * (1.0 + 1e-3))
+        assert len(rows) >= 2 and set(rows) == {3}
 
     def test_shooting_diverges_cleanly(self, spheroid_model, monkeypatch):
         from birkhofflab.errors import NoConvergenceError
@@ -413,5 +428,5 @@ class TestClosedGeodesics:
             flows[0] = 0
             with pytest.raises(NoConvergenceError):
                 gd.find_closed_geodesic(spheroid_model, seed, period)
-            # the seed's own flow, then at most one flow per iteration
-            assert flows[0] <= 1 + gd._SHOOT_ITERATIONS
+            # one flow per iteration, the seed's own the first
+            assert flows[0] <= gd._SHOOT_ITERATIONS

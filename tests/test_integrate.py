@@ -172,6 +172,17 @@ class TestStepper:
         assert t == t_end and len(calls) == 9
         np.testing.assert_array_equal(y, [[1.0, -t_end]])   # cos, -sin
 
+    def test_underflow_floor_scales_with_the_span(self):
+        # one period of an oscillator of frequency 1e14 takes steps of
+        # order 1e-15, as the unit oscillator's are of order 0.1
+        def fast(t, y):
+            return 1e14 * oscillator(t, y)
+
+        y0 = np.array([[1.0, 0.0]])
+        t, y = integrate_adaptive(self.capped(fast), y0,
+                                  (0.0, 2 * math.pi * 1e-14))
+        assert np.max(np.abs(y - y0)) < 1e-8
+
     def test_nan_right_hand_side_fails_the_step(self):
         # _initial_step turns NaN, and every step size after it
         def nan_rhs(t, y):

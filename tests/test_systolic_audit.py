@@ -145,7 +145,7 @@ class TestFixedPointCandidates:
             block = sa._fixed_point_candidates(
                 cands, spheroid_model, rep.grid, rep.lift, rep.cal,
                 rep.residuals["tau_action_max"], warnings)
-        # the seed's own flow, then one 4-row flow per Gauss-Newton step
+        # one 3-row flow per Gauss-Newton step, the seed's own the first
         assert flows[0] <= 6
         b = _branch(rep, True)
         assert block["branches"][0]["match"] == cands[1].label \
