@@ -60,18 +60,13 @@ from .errors import (InternalConsistencyError, PinchingViolationError,
 
 _TWO_PI = 2.0 * math.pi
 
-STATUS_OK = 0
-STATUS_GRAZING = 1
-STATUS_MISSING = 2
-
 # Most orbits integrated in one return sweep.  A sweep holds the stages and
 # events of all its orbits at once, so its memory grows with its size; the
 # oblate audit's 2,400-orbit sweep (the 96 x 96 meridian domain, boundary
 # rows included, and its checks) is the peak accepted against `peak_rss_mb`.
 _SWEEP_ORBITS = 2400
 _AXIS_TILT = 1e-12         # largest misalignment of a normal with the axis
-_GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
-                "jac_du", "status")
+_GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle", "jac_du")
 # Return-sweep horizon in units of 2 pi / sqrt(min K).
 _HORIZON_FACTOR = 3.0
 _ADJACENT_SEGMENTS = 3   # segments this close in index are neighbours
@@ -258,7 +253,6 @@ class ReturnSample:
     Y: float
     jac_angle: float
     jac_du: float
-    status: int = STATUS_OK
 
 
 @dataclass
@@ -276,7 +270,6 @@ class BirkhoffGrid:
     rho_plus: np.ndarray
     jac_angle: np.ndarray      # lifted Jacobi angle at the return time
     jac_du: np.ndarray         # transversal Jacobi derivative at the return
-    status: np.ndarray
     # (i, j, leg_plus, leg_minus) of each sampled return arc: the chart
     # sphere points of its two legs (see :func:`_arc_legs`)
     arc_legs: list = field(default_factory=list, repr=False)
@@ -288,12 +281,6 @@ class BirkhoffGrid:
     @property
     def ny(self):
         return len(self.ys)
-
-    def require_clean(self):
-        if np.any(self.status != STATUS_OK):
-            bad = int(np.sum(self.status != STATUS_OK))
-            raise InternalConsistencyError(
-                f"{bad} grid nodes are flagged; returns are unreliable")
 
     def to_csv(self, path):
         """One row per grid node, x-major: x, y, X, Y, tau as repr(float)."""
@@ -317,15 +304,12 @@ def return_data(section, x, y, rtol=1e-10):
 
     Interior angles are integrated with event detection; on the boundary
     rows y in {0, pi} the orbit runs along the base geodesic (forward and
-    backward respectively) to its second conjugate point.
+    backward respectively) to its second conjugate point; an orbit that
+    does not return raises :class:`ReturnFailure` (see :func:`_returns`).
     """
     if not (0.0 <= y <= math.pi):
         raise PreconditionError("y must lie in [0, pi]")
     out = _returns(section, np.array([float(x)]), np.array([float(y)]), rtol)
-    if out["status"][0] == STATUS_MISSING:
-        raise ReturnFailure(
-            "return events not found within horizon factor "
-            f"{_HORIZON_FACTOR}")
     return ReturnSample(x=float(x), y=float(y),
                         **{k: v[0].item() for k, v in out.items()})
 
@@ -378,19 +362,28 @@ def _arc_legs(sweep, rows, times):
     return legs
 
 
+def _require_boundary_advance(rho, along, L):
+    """Refuse a boundary row (``along``) whose advance escapes (0, 2L)."""
+    escaped = along & ~((0.0 < rho) & (rho < 2.0 * L))
+    if np.any(escaped):
+        raise PinchingViolationError(
+            f"boundary advance {rho[escaped][0]:.6g} escapes (0, 2L); the "
+            "lift pinning hypotheses fail for this metric")
+
+
 def _returns(section, xs, ys, rtol, arc=()):
     """Return-data arrays (the fields of :class:`ReturnSample` other than
-    x, y) for matched arrays of coordinates, from one sweep; flagged
-    interior nodes are NaN.  A boundary node that misses its conjugate
-    point raises :class:`ReturnFailure`, one whose advance escapes (0, 2L)
-    :class:`PinchingViolationError`.
+    x, y) for matched arrays of coordinates, from one sweep.  Orbits that
+    graze the base plane or miss a return (or, on a boundary row, the
+    conjugate point) raise :class:`ReturnFailure`, which counts each kind;
+    a boundary advance escaping (0, 2L) :class:`PinchingViolationError`.
 
     The interior rows ``arc`` sample their positions as the sweep steps,
     every pi / (sqrt(max K) ``_ARC_SAMPLES``) from 0, so a leg of their
     return arcs lasting pi / sqrt(max K) or more keeps at least
     ``_ARC_SAMPLES`` points (the shortest legs of the spheroid grids last
     3.09 to 3.19 against 3.05, and the round sphere's pi).  ``legs`` then
-    lists the :func:`_arc_legs` of those rows whose status is clean."""
+    lists the :func:`_arc_legs` of those rows."""
     L = section.length
     kmin, kmax = mm.curvature_extremes(section.model)
     horizon = _horizon(kmin, ys)
@@ -400,36 +393,27 @@ def _returns(section, xs, ys, rtol, arc=()):
                           math.pi / (math.sqrt(kmax) * _ARC_SAMPLES))
         sample = (arc, slice(0, 3), times)
     sweep = _return_sweep(section, xs, ys, rtol, horizon, sample=sample)
-    along = np.isin(ys, (0.0, math.pi))
-    status = np.where(sweep.grazing, STATUS_GRAZING,
-                      np.where(sweep.n_found < sweep.t_events.shape[1],
-                               STATUS_MISSING, STATUS_OK))
-    if np.any(along & (status != STATUS_OK)):
+    short = ~sweep.grazing & (sweep.n_found < sweep.t_events.shape[1])
+    if sweep.grazing.any() or short.any():
         raise ReturnFailure(
-            f"conjugate point of order 2 not reached before t={horizon}")
+            f"{sweep.grazing.sum()} orbits graze the base plane and "
+            f"{short.sum()} miss a return before the horizon t={horizon:.6g}")
+    along = np.isin(ys, (0.0, math.pi))
     y1, y2 = sweep.y_events[:, 0], sweep.y_events[:, -1]
     x1, x2 = section.footpoint(y1[:, 0:3]), section.footpoint(y2[:, 0:3])
     tau = sweep.t_events[:, -1]
     rho_plus = np.where(along, np.nan, (x1 - xs) % L)
     rho = np.where(along, np.where(ys == math.pi, 2.0 * L - tau, tau),
                    rho_plus + (x2 - x1) % L)
-    escaped = along & ~((0.0 < rho) & (rho < 2.0 * L))
-    if np.any(escaped):
-        raise PinchingViolationError(
-            f"boundary advance {rho[escaped][0]:.6g} escapes (0, 2L); the "
-            "lift pinning hypotheses fail for this metric")
+    _require_boundary_advance(rho, along, L)
     jac_angle = np.where(along, _TWO_PI, y2[:, 6])
     out = {"tau_plus": np.where(along, np.nan, sweep.t_events[:, 0]),
            "tau": tau, "rho_plus": rho_plus, "rho": rho, "X": xs + rho - L,
            "Y": np.where(along, ys, section.angles_of(x2, y2[:, 3:6])),
            "jac_angle": jac_angle,
            "jac_du": np.exp(y2[:, 7]) * np.cos(jac_angle)}
-    for v in out.values():
-        v[status != STATUS_OK] = np.nan
-    out["status"] = status
     if len(arc):
-        out["legs"] = [leg for leg in _arc_legs(sweep, arc, times)
-                       if status[leg[0]] == STATUS_OK]
+        out["legs"] = _arc_legs(sweep, arc, times)
     return out
 
 
@@ -466,11 +450,7 @@ def _clairaut_rows(section, ys):
     tau = np.where(along, conj, mm.period_integral(speed, s))
     rho = np.where(along, np.where(ys == math.pi, 2.0 * L - conj, conj),
                    np.mod(L * np.sign(cy) + cy * I, 2.0 * L))
-    escaped = along & ~((0.0 < rho) & (rho < 2.0 * L))
-    if np.any(escaped):
-        raise PinchingViolationError(
-            f"boundary advance {rho[escaped][0]:.6g} escapes (0, 2L); the "
-            "lift pinning hypotheses fail for this metric")
+    _require_boundary_advance(rho, along, L)
     leg = np.where(along, np.nan, 1.0)
     return {"tau_plus": leg * mm.leg_integral(speed, side), "tau": tau,
             "rho_plus": leg * np.mod(0.5 * L * np.sign(cy)
@@ -486,10 +466,10 @@ def _equator_returns(section, xs, ys, rtol):
 
     ``_ARC_NODES`` interior nodes, drawn by a seeded generator without
     replacement, are integrated in one sweep that samples their return
-    arcs (see :func:`_returns`); ``arc_legs`` lists them.  Each must be
-    clean and repeat the quadrature, or :class:`InternalConsistencyError`
-    is raised: X - x, tau, tau_plus and rho_plus within tol L and Y within
-    tol pi, tol = max(rtol, ``_SWEEP_FLOOR``); the Jacobi fields within
+    arcs (see :func:`_returns`); ``arc_legs`` lists them.  Each must repeat
+    the quadrature, or :class:`InternalConsistencyError` is raised: X - x,
+    tau, tau_plus and rho_plus within tol L and Y within tol pi,
+    tol = max(rtol, ``_SWEEP_FLOOR``); the Jacobi fields within
     ``MONOTONE_CROSSCHECK_TOL`` max(r, 1 / r), with r = sqrt(a), as the
     sweep's polar Jacobi equation is not scale-free (on round spheres of
     radius r its angle errs by up to about 55 rtol r for r from 30 to 1e5,
@@ -498,21 +478,17 @@ def _equator_returns(section, xs, ys, rtol):
     stands for its row."""
     nx, ny, L = len(xs), len(ys), section.length
     rows = _clairaut_rows(section, ys)
-    out = {k: np.tile(rows[k], (nx, 1)) for k in _GRID_FIELDS[1:-1]}
+    out = {k: np.tile(rows[k], (nx, 1)) for k in _GRID_FIELDS[1:]}
     out["X"] = xs[:, None] + (rows["rho"] - L)
-    out["status"] = np.full((nx, ny), STATUS_OK)
     interior = np.arange(nx * ny).reshape(nx, ny)[:, 1:-1].ravel()
     i, j = np.divmod(np.sort(np.random.default_rng(0).choice(
         interior, size=min(_ARC_NODES, len(interior)), replace=False)), ny)
     got = _returns(section, xs[i], ys[j], rtol, arc=np.arange(len(i)))
-    if np.any(got["status"] != STATUS_OK):
-        raise InternalConsistencyError(
-            "equator check nodes disagree in their node status")
     tol = max(rtol, _SWEEP_FLOOR)
     scale = math.sqrt(section.model.a)
     jac = MONOTONE_CROSSCHECK_TOL * max(scale, 1.0 / scale)
     bounds = {"Y": tol * math.pi, "jac_angle": jac, "jac_du": jac}
-    for k in _GRID_FIELDS[:-1]:
+    for k in _GRID_FIELDS:
         err = np.abs(got[k] - out[k][i, j])
         if np.any(err > bounds.get(k, tol * L)):
             raise InternalConsistencyError(
@@ -566,9 +542,9 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
     ``_SWEEP_ORBITS`` orbits (see :func:`_returns`).  A rotation keeps
     every field but X - x; a reflection maps X - x to -(X - x), Y to
     pi - Y and rho_plus to L - rho_plus, and keeps the other fields.  Every
-    check node must repeat what its domain node predicts: equal status, and
-    X - x and the other fields within ``rtol`` times max(1, |value|);
-    otherwise :class:`InternalConsistencyError`.
+    check node must repeat what its domain node predicts, X - x and the
+    other fields within ``rtol`` times max(1, |value|); otherwise
+    :class:`InternalConsistencyError`.
     Symmetric orbits of one sweep differ only by rounding (1e-14 to 1e-12
     relative), as a sweep steps all its orbits alike; orbits of different
     sweeps differ within the integration tolerance.
@@ -581,8 +557,7 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
     grid's."""
     nx, ny = len(xs), len(ys)
     swept = (rep == np.arange(nx * ny).reshape(nx, ny)) | check
-    vals = {k: np.empty((nx, ny), dtype=int if k == "status" else float)
-            for k in _GRID_FIELDS}
+    vals = {k: np.empty((nx, ny)) for k in _GRID_FIELDS}
     jj, ii = np.nonzero(swept.T)
     interior = np.flatnonzero((0 < jj) & (jj < ny - 1))
     arc = np.random.default_rng(0).choice(
@@ -603,14 +578,10 @@ def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
     out["Y"] = np.where(flip, math.pi - out["Y"], out["Y"])
     out["rho_plus"] = np.where(flip, section.length - out["rho_plus"],
                                out["rho_plus"])
-    if np.any(out["status"][check] != vals["status"][check]):
-        raise InternalConsistencyError(
-            "grid symmetry check nodes disagree in their node status")
-    ok = check & (vals["status"] == STATUS_OK)
-    x_ok = np.broadcast_to(xs[:, None], ok.shape)[ok]
-    for k in _GRID_FIELDS[:-1]:
-        shift = x_ok if k == "X" else 0.0
-        want, got = out[k][ok] - shift, vals[k][ok] - shift
+    x_check = np.broadcast_to(xs[:, None], check.shape)[check]
+    for k in _GRID_FIELDS:
+        shift = x_check if k == "X" else 0.0
+        want, got = out[k][check] - shift, vals[k][check] - shift
         err = np.abs(got - want)
         if np.any(err > rtol * np.maximum(1.0, np.abs(want))):
             raise InternalConsistencyError(
@@ -658,7 +629,8 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
     The orbits of a sweep share a step controller (the error norm is still
     per orbit), so node values depend on the batch layout within the
     integration tolerance: a one-node :func:`return_data` call differs from
-    its grid node by about 1e-12.
+    its grid node by about 1e-12.  An integrated orbit that does not return
+    raises :class:`ReturnFailure`, so a grid holds only nodes that returned.
     """
     if nx < 1 or ny < 3:
         raise PreconditionError(f"a return grid needs nx >= 1 and ny >= 3 "
@@ -674,8 +646,7 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
                                     *_grid_symmetry(section, nx, ny), rtol)
 
     grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
-    ok = grid.status == STATUS_OK
-    if np.any((grid.tau <= 0.0) & ok):
+    if np.any(grid.tau <= 0.0):
         raise InternalConsistencyError("non-positive return time on the grid")
     return grid
 
@@ -687,12 +658,12 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
 def zero_flux_lift(grid):
     """Strip map carrying the return data, with the canonical zero-flux lift.
 
-    The advance-based lift is trusted only if the return arcs the grid's
-    sweep sampled are injective, each leg separately; a detected
-    self-intersection raises :class:`PinchingViolationError`.  The
-    vanishing of the flux is verified, not assumed.
+    Every node of a grid returned (see :func:`compute_return_grid`).  The
+    advance-based lift is trusted only if the return arcs the grid's sweep
+    sampled are injective, each leg separately; a detected self-intersection
+    raises :class:`PinchingViolationError`.  The vanishing of the flux is
+    verified, not assumed.
     """
-    grid.require_clean()
     check_return_arc_injectivity(grid)
     lift = sc.StripMapGrid(length=grid.L, xs=grid.xs.copy(),
                            ys=grid.ys.copy(), X=grid.X.copy(),

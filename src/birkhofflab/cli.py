@@ -335,7 +335,7 @@ def cmd_zoll_check(args):
               for _ in range(args.samples)]       # theta, phi, psi in turn
     y0, y1 = gd.integrate_geodesic(model, states, L, [0.0, L],
                                    tol=args.tol_int)
-    worst = float(np.max(np.abs(y1 - y0)))
+    worst = float(np.max(np.abs((y1 - y0) * gd.closure_weight(model))))
     closed = worst < args.tol_id
     doc = {
         "metric": mm.to_json(model),

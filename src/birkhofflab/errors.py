@@ -56,7 +56,7 @@ class NoConvergenceError(ComputationError, RuntimeError):
 
 
 class ReturnFailure(ComputationError, RuntimeError):
-    """A return event was not found within the search horizon."""
+    """An orbit grazed the section or did not return within the horizon."""
 
 
 class InternalConsistencyError(ComputationError, RuntimeError):

@@ -343,6 +343,12 @@ class ClosedOrbit:
         return normal / np.linalg.norm(normal)
 
 
+def closure_weight(model):
+    """Weights (6,) of a state (u, v) that measure closure on (u, sqrt(a) v),
+    both of order one for a unit-speed state at any scale of the metric."""
+    return np.repeat([1.0, math.sqrt(model.a)], 3)
+
+
 def equator_seed(model):
     return state_from_angle(model, math.pi / 2, 0.0, math.pi / 2)
 
@@ -361,7 +367,7 @@ def find_closed_geodesic(model, seed, period_guess):
     forward differences share the step sizes (internal numerical
     differentiation); the period column of the Jacobian is the vector
     field at the launch's end state.  Closure is measured on
-    (u, sqrt(a) v), both of order one for a unit-speed state at any scale.
+    (u, sqrt(a) v) (see :func:`closure_weight`).
     ``lstsq`` solves for the step even where the closed orbits form a
     family (theta0 along a meridian, a Zoll metric).  Raises
     :class:`NoConvergenceError` when the closure residual cannot be
@@ -373,7 +379,7 @@ def find_closed_geodesic(model, seed, period_guess):
     psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
                       math.sqrt(float(model.profile_E(z))) * dth)
     p = np.array([theta0, psi0, period_guess])
-    weight = np.repeat([1.0, math.sqrt(model.a)], 3)
+    weight = closure_weight(model)
     for _ in range(_SHOOT_ITERATIONS):
         T, pushes = p[2], p[:2] + _SHOOT_STEP * np.eye(3, 2, -1)
         y0 = np.array([np.concatenate(state_to_ambient(model, state_from_angle(

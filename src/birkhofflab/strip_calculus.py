@@ -84,7 +84,9 @@ class StripMapGrid:
         return self.X - self.xs[:, None]
 
     def sup_distance_to_identity(self):
-        return float(max(np.max(np.abs(self.displacement())),
+        """Sup of |Y - y| and of |X - x| in units of L / 2 pi (scale-free)."""
+        return float(max(np.max(np.abs(self.displacement()))
+                         * (2.0 * _PI / self.length),
                          np.max(np.abs(self.Y - self.ys[None, :]))))
 
 

@@ -219,7 +219,6 @@ def two_gon_perimeter_check(model, grid):
     H = min K, all perimeters must satisfy perimeter * sqrt(H) / (2 pi) <= 1
     up to ``_PERIMETER_TOL``.
     """
-    grid.require_clean()
     kmin, _ = mm.curvature_extremes(model)
     L = grid.L
     larc = grid.tau_plus[:, 1:-1]

@@ -40,3 +40,25 @@ def round_grid(round_section):
 @pytest.fixture(scope="session")
 def spheroid_grid(spheroid_section):
     return bs.compute_return_grid(spheroid_section, nx=32, ny=65)
+
+
+@pytest.fixture
+def flag_one_orbit(monkeypatch):
+    """A function that makes every later return sweep flag its middle
+    orbit: ``flag_one_orbit("grazing")`` as grazing the base plane,
+    ``flag_one_orbit("short")`` as finding one event fewer than it needs."""
+    def flag(kind):
+        sweep = bs._return_sweep
+
+        def flagged(*args, **kwargs):
+            res = sweep(*args, **kwargs)
+            k = len(res.n_found) // 2
+            if kind == "grazing":
+                res.grazing[k] = True
+            else:
+                res.n_found[k] -= 1
+            return res
+
+        monkeypatch.setattr(bs, "_return_sweep", flagged)
+
+    return flag

@@ -91,7 +91,14 @@ class TestRoundGrid:
         assert np.max(np.abs(round_grid.jac_du - 1.0)) < 1e-8
 
     def test_all_nodes_clean(self, round_grid):
-        assert np.all(round_grid.status == bs.STATUS_OK)
+        # a grid holds only nodes that returned: no field is NaN but the
+        # legs of the boundary rows
+        for k in ("X", "Y", "tau", "jac_angle", "jac_du"):
+            assert np.all(np.isfinite(getattr(round_grid, k))), k
+        for k in ("tau_plus", "rho_plus"):
+            leg = getattr(round_grid, k)
+            assert np.all(np.isfinite(leg[:, 1:-1])), k
+            assert np.all(np.isnan(leg[:, [0, -1]])), k
 
 
 class TestSpheroidGrid:
@@ -161,6 +168,11 @@ def _clairaut_oracle(model, y):
     return tau_plus, tau, rho
 
 
+# The ReturnFailure message of one orbit flagged by its sweep.
+FLAGGED = {"grazing": "1 orbits graze the base plane and 0 miss a return",
+           "short": "0 orbits graze the base plane and 1 miss a return"}
+
+
 @pytest.fixture(scope="module")
 def zoll_equator_grid(zoll_model):
     return bs.compute_return_grid(bs.build_section(zoll_model), nx=32, ny=65)
@@ -201,14 +213,13 @@ class TestEquatorSymmetry:
         # map
         grid = request.getfixturevalue(name)
         ref = _every_node_returns(grid)
-        assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
             got, want = getattr(grid, k), ref[k]
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert np.nanmax(np.abs(got - want)) < 1e-10, k
 
-    @pytest.mark.parametrize("field", ["X", "tau", "status", "Y", "jac_du"])
+    @pytest.mark.parametrize("field", ["X", "tau", "Y", "jac_du"])
     def test_disagreeing_check_column_raises(self, spheroid_section,
                                              monkeypatch, field):
         # a check node off the quadrature by more than its field's bound
@@ -217,11 +228,7 @@ class TestEquatorSymmetry:
 
         def perturbed(section, xs, ys, *args, **kwargs):
             out = returns(section, xs, ys, *args, **kwargs)
-            last = xs == xs.max()
-            if field == "status":
-                out["status"][np.nonzero(last)[0][0]] = bs.STATUS_GRAZING
-            else:
-                out[field][last] += 1e-3 if field == "jac_du" else 1e-6
+            out[field][xs == xs.max()] += 1e-3 if field == "jac_du" else 1e-6
             return out
 
         monkeypatch.setattr(bs, "_returns", perturbed)
@@ -236,7 +243,6 @@ class TestEquatorSymmetry:
         grid = request.getfixturevalue(name)
         ref = bs._returns(grid.section, np.full(grid.ny, grid.xs[3]),
                           grid.ys, 1e-10)
-        assert np.all(ref["status"] == bs.STATUS_OK)
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
             got, want = getattr(grid, k)[3], ref[k]
@@ -263,7 +269,14 @@ class TestEquatorSymmetry:
         assert np.array_equal(arc, np.arange(bs._ARC_NODES))
         nodes = [(grid.xs[i], grid.ys[j]) for i, j, *_ in grid.arc_legs]
         assert nodes == list(zip(xs, ys))
-        grid.require_clean()
+
+    @pytest.mark.parametrize("flag", ["grazing", "short"])
+    def test_flagged_orbit_raises(self, flag_one_orbit, flag):
+        # one check node of the c = 0.97 equator flagged by its sweep
+        model = mm.make_spheroid(0.97)
+        flag_one_orbit(flag)
+        with pytest.raises(ReturnFailure, match=FLAGGED[flag]):
+            bs.compute_return_grid(bs.build_section(model), nx=16, ny=17)
 
 
 @pytest.fixture(scope="module")
@@ -303,14 +316,13 @@ class TestMeridianSymmetry:
         sec = oblate_meridian_section
         grid = bs.compute_return_grid(sec, nx=nx, ny=ny)
         ref = _every_node_returns(grid)
-        assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
             got, want = getattr(grid, k), ref[k]
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert np.nanmax(np.abs(got - want)) < 1e-10, k
 
-    @pytest.mark.parametrize("field", ["X", "tau", "status"])
+    @pytest.mark.parametrize("field", ["X", "tau"])
     def test_disagreeing_check_node_raises(self, oblate_meridian_section,
                                            monkeypatch, field):
         # the domain lies in x <= L/4, so every node perturbed is a check
@@ -321,10 +333,7 @@ class TestMeridianSymmetry:
             out = returns(section, xs, ys, *args, **kwargs)
             far = xs > 0.3 * L
             assert far.any()
-            if field == "status":
-                out["status"][np.nonzero(far)[0][0]] = bs.STATUS_GRAZING
-            else:
-                out[field][far] += 1e-6
+            out[field][far] += 1e-6
             return out
 
         monkeypatch.setattr(bs, "_returns", perturbed)
@@ -342,11 +351,18 @@ class TestMeridianSymmetry:
             return returns(section, xs, ys, *args, **kwargs)
 
         monkeypatch.setattr(bs, "_returns", spy)
-        grid = bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
+        bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
         xs = np.concatenate(seen)
         assert len(np.unique(xs)) == 13
         assert len(xs) == 69 + 17
-        grid.require_clean()
+
+    @pytest.mark.parametrize("flag", ["grazing", "short"])
+    def test_flagged_orbit_raises(self, oblate_meridian_section,
+                                  flag_one_orbit, flag):
+        # one orbit of the domain's sweep flagged
+        flag_one_orbit(flag)
+        with pytest.raises(ReturnFailure, match=FLAGGED[flag]):
+            bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
 
     def test_boundary_rows_match_one_orbit_conjugate_times(
             self, oblate_meridian_section):
@@ -361,7 +377,6 @@ class TestMeridianSymmetry:
         x = np.concatenate([xs[i], xs[i], xs[i]])
         y = np.concatenate([np.zeros(3), np.full(3, math.pi), ys[[7, 30, 50]]])
         out = bs._returns(sec, x, y, 1e-10)
-        assert np.all(out["status"] == bs.STATUS_OK)
         for k in range(3):
             u, v, _ = sec.frames(xs[i[k]])
             base = gd.state_from_ambient(model, u, v)
@@ -396,9 +411,8 @@ class TestMeridianSymmetry:
 
         monkeypatch.setattr(bs, "_returns", spy)
         monkeypatch.setattr(bs, "_SWEEP_ORBITS", 100)
-        grid = bs.compute_return_grid(sec, nx=16, ny=17)
+        bs.compute_return_grid(sec, nx=16, ny=17)
         assert seen == [91, 91, 90]
-        grid.require_clean()
 
     def test_odd_nx_keeps_the_reflection(self, monkeypatch,
                                          oblate_meridian_section):
@@ -420,7 +434,6 @@ class TestMeridianSymmetry:
         monkeypatch.setattr(bs, "_returns", returns)
         assert seen == [145]
         ref = _every_node_returns(grid)
-        assert np.array_equal(grid.status, ref["status"])
         for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
                   "jac_du"):
             got, want = getattr(grid, k), ref[k]

@@ -367,6 +367,32 @@ class TestVerdictCommands:
                            "--nx", "16", "--ny", "64", "--tol-int", tol)
         assert code == 0, err
 
+    def test_systolic_verify_rescaled_spheroid_keeps_its_verdicts(
+            self, capsys):
+        # X - x enters the identity distance in units of L / 2 pi, so a
+        # small spheroid is neither flagged as Zoll nor warned about
+        def branches(doc):
+            return [(b["branch"], b["match"].split(":")[0])
+                    for b in doc["fixed_point"]["branches"]]
+
+        docs = []
+        for scale in (1.0, 1e-6, 1e-12):
+            code, out, err = run(capsys, "systolic-verify", "--metric",
+                                 json.dumps({"kind": "rescaled-spheroid",
+                                             "c": 1.03, "scale": scale}),
+                                 "--nx", "16", "--ny", "64")
+            assert code == 0, err
+            docs.append(json.loads(out))
+        sup = docs[0]["residuals"]["sup_distance_to_identity"]
+        for doc in docs:
+            assert doc["verdicts"] == docs[0]["verdicts"]
+            assert doc["verdicts"]["zoll_flag"] is False
+            assert doc["warnings"] == []
+            assert doc["fixed_point"]["refused"] is None
+            assert branches(doc) == branches(docs[0])
+            assert doc["residuals"]["sup_distance_to_identity"] == (
+                pytest.approx(sup, rel=1e-9))
+
     @pytest.mark.parametrize("c", [1.03, 1.1])
     def test_return_map_at_the_finest_tolerance(self, capsys, c):
         # at rtol 1e-12 the check nodes meet the sweep's rounding floor
@@ -405,17 +431,55 @@ class TestVerdictCommands:
         summary = json.loads((tmp_path / "grid.csv.json").read_text())
         assert abs(summary["flux"]) < 1e-8
 
+    @pytest.mark.parametrize("flag", ["grazing", "short"])
+    def test_return_map_with_a_flagged_orbit_writes_nothing(
+            self, capsys, tmp_path, flag_one_orbit, flag):
+        # the grid refuses the orbit as its sweep flags it, naming how many
+        # orbits grazed and how many missed a return, before any CSV row is
+        # written
+        flag_one_orbit(flag)
+        out_csv = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "return-map", "--metric", SPHEROID,
+                             "--nx", "16", "--ny", "17", "--format", "csv",
+                             "--out", str(out_csv))
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+        assert "orbits graze the base plane" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_zoll_check_passes_on_zoll(self, capsys):
         code, out, _ = run(capsys, "zoll-check", "--metric", ZOLL,
                            "--samples", "3")
         assert code == 0
         assert json.loads(out)["all_closed"] is True
 
+    @pytest.mark.parametrize("radius", [1e-8, 1e-10])
+    def test_zoll_check_closes_at_any_scale(self, capsys, radius):
+        # closure is measured on (u, sqrt(a) v), whose velocity part stays
+        # of order one as the sphere shrinks
+        code, out, _ = run(capsys, "zoll-check", "--metric",
+                           json.dumps({"kind": "round", "radius": radius}))
+        doc = json.loads(out)
+        assert code == 0 and doc["all_closed"] is True
+        assert doc["max_closure_residual"] < 1e-11
+
     def test_zoll_check_fails_on_spheroid(self, capsys):
         code, out, _ = run(capsys, "zoll-check", "--metric", SPHEROID,
                            "--samples", "3")
         assert code == 1
         assert json.loads(out)["all_closed"] is False
+
+    def test_zoll_check_fails_on_a_small_spheroid(self, capsys):
+        # the scaled closure of c = 1.03 is the same at scale 1e-16 as at 1
+        docs = []
+        for scale in (1.0, 1e-16):
+            code, out, _ = run(capsys, "zoll-check", "--metric", json.dumps(
+                {"kind": "rescaled-spheroid", "c": 1.03, "scale": scale}),
+                "--samples", "3")
+            assert code == 1
+            docs.append(json.loads(out))
+        assert docs[0]["max_closure_residual"] == pytest.approx(
+            docs[1]["max_closure_residual"], rel=1e-6)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_zoll_check_without_samples_exits_2(self, capsys, samples):

@@ -563,8 +563,7 @@ class TestNearLevelScreen:
             self, with_reference):
         model = mm.make_spheroid(0.97)
         section = bs.build_section(model, gd.meridian_orbit(model))
-        grid = bs.compute_return_grid(section, nx=16, ny=17)
-        grid.require_clean()
+        bs.compute_return_grid(section, nx=16, ny=17)
         assert len(with_reference.pairs) == 1
         assert_same_events(with_reference.pairs)
 
