@@ -128,9 +128,10 @@ def _initial_step(fun, t0, y0, f0, rtol, atol):
     return min(100 * h0, h1)
 
 
-def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
-                       project=None, step_hook=None):
-    """Advance ``y0`` (shape (n, d) or (d,)) over ``t_span = (t0, t1)``.
+def integrate_adaptive(fun, y0, t_span, rtol=1e-10, project=None,
+                       step_hook=None):
+    """Advance ``y0`` (shape (n, d) or (d,)) over ``t_span = (t0, t1)`` at
+    the relative tolerance ``rtol`` and the absolute one ``rtol * 1e-2``.
 
     Returns ``(t, y)`` with ``y`` shaped like ``y0``.
     ``step_hook(t_old, h, y_old, stages, y_new)`` runs after every accepted
@@ -171,6 +172,7 @@ def integrate_adaptive(fun, y0, t_span, rtol=1e-10, atol=1e-12,
     flat = stages.reshape(7, d * n)
     views = stages.transpose(0, 2, 1)                 # (7, n, d), no copy
     inv_d = 1.0 / d
+    atol = rtol * 1e-2
     t = t0
     stages[0] = rhs(t, y)
     h = _initial_step(rhs, t, y, stages[0], rtol, atol)
@@ -263,8 +265,8 @@ def _quartic_roots(coeffs, lo, hi, flo):
 
 
 def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
-                        expected_slopes=None, rtol=1e-10, atol=1e-12,
-                        project=None, sample=None):
+                        expected_slopes=None, rtol=1e-10, project=None,
+                        sample=None):
     """Batch-integrate until each orbit records ``n_events`` roots of the
     linear event functional  e(y) = y . weights - target;  ``weights`` (d,)
     or (n, d), ``target`` and ``n_events`` broadcast per orbit.  An orbit
@@ -377,8 +379,8 @@ def sweep_linear_events(fun, y0, t_max, weights, target=0.0, n_events=2,
         active[grazing] = False
         return not np.any(active)
 
-    integrate_adaptive(fun, y0, (0.0, t_max), rtol=rtol, atol=atol,
-                       project=project, step_hook=hook)
+    integrate_adaptive(fun, y0, (0.0, t_max), rtol=rtol, project=project,
+                       step_hook=hook)
     if sample is not None:
         res.samples = np.concatenate(blocks)
     if expected_slopes is not None:

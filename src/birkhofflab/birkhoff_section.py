@@ -256,15 +256,11 @@ class ReturnSample:
 
 
 @dataclass
-class BirkhoffGrid:
-    """Sampled return data of the annulus over the base geodesic."""
+class BirkhoffGrid(sc.StripMapGrid):
+    """Sampled return data of the annulus over the base geodesic, on the
+    strip map (X, Y) of its zero-flux lift, of period ``length`` = L."""
 
     section: BirkhoffSection
-    L: float
-    xs: np.ndarray
-    ys: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
     tau: np.ndarray
     tau_plus: np.ndarray
     rho_plus: np.ndarray
@@ -273,14 +269,6 @@ class BirkhoffGrid:
     # (i, j, leg_plus, leg_minus) of each sampled return arc: the chart
     # sphere points of its two legs (see :func:`_arc_legs`)
     arc_legs: list = field(default_factory=list, repr=False)
-
-    @property
-    def nx(self):
-        return len(self.xs)
-
-    @property
-    def ny(self):
-        return len(self.ys)
 
     def to_csv(self, path):
         """One row per grid node, x-major: x, y, X, Y, tau as repr(float)."""
@@ -293,10 +281,10 @@ class BirkhoffGrid:
                         x, y, self.X[i, j], self.Y[i, j], self.tau[i, j])])
 
     def summary(self, model):
-        return {"L": self.L, "nx": self.nx, "ny": self.ny,
+        return {"L": self.length, "nx": self.nx, "ny": self.ny,
                 "tau_min": float(np.min(self.tau)),
                 "tau_max": float(np.max(self.tau)),
-                **lift_numbers(self, model)[1]}
+                **lift_numbers(self, mm.area(model))}
 
 
 def return_data(section, x, y, rtol=1e-10):
@@ -330,9 +318,8 @@ def _return_sweep(section, xs, ys, rtol, horizon, slopes=(-1, +1),
     """Crossings of the base plane by the orbits of the annulus vectors at
     matched coordinates (xs, ys), one event per expected slope; an orbit
     along the base (y = 0 or pi) records its Jacobi angle reaching 2 pi in
-    the last slot instead.  The absolute tolerance is ``rtol * 1e-2``, the
-    ratio of :func:`~.geodesic_dynamics.integrate_geodesic`.  ``sample`` is
-    passed to :func:`~._integrate.sweep_linear_events`."""
+    the last slot instead.  ``sample`` is passed to
+    :func:`~._integrate.sweep_linear_events`."""
     seeds = np.hstack([*section.section_vector(xs, ys),
                        np.zeros((len(xs), 2))])
     along = np.isin(ys, (0.0, math.pi))           # the boundary rows
@@ -342,8 +329,7 @@ def _return_sweep(section, xs, ys, rtol, horizon, slopes=(-1, +1),
         gd.geodesic_rhs(section.model, jacobi=True), seeds, horizon, wev,
         target=np.where(along, _TWO_PI, 0.0),
         n_events=np.where(along, 1, len(slopes)), expected_slopes=slopes,
-        rtol=rtol, atol=rtol * 1e-2,
-        project=gd.state_projector(section.model), sample=sample)
+        rtol=rtol, project=gd.state_projector(section.model), sample=sample)
 
 
 def _arc_legs(sweep, rows, times):
@@ -636,8 +622,7 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
         raise PreconditionError(f"a return grid needs nx >= 1 and ny >= 3 "
                                 f"(an interior row); got {nx} x {ny}")
     L = section.length
-    xs = np.arange(nx) * (L / nx)
-    ys = np.linspace(0.0, math.pi, ny)
+    xs, ys = sc.strip_mesh(L, nx, ny)
     n = section.normal
     if math.hypot(n[0], n[1]) < _AXIS_TILT:
         arrays = _equator_returns(section, xs, ys, rtol)
@@ -645,7 +630,7 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
         arrays = _symmetric_returns(section, xs, ys,
                                     *_grid_symmetry(section, nx, ny), rtol)
 
-    grid = BirkhoffGrid(section=section, L=L, xs=xs, ys=ys, **arrays)
+    grid = BirkhoffGrid(length=L, xs=xs, ys=ys, section=section, **arrays)
     if np.any(grid.tau <= 0.0):
         raise InternalConsistencyError("non-positive return time on the grid")
     return grid
@@ -656,42 +641,39 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
 # ---------------------------------------------------------------------------
 
 def zero_flux_lift(grid):
-    """Strip map carrying the return data, with the canonical zero-flux lift.
+    """The grid itself, checked to carry the canonical zero-flux lift.
 
     Every node of a grid returned (see :func:`compute_return_grid`).  The
     advance-based lift is trusted only if the return arcs the grid's sweep
     sampled are injective, each leg separately; a detected self-intersection
     raises :class:`PinchingViolationError`.  The vanishing of the flux is
-    verified, not assumed.
+    verified, not assumed (see :func:`~.strip_calculus.zero_flux`).
     """
     check_return_arc_injectivity(grid)
-    lift = sc.StripMapGrid(length=grid.L, xs=grid.xs.copy(),
-                           ys=grid.ys.copy(), X=grid.X.copy(),
-                           Y=grid.Y.copy())
-    F = sc.flux(lift)
-    if abs(F) > sc.FLUX_TOL:
+    F = sc.flux(grid)
+    if not sc.zero_flux(grid, F):
         raise InternalConsistencyError(
             f"advance-based lift has flux {F:.3g}, expected 0 within "
-            f"{sc.FLUX_TOL:g}")
-    return lift
+            f"{sc.FLUX_TOL:g} L / 2 pi")
+    return grid
 
 
-def lift_numbers(grid, model):
-    """The zero-flux lift of ``grid`` and the numbers of it that the
-    return-map and audit reports share: flux, Calabi invariant, sup
-    distance to the identity and the four identity residuals."""
-    lift = zero_flux_lift(grid)
-    act = sc.action(lift)
-    return lift, {
-        "flux": sc.flux(lift),
-        "cal": sc.calabi(lift, action_grid=act),
-        "sup_distance_to_identity": lift.sup_distance_to_identity(),
+def lift_numbers(grid, area):
+    """The numbers of the zero-flux lift of ``grid`` that the return-map and
+    audit reports share, on a metric of area ``area``: flux, Calabi
+    invariant, sup distance to the identity and the four identity
+    residuals, all from one action."""
+    act = sc.action(zero_flux_lift(grid))
+    cal = sc.calabi(grid, action_grid=act)
+    return {
+        "flux": act.flux,
+        "cal": cal,
+        "sup_distance_to_identity": grid.sup_distance_to_identity(),
         "residuals": {
-            "tau_action_max": verify_tau_action_identity(grid, lift, act),
-            "omega_preservation_max": sc.omega_preservation_residual(lift),
-            "area_identity_rel": verify_area_identity(grid, lift, model,
-                                                      action_grid=act),
-            "contact_volume_rel": contact_volume_check(grid, model),
+            "tau_action_max": verify_tau_action_identity(grid, act),
+            "omega_preservation_max": sc.omega_preservation_residual(grid),
+            "area_identity_rel": verify_area_identity(grid, cal, area),
+            "contact_volume_rel": contact_volume_check(grid, area),
         },
     }
 
@@ -708,25 +690,24 @@ def check_return_arc_injectivity(grid):
                     "the advance pinning hypotheses fail")
 
 
-def verify_tau_action_identity(grid, lift, action_grid=None):
+def verify_tau_action_identity(grid, action_grid):
     """max |tau - L - sigma| over the grid: the return time must equal the
-    base length plus the action of the zero-flux lift."""
-    act = action_grid if action_grid is not None else sc.action(lift)
-    return float(np.max(np.abs(grid.tau - grid.L - act.sigma)))
+    base length plus the action ``action_grid`` of the zero-flux lift."""
+    return float(np.max(np.abs(grid.tau - grid.length - action_grid.sigma)))
 
 
-def verify_area_identity(grid, lift, model, action_grid=None):
-    """Relative residual of pi * Area = L^2 + L * CAL."""
-    cal = sc.calabi(lift, action_grid=action_grid)
-    target = math.pi * mm.area(model)
-    return abs(target - grid.L ** 2 - grid.L * cal) / target
+def verify_area_identity(grid, cal, area):
+    """Relative residual of pi * Area = L^2 + L * CAL, for the Calabi
+    invariant ``cal`` of the zero-flux lift and the area ``area``."""
+    target = math.pi * area
+    return abs(target - grid.length ** 2 - grid.length * cal) / target
 
 
-def contact_volume_check(grid, model):
+def contact_volume_check(grid, area):
     """Relative residual of the unit-tangent volume identity: the
-    tau-weighted area of the annulus must equal 2 pi * Area."""
-    vol = sc.strip_integral(grid.tau, grid.xs, grid.ys, grid.L)
-    target = _TWO_PI * mm.area(model)
+    tau-weighted area of the annulus must equal 2 pi * ``area``."""
+    vol = sc.strip_integral(grid.tau, grid.xs, grid.ys, grid.length)
+    target = _TWO_PI * area
     return abs(vol - target) / target
 
 
@@ -826,8 +807,8 @@ def composition_identity_check(grid, n_nodes=10, rtol=1e-10):
                      - (sweep.t_events[:, 0] + res2.t_events[:, 0]))
     y2 = res2.y_events[:, 0]
     x2 = sec.footpoint(y2[:, 0:3])
-    dx = np.abs((x2 - grid.X[ii, jj]) % grid.L)
-    map_res = np.maximum(np.minimum(dx, grid.L - dx),
+    dx = np.abs((x2 - grid.X[ii, jj]) % grid.length)
+    map_res = np.maximum(np.minimum(dx, grid.length - dx),
                          np.abs(sec.angles_of(x2, y2[:, 3:6]) - grid.Y[ii, jj]))
     return (float(np.max(tau_res, initial=0.0)),
             float(np.max(map_res, initial=0.0)))

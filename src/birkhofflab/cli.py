@@ -257,7 +257,9 @@ def cmd_return_map(args):
     doc = grid.summary(model)
     doc["delta"] = delta
     _emit(doc, summary_path)
-    bad = doc["residuals"]["tau_action_max"] > args.tol_id
+    # tau - L - sigma is a length: --tol-id is in units of sqrt(a)
+    scale = math.sqrt(model.a)
+    bad = doc["residuals"]["tau_action_max"] > args.tol_id * scale
     return EXIT_FAIL if bad else EXIT_PASS
 
 
@@ -301,7 +303,7 @@ def cmd_strip_report(args):
         "fixed_points": [],
         "cal": None,
     }
-    if abs(fl) < sc.FLUX_TOL:
+    if sc.zero_flux(lift, fl):
         doc["cal"] = sc.calabi(lift)
         if lift.sup_distance_to_identity() > sc.IDENTITY_MAP_EPS:
             branch = "negative" if doc["cal"] <= 0.0 else "positive"

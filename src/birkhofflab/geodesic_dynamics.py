@@ -224,7 +224,7 @@ def _flow(model, y0, t_end, tol, rows, times):
     [0, t_end), in time order."""
     hook, blocks = sampler(rows, slice(None), times)
     _, y = integrate_adaptive(
-        geodesic_rhs(model), y0, (0.0, t_end), rtol=tol, atol=tol * 1e-2,
+        geodesic_rhs(model), y0, (0.0, t_end), rtol=tol,
         project=state_projector(model), step_hook=hook)
     return y, blocks
 
@@ -290,7 +290,7 @@ def conjugate_time(model, base, order):
         geodesic_rhs(model, jacobi=True), _augmented_initial(model, base),
         horizon, np.eye(8)[6], target=order * math.pi, n_events=1,
         expected_slopes=(+1,), rtol=_CONJUGATE_TOL,
-        atol=_CONJUGATE_TOL * 1e-2, project=state_projector(model))
+        project=state_projector(model))
     if res.n_found[0] < 1 or res.grazing[0]:
         raise ReturnFailure(
             f"conjugate point of order {order} not reached before t={horizon}")

@@ -116,10 +116,11 @@ class GeneratingGrid:
 
 @dataclass
 class ActionGrid:
-    """Node values of the action sigma of a strip map."""
+    """Node values of the action sigma of a strip map and its flux."""
 
     sigma: np.ndarray          # (nx, ny)
     closure_residual: float
+    flux: float
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,13 @@ def flux(grid):
                                 grid.length) / grid.length
 
 
+def zero_flux(grid, F):
+    """Whether ``F``, the flux of ``grid``, counts as zero: |F| at most
+    ``FLUX_TOL`` in units of L / 2 pi, a scale-free test as the flux scales
+    with the period (|F| <= ``FLUX_TOL`` on a strip of period 2 pi)."""
+    return abs(F) <= FLUX_TOL * grid.length / (2.0 * _PI)
+
+
 def flux_boundary_path(grid):
     """Flux evaluated as the line integral (1/2) of x sin(y) dy along the
     image of the fibre x = 0; cross-validates :func:`flux`."""
@@ -268,16 +276,15 @@ def action(grid):
             f"one-form closure residual {closure:.3g} exceeds "
             f"{IDENTITY_TOL:.3g}; "
             "the map does not preserve the area form")
-    return ActionGrid(sigma=sigma, closure_residual=closure)
+    return ActionGrid(sigma=sigma, closure_residual=closure, flux=F)
 
 
 def calabi(grid, action_grid=None):
-    """Average action (1 / 2L) integral of sigma * omega; requires zero flux."""
-    F = flux(grid)
-    if abs(F) > FLUX_TOL:
-        raise PreconditionError(
-            f"Calabi invariant requires |flux| < {FLUX_TOL:g} (got {F:.3g})")
+    """Average action (1 / 2L) integral of sigma * omega; zero flux only."""
     act = action_grid if action_grid is not None else action(grid)
+    if not zero_flux(grid, act.flux):
+        raise PreconditionError(
+            f"Calabi invariant requires zero flux (got {act.flux:.3g})")
     return 0.5 * strip_integral(act.sigma, grid.xs, grid.ys,
                                 grid.length) / grid.length
 
@@ -468,9 +475,9 @@ def calabi_from_generating(gen, grid):
     """Calabi invariant as (1 / 2L) of the omega-integral of
     W(x, y) + W(x, Y(x, y)); zero-flux maps only."""
     F = flux(grid)
-    if abs(F) > FLUX_TOL:
+    if not zero_flux(grid, F):
         raise PreconditionError(
-            f"Calabi invariant requires |flux| < {FLUX_TOL:g} (got {F:.3g})")
+            f"Calabi invariant requires zero flux (got {F:.3g})")
     total = gen.w + _columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
     return 0.5 * strip_integral(total, grid.xs, grid.ys,
                                 grid.length) / grid.length
@@ -570,8 +577,7 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
     rounding of W's derivatives.  The map read at that point from its own
     grid must fix it to within ``FIXED_TOL``.
     """
-    F = flux(grid)
-    if abs(F) > FLUX_TOL:
+    if not zero_flux(grid, flux(grid)):
         raise PreconditionError("fixed-point theorem requires zero flux")
     if grid.sup_distance_to_identity() <= IDENTITY_MAP_EPS:
         raise PreconditionError("map is numerically the identity")

@@ -48,6 +48,8 @@ ZOLL_SUP_TOL = 1e-5
 # spheroids c = 0.97, 1.03, 1.1 at 32x64, 32x65 and 48x64 (and c = 0.97,
 # 1.03 at 96x96), so a match within ten times it has a margin of nine.
 _LENGTH_MATCH_FACTOR = 10.0
+# The candidate audit's slacks, this one among them, are in units of sqrt(a),
+# the scale of lengths and Clairaut values (1 on every unit model).
 _CLAIRAUT_MATCH = 1e-6
 _PERIMETER_TOL = 1e-6     # slack of the two-gon perimeter bound
 
@@ -80,7 +82,6 @@ class SystolicReport:
     fixed_point: dict
     warnings: list
     grid: object = field(default=None, repr=False)
-    lift: object = field(default=None, repr=False)
 
     @property
     def passed(self):
@@ -91,7 +92,7 @@ class SystolicReport:
 
     def to_dict(self):
         doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("grid", "lift")}
+               if f.name != "grid"}
         doc["candidates"] = [{f.name: getattr(c, f.name) for f in fields(c)
                               if f.name != "orbit"} for c in self.candidates]
         doc["passed"] = self.passed
@@ -124,10 +125,12 @@ def candidate_closed_geodesics(model):
 
 def _push_candidate(cands, label, orbit):
     """Append ``orbit`` unless a listed candidate has its length and
-    Clairaut value; returns the label it is listed under."""
+    Clairaut value, within 1e-8 and 1e-6 times sqrt(a); returns the label
+    it is listed under."""
+    scale = math.sqrt(orbit.model.a)
     for c in cands:
-        if (abs(c.length - orbit.length) < 1e-8
-                and abs(c.clairaut - orbit.clairaut) < 1e-6):
+        if (abs(c.length - orbit.length) < 1e-8 * scale
+                and abs(c.clairaut - orbit.clairaut) < 1e-6 * scale):
             return c.label
     fold = bs.minimal_period_fold(orbit)
     cands.append(CandidateGeodesic(
@@ -137,7 +140,7 @@ def _push_candidate(cands, label, orbit):
     return label
 
 
-def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
+def _fixed_point_candidates(cands, model, grid, cal, tau_action_max,
                             warnings):
     """The report's ``fixed_point`` block, extending ``cands`` by the closed
     geodesics of the fixed-point theorem that no candidate matches.
@@ -148,17 +151,17 @@ def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
     L + sigma* indistinguishable from the base's, so W's sign below that
     floor is rounding noise.  Each fixed point predicts a length L + sigma*
     and a Clairaut value, matched against the candidates within
-    ``_LENGTH_MATCH_FACTOR * tau_action_max`` and ``_CLAIRAUT_MATCH`` (in
-    absolute value: a fixed point may sit on a candidate traversed
+    ``_LENGTH_MATCH_FACTOR * tau_action_max`` and ``_CLAIRAUT_MATCH`` sqrt(a)
+    (in absolute value: a fixed point may sit on a candidate traversed
     backwards).  An unmatched one is shot from its predicted state; a
     candidate that cannot be shot is recorded as unverified.
     """
     block = {"cal": cal, "branches": [], "refused": None}
-    if lift.sup_distance_to_identity() < ZOLL_SUP_TOL:
+    if grid.sup_distance_to_identity() < ZOLL_SUP_TOL:
         block["refused"] = "the return map is the identity"
         return block
     try:
-        gen = sc.generating_from_map(lift)
+        gen = sc.generating_from_map(grid)
     except (PreconditionError, NonIntegrableFormError) as exc:
         block["refused"] = str(exc)
         warnings.append(f"no fixed-point candidates: {exc}")
@@ -180,21 +183,22 @@ def _fixed_point_candidates(cands, model, grid, lift, cal, tau_action_max,
             continue
         try:
             (x, y), sigma = sc.fixed_point_with_signed_action(
-                lift, gen, branch=branch)
+                grid, gen, branch=branch)
         except InternalConsistencyError as exc:
             entry["match"] = f"refused: {exc}"
             if branch == calabi_sign:
                 warnings.append(f"fixed-point theorem failed: {exc}")
             continue
         u, w = grid.section.section_vector(np.array([x]), np.array([y]))
-        length = grid.L + sigma
+        length = grid.length + sigma
         clairaut = gd.clairaut_invariant(model, np.concatenate([u[0], w[0]]))
         entry.update(x=x, y=y, sigma=sigma, length=length, clairaut=clairaut)
         entry["match"] = next(
             (c.label for c in cands
              if abs(c.length - length)
              <= _LENGTH_MATCH_FACTOR * tau_action_max
-             and abs(abs(c.clairaut) - abs(clairaut)) <= _CLAIRAUT_MATCH),
+             and abs(abs(c.clairaut) - abs(clairaut))
+             <= _CLAIRAUT_MATCH * math.sqrt(model.a)),
             None)
         if entry["match"] is None:
             try:
@@ -220,7 +224,7 @@ def two_gon_perimeter_check(model, grid):
     up to ``_PERIMETER_TOL``.
     """
     kmin, _ = mm.curvature_extremes(model)
-    L = grid.L
+    L = grid.length
     larc = grid.tau_plus[:, 1:-1]
     seg1 = grid.rho_plus[:, 1:-1]
     seg2 = L - seg1
@@ -269,7 +273,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     base = min((c for c in cands if c.simple), key=lambda c: c.length)
     section = bs.build_section(model, base.orbit)
     grid = bs.compute_return_grid(section, nx=nx, ny=ny, rtol=rtol)
-    lift, numbers = bs.lift_numbers(grid, model)
+    numbers = bs.lift_numbers(grid, area_val)
     flux_val, cal_val = numbers["flux"], numbers["cal"]
     mono = bs.monotonicity_check(grid)
     if monotone_guaranteed and not mono.monotone:
@@ -278,7 +282,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     sup_id = numbers["sup_distance_to_identity"]
     zoll_flag = sup_id < ZOLL_SUP_TOL
     tau_action_max = numbers["residuals"]["tau_action_max"]
-    fixed_point = _fixed_point_candidates(cands, model, grid, lift, cal_val,
+    fixed_point = _fixed_point_candidates(cands, model, grid, cal_val,
                                           tau_action_max, warnings)
     lengths = [c.length for c in cands if c.primitive]
     l_min = min(lengths)
@@ -317,10 +321,12 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
 
     # No fixed point of the lift may beat the shortest candidate; the
     # negative-action one sits at the global minimum of W, so it is the
-    # shortest.
+    # shortest.  This slack, the Klingenberg one and ``tol_identity`` are
+    # in units of sqrt(a), as tau - L - sigma is a length.
+    scale = math.sqrt(model.a)
     for b in fixed_point["branches"]:
         if (b["branch"] == "negative" and b["length"] is not None
-                and b["length"] < l_min - 1e-5):
+                and b["length"] < l_min - 1e-5 * scale):
             warnings.append(
                 f"fixed point with length {b['length']:.8f} beats the "
                 f"candidate minimum {l_min:.8f}")
@@ -329,11 +335,11 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     _, kmax = mm.curvature_extremes(model)
     kling = _TWO_PI / math.sqrt(kmax)
     for c in cands:
-        if c.length < kling - 1e-6:
+        if c.length < kling - 1e-6 * scale:
             warnings.append(f"candidate {c.label} shorter than the "
                             "curvature bound")
 
-    if residuals["tau_action_max"] > tol_identity:
+    if residuals["tau_action_max"] > tol_identity * scale:
         warnings.append("return-time/action identity residual exceeds "
                         "tolerance")
     if residuals["area_identity_rel"] > tol_verdict:
@@ -347,7 +353,7 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
 
     return SystolicReport(
         metric=mm.to_json(model), delta=delta, area=area_val,
-        section_length=grid.L, l_min=l_min, l_max_simple=l_max_simple,
+        section_length=grid.length, l_min=l_min, l_max_simple=l_max_simple,
         rho_sys=l_min ** 2 / area_val, flux=flux_val, cal=cal_val,
         residuals=residuals, verdicts=verdicts, candidates=cands,
-        fixed_point=fixed_point, warnings=warnings, grid=grid, lift=lift)
+        fixed_point=fixed_point, warnings=warnings, grid=grid)

@@ -49,7 +49,8 @@ def action_from_generating(gen, grid):
     the form that stays regular on the boundary rows."""
     w_at_Y = sc._columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
     sigma = w_at_Y + (grid.X - grid.xs[:, None]) * np.cos(grid.Y)
-    return sc.ActionGrid(sigma=sigma, closure_residual=0.0)
+    return sc.ActionGrid(sigma=sigma, closure_residual=0.0,
+                         flux=sc.flux(grid))
 
 
 def compose_maps(outer, inner):
@@ -66,11 +67,12 @@ def compose_maps(outer, inner):
                            X=Xq, Y=Yq)
 
 
-def action_boundary_identity(grid, lift, action_grid=None):
-    """max |sigma(x, 0) - (tau(x, 0) - L)|: the lower-row action of the
-    zero-flux lift equals the boundary return time minus the base length."""
-    act = action_grid if action_grid is not None else sc.action(lift)
-    return float(np.max(np.abs(act.sigma[:, 0] - (grid.tau[:, 0] - grid.L))))
+def action_boundary_identity(grid, act):
+    """max |sigma(x, 0) - (tau(x, 0) - L)| of the action ``act`` of the
+    return grid ``grid``: the lower-row action of the zero-flux lift equals
+    the boundary return time minus the base length."""
+    return float(np.max(np.abs(act.sigma[:, 0]
+                               - (grid.tau[:, 0] - grid.length))))
 
 
 class UnscreenedEventHook:

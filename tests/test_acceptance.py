@@ -84,7 +84,7 @@ def test_criterion_2_zoll_family(zoll_audits):
             assert abs(rep.area - 4 * PI) / (4 * PI) < 1e-6
             assert rep.residuals["contact_volume_rel"] < 1e-4
             vol = sc.strip_integral(rep.grid.tau, rep.grid.xs, rep.grid.ys,
-                                    rep.grid.L)
+                                    rep.grid.length)
             assert abs(vol - 8 * PI ** 2) / (8 * PI ** 2) < 1e-4
             assert rep.residuals["sup_distance_to_identity"] < 1e-5
             assert rep.verdicts["zoll_flag"]

@@ -110,7 +110,7 @@ class TestSpheroidGrid:
         assert np.max(np.abs(spheroid_grid.tau[:, -1] - expect)) < 1e-9
 
     def test_boundary_lift_values(self, spheroid_grid):
-        L = spheroid_grid.L
+        L = spheroid_grid.length
         expect = TWO_PI * 1.03 - L
         dX = spheroid_grid.X - spheroid_grid.xs[:, None]
         assert np.max(np.abs(dX[:, 0] - expect)) < 1e-9
@@ -197,7 +197,7 @@ class TestEquatorSymmetry:
         # turning points of the rows next to y = pi/2 (orbits passing
         # about 0.017 from the poles), which 64 fixed Gauss nodes miss
         grid = request.getfixturevalue(name)
-        L = grid.L
+        L = grid.length
         for j, y in enumerate(grid.ys):
             tau_plus, tau, rho = _clairaut_oracle(grid.section.model, y)
             if 0 < j < grid.ny - 1:
@@ -451,26 +451,25 @@ class TestLiftAndIdentities:
         assert abs(sc.flux(lift)) < 1e-6
 
     def test_tau_action_identity(self, spheroid_grid):
-        lift = bs.zero_flux_lift(spheroid_grid)
-        act = sc.action(lift)
-        assert bs.verify_tau_action_identity(spheroid_grid, lift, act) < 1e-5
+        act = sc.action(bs.zero_flux_lift(spheroid_grid))
+        assert bs.verify_tau_action_identity(spheroid_grid, act) < 1e-5
 
     def test_area_identity(self, spheroid_grid, spheroid_model):
-        lift = bs.zero_flux_lift(spheroid_grid)
-        assert bs.verify_area_identity(spheroid_grid, lift,
-                                       spheroid_model) < 1e-4
+        cal = sc.calabi(bs.zero_flux_lift(spheroid_grid))
+        assert bs.verify_area_identity(spheroid_grid, cal,
+                                       mm.area(spheroid_model)) < 1e-4
 
     def test_contact_volume(self, round_grid, round_model):
         # round sphere: tau-weighted annulus area is 2 pi * 4 pi = 8 pi^2
         vol = sc.strip_integral(round_grid.tau, round_grid.xs,
-                                round_grid.ys, round_grid.L)
+                                round_grid.ys, round_grid.length)
         assert vol == pytest.approx(8 * math.pi ** 2, rel=1e-6)
-        assert bs.contact_volume_check(round_grid, round_model) < 1e-4
+        assert bs.contact_volume_check(round_grid, mm.area(round_model)) \
+            < 1e-4
 
     def test_action_boundary_identity(self, spheroid_grid):
-        lift = bs.zero_flux_lift(spheroid_grid)
-        act = sc.action(lift)
-        assert ic.action_boundary_identity(spheroid_grid, lift, act) < 1e-6
+        act = sc.action(bs.zero_flux_lift(spheroid_grid))
+        assert ic.action_boundary_identity(spheroid_grid, act) < 1e-6
 
     def test_strongly_oblong_spheroid_breaks_lift_pinning(self):
         # tau at the boundary rows is 2 pi c > 2L for c = 2.5: the advance
@@ -485,6 +484,9 @@ class TestLiftAndIdentities:
         assert bs.curve_self_intersects(pts, closed=False)
         arc = pts[:150]          # short piece is injective
         assert not bs.curve_self_intersects(arc, closed=False)
+
+    def test_lift_is_the_grid(self, spheroid_grid):
+        assert bs.zero_flux_lift(spheroid_grid) is spheroid_grid
 
     def test_return_arcs_injective_when_pinched(self, spheroid_grid):
         bs.check_return_arc_injectivity(spheroid_grid)
@@ -653,9 +655,10 @@ class TestZollGrid:
         assert np.max(np.abs(zoll_grid.tau - TWO_PI)) < 1e-6
 
     def test_calabi_vanishes(self, zoll_grid, zoll_model):
-        lift = bs.zero_flux_lift(zoll_grid)
-        assert abs(sc.calabi(lift)) < 1e-6
-        assert bs.verify_area_identity(zoll_grid, lift, zoll_model) < 1e-4
+        cal = sc.calabi(bs.zero_flux_lift(zoll_grid))
+        assert abs(cal) < 1e-6
+        assert bs.verify_area_identity(zoll_grid, cal,
+                                       mm.area(zoll_model)) < 1e-4
 
 
 class TestJacobiWindow:

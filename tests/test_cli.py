@@ -369,14 +369,16 @@ class TestVerdictCommands:
 
     def test_systolic_verify_rescaled_spheroid_keeps_its_verdicts(
             self, capsys):
-        # X - x enters the identity distance in units of L / 2 pi, so a
-        # small spheroid is neither flagged as Zoll nor warned about
+        # X - x enters the identity distance and the flux enters the
+        # zero-flux test in units of L / 2 pi, and tau - L - sigma the
+        # identity check in units of sqrt(a), so a small spheroid is neither
+        # flagged as Zoll nor warned about, and a large one keeps its lift
         def branches(doc):
             return [(b["branch"], b["match"].split(":")[0])
                     for b in doc["fixed_point"]["branches"]]
 
         docs = []
-        for scale in (1.0, 1e-6, 1e-12):
+        for scale in (1.0, 1e-6, 1e-12, 1e6):
             code, out, err = run(capsys, "systolic-verify", "--metric",
                                  json.dumps({"kind": "rescaled-spheroid",
                                              "c": 1.03, "scale": scale}),
@@ -414,6 +416,17 @@ class TestVerdictCommands:
         assert code == 2
         assert out == ""
         assert err == "error: monotonicity check requires ny >= 64\n"
+
+    def test_return_map_large_spheroid_passes(self, capsys):
+        # the flux is taken in units of L / 2 pi and --tol-id against
+        # tau - L - sigma in units of sqrt(a), so a spheroid scaled by 1e6
+        # keeps its lift and passes, though its residual exceeds 1e-5
+        code, out, err = run(capsys, "return-map", "--metric",
+                             json.dumps({"kind": "rescaled-spheroid",
+                                         "c": 1.03, "scale": 1e6}),
+                             "--nx", "16", "--ny", "33")
+        assert code == 0, err
+        assert json.loads(out)["residuals"]["tau_action_max"] > 1e-5
 
     def test_return_map_refused_below_threshold(self, capsys):
         code, _, _ = run(capsys, "return-map", "--metric", FAT,

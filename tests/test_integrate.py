@@ -25,7 +25,7 @@ class TestStepper:
     def test_harmonic_oscillator_accuracy(self):
         y0 = np.array([[1.0, 0.0], [0.0, 2.0]])
         t, y = integrate_adaptive(oscillator, y0, (0.0, 2 * math.pi),
-                                     rtol=1e-10, atol=1e-12)
+                                     rtol=1e-10)
         assert np.max(np.abs(y - y0)) < 1e-9
 
     def test_per_orbit_error_control(self):
@@ -42,7 +42,7 @@ class TestStepper:
         y0 = np.column_stack([np.ones(2), np.zeros(2), omegas])
         t_end = 2 * math.pi
         t, y = integrate_adaptive(mixed, y0, (0.0, t_end),
-                                     rtol=1e-10, atol=1e-12)
+                                     rtol=1e-10)
         exact = np.cos(omegas * t_end)
         assert np.max(np.abs(y[:, 0] - exact)) < 1e-8
 
@@ -54,12 +54,12 @@ class TestStepper:
             starts.append((t, h, y_old.copy()))
 
         integrate_adaptive(oscillator, y0, (0.0, 3.0), rtol=1e-10,
-                           atol=1e-12, step_hook=record)
+                           step_hook=record)
         t, h, y_start = starts[len(starts) // 2]
         tq = t + 0.37 * h
         hook, blocks = sampler([0], slice(None), np.array([t, tq]))
         integrate_adaptive(oscillator, y0, (0.0, 3.0), rtol=1e-10,
-                           atol=1e-12, step_hook=hook)
+                           step_hook=hook)
         (at_start, mid), = blocks
         assert np.max(np.abs(at_start - y_start)) < 1e-12
         assert abs(mid[0, 0] - math.cos(tq)) < 1e-10
@@ -72,7 +72,7 @@ class TestStepper:
         def samples(rows):
             hook, blocks = sampler(rows, slice(None), tq)
             integrate_adaptive(oscillator, y0, (0.0, 3.0), rtol=1e-10,
-                               atol=1e-12, step_hook=hook)
+                               step_hook=hook)
             return np.concatenate(blocks)
 
         full = samples(np.arange(len(y0)))
@@ -111,8 +111,7 @@ class TestStepper:
             last(t, h, y_old, stages, y_new)
 
         t, y = integrate_adaptive(fun, y0, (0.0, 3.0), rtol=1e-10,
-                                  atol=1e-12, project=project,
-                                  step_hook=hook)
+                                  project=project, step_hook=hook)
         assert t == 3.0
         assert y.shape == y0.shape
         assert set(seen["fun"]) == {((n, d), n)}
@@ -133,7 +132,7 @@ class TestStepper:
 
         with pytest.raises(IntegrationFailure) as info:
             integrate_adaptive(blowup, np.array([[1.0]]), (0.0, 2.0),
-                               rtol=1e-10, atol=1e-12)
+                               rtol=1e-10)
         assert info.value.last_state is not None
         assert info.value.t < 2.0
 
@@ -199,7 +198,7 @@ class TestEventSweep:
         res = sweep_linear_events(oscillator, y0, 10.0,
                                   np.array([1.0, 0.0]), n_events=2,
                                   expected_slopes=(-1, +1),
-                                  rtol=1e-11, atol=1e-13)
+                                  rtol=1e-11)
         assert np.all(res.n_found == 2)
         assert np.max(np.abs(res.t_events[:, 0] - math.pi / 2)) < 1e-10
         assert np.max(np.abs(res.t_events[:, 1] - 3 * math.pi / 2)) < 1e-10
@@ -208,7 +207,7 @@ class TestEventSweep:
         y0 = np.array([[1.0, 0.0]])
         res = sweep_linear_events(oscillator, y0, 10.0,
                                   np.array([1.0, 0.0]), n_events=1,
-                                  rtol=1e-11, atol=1e-13)
+                                  rtol=1e-11)
         # at the crossing the velocity is -sin(pi/2) = -1
         assert res.y_events[0, 0, 1] == pytest.approx(-1.0, abs=1e-10)
 
@@ -219,7 +218,7 @@ class TestEventSweep:
         res = sweep_linear_events(oscillator, y0, 10.0,
                                   np.array([1.0, 0.0]), n_events=1,
                                   expected_slopes=(-1,),
-                                  rtol=1e-11, atol=1e-13)
+                                  rtol=1e-11)
         assert res.n_found[0] == 1
         assert res.t_events[0, 0] == pytest.approx(math.pi, abs=1e-10)
 
@@ -233,7 +232,7 @@ class TestEventSweep:
 
         y0 = np.array([[1.0 + 1e-12, -2.0]])
         res = sweep_linear_events(parabola, y0, 3.0, np.array([1.0, 0.0]),
-                                  n_events=1, rtol=1e-10, atol=1e-14)
+                                  n_events=1, rtol=1e-10)
         assert res.grazing[0]
         assert res.n_found[0] == 0
 
@@ -248,7 +247,7 @@ class TestEventSweep:
 
         y0 = np.array([[1.5, -2.0]])
         res = sweep_linear_events(parabola, y0, 3.0, np.array([1.0, 0.0]),
-                                  n_events=1, rtol=1e-10, atol=1e-14)
+                                  n_events=1, rtol=1e-10)
         assert not res.grazing[0]
         assert res.n_found[0] == 0
 
@@ -324,15 +323,14 @@ def step_log(monkeypatch):
 class TestBatchedEventLocation:
     N_EVENTS = 3
 
-    def sweep(self, y0, rtol, atol):
+    def sweep(self, y0, rtol):
         return sweep_linear_events(phase_oscillators, y0, 30.0, LEVEL_EVENT,
-                                   n_events=self.N_EVENTS, rtol=rtol,
-                                   atol=atol)
+                                   n_events=self.N_EVENTS, rtol=rtol)
 
     def test_closed_form_with_double_and_boundary_crossings(self, step_log):
         y0, omega, phi, c = mixed_batch(np.random.default_rng(5), 12, 12, 6,
                                         peak_level=0.002)
-        self.sweep(y0, 1e-13, 1e-15)
+        self.sweep(y0, 1e-13)
         grid = np.array(step_log)
         # Slow rows crossing x = 0 exactly at step boundaries of that run;
         # they leave the step controller of the faster rows unchanged.
@@ -340,7 +338,7 @@ class TestBatchedEventLocation:
         assert np.all((0.0 < t_b) & (t_b < 6.0))
         boundary = oscillator_rows(0.5, math.pi / 2 - 0.5 * t_b, 0.0)
         step_log.clear()
-        res = self.sweep(np.vstack([y0, boundary]), 1e-13, 1e-15)
+        res = self.sweep(np.vstack([y0, boundary]), 1e-13)
         assert step_log[:len(grid)] == [tuple(s) for s in grid]
         omega = np.concatenate([omega, np.full(len(t_b), 0.5)])
         phi = np.concatenate([phi, math.pi / 2 - 0.5 * t_b])
@@ -371,7 +369,7 @@ class TestBatchedEventLocation:
         phi_away = np.sign(c_away) * np.arccos(c_away)
         away = oscillator_rows(1.05, phi_away, c_away)
         away[:, 0] = c_away
-        res = self.sweep(np.vstack([y0, away]), 1e-13, 1e-15)
+        res = self.sweep(np.vstack([y0, away]), 1e-13)
         omega = np.concatenate([omega, [1.05, 1.05]])
         phi = np.concatenate([phi, phi_away])
         c = np.concatenate([c, c_away])
@@ -385,10 +383,10 @@ class TestBatchedEventLocation:
     def test_event_states_match_one_orbit_sweeps(self):
         y0, *_ = mixed_batch(np.random.default_rng(8), 6, 4, 4,
                              peak_level=0.03)
-        batch = self.sweep(y0, 1e-10, 1e-12)
+        batch = self.sweep(y0, 1e-10)
         assert np.all(batch.n_found == self.N_EVENTS)
         for i in range(len(y0)):
-            one = self.sweep(y0[i:i + 1], 1e-10, 1e-12)
+            one = self.sweep(y0[i:i + 1], 1e-10)
             assert one.n_found[0] == self.N_EVENTS
             np.testing.assert_allclose(batch.t_events[i], one.t_events[0],
                                        rtol=0, atol=1e-8)
@@ -409,7 +407,7 @@ class TestSampling:
         def sweep(sample=None):
             return sweep_linear_events(phase_oscillators, y0, 30.0,
                                        LEVEL_EVENT, n_events=3, rtol=1e-12,
-                                       atol=1e-14, sample=sample)
+                                       sample=sample)
 
         plain = sweep()
         steps = list(step_log)
@@ -448,7 +446,7 @@ class TestPerRowEvents:
         res = sweep_linear_events(
             phase_oscillators, oscillator_rows(omega, phi, 0.0), 30.0,
             weights, target=level, n_events=np.where(on_p, 1, 3),
-            rtol=1e-13, atol=1e-15)
+            rtol=1e-13)
         assert np.all(res.n_found == 3)
         assert not res.grazing.any()
         for i in range(9):
@@ -471,7 +469,7 @@ class TestPerRowEvents:
                                   np.array([[1.0, 0.0], [0.0, 1.0]]),
                                   target=0.5, n_events=np.array([2, 1]),
                                   expected_slopes=(-1, +1),
-                                  rtol=1e-12, atol=1e-14)
+                                  rtol=1e-12)
         assert np.all(res.n_found == 2)
         assert not res.grazing.any()
         np.testing.assert_allclose(res.t_events[0], [math.pi / 3,
@@ -553,7 +551,7 @@ class TestNearLevelScreen:
         y0 = np.vstack([y0, grazing_rows(gaps),
                         grazing_rows(gaps, amplitude=1e-8)])
         res = with_reference(phase_oscillators, y0, 30.0, LEVEL_EVENT,
-                             n_events=3, rtol=1e-13, atol=1e-15)
+                             n_events=3, rtol=1e-13)
         assert_same_events(with_reference.pairs)
         # the peaks inside GRAZE_TOL are flagged, those beyond it are not
         assert np.array_equal(res.grazing[-16:], np.tile(gaps < GRAZE_TOL, 2))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,15 @@ class TestCandidates:
         cands = sa.candidate_closed_geodesics(zoll_model)
         for c in cands:
             assert c.length == pytest.approx(TWO_PI, abs=1e-6)
+
+    def test_tiny_spheroid_keeps_both_candidates(self):
+        # lengths and Clairaut values scale as sqrt(a) = 1e-8 here, so the
+        # equator and the meridian differ by less than absolute slacks of
+        # 1e-8 and 1e-6 would resolve; slacks in units of sqrt(a) keep both
+        model = mm.from_json({"kind": "rescaled-spheroid", "c": 1.03,
+                              "scale": 1e-16})
+        cands = sa.candidate_closed_geodesics(model)
+        assert [c.label for c in cands] == ["equator", "meridian"]
 
 
 @contextlib.contextmanager
@@ -102,7 +112,8 @@ class TestFixedPointCandidates:
         assert rep.cal > 0 and b["branch"] == "positive"
         assert b["y"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert b["match"] == "meridian"
-        assert b["length"] == pytest.approx(rep.grid.L + b["sigma"], abs=0)
+        assert b["length"] == pytest.approx(rep.grid.length + b["sigma"],
+                                            abs=0)
         assert abs(b["clairaut"]) < 1e-6
         assert [c.label for c in rep.candidates] == ["equator", "meridian"]
         assert not rep.warnings
@@ -115,7 +126,7 @@ class TestFixedPointCandidates:
         rep, _ = oblate_65
         b = _branch(rep, True)
         assert b["match"] == "equator"
-        assert b["x"] == pytest.approx(rep.grid.L / 2, abs=1e-3)
+        assert b["x"] == pytest.approx(rep.grid.length / 2, abs=1e-3)
         assert b["clairaut"] == pytest.approx(-1.0, abs=1e-9)
         assert b["length"] == pytest.approx(TWO_PI, abs=1e-7)
 
@@ -143,7 +154,7 @@ class TestFixedPointCandidates:
         warnings = []
         with _shooting_flows() as flows:
             block = sa._fixed_point_candidates(
-                cands, spheroid_model, rep.grid, rep.lift, rep.cal,
+                cands, spheroid_model, rep.grid, rep.cal,
                 rep.residuals["tau_action_max"], warnings)
         # one 3-row flow per Gauss-Newton step, the seed's own the first
         assert flows[0] <= 6
@@ -168,7 +179,7 @@ class TestFixedPointCandidates:
                  if c.label == "equator"]
         warnings = []
         block = sa._fixed_point_candidates(
-            cands, model, rep.grid, rep.lift, rep.cal,
+            cands, model, rep.grid, rep.cal,
             rep.residuals["tau_action_max"], warnings)
         b = block["branches"][0]
         assert b["match"].startswith("unverified: ")
@@ -189,7 +200,7 @@ class TestFixedPointCandidates:
         cands = sa.candidate_closed_geodesics(spheroid_model)
         warnings = []
         block = sa._fixed_point_candidates(
-            cands, spheroid_model, rep.grid, rep.lift, rep.cal,
+            cands, spheroid_model, rep.grid, rep.cal,
             rep.residuals["tau_action_max"], warnings)
         assert block["branches"] == []
         assert "monotone" in block["refused"]
@@ -207,7 +218,7 @@ class TestFixedPointCandidates:
         lift = sc.StripMapGrid(length=base.length, xs=base.xs, ys=base.ys,
                                X=base.X, Y=Y)
         warnings = []
-        block = sa._fixed_point_candidates([], None, None, lift, 0.0, 1e-9,
+        block = sa._fixed_point_candidates([], None, lift, 0.0, 1e-9,
                                            warnings)
         assert block["branches"] == []
         assert block["refused"].startswith("column 0 of the map is not")
@@ -217,6 +228,28 @@ class TestFixedPointCandidates:
         fp = round_report.fixed_point
         assert fp["branches"] == [] and fp["refused"]
         assert round_report.to_dict()["fixed_point"] is fp
+
+    @pytest.mark.parametrize("audit", ["prolate_65", "oblate_65"])
+    def test_lift_does_not_write_into_the_grid(self, audit, request):
+        # the zero-flux lift is the return grid itself, so the strip
+        # calculus shares its xs, ys, X and Y: on read-only copies of them
+        # the lift numbers and the fixed-point block are the audit's
+        rep, _ = request.getfixturevalue(audit)
+        arrays = {k: getattr(rep.grid, k).copy() for k in ("xs", "ys", "X",
+                                                            "Y")}
+        for a in arrays.values():
+            a.setflags(write=False)
+        grid = dataclasses.replace(rep.grid, **arrays)
+        numbers = bs.lift_numbers(grid, rep.area)
+        assert numbers["cal"] == rep.cal
+        assert numbers["residuals"].items() <= rep.residuals.items()
+        model = grid.section.model
+        warnings = []
+        block = sa._fixed_point_candidates(
+            sa.candidate_closed_geodesics(model), model, grid,
+            numbers["cal"], numbers["residuals"]["tau_action_max"], warnings)
+        assert block == rep.fixed_point
+        assert warnings == rep.warnings == []
 
     @pytest.mark.parametrize("audit", ["prolate_65", "oblate_65"])
     def test_one_shooting_flow_per_audit(self, audit, request):
