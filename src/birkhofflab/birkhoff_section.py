@@ -3,19 +3,17 @@
 The annulus over a closed geodesic gamma consists of the unit tangent
 vectors based on gamma that point into one of the two disks it bounds,
 charted by (x, y): x the arc parameter along gamma, y the angle from
-gamma'(x).  All base geodesics handled here lie on a plane through the
-origin of the chart sphere (the equator and the meridians of a revolution
-metric, and every geodesic of the round one), so hits of the flowed orbit
-on the annulus are roots of the scalar height u . n, with n the plane
-normal: downward crossings land on the opposite annulus, upward crossings
-return to the original one.
+gamma'(x).  A section's base lies on a plane through the origin of the
+chart sphere, so hits of the flowed orbit on the annulus are roots of the
+scalar height u . n, with n the plane normal: downward crossings land on
+the opposite annulus, upward crossings return to the original one.  A
+return grid needs the equator or a meridian as its base.
 
 The first-return data (X, Y, tau) is assembled on a periodic-by-closed grid
-over [0, L) x [0, pi].  Swept boundary rows ride in the same return sweeps
-as interior nodes, their event being the Jacobi angle reaching 2 pi:
-there the return time is the second conjugate time along gamma (forward
-along the lower row, backward along the upper one) and the footpoint advance
-equals that time, which pins the lift
+over [0, L) x [0, pi].  On the boundary rows the orbit runs along gamma
+and the return time is the second conjugate time (forward along the lower
+row, backward along the upper one); the footpoint advance equals that time,
+which pins the lift
 
     X = x + rho - L,     rho = rho_plus + rho_minus in [0, 2L),
 
@@ -23,22 +21,13 @@ whose flux vanishes.  Each leg advance rho_{+,-} is the unique arc-position
 representative in [0, L); this is well defined because each leg of the
 return arc is injective when the curvature is pinched above 1/4, which is
 what the sampled self-intersection test in :func:`zero_flux_lift` checks.
-Its legs come from the return sweep, which samples a few seeded orbits as
-it steps (see :func:`_equator_returns` and :func:`_symmetric_returns`).
 
-Every model is a surface of revolution about e3.  Over the equator,
-Clairaut's integral makes the return map an x-invariant shear
-(x, y) -> (x + rho(y) - L, y), and :func:`compute_return_grid` fills every
-field from 1-D quadratures in y; it integrates only a few seeded check
-nodes, which must repeat the quadrature and whose arcs the arc check
-samples.  Over a meridian, isometries that map the annulus onto itself
-commute with the return map: on a surface symmetric under z -> -z, a
-reflection and, for an even number of grid columns, a half turn.  The
-return grid integrates a fundamental domain of that group plus a few seeded
-check nodes, verifies the check nodes against the group's field laws and
-fills the grid from the domain.  Every other base (a meridian of a surface
-without that symmetry, a great circle of the round sphere tilted against
-the axis) gets the trivial group, whose domain is every grid node.
+Every model is a surface of revolution about e3, so Clairaut's integral
+turns each return into 1-D quadratures, and :func:`compute_return_grid`
+fills every field from them, over the equator (where the return map is an
+x-invariant shear) and over a meridian alike.  It integrates only a few
+seeded check nodes, which must repeat the quadrature and whose return arcs
+the arc check samples (see :func:`_check_nodes`).
 """
 
 from __future__ import annotations
@@ -60,11 +49,6 @@ from .errors import (InternalConsistencyError, PinchingViolationError,
 
 _TWO_PI = 2.0 * math.pi
 
-# Most orbits integrated in one return sweep.  A sweep holds the stages and
-# events of all its orbits at once, so its memory grows with its size; the
-# oblate audit's 2,400-orbit sweep (the 96 x 96 meridian domain, boundary
-# rows included, and its checks) is the peak accepted against `peak_rss_mb`.
-_SWEEP_ORBITS = 2400
 _AXIS_TILT = 1e-12         # largest misalignment of a normal with the axis
 _GRID_FIELDS = ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle", "jac_du")
 # Return-sweep horizon in units of 2 pi / sqrt(min K).
@@ -80,6 +64,18 @@ MONOTONE_CROSSCHECK_TOL = 1e-4   # |D2 Y - jac_du| bound of the report
 # Least relative error expected of a sweep at any rtol: rounding over its
 # steps leaves about 1e-12 of L (X - x is 7e-12 off on a spheroid c = 1.99).
 _SWEEP_FLOOR = 1e-11
+# Meridian-base quadrature (see _meridian_returns): the first and the last
+# sample count of a node's Fourier series, the coefficient size, in units
+# of sqrt(a), below which a series counts as decayed to rounding, the grid
+# nodes whose series are held at once (2.2 MB traced at 64 samples, below
+# the lift's share of an audit's peak memory), and Newton's iterations
+# (enough for bisection alone to reach rounding) and the step, in radians,
+# that ends them.
+_SERIES_SAMPLES = (16, 1024)
+_SERIES_TOL = 1e-15
+_QUADRATURE_NODES = 256
+_NEWTON_ITERATIONS = 60
+_NEWTON_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +399,24 @@ def _returns(section, xs, ys, rtol, arc=()):
     return out
 
 
+def _excess(model):
+    """The excess (sqrt(E) - sqrt(a)) / (1 - z^2) = b / (sqrt(E) + sqrt(a))
+    of the meridian speed over the round sphere's, and its z-derivative, as
+    functions of the height z: smooth on [-1, 1] for every model."""
+    ra = math.sqrt(model.a)
+    speed = model.meridian_speed
+
+    def excess(z):
+        return model.b(z) / (speed(z) + ra)
+
+    def excess_prime(z):
+        r = speed(z)
+        return (model.bprime(z) / (r + ra) - model.b(z)
+                * model.profile_E_prime(z) / (2.0 * r * (r + ra) ** 2))
+
+    return excess, excess_prime
+
+
 def _clairaut_rows(section, ys):
     """Return-data rows over the equator at the angles ``ys``, by Clairaut
     quadrature (see :func:`compute_return_grid`): a dict of (len(ys),)
@@ -412,16 +426,11 @@ def _clairaut_rows(section, ys):
     one whose advance escapes (0, 2L) raises
     :class:`PinchingViolationError`."""
     model, L = section.model, section.length
-    ra = math.sqrt(model.a)
     speed = model.meridian_speed
-
-    def excess(z):      # (sqrt(E) - sqrt(a)) / (1 - z^2)
-        return model.b(z) / (speed(z) + ra)
+    excess, excess_prime = _excess(model)
 
     def z_excess_prime(z):
-        r = speed(z)
-        return z * (model.bprime(z) / (r + ra) - model.b(z)
-                    * model.profile_E_prime(z) / (2.0 * r * (r + ra) ** 2))
+        return z * excess_prime(z)
 
     along = np.isin(ys, (0.0, math.pi))
     s, cy = np.sin(ys), np.cos(ys)
@@ -446,26 +455,281 @@ def _clairaut_rows(section, ys):
             "jac_du": np.ones(len(ys))}
 
 
-def _equator_returns(section, xs, ys, rtol):
+def _equator_returns(section, xs, ys):
     """Return-data arrays of shape (len(xs), len(ys)) over the equator:
-    every column is the :func:`_clairaut_rows`, X shifted by x.
-
-    ``_ARC_NODES`` interior nodes, drawn by a seeded generator without
-    replacement, are integrated in one sweep that samples their return
-    arcs (see :func:`_returns`); ``arc_legs`` lists them.  Each must repeat
-    the quadrature, or :class:`InternalConsistencyError` is raised: X - x,
-    tau, tau_plus and rho_plus within tol L and Y within tol pi,
-    tol = max(rtol, ``_SWEEP_FLOOR``); the Jacobi fields within
-    ``MONOTONE_CROSSCHECK_TOL`` max(r, 1 / r), with r = sqrt(a), as the
-    sweep's polar Jacobi equation is not scale-free (on round spheres of
-    radius r its angle errs by up to about 55 rtol r for r from 30 to 1e5,
-    jac_du by about 200 rtol at r = 1e-4).  The rotations about the axis
-    map a node's return arc onto those of its row, so each sampled arc
-    stands for its row."""
-    nx, ny, L = len(xs), len(ys), section.length
+    every column is the :func:`_clairaut_rows`, X shifted by x.  The
+    rotations about the axis map the annulus onto itself and commute with
+    the return map, so its fields other than X do not depend on x."""
+    nx, L = len(xs), section.length
     rows = _clairaut_rows(section, ys)
     out = {k: np.tile(rows[k], (nx, 1)) for k in _GRID_FIELDS[1:]}
     out["X"] = xs[:, None] + (rows["rho"] - L)
+    return out
+
+
+def _antiderivatives(integrands, P, Q, scale, n):
+    """For each sample array that ``integrands(z, eta)`` yields, one at a
+    time, and each node (P[i], Q[i]), the antiderivative from 0 of that
+    integrand along z = P cos(eta) + Q sin(eta); and the sample count it
+    took.  Each integrand is smooth and 2 pi-periodic, so its antiderivative
+    is the mean times eta plus a Fourier series, read off one FFT of ``n``
+    uniform samples per node.  The count doubles until
+    every coefficient of the upper half of the band lies below
+    ``_SERIES_TOL`` ``scale``, the coefficients below it are dropped, and
+    a series not decayed at the last of ``_SERIES_SAMPLES`` raises
+    :class:`InternalConsistencyError`.  The result ``anti(k, eta)``
+    evaluates series k at one eta per node (Horner's rule in e^{i eta})."""
+    tol = _SERIES_TOL * scale
+    while True:
+        eta = np.arange(n) * (_TWO_PI / n)
+        z = (np.multiply.outer(P, np.cos(eta))
+             + np.multiply.outer(Q, np.sin(eta)))
+        coef = [np.fft.rfft(f, norm="forward") for f in integrands(z, eta)]
+        band = np.max([np.max(np.abs(c), axis=0) for c in coef], axis=0)
+        if np.max(band[n // 4:]) <= tol:
+            break
+        if n >= _SERIES_SAMPLES[1]:
+            raise InternalConsistencyError(
+                f"the Clairaut quadrature's Fourier series has not decayed "
+                f"to {tol:.3g} at {n} samples")
+        n *= 2
+    m = np.arange(1, max(2, np.flatnonzero(band > tol)[-1] + 1))
+    mean = [c[:, 0].real for c in coef]
+    series = [np.ascontiguousarray((c[:, m] * (2.0 / (1j * m))).T)
+              for c in coef]
+    offset = [c.real.sum(axis=0) for c in series]
+
+    def anti(k, eta):
+        e = np.exp(1j * eta)
+        acc = series[k][-1] * e
+        for c in series[k][-2::-1]:
+            acc += c
+            acc *= e
+        return mean[k] * eta + acc.real - offset[k]
+
+    return anti, n
+
+
+def _integrands(model):
+    """The integrands of a meridian quadrature at heights z and angles eta,
+    one at a time: sqrt(E), whose antiderivative is t; the excess (see
+    :func:`_excess`); and excess' sin(eta), its derivative in Q."""
+    speed = model.meridian_speed
+    excess, excess_prime = _excess(model)
+
+    def integrands(z, eta):
+        yield speed(z)
+        yield excess(z)
+        yield excess_prime(z) * np.sin(eta)
+
+    return integrands
+
+
+def _launch(section, x, y):
+    """Clairaut data of the annulus vectors at (x, y) over a meridian, from
+    their states projected as a sweep projects them: the height P, and
+    Q = sqrt(E) dz/dt, so that the orbit's height is P cos(eta) +
+    Q sin(eta) with dt = sqrt(E) d eta; the Clairaut value in units of
+    sqrt(a), kappa = C / sqrt(a); the y-derivatives of Q and kappa; the
+    azimuth phi of the base point."""
+    model = section.model
+    ra = math.sqrt(model.a)
+    u, t, p = section.frames(x)
+    c, s = np.cos(y)[:, None], np.sin(y)[:, None]
+    state = gd.state_projector(model)(np.hstack([u, c * t + s * p]))
+    u, w = state[:, 0:3], state[:, 3:6]
+    dw = c * p - s * t
+    dw -= np.sum(u * dw, axis=1)[:, None] * u
+    speed = model.meridian_speed(u[:, 2])
+    kappa = ra * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    dkappa = ra * (u[:, 0] * dw[:, 1] - u[:, 1] * dw[:, 0])
+    return (u[:, 2], speed * w[:, 2], kappa, speed * dw[:, 2], dkappa,
+            np.arctan2(u[:, 1], u[:, 0]))
+
+
+def _orbit_height(P, Q, turns, d):
+    """Height z and dz/d eta of the orbits at eta = turns pi + d."""
+    sign = -1.0 if turns % 2 else 1.0
+    c, s = np.cos(d), np.sin(d)
+    return sign * (P * c + Q * s), sign * (Q * c - P * s)
+
+
+def _meridian_interior(section, x, y, n):
+    """Return-data arrays of the interior nodes (x, y) over a meridian (see
+    :func:`_meridian_returns`) and the series' sample count."""
+    model, L = section.model, section.length
+    ra = math.sqrt(model.a)
+    speed = model.meridian_speed
+    P, Q, kappa, dQ, dkappa, phi = _launch(section, x, y)
+    k, dk = np.abs(kappa), np.sign(kappa) * dkappa
+    s2 = P * P + Q * Q
+    anti, n = _antiderivatives(_integrands(model), P, Q, ra, n)
+
+    def great_circle(d):
+        """eta - turns pi where the great circle's azimuth has advanced by
+        turns pi + d (|d| < pi)."""
+        return np.arctan2((k * k * P * P + Q * Q) * np.sin(d),
+                          s2 * (k * np.cos(d) + P * Q * np.sin(d)))
+
+    def root(turns):
+        d = np.zeros(len(x))
+        for _ in range(_NEWTON_ITERATIONS):
+            g = great_circle(d)
+            z, _ = _orbit_height(P, Q, turns, g)
+            # the derivative in chi, 1 + excess (1 - z^2) / sqrt(a)
+            step = (d + k / ra * anti(1, turns * math.pi + g)) * ra / speed(z)
+            d -= step
+            if np.max(np.abs(step)) <= _NEWTON_TOL:
+                break
+        else:
+            raise InternalConsistencyError(
+                "Newton's method found no meridian crossing in "
+                f"{_NEWTON_ITERATIONS} steps")
+        if np.max(np.abs(d)) >= math.pi:
+            raise InternalConsistencyError(
+                "a meridian crossing lies a half turn off the great circle's")
+        return great_circle(d)
+
+    def state(z, q, azimuth):
+        rho = np.hypot(k, q)             # sqrt(1 - z^2), exact at the poles
+        zdot = q / speed(z)
+        rdot, spin = -z * zdot / rho, kappa / (ra * rho)
+        c, s = np.cos(azimuth), np.sin(azimuth)
+        return (np.column_stack([rho * c, rho * s, z]),
+                np.column_stack([rdot * c - spin * s, rdot * s + spin * c,
+                                 zdot]), rho)
+
+    g1, g2 = root(1), root(2)
+    z1, q1 = _orbit_height(P, Q, 1, g1)
+    z2, q2 = _orbit_height(P, Q, 2, g2)
+    u1, _, _ = state(z1, q1, phi + math.pi)
+    u2, w2, rho2 = state(z2, q2, phi)
+    x1, x2 = section.footpoint(u1), section.footpoint(u2)
+    rho_plus = (x1 - x) % L
+    Y = section.angles_of(x2, w2)
+    # y-derivatives of the return: implicit in the azimuth equation
+    # F(eta; Q, k) = 0 at fixed P, with F_eta = k sqrt(E) / (sqrt(a) rho^2)
+    eta2 = _TWO_PI + g2
+    rho0_sq = k * k + Q * Q
+    F_Q = (-P * k * (Q - q2) * (Q + q2) / (s2 * rho0_sq * rho2 ** 2)
+           + k / ra * anti(2, eta2))
+    F_k = (z2 * q2 / rho2 ** 2 - P * Q / rho0_sq) / s2 + anti(1, eta2) / ra
+    deta = -(F_Q * dQ + F_k * dk) * rho2 ** 2 * ra / (k * speed(z2))
+    dz2 = np.sin(g2) * dQ + q2 * deta
+    dq2 = np.cos(g2) * dQ - z2 * deta
+    drho2 = (k * dk + q2 * dq2) / rho2
+    du = np.column_stack([drho2 * np.cos(phi), drho2 * np.sin(phi), dz2])
+    dX = model.dot(u2, du, section.frames(x2)[1])
+    dY = (kappa * dq2 - q2 * dkappa) / rho2 ** 2
+    return {"X": x + rho_plus + (x2 - x1) % L - L, "Y": Y,
+            "tau": anti(0, eta2), "tau_plus": anti(0, math.pi + g1),
+            "rho_plus": rho_plus,
+            "jac_angle": _TWO_PI + np.arctan(-np.sin(Y) * dX / dY),
+            "jac_du": dY}, n
+
+
+def _meridian_boundary(section, x, y, n):
+    """Return-data arrays of the boundary nodes (x, y) over a meridian (see
+    :func:`_meridian_returns`) and the series' sample count."""
+    model, L = section.model, section.length
+    ra = math.sqrt(model.a)
+    speed = model.meridian_speed
+    excess, _ = _excess(model)
+    P, Q, *_ = _launch(section, x, y)
+    anti, n = _antiderivatives(_integrands(model), P, Q, ra, n)
+
+    def jacobi(d):
+        """The Jacobi field vanishing at launch, sqrt(a) sin(eta) +
+        q Q Ex(eta), and its eta-derivative at eta = 2 pi + d."""
+        z, q = _orbit_height(P, Q, 2, d)
+        ex = anti(1, _TWO_PI + d)
+        return (ra * np.sin(d) + q * Q * ex,
+                ra * np.cos(d) + Q * (q * excess(z) - z * ex), z)
+
+    # J1 vanishes where q does, at the poles.  By Sturm's separation
+    # theorem the second zero of J after launch is its only one between
+    # the pole passages at eta = 2 pi + lo and 2 pi + hi, lo = hi - pi,
+    # where J <= 0 and J >= 0; Newton's method keeps to that bracket,
+    # bisecting where a step leaves it.
+    hi = np.mod(np.arctan2(Q, P), math.pi)
+    lo, d = hi - math.pi, np.minimum(hi, 0.0)
+    for _ in range(_NEWTON_ITERATIONS):
+        J, dJ, _ = jacobi(d)
+        lo, hi = np.where(J < 0.0, d, lo), np.where(J > 0.0, d, hi)
+        new = d - J / dJ
+        new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        step, d = new - d, new
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    else:
+        raise InternalConsistencyError(
+            "Newton's method found no conjugate point in "
+            f"{_NEWTON_ITERATIONS} steps")
+    _, dJ, z = jacobi(d)
+    tau = anti(0, _TWO_PI + d)
+    rho = np.where(y == math.pi, 2.0 * L - tau, tau)
+    _require_boundary_advance(rho, np.ones(len(x), dtype=bool), L)
+    nan = np.full(len(x), np.nan)
+    return {"X": x + rho - L, "Y": y, "tau": tau, "tau_plus": nan,
+            "rho_plus": nan, "jac_angle": np.full(len(x), _TWO_PI),
+            "jac_du": dJ / speed(z)}, n
+
+
+def _meridian_returns(section, xs, ys):
+    """Return-data arrays of shape (len(xs), len(ys)) over a meridian, by
+    Clairaut quadrature node by node (see :func:`compute_return_grid`).
+
+    Each node's orbit has the Clairaut value C = sqrt(a) kappa of its
+    launch, k = |kappa| and s = sqrt(1 - k^2); with z = s sin(psi) and
+    psi = psi0 + eta, t and the azimuth phi are
+
+        t = integral of sqrt(E(z)) d eta,
+        phi - phi0 = sign(C) (chi(eta) + k / sqrt(a) Ex(eta)),
+
+    where chi is the great circle's azimuth, atan(k tan psi) - atan(k tan
+    psi0), in closed form, and Ex the antiderivative of the equator's
+    excess b / (sqrt(E) + sqrt(a)) (see :func:`_antiderivatives`).  Newton's
+    method in chi, whose derivative is sqrt(E(z) / a), gives the crossing of
+    the base plane (|phi - phi0| = pi) and the return (2 pi); their states
+    go through :meth:`BirkhoffSection.footpoint` and
+    :meth:`~BirkhoffSection.angles_of` as in :func:`_returns`.  jac_du is
+    dY/dy and jac_angle 2 pi + atan(-sin Y (dX/dy) / (dY/dy)), both from
+    the exact y-derivative of the return.
+
+    On the boundary rows the orbit is the base (C = 0): along it the
+    rotation about the axis gives the Jacobi field J1 = sqrt(a) sin(theta),
+    so the one vanishing at launch, J1 times the integral of dt / J1^2, is
+    sqrt(a) sin(eta) + q Q Ex(eta) with q = dz/d eta, Q its launch value;
+    its second zero is the return.  Nodes are taken ``_QUADRATURE_NODES``
+    at a time."""
+    nx, ny = len(xs), len(ys)
+    x, y = np.repeat(xs, ny), np.tile(ys, nx)
+    along = np.isin(y, (0.0, math.pi))
+    out = {k: np.empty(nx * ny) for k in _GRID_FIELDS}
+    n = _SERIES_SAMPLES[0]
+    for nodes, returns in ((np.flatnonzero(along), _meridian_boundary),
+                           (np.flatnonzero(~along), _meridian_interior)):
+        for part in np.array_split(nodes, -(-len(nodes) // _QUADRATURE_NODES)):
+            fields, n = returns(section, x[part], y[part], n)
+            for k in _GRID_FIELDS:
+                out[k][part] = fields[k]
+    return {k: v.reshape(nx, ny) for k, v in out.items()}
+
+
+def _check_nodes(section, xs, ys, out, rtol):
+    """The :func:`_arc_legs` of ``_ARC_NODES`` interior nodes, drawn by a
+    seeded generator without replacement and integrated in one sweep that
+    samples their return arcs (see :func:`_returns`), as (i, j, leg_plus,
+    leg_minus).  Each must repeat the quadrature ``out``, or
+    :class:`InternalConsistencyError` is raised: X - x, tau, tau_plus and
+    rho_plus within tol L and Y within tol pi, tol = max(rtol,
+    ``_SWEEP_FLOOR``); the Jacobi fields within ``MONOTONE_CROSSCHECK_TOL``
+    max(r, 1 / r), with r = sqrt(a), as the sweep's polar Jacobi equation is
+    not scale-free (on round spheres of radius r its angle errs by up to
+    about 55 rtol r for r from 30 to 1e5, jac_du by about 200 rtol at
+    r = 1e-4).  The quadrature holds for every node alike, so the sampled
+    arcs stand for the grid's."""
+    nx, ny, L = len(xs), len(ys), section.length
     interior = np.arange(nx * ny).reshape(nx, ny)[:, 1:-1].ravel()
     i, j = np.divmod(np.sort(np.random.default_rng(0).choice(
         interior, size=min(_ARC_NODES, len(interior)), replace=False)), ny)
@@ -478,108 +742,15 @@ def _equator_returns(section, xs, ys, rtol):
         err = np.abs(got[k] - out[k][i, j])
         if np.any(err > bounds.get(k, tol * L)):
             raise InternalConsistencyError(
-                f"equator check nodes disagree in {k} by {np.max(err):.3g}; "
-                "the sweep does not repeat the Clairaut quadrature")
-    out["arc_legs"] = [(i[r], j[r], *pair) for r, *pair in got["legs"]]
-    return out
-
-
-def _grid_symmetry(section, nx, ny):
-    """The symmetry group of a grid over a base other than the equator (see
-    :func:`compute_return_grid`) as (nx, ny) arrays: ``rep``, the flat index
-    i * ny + j of the node of the fundamental domain (the smallest flat
-    index of each orbit) that a node is the image of; ``flip``, whether that
-    element reflects the annulus; ``check``, the seeded check nodes.  The
-    trivial group makes every node its own representative and checks
-    none."""
-    n = section.normal
-    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    maps = [(I, J, False)]
-    if (abs(n[2]) < _AXIS_TILT and not np.any(section.model.b_coef[1::2])
-            and abs(section.frames(0.0)[0][2]) < _AXIS_TILT):
-        # A meridian launched from the equator: the reflection z -> -z maps
-        # (x, y) to (-x, pi - y); for even nx, the half turn about the plane
-        # normal shifts x by L/2, and it composes with the reflection.
-        h = nx // 2
-        maps = [(I, J, False), ((I + h) % nx, J, False),
-                (-I % nx, ny - 1 - J, True), ((h - I) % nx, ny - 1 - J, True)]
-        if nx % 2:
-            maps = maps[::2]
-    node = I * ny + J
-    rep, flip = node, np.zeros((nx, ny), dtype=bool)
-    for gi, gj, reflects in maps:
-        image = gi * ny + gj
-        flip = np.where(image < rep, reflects, flip)
-        rep = np.minimum(image, rep)
-    check = np.zeros((nx, ny), dtype=bool)
-    outside = np.flatnonzero(rep != node)
-    check.flat[np.random.default_rng(0).choice(
-        outside, size=min(ny, len(outside)), replace=False)] = True
-    return rep, flip, check
-
-
-def _symmetric_returns(section, xs, ys, rep, flip, check, rtol):
-    """Return-data arrays of shape (len(xs), len(ys)) filled from the
-    fundamental domain of a grid symmetry group (see :func:`_grid_symmetry`
-    for a meridian's; the trivial group integrates every node).
-
-    The nodes of the domain and the check nodes, boundary rows included,
-    are integrated in row-major order, split evenly into sweeps of at most
-    ``_SWEEP_ORBITS`` orbits (see :func:`_returns`).  A rotation keeps
-    every field but X - x; a reflection maps X - x to -(X - x), Y to
-    pi - Y and rho_plus to L - rho_plus, and keeps the other fields.  Every
-    check node must repeat what its domain node predicts, X - x and the
-    other fields within ``rtol`` times max(1, |value|); otherwise
-    :class:`InternalConsistencyError`.
-    Symmetric orbits of one sweep differ only by rounding (1e-14 to 1e-12
-    relative), as a sweep steps all its orbits alike; orbits of different
-    sweeps differ within the integration tolerance.
-
-    ``_ARC_NODES`` interior nodes among those integrated, drawn by a seeded
-    generator without replacement, sample their return arcs in their sweeps
-    (see :func:`_returns`); ``arc_legs`` lists them.  Every grid node is the
-    image of an integrated one under an isometry of the annulus, which maps
-    return arcs to return arcs, so their injectivity stands for the whole
-    grid's."""
-    nx, ny = len(xs), len(ys)
-    swept = (rep == np.arange(nx * ny).reshape(nx, ny)) | check
-    vals = {k: np.empty((nx, ny)) for k in _GRID_FIELDS}
-    jj, ii = np.nonzero(swept.T)
-    interior = np.flatnonzero((0 < jj) & (jj < ny - 1))
-    arc = np.random.default_rng(0).choice(
-        interior, size=min(_ARC_NODES, len(interior)), replace=False)
-    legs = []
-    for part in np.array_split(np.arange(len(ii)),
-                               -(-len(ii) // _SWEEP_ORBITS)):
-        i, j = ii[part], jj[part]
-        out = _returns(section, xs[i], ys[j], rtol,
-                       arc=np.flatnonzero(np.isin(part, arc)))
-        for k in _GRID_FIELDS:
-            vals[k][i, j] = out[k]
-        legs += [(i[r], j[r], *pair) for r, *pair in out.pop("legs", ())]
-
-    ri, rj = np.divmod(rep, ny)
-    out = {k: v[ri, rj] for k, v in vals.items()}
-    out["X"] = xs[:, None] + np.where(flip, -1.0, 1.0) * (out["X"] - xs[ri])
-    out["Y"] = np.where(flip, math.pi - out["Y"], out["Y"])
-    out["rho_plus"] = np.where(flip, section.length - out["rho_plus"],
-                               out["rho_plus"])
-    x_check = np.broadcast_to(xs[:, None], check.shape)[check]
-    for k in _GRID_FIELDS:
-        shift = x_check if k == "X" else 0.0
-        want, got = out[k][check] - shift, vals[k][check] - shift
-        err = np.abs(got - want)
-        if np.any(err > rtol * np.maximum(1.0, np.abs(want))):
-            raise InternalConsistencyError(
-                f"grid symmetry check nodes disagree in {k} by "
-                f"{np.nanmax(err):.3g}; the return map does not commute with "
-                "the symmetry group of the annulus")
-    out["arc_legs"] = legs
-    return out
+                f"check nodes disagree in {k} by {np.max(err):.3g}; the "
+                "sweep does not repeat the Clairaut quadrature")
+    return [(i[r], j[r], *pair) for r, *pair in got["legs"]]
 
 
 def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
-    """First-return data over the full annulus grid.
+    """First-return data over the full annulus grid, by Clairaut quadrature
+    over the equator or a meridian; any other base raises
+    :class:`SectionInvalidError`.
 
     Over the equator, Clairaut's integral sqrt(a) cos y makes the return map
     the shear (x, y) -> (x + rho(y) - L, y), and every field is a 1-D
@@ -591,32 +762,17 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
     over [0, pi], with the round part pi sign(cos y).  Y = y, jac_du = 1 and
     jac_angle = 2 pi + atan(-sin y rho'(y)); the boundary rows return at
     the second conjugate time 2 pi sqrt(E(0)), K being constant along the
-    equator.  Only ``_ARC_NODES`` seeded check nodes are integrated (see
-    :func:`_equator_returns`).
+    equator.
 
-    Over a meridian, the isometries of the model that map the annulus onto
-    itself commute with the return map.  The grid gets the group of those
-    that act on it, and only its fundamental domain and seeded check nodes
-    are integrated; the domain fills the grid by the group's field laws
-    after every check node has repeated them (see
-    :func:`_symmetric_returns`):
+    Over a meridian the Clairaut value depends on x as well, and each node
+    is its own quadrature: the same integrals with the great circle's
+    azimuth split off in closed form, solved for the crossing and the
+    return by Newton's method (see :func:`_meridian_returns`).
 
-    * over a meridian launched from the equator, when b is even in z (the
-      odd ``b_coef`` entries vanish: round and spheroid), the reflection
-      (i, j) -> (-i mod nx, ny - 1 - j).  For even nx it joins the half
-      turn (i, j) -> (i + nx/2, j) and their composite in a Klein
-      four-group, whose domain is columns 0 to nx/4, the first and last of
-      them only up to row (ny - 1)/2, about a quarter of the grid; for odd
-      nx the domain is about half of the grid.  ny nodes are checked.
-    * on every other grid (a meridian of a model whose b is not even in z,
-      a base plane neither containing nor normal to the axis) the trivial
-      group: every node is integrated and none is checked.
-
-    The orbits of a sweep share a step controller (the error norm is still
-    per orbit), so node values depend on the batch layout within the
-    integration tolerance: a one-node :func:`return_data` call differs from
-    its grid node by about 1e-12.  An integrated orbit that does not return
-    raises :class:`ReturnFailure`, so a grid holds only nodes that returned.
+    Only ``_ARC_NODES`` seeded check nodes are integrated, in one sweep;
+    each must repeat the quadrature, and their sampled return arcs are the
+    grid's ``arc_legs`` (see :func:`_check_nodes`).  A check orbit that
+    does not return raises :class:`ReturnFailure`.
     """
     if nx < 1 or ny < 3:
         raise PreconditionError(f"a return grid needs nx >= 1 and ny >= 3 "
@@ -625,15 +781,20 @@ def compute_return_grid(section, nx=96, ny=96, rtol=1e-10):
     xs, ys = sc.strip_mesh(L, nx, ny)
     n = section.normal
     if math.hypot(n[0], n[1]) < _AXIS_TILT:
-        arrays = _equator_returns(section, xs, ys, rtol)
+        arrays = _equator_returns(section, xs, ys)
+    elif abs(n[2]) < _AXIS_TILT:
+        arrays = _meridian_returns(section, xs, ys)
     else:
-        arrays = _symmetric_returns(section, xs, ys,
-                                    *_grid_symmetry(section, nx, ny), rtol)
-
-    grid = BirkhoffGrid(length=L, xs=xs, ys=ys, section=section, **arrays)
-    if np.any(grid.tau <= 0.0):
-        raise InternalConsistencyError("non-positive return time on the grid")
-    return grid
+        raise SectionInvalidError(
+            "a return grid needs the equator or a meridian as its base; the "
+            "base plane neither contains nor is normal to the axis")
+    if not (np.all(arrays["tau"] > 0.0) and all(
+            np.isfinite(arrays[k]).all()
+            for k in ("X", "Y", "jac_angle", "jac_du"))):
+        raise InternalConsistencyError(
+            "non-positive return time or non-finite return map on the grid")
+    arrays["arc_legs"] = _check_nodes(section, xs, ys, arrays, rtol)
+    return BirkhoffGrid(length=L, xs=xs, ys=ys, section=section, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +842,7 @@ def lift_numbers(grid, area):
 def check_return_arc_injectivity(grid):
     """Sampled verification that each return-arc leg is an injective curve,
     on the arcs of ``grid.arc_legs`` (the legs the return sweep sampled; see
-    :func:`_symmetric_returns`)."""
+    :func:`_check_nodes`)."""
     for i, j, *legs in grid.arc_legs:
         for pts in legs:
             if curve_self_intersects(pts, closed=False):

@@ -52,6 +52,10 @@ _LENGTH_MATCH_FACTOR = 10.0
 # the scale of lengths and Clairaut values (1 on every unit model).
 _CLAIRAUT_MATCH = 1e-6
 _PERIMETER_TOL = 1e-6     # slack of the two-gon perimeter bound
+# Fewest grid columns over a meridian base: the spheroid c = 0.97 lift at
+# 64 rows has an action closure residual of 2.98e-5 at 16 columns (above
+# strip_calculus.IDENTITY_TOL), 1.7e-7 at 24 and 1.2e-8 at 32.
+MERIDIAN_MIN_NX = 24
 
 
 @dataclass
@@ -254,7 +258,8 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     """Full systolic verification; raises :class:`AuditRefused` when the
     pinching hypothesis behind the lift construction fails, and
     :class:`PreconditionError` before any integration when ``ny`` is too
-    small for the monotonicity check."""
+    small for the monotonicity check, and before the return grid when the
+    base is a meridian and ``nx`` is below ``MERIDIAN_MIN_NX``."""
     warnings = []
     delta = require_lift_pinching(model)
     bs.require_monotonicity_rows(ny)
@@ -271,6 +276,10 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     # Section over the shortest symmetry orbit.
     cands = candidate_closed_geodesics(model)
     base = min((c for c in cands if c.simple), key=lambda c: c.length)
+    if base.label == "meridian" and nx < MERIDIAN_MIN_NX:
+        raise PreconditionError(
+            f"a meridian base needs --nx >= {MERIDIAN_MIN_NX} (got {nx}): "
+            "coarser grids do not resolve the x-dependence of its return map")
     section = bs.build_section(model, base.orbit)
     grid = bs.compute_return_grid(section, nx=nx, ny=ny, rtol=rtol)
     numbers = bs.lift_numbers(grid, area_val)

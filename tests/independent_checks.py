@@ -5,11 +5,16 @@ package itself."""
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
 from birkhofflab import strip_calculus as sc
 from birkhofflab._integrate import (_P, _THETAS, GRAZE_TOL, EventSweepResult,
                                     _quartic_roots, dense_state)
 from birkhofflab.errors import PreconditionError
+
+# Most orbits of one return sweep in every_node_returns: a sweep holds the
+# stages and events of all its orbits at once.
+SWEEP_ORBITS = 2400
 
 
 def unit_speed_defect(model, u, v):
@@ -158,3 +163,19 @@ def per_column_splines(knots, values, queries):
     ``queries[i]``, one spline built per column."""
     return np.array([CubicSpline(k, values)(q)
                      for k, q in zip(knots, queries)])
+
+
+def every_node_returns(grid):
+    """The return-data fields of every node of ``grid``, boundary rows
+    included, each node integrated: (nx, ny) arrays from return sweeps of
+    at most ``SWEEP_ORBITS`` orbits at rtol 1e-10."""
+    nx, ny = grid.nx, grid.ny
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    out = {}
+    parts = -(-nx * ny // SWEEP_ORBITS)
+    for part in np.array_split(np.arange(nx * ny), parts):
+        got = bs._returns(grid.section, grid.xs[i[part]], grid.ys[j[part]],
+                          1e-10)
+        for k, v in got.items():
+            out.setdefault(k, np.empty(nx * ny))[part] = v
+    return {k: v.reshape(nx, ny) for k, v in out.items()}

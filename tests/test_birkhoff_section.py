@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from birkhofflab import birkhoff_section as bs
 from birkhofflab import geodesic_dynamics as gd
@@ -168,6 +169,90 @@ def _clairaut_oracle(model, y):
     return tau_plus, tau, rho
 
 
+_QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def _meridian_oracle(model, u, w):
+    """(tau_plus, tau, X - x) of the return of the annulus vector (u, w)
+    over the meridian of azimuth 0 run from the equator towards the south
+    pole, from quad and brentq (tau_plus None on a boundary row); X - x is
+    defined mod L.  The base is the circle of in-plane angle
+    th = atan2(u1, u3), whose arclength is the integral of sqrt(E(cos th)).
+
+    An interior orbit has the Clairaut value C of its launch, k = |C| /
+    sqrt(a) and z = s sin(psi), s = sqrt(1 - k^2); its azimuth advances at
+    k sqrt(E) / (sqrt(a) (1 - z^2)) per unit psi (integrated piecewise,
+    split where |z| peaks), its time at sqrt(E).  One launched over a pole
+    runs along a meridian and returns after its length.  Along the base the
+    Jacobi field vanishing at th0 is sin(th - th0) + sin(th) sin(th0)
+    Ex(th0, th) / sqrt(a), Ex the integral of b / (sqrt(E) + sqrt(a)); its
+    second zero lies between the second and the third pole ahead."""
+    ra = math.sqrt(model.a)
+
+    def speed(z):
+        return math.sqrt(float(model.profile_E(z)))
+
+    def arc(th0, th1):
+        return quad(lambda th: speed(math.cos(th)), th0, th1, **_QUAD)[0]
+
+    th0 = math.atan2(u[0], u[2])
+    k = abs(model.a * (u[0] * w[1] - u[1] * w[0])) / ra
+    if abs(w[1]) < 1e-9:                       # along the base
+        ahead = math.copysign(1.0, w[0] * math.cos(th0)
+                              - w[2] * math.sin(th0))
+
+        def jacobi(th):
+            ex = quad(lambda t: float(model.b(math.cos(t)))
+                      / (speed(math.cos(t)) + ra), th0, th, **_QUAD)[0]
+            return (math.sin(th - th0)
+                    + math.sin(th) * math.sin(th0) * ex / ra)
+
+        n = math.floor(th0 / math.pi) + (2 if ahead > 0 else -2)
+        if abs(math.sin(th0)) < 1e-9:          # from a pole: the poles
+            th2 = th0 + 2.0 * math.pi * ahead
+        else:
+            th2 = brentq(jacobi, n * math.pi, (n + 1) * math.pi,
+                         xtol=1e-14, rtol=1e-15)
+        tau = abs(arc(th0, th2))
+        return None, tau, ahead * tau
+    if k < 1e-9:                               # over a pole
+        return arc(0.0, math.pi), arc(0.0, TWO_PI), 0.0
+    s = math.sqrt(1.0 - k * k)
+    psi0 = math.atan2(u[2], speed(u[2]) * w[2])
+
+    def rate(psi):
+        z = s * math.sin(psi)
+        return k * speed(z) / (ra * (1.0 - z * z))
+
+    def turn(lo, hi):
+        if hi - lo < 1e-9:                     # brentq's last brackets
+            return rate(0.5 * (lo + hi)) * (hi - lo)
+        first = math.ceil((lo - math.pi / 2) / math.pi)
+        last = math.floor((hi - math.pi / 2) / math.pi)
+        cuts = [lo, *(math.pi / 2 + math.pi * np.arange(first, last + 1)),
+                hi]
+        return sum(quad(rate, p, q, **_QUAD)[0] for p, q in zip(cuts,
+                                                                 cuts[1:]))
+
+    def advance(target):
+        lo, done = psi0, 0.0
+        while True:
+            hi = lo + math.pi / 4
+            step = turn(lo, hi)
+            if done + step >= target:
+                return brentq(lambda p: done + turn(lo, p) - target, lo, hi,
+                              xtol=1e-14, rtol=1e-15)
+            lo, done = hi, done + step
+
+    def time(psi):
+        return quad(lambda p: speed(s * math.sin(p)), psi0, psi, **_QUAD)[0]
+
+    psi1, psi2 = advance(math.pi), advance(TWO_PI)
+    th2 = math.copysign(math.acos(s * math.sin(psi2)), u[0])
+    return (time(psi1), time(psi2),
+            arc(math.pi / 2, th2) - arc(math.pi / 2, th0))
+
+
 # The ReturnFailure message of one orbit flagged by its sweep.
 FLAGGED = {"grazing": "1 orbits graze the base plane and 0 miss a return",
            "short": "0 orbits graze the base plane and 1 miss a return"}
@@ -178,14 +263,12 @@ def zoll_equator_grid(zoll_model):
     return bs.compute_return_grid(bs.build_section(zoll_model), nx=32, ny=65)
 
 
-def _every_node_returns(grid):
-    """Every node of the grid integrated: the trivial group, which applies
-    no group law."""
-    shape = (grid.nx, grid.ny)
-    rep = np.arange(grid.nx * grid.ny).reshape(shape)
-    none = np.zeros(shape, dtype=bool)
-    return bs._symmetric_returns(grid.section, grid.xs, grid.ys, rep, none,
-                                 none, 1e-10)
+def assert_matches_every_node_integrated(grid):
+    ref = ic.every_node_returns(grid)
+    for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle", "jac_du"):
+        got, want = getattr(grid, k), ref[k]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) < 1e-10, k
 
 
 class TestEquatorSymmetry:
@@ -208,16 +291,9 @@ class TestEquatorSymmetry:
 
     @pytest.mark.parametrize("name", ["round_grid", "spheroid_grid"])
     def test_matches_every_node_integrated(self, request, name):
-        # the reference integrates every interior node (the trivial group of
-        # every other base), so it also pins the x-invariance of the return
-        # map
-        grid = request.getfixturevalue(name)
-        ref = _every_node_returns(grid)
-        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
-                  "jac_du"):
-            got, want = getattr(grid, k), ref[k]
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            assert np.nanmax(np.abs(got - want)) < 1e-10, k
+        # the reference integrates every node, so it also pins the
+        # x-invariance of the return map
+        assert_matches_every_node_integrated(request.getfixturevalue(name))
 
     @pytest.mark.parametrize("field", ["X", "tau", "Y", "jac_du"])
     def test_disagreeing_check_column_raises(self, spheroid_section,
@@ -308,58 +384,97 @@ def test_grid_without_nodes_to_integrate_refused(oblate_meridian_section,
 
 
 class TestMeridianSymmetry:
+    """The meridian-base grid by Clairaut quadrature, node by node."""
+
     @pytest.mark.parametrize("nx, ny", [(16, 17), (32, 65)])
     def test_matches_every_node_integrated(self, oblate_meridian_section,
                                            nx, ny):
-        # the reference integrates every node, so it pins the half turn
-        # and the reflection laws on every node the group fills
+        # every field of every node, boundary rows included, against its
+        # own integration; 16 x 17 and 32 x 65 hold the pole columns, the
+        # columns beside them and the equator's crossings at y = pi/2
+        grid = bs.compute_return_grid(oblate_meridian_section, nx=nx, ny=ny)
+        assert_matches_every_node_integrated(grid)
+
+    def test_odd_nx_matches_every_node_integrated(
+            self, oblate_meridian_section):
+        # no column over the poles or at the equator's second crossing
+        grid = bs.compute_return_grid(oblate_meridian_section, nx=15, ny=17)
+        assert_matches_every_node_integrated(grid)
+
+    def test_zoll_meridian_matches_every_node_integrated(self, zoll_model):
+        # b has odd terms: the orbits are not symmetric under z -> -z
+        sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
+        assert_matches_every_node_integrated(
+            bs.compute_return_grid(sec, nx=16, ny=17))
+
+    def test_pole_columns_are_fixed(self, oblate_meridian_section):
+        # every vector over a pole launches a meridian, which returns after
+        # L to where it started
+        grid = bs.compute_return_grid(oblate_meridian_section, nx=32, ny=65)
+        for i in (8, 24):
+            assert np.max(np.abs(grid.tau[i] - grid.length)) < 1e-14
+            assert np.max(np.abs(grid.X[i] - grid.xs[i])) < 1e-14
+            assert np.max(np.abs(grid.Y[i] - grid.ys)) < 1e-14
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("kind", ["spheroid", "zoll"])
+    def test_meridian_oracle(self, kind, oblate_meridian_section,
+                             zoll_model):
+        # tau, tau_plus and X - x of every node, boundary rows included,
+        # against quad and brentq on the launch state of each node
         sec = oblate_meridian_section
-        grid = bs.compute_return_grid(sec, nx=nx, ny=ny)
-        ref = _every_node_returns(grid)
-        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
-                  "jac_du"):
-            got, want = getattr(grid, k), ref[k]
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            assert np.nanmax(np.abs(got - want)) < 1e-10, k
+        if kind == "zoll":
+            sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
+        grid = bs.compute_return_grid(sec, nx=12, ny=12)
+        L = grid.length
+        for i, x in enumerate(grid.xs):
+            for j, y in enumerate(grid.ys):
+                u, w = sec.section_vector(x, y)
+                tau_plus, tau, shift = _meridian_oracle(sec.model, u, w)
+                if tau_plus is not None:
+                    assert abs(grid.tau_plus[i, j] - tau_plus) < 1e-9
+                assert abs(grid.tau[i, j] - tau) < 1e-9
+                d = grid.X[i, j] - x - shift
+                assert abs(d - L * round(d / L)) < 1e-9
 
     @pytest.mark.parametrize("field", ["X", "tau"])
     def test_disagreeing_check_node_raises(self, oblate_meridian_section,
                                            monkeypatch, field):
-        # the domain lies in x <= L/4, so every node perturbed is a check
+        # one check node off the quadrature by 1e-6
         returns = bs._returns
-        L = oblate_meridian_section.length
 
         def perturbed(section, xs, ys, *args, **kwargs):
             out = returns(section, xs, ys, *args, **kwargs)
-            far = xs > 0.3 * L
-            assert far.any()
-            out[field][far] += 1e-6
+            out[field][xs == xs.max()] += 1e-6
             return out
 
         monkeypatch.setattr(bs, "_returns", perturbed)
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InternalConsistencyError,
+                           match=f"check nodes disagree in {field}"):
             bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
 
     def test_integrated_columns(self, monkeypatch, oblate_meridian_section):
-        # the fundamental domain, 69 nodes (columns 0 to 4, the first and
-        # last up to row 8), and its 17 seeded check nodes
+        # one sweep of the _ARC_NODES seeded check nodes, all interior, is
+        # all that is integrated
         seen = []
         returns = bs._returns
 
         def spy(section, xs, ys, *args, **kwargs):
-            seen.append(xs)
+            seen.append((xs, ys))
             return returns(section, xs, ys, *args, **kwargs)
 
         monkeypatch.setattr(bs, "_returns", spy)
-        bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
-        xs = np.concatenate(seen)
-        assert len(np.unique(xs)) == 13
-        assert len(xs) == 69 + 17
+        grid = bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
+        [(xs, ys)] = seen
+        assert len(xs) == bs._ARC_NODES
+        assert np.all((0.0 < ys) & (ys < math.pi))
+        nodes = [(grid.xs[i], grid.ys[j]) for i, j, *_ in grid.arc_legs]
+        assert nodes == list(zip(xs, ys))
 
     @pytest.mark.parametrize("flag", ["grazing", "short"])
     def test_flagged_orbit_raises(self, oblate_meridian_section,
                                   flag_one_orbit, flag):
-        # one orbit of the domain's sweep flagged
+        # one orbit of the check sweep flagged
         flag_one_orbit(flag)
         with pytest.raises(ReturnFailure, match=FLAGGED[flag]):
             bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
@@ -384,61 +499,21 @@ class TestMeridianSymmetry:
                                (out["tau"][3 + k], ic.reversed_state(base))):
                 assert abs(tau - gd.conjugate_time(model, state, 2)) < 1e-9
 
-    def test_check_nodes_refuse_a_surface_not_even_in_z(
-            self, oblate_meridian_section, zoll_model):
-        # the group of the spheroid's grid, forced on the Zoll meridian,
-        # whose b has odd terms: the check nodes see the laws break
-        sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
-        xs = np.arange(16) * (sec.length / 16)
-        ys = np.linspace(0.0, math.pi, 17)
-        group = bs._grid_symmetry(oblate_meridian_section, 16, 17)
-        with pytest.raises(InternalConsistencyError):
-            bs._symmetric_returns(sec, xs, ys, *group, 1e-10)
+    def test_tilted_base_refused(self, round_model, monkeypatch):
+        # a great circle of the round sphere on a plane tilted against the
+        # axis is neither the equator nor a meridian
+        def returns(*args, **kwargs):
+            raise AssertionError("integration started")
 
-    def test_trivial_group_sweeps_every_node(self, monkeypatch, zoll_model):
-        # b not even in z: the trivial group, so every node is integrated,
-        # split evenly into sweeps of at most _SWEEP_ORBITS
-        sec = bs.build_section(zoll_model, gd.meridian_orbit(zoll_model))
-        rep, flip, check = bs._grid_symmetry(sec, 16, 17)
-        assert np.array_equal(rep, np.arange(16 * 17).reshape(16, 17))
-        assert not flip.any() and not check.any()
-        seen = []
-        returns = bs._returns
-
-        def spy(section, xs, ys, *args, **kwargs):
-            seen.append(len(xs))
-            return returns(section, xs, ys, *args, **kwargs)
-
-        monkeypatch.setattr(bs, "_returns", spy)
-        monkeypatch.setattr(bs, "_SWEEP_ORBITS", 100)
-        bs.compute_return_grid(sec, nx=16, ny=17)
-        assert seen == [91, 91, 90]
-
-    def test_odd_nx_keeps_the_reflection(self, monkeypatch,
-                                         oblate_meridian_section):
-        # an odd nx has no half turn, but the reflection maps the columns
-        # onto themselves: about half the grid is integrated (128 of the 255
-        # nodes, plus 17 checks), and it matches every node integrated
-        sec = oblate_meridian_section
-        rep, flip, check = bs._grid_symmetry(sec, 15, 17)
-        assert flip.any() and check.sum() == 17
-        seen = []
-        returns = bs._returns
-
-        def spy(section, xs, ys, *args, **kwargs):
-            seen.append(len(xs))
-            return returns(section, xs, ys, *args, **kwargs)
-
-        monkeypatch.setattr(bs, "_returns", spy)
-        grid = bs.compute_return_grid(sec, nx=15, ny=17)
         monkeypatch.setattr(bs, "_returns", returns)
-        assert seen == [145]
-        ref = _every_node_returns(grid)
-        for k in ("X", "Y", "tau", "tau_plus", "rho_plus", "jac_angle",
-                  "jac_du"):
-            got, want = getattr(grid, k), ref[k]
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            assert np.nanmax(np.abs(got - want)) < 1e-10, k
+        t = np.linspace(0.0, TWO_PI, 1024, endpoint=False)[:, None]
+        e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+        states = np.hstack([np.cos(t) * e1 + np.sin(t) * e2,
+                            np.cos(t) * e2 - np.sin(t) * e1])
+        orbit = gd.ClosedOrbit(round_model, TWO_PI, states, 0.0)
+        sec = bs.build_section(round_model, orbit)
+        with pytest.raises(SectionInvalidError, match="equator or a meridian"):
+            bs.compute_return_grid(sec, nx=16, ny=17)
 
 
 class TestLiftAndIdentities:
@@ -533,20 +608,16 @@ def test_arc_legs_match_one_orbit_integrations(request, name):
     # integration of each arc's annulus vector, read at the sweep's sample
     # times (every pi / (sqrt(max K) _ARC_SAMPLES) from 0), its crossing and
     # its return (the integration runs a sample interval past the return)
+    # on both bases the arcs are those of the seeded check nodes, the only
+    # nodes integrated
     grid = request.getfixturevalue(name)
     sec = grid.section
-    # the equator sweeps only its arc nodes; the meridian samples arcs
-    # among the nodes of its domain and its checks
-    swept = np.ones((grid.nx, grid.ny), dtype=bool)
-    if name == "oblate_meridian_grid":
-        rep, _, check = bs._grid_symmetry(sec, grid.nx, grid.ny)
-        swept = (rep == np.arange(rep.size).reshape(rep.shape)) | check
     dt = math.pi / (math.sqrt(mm.curvature_extremes(sec.model)[1])
                     * bs._ARC_SAMPLES)
     nodes = {(i, j) for i, j, *_ in grid.arc_legs}
     assert len(nodes) == len(grid.arc_legs) == bs._ARC_NODES
     for i, j, leg_plus, leg_minus in grid.arc_legs:
-        assert swept[i, j] and 0 < j < grid.ny - 1
+        assert 0 < j < grid.ny - 1
         assert min(len(leg_plus), len(leg_minus)) >= bs._ARC_SAMPLES
         u, w = sec.section_vector(grid.xs[i], grid.ys[j])
         n = len(leg_plus) - 1

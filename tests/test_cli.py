@@ -17,6 +17,7 @@ from birkhofflab.errors import (BirkhofflabError, ComputationError,
 
 ROUND = '{"kind": "round", "radius": 1.0}'
 SPHEROID = '{"kind": "spheroid", "c": 1.03}'
+OBLATE = '{"kind": "spheroid", "c": 0.97}'
 FAT = '{"kind": "spheroid", "c": 1.5}'
 ZOLL = '{"kind": "zoll", "h_coeffs": [0.05, 0, -0.05]}'
 
@@ -416,6 +417,30 @@ class TestVerdictCommands:
         assert code == 2
         assert out == ""
         assert err == "error: monotonicity check requires ny >= 64\n"
+
+    def test_systolic_verify_coarse_meridian_nx_exits_2(self, capsys,
+                                                       monkeypatch):
+        # an oblate spheroid's base is the meridian, whose return map
+        # depends on x: below 24 columns the action's closure residual (at
+        # 16 columns 2.98e-5, above the 1e-5 it is refused at) would refuse
+        # the lift, so the audit refuses --nx first, before the return grid
+        def grid(*args, **kwargs):
+            raise AssertionError("return grid built")
+
+        monkeypatch.setattr(sa.bs, "compute_return_grid", grid)
+        for nx in ("16", "23"):
+            code, out, err = run(capsys, "systolic-verify", "--metric",
+                                 OBLATE, "--nx", nx, "--ny", "64")
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: a meridian base needs --nx >= 24 (got "
+                           f"{nx}): coarser grids do not resolve the "
+                           "x-dependence of its return map\n")
+        monkeypatch.undo()
+        code, out, err = run(capsys, "systolic-verify", "--metric", OBLATE,
+                             "--nx", "24", "--ny", "64")
+        assert code == 0, err
+        assert json.loads(out)["passed"] is True
 
     def test_return_map_large_spheroid_passes(self, capsys):
         # the flux is taken in units of L / 2 pi and --tol-id against

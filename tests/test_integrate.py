@@ -559,9 +559,13 @@ class TestNearLevelScreen:
 
     def test_oblate_meridian_sweep_matches_the_unscreened_search(
             self, with_reference):
+        # every node of a 16 x 17 grid over the c = 0.97 meridian, boundary
+        # rows included, in one return sweep of 272 orbits
         model = mm.make_spheroid(0.97)
         section = bs.build_section(model, gd.meridian_orbit(model))
-        bs.compute_return_grid(section, nx=16, ny=17)
+        xs, ys = np.arange(16) * (section.length / 16), np.linspace(
+            0.0, math.pi, 17)
+        bs._returns(section, np.repeat(xs, 17), np.tile(ys, 16), 1e-10)
         assert len(with_reference.pairs) == 1
         assert_same_events(with_reference.pairs)
 

@@ -336,7 +336,7 @@ class TestAuditSpheroid:
 class TestAuditOblate:
     def test_meridian_base(self):
         # c < 1: the meridian is the shortest symmetry orbit and carries the
-        # section, so the full 2-D return grid is integrated
+        # section, whose return map depends on x as well as y
         c = 0.97
         rep = sa.audit(mm.make_spheroid(c), nx=32, ny=65)
         meridian = 4.0 * ellipe(1 - c ** 2)
