@@ -416,6 +416,14 @@ class TestMeridianSymmetry:
             assert np.max(np.abs(grid.X[i] - grid.xs[i])) < 1e-14
             assert np.max(np.abs(grid.Y[i] - grid.ys)) < 1e-14
 
+    def test_undecayed_series_raises(self, oblate_meridian_section,
+                                     monkeypatch):
+        # c = 0.97 needs 64 samples a node to reach rounding; capped at 32,
+        # the series is refused rather than truncated
+        monkeypatch.setattr(bs, "_SERIES_SAMPLES", (16, 32))
+        with pytest.raises(InternalConsistencyError, match="not decayed"):
+            bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
+
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("kind", ["spheroid", "zoll"])
     def test_meridian_oracle(self, kind, oblate_meridian_section,
