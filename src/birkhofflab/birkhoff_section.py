@@ -64,15 +64,11 @@ MONOTONE_CROSSCHECK_TOL = 1e-4   # |D2 Y - jac_du| bound of the report
 # Least relative error expected of a sweep at any rtol: rounding over its
 # steps leaves about 1e-12 of L (X - x is 7e-12 off on a spheroid c = 1.99).
 _SWEEP_FLOOR = 1e-11
-# Meridian-base quadrature (see _meridian_returns): the first and the last
-# sample count of a node's Fourier series, the coefficient size, in units
-# of sqrt(a), below which a series counts as decayed to rounding, the grid
-# nodes whose series are held at once (2.2 MB traced at 64 samples, below
-# the lift's share of an audit's peak memory), and Newton's iterations
-# (enough for bisection alone to reach rounding) and the step, in radians,
-# that ends them.
-_SERIES_SAMPLES = (16, 1024)
-_SERIES_TOL = 1e-15
+# Meridian-base quadrature (see _meridian_returns): the grid nodes whose
+# Fourier series are held at once (2.2 MB traced at 64 samples, below the
+# lift's share of an audit's peak memory), and Newton's iterations (enough
+# for bisection alone to reach rounding) and the step, in radians, that
+# ends them.
 _QUADRATURE_NODES = 256
 _NEWTON_ITERATIONS = 60
 _NEWTON_TOL = 1e-15
@@ -417,6 +413,22 @@ def _excess(model):
     return excess, excess_prime
 
 
+def _integrands(model):
+    """The integrands of a Clairaut quadrature at heights z and angles eta,
+    one at a time, for :func:`~.metric_models.profile_antiderivatives`:
+    sqrt(E), whose antiderivative is t; the excess (see :func:`_excess`);
+    and excess' sin(eta), its derivative in Q."""
+    speed = model.meridian_speed
+    excess, excess_prime = _excess(model)
+
+    def integrands(z, eta):
+        yield speed(z)
+        yield excess(z)
+        yield excess_prime(z) * np.sin(eta)
+
+    return integrands
+
+
 def _clairaut_rows(section, ys):
     """Return-data rows over the equator at the angles ``ys``, by Clairaut
     quadrature (see :func:`compute_return_grid`): a dict of (len(ys),)
@@ -426,30 +438,29 @@ def _clairaut_rows(section, ys):
     one whose advance escapes (0, 2L) raises
     :class:`PinchingViolationError`."""
     model, L = section.model, section.length
-    speed = model.meridian_speed
-    excess, excess_prime = _excess(model)
-
-    def z_excess_prime(z):
-        return z * excess_prime(z)
-
     along = np.isin(ys, (0.0, math.pi))
     s, cy = np.sin(ys), np.cos(ys)
     side = np.sign(section.normal[2]) * s
+    # The orbit's height is side sin(eta); series 0 integrates its time,
+    # 1 the excess, 2 the excess' sin(eta), so side times it is the
+    # integral of z excess'(z).
+    anti, _ = mm.profile_antiderivatives(
+        _integrands(model), np.zeros(len(ys)), side, math.sqrt(model.a),
+        mm._SERIES_SAMPLES[0])
     # The advance is cos y * I past the round sphere's +-L (+-L/2 on a leg).
     # Its y-derivative -s I + cos y^2 J / s is taken under the integral, as
     # a finite difference of the mod-2L advance would jump at y = pi/2;
     # -s times it vanishes with s on the boundary rows, whose angle is 2 pi.
-    I = mm.period_integral(excess, s)
-    J = mm.period_integral(z_excess_prime, s)
-    conj = _TWO_PI * float(speed(0.0))
-    tau = np.where(along, conj, mm.period_integral(speed, s))
+    I, J = anti(1, _TWO_PI), side * anti(2, _TWO_PI)
+    conj = _TWO_PI * float(model.meridian_speed(0.0))
+    tau = np.where(along, conj, anti(0, _TWO_PI))
     rho = np.where(along, np.where(ys == math.pi, 2.0 * L - conj, conj),
                    np.mod(L * np.sign(cy) + cy * I, 2.0 * L))
     _require_boundary_advance(rho, along, L)
     leg = np.where(along, np.nan, 1.0)
-    return {"tau_plus": leg * mm.leg_integral(speed, side), "tau": tau,
+    return {"tau_plus": leg * anti(0, math.pi), "tau": tau,
             "rho_plus": leg * np.mod(0.5 * L * np.sign(cy)
-                                     + cy * mm.leg_integral(excess, side), L),
+                                     + cy * anti(1, math.pi), L),
             "rho": rho, "Y": ys,
             "jac_angle": _TWO_PI + np.arctan(s * s * I - cy * cy * J),
             "jac_du": np.ones(len(ys))}
@@ -465,64 +476,6 @@ def _equator_returns(section, xs, ys):
     out = {k: np.tile(rows[k], (nx, 1)) for k in _GRID_FIELDS[1:]}
     out["X"] = xs[:, None] + (rows["rho"] - L)
     return out
-
-
-def _antiderivatives(integrands, P, Q, scale, n):
-    """For each sample array that ``integrands(z, eta)`` yields, one at a
-    time, and each node (P[i], Q[i]), the antiderivative from 0 of that
-    integrand along z = P cos(eta) + Q sin(eta); and the sample count it
-    took.  Each integrand is smooth and 2 pi-periodic, so its antiderivative
-    is the mean times eta plus a Fourier series, read off one FFT of ``n``
-    uniform samples per node.  The count doubles until
-    every coefficient of the upper half of the band lies below
-    ``_SERIES_TOL`` ``scale``, the coefficients below it are dropped, and
-    a series not decayed at the last of ``_SERIES_SAMPLES`` raises
-    :class:`InternalConsistencyError`.  The result ``anti(k, eta)``
-    evaluates series k at one eta per node (Horner's rule in e^{i eta})."""
-    tol = _SERIES_TOL * scale
-    while True:
-        eta = np.arange(n) * (_TWO_PI / n)
-        z = (np.multiply.outer(P, np.cos(eta))
-             + np.multiply.outer(Q, np.sin(eta)))
-        coef = [np.fft.rfft(f, norm="forward") for f in integrands(z, eta)]
-        band = np.max([np.max(np.abs(c), axis=0) for c in coef], axis=0)
-        if np.max(band[n // 4:]) <= tol:
-            break
-        if n >= _SERIES_SAMPLES[1]:
-            raise InternalConsistencyError(
-                f"the Clairaut quadrature's Fourier series has not decayed "
-                f"to {tol:.3g} at {n} samples")
-        n *= 2
-    m = np.arange(1, max(2, np.flatnonzero(band > tol)[-1] + 1))
-    mean = [c[:, 0].real for c in coef]
-    series = [np.ascontiguousarray((c[:, m] * (2.0 / (1j * m))).T)
-              for c in coef]
-    offset = [c.real.sum(axis=0) for c in series]
-
-    def anti(k, eta):
-        e = np.exp(1j * eta)
-        acc = series[k][-1] * e
-        for c in series[k][-2::-1]:
-            acc += c
-            acc *= e
-        return mean[k] * eta + acc.real - offset[k]
-
-    return anti, n
-
-
-def _integrands(model):
-    """The integrands of a meridian quadrature at heights z and angles eta,
-    one at a time: sqrt(E), whose antiderivative is t; the excess (see
-    :func:`_excess`); and excess' sin(eta), its derivative in Q."""
-    speed = model.meridian_speed
-    excess, excess_prime = _excess(model)
-
-    def integrands(z, eta):
-        yield speed(z)
-        yield excess(z)
-        yield excess_prime(z) * np.sin(eta)
-
-    return integrands
 
 
 def _launch(section, x, y):
@@ -563,7 +516,7 @@ def _meridian_interior(section, x, y, n):
     P, Q, kappa, dQ, dkappa, phi = _launch(section, x, y)
     k, dk = np.abs(kappa), np.sign(kappa) * dkappa
     s2 = P * P + Q * Q
-    anti, n = _antiderivatives(_integrands(model), P, Q, ra, n)
+    anti, n = mm.profile_antiderivatives(_integrands(model), P, Q, ra, n)
 
     def great_circle(d):
         """eta - turns pi where the great circle's azimuth has advanced by
@@ -636,7 +589,7 @@ def _meridian_boundary(section, x, y, n):
     speed = model.meridian_speed
     excess, _ = _excess(model)
     P, Q, *_ = _launch(section, x, y)
-    anti, n = _antiderivatives(_integrands(model), P, Q, ra, n)
+    anti, n = mm.profile_antiderivatives(_integrands(model), P, Q, ra, n)
 
     def jacobi(d):
         """The Jacobi field vanishing at launch, sqrt(a) sin(eta) +
@@ -688,7 +641,7 @@ def _meridian_returns(section, xs, ys):
 
     where chi is the great circle's azimuth, atan(k tan psi) - atan(k tan
     psi0), in closed form, and Ex the antiderivative of the equator's
-    excess b / (sqrt(E) + sqrt(a)) (see :func:`_antiderivatives`).  Newton's
+    excess b / (sqrt(E) + sqrt(a)) (see :func:`_integrands`).  Newton's
     method in chi, whose derivative is sqrt(E(z) / a), gives the crossing of
     the base plane (|phi - phi0| = pi) and the return (2 pi); their states
     go through :meth:`BirkhoffSection.footpoint` and
@@ -706,7 +659,7 @@ def _meridian_returns(section, xs, ys):
     x, y = np.repeat(xs, ny), np.tile(ys, nx)
     along = np.isin(y, (0.0, math.pi))
     out = {k: np.empty(nx * ny) for k in _GRID_FIELDS}
-    n = _SERIES_SAMPLES[0]
+    n = mm._SERIES_SAMPLES[0]
     for nodes, returns in ((np.flatnonzero(along), _meridian_boundary),
                            (np.flatnonzero(~along), _meridian_interior)):
         for part in np.array_split(nodes, -(-len(nodes) // _QUADRATURE_NODES)):

@@ -354,8 +354,6 @@ def cmd_zoll_check(args):
 def cmd_polygon_check(args):
     model, _, grid = _return_grid(args)
     doc = sa.two_gon_perimeter_check(model, grid)
-    kmin, _ = mm.curvature_extremes(model)
-    doc["perimeter_bound"] = 2 * math.pi / math.sqrt(kmin)
     doc["metric"] = mm.to_json(model)
     _emit(doc, args.out)
     return EXIT_PASS if doc["passed"] else EXIT_FAIL

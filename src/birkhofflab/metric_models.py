@@ -28,6 +28,9 @@ so the Gaussian curvature reduces to the one-variable formula
     K(z) = 1/E - z E'(z) / (2 E^2),
 
 and the total area to 2 pi sqrt(a) * integral of sqrt(E) over z in [-1, 1].
+Every integral of the profile (the area, the meridian's length, a
+section's return data) runs along z = P cos(eta) + Q sin(eta) with a smooth 2 pi-periodic
+integrand, whose antiderivative one FFT gives (profile_antiderivatives).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 
-from .errors import ModelInvalidError
+from .errors import InternalConsistencyError, ModelInvalidError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -50,9 +53,12 @@ _VALIDATION_SAMPLES = 1024
 # Kind prefix of a model scaled by MetricModel.rescale.
 _RESCALED = "rescaled-"
 _PARAM_LIMIT = 1e150    # larger parameters are refused (squares overflow)
-_PERIOD_NODES = 256     # trapezoid nodes of period_integral
-_AREA_INTERVALS = 96    # Clenshaw-Curtis intervals of the area (even)
 _CURVATURE_SAMPLES = 512  # heights sampled by curvature_extremes
+# Profile quadrature (see profile_antiderivatives): the first and the last
+# sample count of a Fourier series, and the coefficient size, in units of
+# the integrand's scale, below which a series counts as decayed to rounding.
+_SERIES_SAMPLES = (16, 1024)
+_SERIES_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,9 @@ class MetricModel:
 
     def meridian_circuit_length(self):
         """Length of the closed meridian geodesic (full theta circuit): the
-        :func:`period_integral` of the meridian speed at s = 1."""
-        return float(period_integral(self.meridian_speed, 1.0))
+        integral of the meridian speed over a period of z = cos(eta)."""
+        return _meridian_integral(self, lambda z, eta: self.meridian_speed(z),
+                                  _TWO_PI)
 
     def rescale(self, factor):
         """The conformally scaled metric factor * g (lengths scale by
@@ -298,45 +305,67 @@ def pinching_constant(model):
     return kmin / kmax
 
 
-def _clenshaw_curtis(n):
-    """Nodes cos(k pi / n), k = 0..n, and weights of the Clenshaw-Curtis
-    rule on [-1, 1] for even n, in closed form (no eigenproblem)."""
-    theta = np.pi * np.arange(n + 1) / n
-    j = np.arange(1, n // 2 + 1)
-    b = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
-    weights = (1.0 - b @ np.cos(2.0 * np.outer(j, theta))) * (2.0 / n)
-    weights[[0, -1]] *= 0.5
-    return np.cos(theta), weights
+def profile_antiderivatives(integrands, P, Q, scale, n):
+    """For each sample array that ``integrands(z, eta)`` yields, one at a
+    time, and each node (P[i], Q[i]), the antiderivative from 0 of that
+    integrand along z = P cos(eta) + Q sin(eta); and the sample count it
+    took.  Each integrand is smooth and 2 pi-periodic, so its antiderivative
+    is the mean times eta plus a Fourier series, read off one FFT of ``n``
+    uniform samples per node.  The count doubles until
+    every coefficient of the upper half of the band lies below
+    ``_SERIES_TOL`` ``scale``, the coefficients below it are dropped, and
+    a series not decayed at the last of ``_SERIES_SAMPLES`` raises
+    :class:`InternalConsistencyError`.  The result ``anti(k, eta)``
+    evaluates series k at one eta per node (Horner's rule in e^{i eta})."""
+    tol = _SERIES_TOL * scale
+    while True:
+        eta = np.arange(n) * (_TWO_PI / n)
+        z = (np.multiply.outer(P, np.cos(eta))
+             + np.multiply.outer(Q, np.sin(eta)))
+        coef = [np.fft.rfft(f, norm="forward") for f in integrands(z, eta)]
+        band = np.max([np.max(np.abs(c), axis=0) for c in coef], axis=0)
+        if np.max(band[n // 4:]) <= tol:
+            break
+        if n >= _SERIES_SAMPLES[1]:
+            raise InternalConsistencyError(
+                f"the profile's Fourier series has not decayed to "
+                f"{tol:.3g} at {n} samples")
+        n *= 2
+    m = np.arange(1, max(2, np.flatnonzero(band > tol)[-1] + 1))
+    mean = [c[:, 0].real for c in coef]
+    series = [np.ascontiguousarray((c[:, m] * (2.0 / (1j * m))).T)
+              for c in coef]
+    offset = [c.real.sum(axis=0) for c in series]
+
+    def anti(k, eta):
+        e = np.exp(1j * eta)
+        acc = series[k][-1] * e
+        for c in series[k][-2::-1]:
+            acc += c
+            acc *= e
+        return mean[k] * eta + acc.real - offset[k]
+
+    return anti, n
 
 
-_AREA_RULE = _clenshaw_curtis(_AREA_INTERVALS)
-_PERIOD_COS = np.cos(np.linspace(0.0, _TWO_PI, _PERIOD_NODES, endpoint=False))
-# sin(psi) at the area rule's nodes mapped onto psi in [0, pi], and weights
-_LEG_SIN = np.cos(0.5 * math.pi * _AREA_RULE[0])
-_LEG_WEIGHTS = 0.5 * math.pi * _AREA_RULE[1]
-
-
-def period_integral(f, s):
-    """Integral of f(s cos theta) over theta in [0, 2 pi) for each s, by
-    the trapezoid rule on ``_PERIOD_NODES`` nodes.  ``f`` maps an array of
-    heights to values elementwise; for a smooth f the integrand is smooth
-    and 2 pi-periodic, so the rule converges geometrically."""
-    return _TWO_PI * np.mean(f(np.multiply.outer(s, _PERIOD_COS)), axis=-1)
-
-
-def leg_integral(f, s):
-    """Integral of f(s sin psi) over psi in [0, pi] for each s, by the
-    area's Clenshaw-Curtis rule: for an f that is not even the integrand
-    is not pi-periodic, and the trapezoid rule would converge only
-    algebraically."""
-    return f(np.multiply.outer(s, _LEG_SIN)) @ _LEG_WEIGHTS
+def _meridian_integral(model, integrand, end):
+    """Integral of ``integrand(z, eta)`` along the meridian z = cos(eta)
+    over eta in [0, end], by :func:`profile_antiderivatives` in units of
+    sqrt(a + sum |b_k|), the bound of the meridian speed sqrt(E) on
+    [-1, 1]."""
+    scale = math.sqrt(model.a + float(np.sum(np.abs(model.b_coef))))
+    anti, _ = profile_antiderivatives(
+        lambda z, eta: (integrand(z, eta),), np.ones(1), np.zeros(1),
+        scale, _SERIES_SAMPLES[0])
+    return float(anti(0, end)[0])
 
 
 def area(model):
-    """Total surface area by Clenshaw-Curtis quadrature of the area element
-    sqrt(E(z)) over z in [-1, 1]: the integrand is analytic there, so the
-    rule converges geometrically (rounding level at 96 intervals for the
-    spheroids of c in [0.5, 2.5])."""
-    nodes, weights = _AREA_RULE
-    return float(_TWO_PI * math.sqrt(model.a)
-                 * np.sum(weights * model.meridian_speed(nodes)))
+    """Total surface area, 2 pi sqrt(a) times the integral of the area
+    element sqrt(E(z)) over z = cos(eta) in [-1, 1], that is of
+    sqrt(E(cos eta)) sin(eta) over eta in [0, pi] (see
+    :func:`profile_antiderivatives`: 64 samples on the spheroids c = 0.97
+    and 1.03, 256 on c = 2.5)."""
+    return (_TWO_PI * math.sqrt(model.a) * _meridian_integral(
+        model, lambda z, eta: model.meridian_speed(z) * np.sin(eta),
+        math.pi))

@@ -225,7 +225,8 @@ def two_gon_perimeter_check(model, grid):
     Every interior node contributes the first-leg arc (length tau_+) closed
     up by each of the two base-geodesic segments between its endpoints; with
     H = min K, all perimeters must satisfy perimeter * sqrt(H) / (2 pi) <= 1
-    up to ``_PERIMETER_TOL``.
+    up to ``_PERIMETER_TOL``, that is stay below ``perimeter_bound``
+    2 pi / sqrt(H).
     """
     kmin, _ = mm.curvature_extremes(model)
     L = grid.length
@@ -237,7 +238,8 @@ def two_gon_perimeter_check(model, grid):
     worst = float(np.max(ratios))
     return {"worst_ratio": worst, "samples": int(ratios.size),
             "violations": int(np.sum(ratios > 1.0 + _PERIMETER_TOL)),
-            "passed": bool(worst <= 1.0 + _PERIMETER_TOL)}
+            "passed": bool(worst <= 1.0 + _PERIMETER_TOL),
+            "perimeter_bound": _TWO_PI / math.sqrt(kmin)}
 
 
 def require_lift_pinching(model):

@@ -2,6 +2,8 @@
 the package's results from other routes, so they are kept out of the
 package itself."""
 
+import math
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -15,6 +17,15 @@ from birkhofflab.errors import PreconditionError
 # Most orbits of one return sweep in every_node_returns: a sweep holds the
 # stages and events of all its orbits at once.
 SWEEP_ORBITS = 2400
+
+
+def spheroid_area(c):
+    """Closed-form area of the spheroid with semi-axes (1, 1, c), c != 1."""
+    if c > 1.0:
+        e = math.sqrt(1.0 - 1.0 / c ** 2)
+        return 2.0 * math.pi * (1.0 + (c / e) * math.asin(e))
+    e = math.sqrt(1.0 - c ** 2)
+    return 2.0 * math.pi * (1.0 + (c * c / e) * math.atanh(e))
 
 
 def unit_speed_defect(model, u, v):

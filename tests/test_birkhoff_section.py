@@ -420,7 +420,7 @@ class TestMeridianSymmetry:
                                      monkeypatch):
         # c = 0.97 needs 64 samples a node to reach rounding; capped at 32,
         # the series is refused rather than truncated
-        monkeypatch.setattr(bs, "_SERIES_SAMPLES", (16, 32))
+        monkeypatch.setattr(mm, "_SERIES_SAMPLES", (16, 32))
         with pytest.raises(InternalConsistencyError, match="not decayed"):
             bs.compute_return_grid(oblate_meridian_section, nx=16, ny=17)
 

@@ -112,6 +112,16 @@ class TestMetricInfo:
         assert code == 0
         assert json.loads(out)["injectivity_radius_lower_bound"] == bound
 
+    @pytest.mark.parametrize("c", [0.02, 30])
+    def test_undecayed_profile_series_exits_4(self, capsys, c):
+        # the area's Fourier series has not decayed at 1,024 samples
+        code, out, err = run(capsys, "metric-info", "--metric",
+                             f'{{"kind": "spheroid", "c": {c}}}')
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not decayed" in err and "Traceback" not in err
+
     def test_missing_metric_exits_2(self, capsys):
         code, _, _ = run(capsys, "metric-info")
         assert code == 2

@@ -6,8 +6,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
+from birkhofflab import birkhoff_section as bs
 from birkhofflab import metric_models as mm
-from birkhofflab.errors import ModelInvalidError
+from birkhofflab.errors import InternalConsistencyError, ModelInvalidError
+
+import independent_checks as ic
 
 
 def ellipsoid_curvature(c, theta):
@@ -16,18 +19,6 @@ def ellipsoid_curvature(c, theta):
     x = math.sin(theta)
     z = c * math.cos(theta)
     return (1.0 / c ** 2) * (x ** 2 + z ** 2 / c ** 4) ** -2
-
-
-def prolate_area(c):
-    """Closed-form prolate spheroid area, semi-axes (1, 1, c), c > 1."""
-    e = math.sqrt(1.0 - 1.0 / c ** 2)
-    return 2.0 * math.pi * (1.0 + (c / e) * math.asin(e))
-
-
-def oblate_area(c):
-    """Closed-form oblate spheroid area, semi-axes (1, 1, c), c < 1."""
-    e = math.sqrt(1.0 - c ** 2)
-    return 2.0 * math.pi * (1.0 + (c * c / e) * math.atanh(e))
 
 
 class TestCurvature:
@@ -88,30 +79,32 @@ class TestArea:
         assert mm.area(mm.make_round(r)) == \
             pytest.approx(4 * math.pi * r ** 2, rel=1e-13)
 
-    @pytest.mark.parametrize("c", [0.5, 0.965, 0.97, 1.03, 1.035, 1.5, 2.5])
+    # c = 0.1 and 10 need all 1,024 samples of the profile series
+    @pytest.mark.parametrize("c", [0.1, 0.5, 0.965, 0.97, 1.03, 1.035, 1.5,
+                                   2.5, 10.0])
     def test_spheroid_closed_form(self, c):
-        exact = prolate_area(c) if c > 1.0 else oblate_area(c)
-        assert mm.area(mm.make_spheroid(c)) == pytest.approx(exact,
-                                                             rel=1e-13)
+        assert mm.area(mm.make_spheroid(c)) == pytest.approx(
+            ic.spheroid_area(c), rel=1e-13)
 
     def test_solves_no_eigenproblem(self, monkeypatch, spheroid_model):
         # Gauss-Legendre nodes come from an eigenproblem (multi-threaded
-        # LAPACK); the area's Clenshaw-Curtis rule needs none
+        # LAPACK); the area's Fourier series, one FFT of uniform samples,
+        # needs none
         def refuse(*args, **kwargs):
             raise AssertionError("eigenproblem solved")
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-        assert mm.area(spheroid_model) == pytest.approx(prolate_area(1.03),
-                                                        rel=1e-13)
+        assert mm.area(spheroid_model) == pytest.approx(
+            ic.spheroid_area(1.03), rel=1e-13)
 
     def test_zoll_area_is_round_area(self, zoll_model):
         assert mm.area(zoll_model) == pytest.approx(4 * math.pi, rel=1e-12)
 
     def test_spheroid_against_closed_form_and_quadrature(self, spheroid_model):
         got = mm.area(spheroid_model)
-        assert got == pytest.approx(prolate_area(1.03), rel=1e-11)
+        assert got == pytest.approx(ic.spheroid_area(1.03), rel=1e-11)
         adaptive, _ = quad(
             lambda th: 2 * math.pi * math.sin(th)
             * math.sqrt(math.cos(th) ** 2 + 1.03 ** 2 * math.sin(th) ** 2),
@@ -120,7 +113,7 @@ class TestArea:
 
 
 class TestMeridianLength:
-    @pytest.mark.parametrize("c", [0.965, 0.97, 1.03, 1.035, 1.5])
+    @pytest.mark.parametrize("c", [0.1, 0.965, 0.97, 1.03, 1.035, 1.5, 10.0])
     def test_spheroid_against_ellipe(self, c):
         # the meridian is an ellipse with semi-axes 1 and c
         a, b = max(1.0, c), min(1.0, c)
@@ -135,31 +128,42 @@ class TestMeridianLength:
         assert model.meridian_circuit_length() == pytest.approx(
             2 * math.pi, rel=1e-14)
 
-
     @pytest.mark.parametrize("model", [
         mm.make_spheroid(0.97), mm.make_spheroid(1.03),
         mm.make_zoll([0.1, 0.0, -0.1]), mm.make_round(3.0).rescale(0.5)],
         ids=lambda m: m.kind)
     def test_the_y_pi_half_row_of_the_period_integral(self, model):
         # the meridian is the orbit launched at y = pi/2 from the equator:
-        # its length is that row of the equator quadrature, bit for bit,
-        # and the 256-node trapezoid sum it always was
-        theta = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+        # its length is that row of the equator quadrature, within rounding
         length = model.meridian_circuit_length()
         ys = np.linspace(0.0, math.pi, 65)
-        assert length == 2 * math.pi * float(
-            np.mean(np.sqrt(model.profile_E(np.cos(theta)))))
-        assert mm.period_integral(model.meridian_speed,
-                                  np.sin(ys))[32] == length
+        row = bs._clairaut_rows(bs.build_section(model), ys)["tau"][32]
+        assert row == pytest.approx(length, rel=1e-15)
+
+
+@pytest.mark.parametrize("integral", [
+    mm.area, mm.MetricModel.meridian_circuit_length],
+    ids=["area", "meridian_length"])
+@pytest.mark.parametrize("c", [0.02, 30.0])
+def test_undecayed_series_raises(c, integral):
+    # the profile series has not decayed at 1,024 samples: refused, not
+    # truncated (the area's former 96-interval rule erred by 6.3e-6 at
+    # c = 0.02 and by 2.0e-8 at c = 30)
+    with pytest.raises(InternalConsistencyError, match="not decayed"):
+        integral(mm.make_spheroid(c))
 
 
 @pytest.mark.parametrize("s", [-0.9, -0.3, 0.0, 0.5, 1.0])
 def test_leg_integral_against_adaptive_quadrature(s):
-    # b of the Zoll metric is not even, so the leg's side matters
+    # b of the Zoll metric is not even, so the leg's side matters: the
+    # profile series along z = s sin(eta), read at eta = pi
     model = mm.make_zoll([0.1, 0.0, -0.1])
     want, _ = quad(lambda p: float(model.meridian_speed(s * math.sin(p))),
                    0.0, math.pi, epsabs=1e-13, epsrel=1e-13)
-    assert abs(mm.leg_integral(model.meridian_speed, s) - want) < 1e-13
+    anti, _ = mm.profile_antiderivatives(
+        lambda z, eta: (model.meridian_speed(z),), np.zeros(1),
+        np.array([s]), 1.0, mm._SERIES_SAMPLES[0])
+    assert abs(anti(0, math.pi)[0] - want) < 1e-13
 
 
 class TestZollProfiles:

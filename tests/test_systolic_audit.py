@@ -348,6 +348,28 @@ class TestAuditOblate:
         assert rep.residuals["area_identity_rel"] < 1e-4
 
 
+class TestIndependentOracles:
+    """CAL and flux of the audit against oracles that share nothing with
+    the package's quadrature: CAL = (pi Area - L^2) / L, with the
+    closed-form area and L = 2 pi over the equator (c > 1) or
+    4 ellipe(1 - c^2) over the meridian (c < 1), and zero flux."""
+
+    # bounds on the relative CAL error and on |flux| at 32 columns, each
+    # about three times the value measured, which follows it
+    @pytest.mark.parametrize("c, ny, cal_tol, flux_tol", [
+        (1.03, 64, 5.4e-6, 3e-7),      # 1.78e-6, -9.6e-8
+        (0.97, 64, 5.4e-6, 1.5e-7),    # 1.77e-6, -4.7e-8
+        (1.03, 65, 7.5e-7, 4e-16),     # 2.49e-7, 2.6e-17
+        (0.97, 65, 7.5e-7, 4e-16),     # 2.48e-7, 9.5e-17
+    ])
+    def test_cal_and_flux(self, c, ny, cal_tol, flux_tol):
+        rep = sa.audit(mm.make_spheroid(c), nx=32, ny=ny)
+        L = TWO_PI if c > 1.0 else 4.0 * ellipe(1.0 - c * c)
+        cal = (math.pi * ic.spheroid_area(c) - L * L) / L
+        assert abs(rep.cal - cal) < cal_tol * cal
+        assert abs(rep.flux) < flux_tol
+
+
 class TestRefusal:
     def test_fat_spheroid_refused(self):
         with pytest.raises(AuditRefused):
@@ -393,6 +415,7 @@ class TestTwoGon:
         assert out["passed"]
         assert out["violations"] == 0
         assert out["worst_ratio"] == pytest.approx(1.0, abs=1e-9)
+        assert out["perimeter_bound"] == pytest.approx(TWO_PI, rel=1e-12)
 
     def test_spheroid_no_violations(self, spheroid_grid, spheroid_model):
         out = sa.two_gon_perimeter_check(spheroid_model, spheroid_grid)
