@@ -262,15 +262,17 @@ class BirkhoffGrid(sc.StripMapGrid):
     # sphere points of its two legs (see :func:`_arc_legs`)
     arc_legs: list = field(default_factory=list, repr=False)
 
-    def to_csv(self, path):
-        """One row per grid node, x-major: x, y, X, Y, tau as repr(float)."""
+    def to_csv(self, path, length_unit):
+        """One row per grid node, x-major: x, y, X, Y, tau as repr(float),
+        with the lengths x, X and tau multiplied by ``length_unit``."""
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "y", "X", "Y", "tau"])
             for i, x in enumerate(self.xs):
                 for j, y in enumerate(self.ys):
                     wr.writerow([repr(float(v)) for v in (
-                        x, y, self.X[i, j], self.Y[i, j], self.tau[i, j])])
+                        x * length_unit, y, self.X[i, j] * length_unit,
+                        self.Y[i, j], self.tau[i, j] * length_unit)])
 
     def summary(self, model):
         return {"L": self.length, "nx": self.nx, "ny": self.ny,
@@ -676,21 +678,17 @@ def _check_nodes(section, xs, ys, out, rtol):
     leg_minus).  Each must repeat the quadrature ``out``, or
     :class:`InternalConsistencyError` is raised: X - x, tau, tau_plus and
     rho_plus within tol L and Y within tol pi, tol = max(rtol,
-    ``_SWEEP_FLOOR``); the Jacobi fields within ``MONOTONE_CROSSCHECK_TOL``
-    max(r, 1 / r), with r = sqrt(a), as the sweep's polar Jacobi equation is
-    not scale-free (on round spheres of radius r its angle errs by up to
-    about 55 rtol r for r from 30 to 1e5, jac_du by about 200 rtol at
-    r = 1e-4).  The quadrature holds for every node alike, so the sampled
-    arcs stand for the grid's."""
+    ``_SWEEP_FLOOR``); the Jacobi fields within ``MONOTONE_CROSSCHECK_TOL``.
+    The quadrature holds for every node alike, so the sampled arcs stand
+    for the grid's."""
     nx, ny, L = len(xs), len(ys), section.length
     interior = np.arange(nx * ny).reshape(nx, ny)[:, 1:-1].ravel()
     i, j = np.divmod(np.sort(np.random.default_rng(0).choice(
         interior, size=min(_ARC_NODES, len(interior)), replace=False)), ny)
     got = _returns(section, xs[i], ys[j], rtol, arc=np.arange(len(i)))
     tol = max(rtol, _SWEEP_FLOOR)
-    scale = math.sqrt(section.model.a)
-    jac = MONOTONE_CROSSCHECK_TOL * max(scale, 1.0 / scale)
-    bounds = {"Y": tol * math.pi, "jac_angle": jac, "jac_du": jac}
+    bounds = {"Y": tol * math.pi, "jac_angle": MONOTONE_CROSSCHECK_TOL,
+              "jac_du": MONOTONE_CROSSCHECK_TOL}
     for k in _GRID_FIELDS:
         err = np.abs(got[k] - out[k][i, j])
         if np.any(err > bounds.get(k, tol * L)):

@@ -49,6 +49,13 @@ SIN2_MIN_NY = 21
 TRACE_MAX_LENGTHS = 100   # longest trace --t-end, in equator lengths
 MAX_GRID = 512            # largest --nx, --ny (costs measured in README)
 MAX_SAMPLES = 10_000      # largest --samples (costs measured in README)
+# Every command but trace and metric-info computes on the unit model (see
+# metric_models.unit_model); a report key with a unit carries sqrt(a) to
+# this power, 1 for a length, time, action or Clairaut value, 2 for an area.
+_UNIT_POWERS = dict(area=2, lower_margin=2, upper_margin=2, **dict.fromkeys((
+    "L cal clairaut common_period flux flux_abs flux_boundary_path l_min "
+    "l_max_simple length max_w min_w perimeter_bound section_length sigma "
+    "tau_action_max tau_min tau_max x boundary_consistency_max").split(), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +92,17 @@ def _open_out(out):
 def _emit(doc, out):
     with _open_out(out) as fh:
         fh.write(dumps(doc) + "\n")
+
+
+def _in_units(doc, a):
+    """The unit model's report ``doc`` in the units of its metric of scale
+    ``a``: each ``_UNIT_POWERS`` key's number times sqrt(a) to its power."""
+    if isinstance(doc, list):
+        return [_in_units(v, a) for v in doc]
+    unit = {1: math.sqrt(a), 2: a}
+    return {k: _in_units(v, a) if v is None or k not in _UNIT_POWERS
+            else v * unit[_UNIT_POWERS[k]]
+            for k, v in doc.items()} if isinstance(doc, dict) else doc
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +204,15 @@ def _load_metric(spec):
 
 
 def _return_grid(args):
-    """The metric of ``args``, its pinching constant and its return grid
-    over the equator; a metric the zero-flux lift does not cover is refused
-    before anything is integrated."""
+    """The metric of ``args``, its scale a, its pinching constant and the
+    return grid of its unit model over the equator; a metric the zero-flux
+    lift does not cover is refused before anything is integrated."""
     model = _load_metric(args.metric)
-    delta = sa.require_lift_pinching(model)
-    grid = bs.compute_return_grid(bs.build_section(model), nx=args.nx,
+    unit, a = mm.unit_model(model)
+    delta = sa.require_lift_pinching(unit)
+    grid = bs.compute_return_grid(bs.build_section(unit), nx=args.nx,
                                   ny=args.ny, rtol=args.tol_int)
-    return model, delta, grid
+    return model, a, delta, grid
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +268,15 @@ def cmd_trace(args):
 @_command("return-map", "--metric", "--nx", "--ny", "--tol-int", "--tol-id",
           "--format", "--out")
 def cmd_return_map(args):
-    model, delta, grid = _return_grid(args)
+    _, a, delta, grid = _return_grid(args)
     summary_path = args.out
     if args.format == "csv":
-        grid.to_csv(args.out)
+        grid.to_csv(args.out, math.sqrt(a))
         summary_path += ".json"
-    doc = grid.summary(model)
+    doc = grid.summary(grid.section.model)
     doc["delta"] = delta
-    _emit(doc, summary_path)
-    # tau - L - sigma is a length: --tol-id is in units of sqrt(a)
-    scale = math.sqrt(model.a)
-    bad = doc["residuals"]["tau_action_max"] > args.tol_id * scale
+    _emit(_in_units(doc, a), summary_path)
+    bad = doc["residuals"]["tau_action_max"] > args.tol_id
     return EXIT_FAIL if bad else EXIT_PASS
 
 
@@ -281,8 +298,9 @@ def _preset_generating(preset, eps, length, nx, ny, seed):
 @_command("strip-report", "--metric", "--nx", "--ny", "--tol-int",
           "--w-preset", "--eps", "--seed", "--out")
 def cmd_strip_report(args):
+    a = 1.0
     if args.metric:
-        model, _, grid = _return_grid(args)
+        model, a, _, grid = _return_grid(args)
         lift = bs.zero_flux_lift(grid)
         gen = sc.generating_from_map(lift)
         source = {"kind": "birkhoff-lift", "metric": mm.to_json(model)}
@@ -310,7 +328,7 @@ def cmd_strip_report(args):
             point, sigma = sc.fixed_point_with_signed_action(lift, gen, branch)
             doc["fixed_points"].append(
                 {"x": point[0], "y": point[1], "sigma": sigma})
-    _emit(doc, args.out)
+    _emit(_in_units(doc, a), args.out)
     return EXIT_PASS
 
 
@@ -318,9 +336,11 @@ def cmd_strip_report(args):
           "--tol-id", "--tol-verdict", "--strict", "--out")
 def cmd_systolic_verify(args):
     model = _load_metric(args.metric)
-    report = sa.audit(model, nx=args.nx, ny=args.ny, rtol=args.tol_int,
+    unit, a = mm.unit_model(model)
+    report = sa.audit(unit, nx=args.nx, ny=args.ny, rtol=args.tol_int,
                       tol_identity=args.tol_id, tol_verdict=args.tol_verdict)
-    _emit(report.to_dict(), args.out)
+    _emit(dict(_in_units(report.to_dict(), a), metric=mm.to_json(model)),
+          args.out)
     failed = not report.passed or (args.strict and report.warnings)
     return EXIT_FAIL if failed else EXIT_PASS
 
@@ -329,15 +349,16 @@ def cmd_systolic_verify(args):
           "--tol-id", "--out", samples=8)
 def cmd_zoll_check(args):
     model = _load_metric(args.metric)
-    L = model.equator_length
+    unit, a = mm.unit_model(model)
+    L = unit.equator_length
     rng = np.random.default_rng(args.seed)
-    states = [gd.state_from_angle(model, math.acos(rng.uniform(-0.95, 0.95)),
+    states = [gd.state_from_angle(unit, math.acos(rng.uniform(-0.95, 0.95)),
                                   rng.uniform(0.0, 2 * math.pi),
                                   rng.uniform(0.0, 2 * math.pi))
               for _ in range(args.samples)]       # theta, phi, psi in turn
-    y0, y1 = gd.integrate_geodesic(model, states, L, [0.0, L],
+    y0, y1 = gd.integrate_geodesic(unit, states, L, [0.0, L],
                                    tol=args.tol_int)
-    worst = float(np.max(np.abs((y1 - y0) * gd.closure_weight(model))))
+    worst = float(np.max(np.abs(y1 - y0)))
     closed = worst < args.tol_id
     doc = {
         "metric": mm.to_json(model),
@@ -346,16 +367,16 @@ def cmd_zoll_check(args):
         "max_closure_residual": worst,
         "all_closed": bool(closed),
     }
-    _emit(doc, args.out)
+    _emit(_in_units(doc, a), args.out)
     return EXIT_PASS if closed else EXIT_FAIL
 
 
 @_command("polygon-check", "--metric", "--nx", "--ny", "--tol-int", "--out")
 def cmd_polygon_check(args):
-    model, _, grid = _return_grid(args)
-    doc = sa.two_gon_perimeter_check(model, grid)
+    model, a, _, grid = _return_grid(args)
+    doc = sa.two_gon_perimeter_check(grid.section.model, grid)
     doc["metric"] = mm.to_json(model)
-    _emit(doc, args.out)
+    _emit(_in_units(doc, a), args.out)
     return EXIT_PASS if doc["passed"] else EXIT_FAIL
 
 

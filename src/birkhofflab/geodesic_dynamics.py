@@ -34,9 +34,7 @@ from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
                      ReturnFailure)
 
 _TWO_PI = 2.0 * math.pi
-# Closure residual (sup norm of the mismatch of (u, sqrt(a) v)) a closed
-# orbit must meet.
-CLOSURE_TARGET = 1e-10
+CLOSURE_TARGET = 1e-10    # sup norm of the (u, v) mismatch of a closed orbit
 TOL_INT_RANGE = (1e-12, 1e-6)     # relative integration tolerances accepted
 # Gauss-Newton shooting: angle push of the forward differences, and cap on
 # the iterations (one flow each).
@@ -73,7 +71,8 @@ def geodesic_rhs(model, jacobi=False):
     The arithmetic runs on the (d, n) rows of the state, which are the
     stepper's own column-major array when ``y`` is the view it hands out
     (any other layout is copied once), and the result is returned as the
-    (n, d) transpose of a (d, n) array.
+    (n, d) transpose of a (d, n) array.  Its Jacobi tolerances are set
+    for a = 1, as J grows with sqrt(a); the CLI normalises first.
     """
     a = float(model.a)
     b_of = _horner(model.b_coef)
@@ -343,12 +342,6 @@ class ClosedOrbit:
         return normal / np.linalg.norm(normal)
 
 
-def closure_weight(model):
-    """Weights (6,) of a state (u, v) that measure closure on (u, sqrt(a) v),
-    both of order one for a unit-speed state at any scale of the metric."""
-    return np.repeat([1.0, math.sqrt(model.a)], 3)
-
-
 def equator_seed(model):
     return state_from_angle(model, math.pi / 2, 0.0, math.pi / 2)
 
@@ -366,32 +359,31 @@ def find_closed_geodesic(model, seed, period_guess):
     pushed by ``_SHOOT_STEP`` as the rows of one batch to T, so their
     forward differences share the step sizes (internal numerical
     differentiation); the period column of the Jacobian is the vector
-    field at the launch's end state.  Closure is measured on
-    (u, sqrt(a) v) (see :func:`closure_weight`).
+    field at the launch's end state.  Closure is measured on (u, v).
     ``lstsq`` solves for the step even where the closed orbits form a
     family (theta0 along a meridian, a Zoll metric).  Raises
     :class:`NoConvergenceError` when the closure residual cannot be
     brought below ``CLOSURE_TARGET``.  The orbit stores the
     ``_ORBIT_SAMPLES`` states that the launch of the last flow sampled.
+    Its tolerances are set for a = 1; the CLI normalises first.
     """
     theta0, phi0 = seed.theta, seed.phi
     (dth, dph), z = seed.direction, math.cos(theta0)
     psi0 = math.atan2(math.sqrt(float(model.profile_G(z))) * dph,
                       math.sqrt(float(model.profile_E(z))) * dth)
     p = np.array([theta0, psi0, period_guess])
-    weight = closure_weight(model)
     for _ in range(_SHOOT_ITERATIONS):
         T, pushes = p[2], p[:2] + _SHOOT_STEP * np.eye(3, 2, -1)
         y0 = np.array([np.concatenate(state_to_ambient(model, state_from_angle(
             model, th, phi0, ps))) for th, ps in pushes])
         yT, states = _flow(model, y0, T, _SHOOT_TOL, [0], np.linspace(
             0.0, T, _ORBIT_SAMPLES, endpoint=False))
-        closure = (yT - y0) * weight
+        closure = yT - y0
         resid = float(np.max(np.abs(closure[0])))
         if resid <= 0.1 * CLOSURE_TARGET:
             return ClosedOrbit(model, T, np.concatenate(states)[:, 0], resid)
         jac = np.column_stack([*(closure[1:] - closure[0]) / _SHOOT_STEP,
-                               geodesic_rhs(model)(T, yT[:1])[0] * weight])
+                               geodesic_rhs(model)(T, yT[:1])[0]])
         p = p - np.linalg.lstsq(jac, closure[0], rcond=None)[0]
         # T -> 0 closes every state, a root that is no orbit
         if not (0.0 < p[0] < math.pi
@@ -405,11 +397,11 @@ def find_closed_geodesic(model, seed, period_guess):
 def equator_orbit(model):
     """The equatorial closed geodesic in closed form: the circle z = 0 run
     along increasing phi (the direction of :func:`equator_seed`) at chart
-    speed 1 / sqrt(a), sampled at ``_ORBIT_SAMPLES`` states; it closes
-    exactly."""
+    speed 2 pi / L, L its length, sampled at ``_ORBIT_SAMPLES`` states; it
+    closes exactly."""
     phi = np.linspace(0.0, _TWO_PI, _ORBIT_SAMPLES, endpoint=False)
     c, s, zero = np.cos(phi), np.sin(phi), np.zeros_like(phi)
-    speed = 1.0 / math.sqrt(model.a)
+    speed = _TWO_PI / model.equator_length
     return ClosedOrbit(model, model.equator_length, np.column_stack(
         [c, s, zero, -speed * s, speed * c, zero]), 0.0)
 

@@ -273,6 +273,13 @@ def to_json(model):
     return {"kind": model.kind, **model.params}
 
 
+def unit_model(model):
+    """The unit model (1, b / a) of ``model``, and a; by division, exact at
+    a = 1 where ``rescale(1 / a)`` is not.  It is never serialised."""
+    return MetricModel(kind="unit", params={}, a=1.0,
+                       b_coef=model.b_coef / model.a), model.a
+
+
 # ---------------------------------------------------------------------------
 # pointwise and global operations
 # ---------------------------------------------------------------------------

@@ -575,7 +575,8 @@ def fixed_point_with_signed_action(grid, gen, branch=None):
     :func:`_newton_step`).  Each step is capped at one cell and x is wrapped
     into [0, L) after it; the iteration stops once a step is below the
     rounding of W's derivatives.  The map read at that point from its own
-    grid must fix it to within ``FIXED_TOL``.
+    grid must fix it to within ``FIXED_TOL``.  Its tolerances are set for
+    a = 1; the CLI normalises first.
     """
     if not zero_flux(grid, flux(grid)):
         raise PreconditionError("fixed-point theorem requires zero flux")

@@ -48,8 +48,6 @@ ZOLL_SUP_TOL = 1e-5
 # spheroids c = 0.97, 1.03, 1.1 at 32x64, 32x65 and 48x64 (and c = 0.97,
 # 1.03 at 96x96), so a match within ten times it has a margin of nine.
 _LENGTH_MATCH_FACTOR = 10.0
-# The candidate audit's slacks, this one among them, are in units of sqrt(a),
-# the scale of lengths and Clairaut values (1 on every unit model).
 _CLAIRAUT_MATCH = 1e-6
 _PERIMETER_TOL = 1e-6     # slack of the two-gon perimeter bound
 # Fewest grid columns over a meridian base: the spheroid c = 0.97 lift at
@@ -119,7 +117,8 @@ def simplicity_check(orbit):
 
 def candidate_closed_geodesics(model):
     """The symmetry orbits, deduplicated: the equator in closed form and
-    the meridian shot closed."""
+    the meridian shot closed.  Its tolerances are set for a = 1; the CLI
+    normalises first."""
     cands = []
     for label, orbit in (("equator", gd.equator_orbit(model)),
                          ("meridian", gd.meridian_orbit(model))):
@@ -129,12 +128,10 @@ def candidate_closed_geodesics(model):
 
 def _push_candidate(cands, label, orbit):
     """Append ``orbit`` unless a listed candidate has its length and
-    Clairaut value, within 1e-8 and 1e-6 times sqrt(a); returns the label
-    it is listed under."""
-    scale = math.sqrt(orbit.model.a)
+    Clairaut value to 1e-8 and 1e-6; returns the label it is under."""
     for c in cands:
-        if (abs(c.length - orbit.length) < 1e-8 * scale
-                and abs(c.clairaut - orbit.clairaut) < 1e-6 * scale):
+        if (abs(c.length - orbit.length) < 1e-8
+                and abs(c.clairaut - orbit.clairaut) < 1e-6):
             return c.label
     fold = bs.minimal_period_fold(orbit)
     cands.append(CandidateGeodesic(
@@ -155,7 +152,7 @@ def _fixed_point_candidates(cands, model, grid, cal, tau_action_max,
     L + sigma* indistinguishable from the base's, so W's sign below that
     floor is rounding noise.  Each fixed point predicts a length L + sigma*
     and a Clairaut value, matched against the candidates within
-    ``_LENGTH_MATCH_FACTOR * tau_action_max`` and ``_CLAIRAUT_MATCH`` sqrt(a)
+    ``_LENGTH_MATCH_FACTOR * tau_action_max`` and ``_CLAIRAUT_MATCH``
     (in absolute value: a fixed point may sit on a candidate traversed
     backwards).  An unmatched one is shot from its predicted state; a
     candidate that cannot be shot is recorded as unverified.
@@ -202,7 +199,7 @@ def _fixed_point_candidates(cands, model, grid, cal, tau_action_max,
              if abs(c.length - length)
              <= _LENGTH_MATCH_FACTOR * tau_action_max
              and abs(abs(c.clairaut) - abs(clairaut))
-             <= _CLAIRAUT_MATCH * math.sqrt(model.a)),
+             <= _CLAIRAUT_MATCH),
             None)
         if entry["match"] is None:
             try:
@@ -261,7 +258,9 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     pinching hypothesis behind the lift construction fails, and
     :class:`PreconditionError` before any integration when ``ny`` is too
     small for the monotonicity check, and before the return grid when the
-    base is a meridian and ``nx`` is below ``MERIDIAN_MIN_NX``."""
+    base is a meridian and ``nx`` is below ``MERIDIAN_MIN_NX``.  Its
+    tolerances, ``tol_identity`` among them, are set for a = 1; the CLI
+    normalises first."""
     warnings = []
     delta = require_lift_pinching(model)
     bs.require_monotonicity_rows(ny)
@@ -330,14 +329,11 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
         warnings.append("near-equality of a systolic bound with a return "
                         "map far from the identity")
 
-    # No fixed point of the lift may beat the shortest candidate; the
-    # negative-action one sits at the global minimum of W, so it is the
-    # shortest.  This slack, the Klingenberg one and ``tol_identity`` are
-    # in units of sqrt(a), as tau - L - sigma is a length.
-    scale = math.sqrt(model.a)
+    # No fixed point may beat the shortest candidate; the negative-action
+    # one sits at the global minimum of W, so it is the shortest.
     for b in fixed_point["branches"]:
         if (b["branch"] == "negative" and b["length"] is not None
-                and b["length"] < l_min - 1e-5 * scale):
+                and b["length"] < l_min - 1e-5):
             warnings.append(
                 f"fixed point with length {b['length']:.8f} beats the "
                 f"candidate minimum {l_min:.8f}")
@@ -346,11 +342,11 @@ def audit(model, nx=96, ny=96, rtol=1e-10, tol_identity=1e-5,
     _, kmax = mm.curvature_extremes(model)
     kling = _TWO_PI / math.sqrt(kmax)
     for c in cands:
-        if c.length < kling - 1e-6 * scale:
+        if c.length < kling - 1e-6:
             warnings.append(f"candidate {c.label} shorter than the "
                             "curvature bound")
 
-    if residuals["tau_action_max"] > tol_identity * scale:
+    if residuals["tau_action_max"] > tol_identity:
         warnings.append("return-time/action identity residual exceeds "
                         "tolerance")
     if residuals["area_identity_rel"] > tol_verdict:

@@ -754,7 +754,7 @@ class TestJacobiWindow:
 class TestSerialisation:
     def test_csv_and_summary(self, round_grid, round_model, tmp_path):
         path = tmp_path / "grid.csv"
-        round_grid.to_csv(path)
+        round_grid.to_csv(path, 1.0)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (round_grid.nx * round_grid.ny, 5)
         assert np.max(np.abs(data[:, 4] - TWO_PI)) < 1e-7

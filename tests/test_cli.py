@@ -1,7 +1,11 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,10 +373,7 @@ class TestVerdictCommands:
                                              (1e-6, "1e-10"), (1e-8, "1e-10")])
     def test_systolic_verify_round_passes_at_any_scale(self, capsys, radius,
                                                        tol):
-        # the equator's check nodes hold the sweep's Jacobi data to a bound
-        # that grows with the length scale, as its error does; the meridian
-        # closes on (u, sqrt(a) v), in a flow whose steps (of order the
-        # radius) stay above a floor scaled by its span
+        # every radius is audited as the unit sphere
         code, _, err = run(capsys, "systolic-verify", "--metric",
                            json.dumps({"kind": "round", "radius": radius}),
                            "--nx", "16", "--ny", "64", "--tol-int", tol)
@@ -380,16 +381,16 @@ class TestVerdictCommands:
 
     def test_systolic_verify_rescaled_spheroid_keeps_its_verdicts(
             self, capsys):
-        # X - x enters the identity distance and the flux enters the
-        # zero-flux test in units of L / 2 pi, and tau - L - sigma the
-        # identity check in units of sqrt(a), so a small spheroid is neither
-        # flagged as Zoll nor warned about, and a large one keeps its lift
+        # every scale is audited on the unit model, so a small spheroid is
+        # neither flagged as Zoll nor warned about, a large one keeps its
+        # lift, and at 1e-16, where lengths and Clairaut values are of order
+        # 1e-8, the equator and the meridian are still told apart
         def branches(doc):
             return [(b["branch"], b["match"].split(":")[0])
                     for b in doc["fixed_point"]["branches"]]
 
         docs = []
-        for scale in (1.0, 1e-6, 1e-12, 1e6):
+        for scale in (1.0, 1e-6, 1e-12, 1e6, 1e-16):
             code, out, err = run(capsys, "systolic-verify", "--metric",
                                  json.dumps({"kind": "rescaled-spheroid",
                                              "c": 1.03, "scale": scale}),
@@ -403,6 +404,8 @@ class TestVerdictCommands:
             assert doc["warnings"] == []
             assert doc["fixed_point"]["refused"] is None
             assert branches(doc) == branches(docs[0])
+            labels = [c["label"] for c in doc["candidates"]]
+            assert {"equator", "meridian"} <= set(labels)
             assert doc["residuals"]["sup_distance_to_identity"] == (
                 pytest.approx(sup, rel=1e-9))
 
@@ -453,9 +456,9 @@ class TestVerdictCommands:
         assert json.loads(out)["passed"] is True
 
     def test_return_map_large_spheroid_passes(self, capsys):
-        # the flux is taken in units of L / 2 pi and --tol-id against
-        # tau - L - sigma in units of sqrt(a), so a spheroid scaled by 1e6
-        # keeps its lift and passes, though its residual exceeds 1e-5
+        # --tol-id is held against the unit model's tau - L - sigma, so a
+        # spheroid scaled by 1e6 passes, though its reported residual, in
+        # its own units, exceeds 1e-5
         code, out, err = run(capsys, "return-map", "--metric",
                              json.dumps({"kind": "rescaled-spheroid",
                                          "c": 1.03, "scale": 1e6}),
@@ -503,8 +506,7 @@ class TestVerdictCommands:
 
     @pytest.mark.parametrize("radius", [1e-8, 1e-10])
     def test_zoll_check_closes_at_any_scale(self, capsys, radius):
-        # closure is measured on (u, sqrt(a) v), whose velocity part stays
-        # of order one as the sphere shrinks
+        # the orbits are flowed on the unit sphere, whatever the radius
         code, out, _ = run(capsys, "zoll-check", "--metric",
                            json.dumps({"kind": "round", "radius": radius}))
         doc = json.loads(out)
@@ -518,7 +520,8 @@ class TestVerdictCommands:
         assert json.loads(out)["all_closed"] is False
 
     def test_zoll_check_fails_on_a_small_spheroid(self, capsys):
-        # the scaled closure of c = 1.03 is the same at scale 1e-16 as at 1
+        # the closure of c = 1.03 is the same at scale 1e-16 as at 1: both
+        # are flowed on the unit model
         docs = []
         for scale in (1.0, 1e-16):
             code, out, _ = run(capsys, "zoll-check", "--metric", json.dumps(
@@ -583,6 +586,98 @@ class TestVerdictCommands:
         code_strict, _, _ = run(capsys, "systolic-verify", "--metric", ZOLL,
                                 "--nx", "24", "--ny", "64", "--strict")
         assert code_strict == 1
+
+
+def _rescaled(c, scale):
+    return {"kind": "rescaled-spheroid", "c": c, "scale": scale}
+
+
+@functools.cache
+def _json_run(command, metric, *argv):
+    """Exit code and JSON report of one run of ``command`` on the metric
+    document ``metric`` (a JSON string), kept for later tests."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--metric", metric, *argv])
+    return code, json.loads(out.getvalue())
+
+
+def _scaled_run(command, c, scale, *argv):
+    """``_json_run`` on spheroid ``c`` rescaled by ``scale``, then at 1."""
+    return (_json_run(command, json.dumps(_rescaled(c, scale)), *argv),
+            _json_run(command, json.dumps(_rescaled(c, 1.0)), *argv))
+
+
+def assert_in_units(doc, unit_doc, a, tol=0.0):
+    """Every number of ``doc`` is the same-placed number of ``unit_doc``
+    times sqrt(a) to the power ``cli._UNIT_POWERS`` gives its key, within
+    ``tol`` times that factor (0: exactly); every other value is equal.
+    The ``metric`` keys, which name different models, are skipped."""
+    factor = {0: 1.0, 1: math.sqrt(a), 2: a}
+
+    def walk(got, want, key):
+        if isinstance(want, dict):
+            assert sorted(got) == sorted(want)
+            for k in want.keys() - {"metric"}:
+                walk(got[k], want[k], k)
+        elif isinstance(want, list):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                walk(g, w, key)
+        elif isinstance(want, (int, float)) and not isinstance(want, bool):
+            f = factor[cli._UNIT_POWERS.get(key, 0)]
+            assert abs(got - want * f) <= tol * f, (key, got, want * f)
+        else:
+            assert got == want, key
+
+    walk(doc, unit_doc, None)
+
+
+class TestUnitModel:
+    """Every command but trace and metric-info runs on the unit model of its
+    metric and scales its report back once: a rescaled metric reports the
+    numbers of scale 1 in its own units.  b / a rounds by 6.9e-18 at scale
+    1e-12, so the numbers agree there only to rounding."""
+
+    @pytest.mark.parametrize("c, nx", [(0.97, "32"), (1.03, "16")])
+    @pytest.mark.parametrize("scale, tol", [(1e12, 0.0), (1e6, 0.0),
+                                            (1e-12, 1e-13)])
+    def test_strict_audit_of_a_rescaled_spheroid(self, c, nx, scale, tol):
+        (code, doc), (code1, doc1) = _scaled_run(
+            "systolic-verify", c, scale, "--nx", nx, "--ny", "64", "--strict")
+        assert code == code1 == 0
+        assert doc["warnings"] == doc1["warnings"] == []
+        assert doc["metric"] == _rescaled(c, scale)
+        assert_in_units(doc, doc1, scale, tol)
+
+    @pytest.mark.parametrize("command, argv", [
+        ("return-map", ("--nx", "16", "--ny", "33")),
+        ("polygon-check", ("--nx", "16", "--ny", "33")),
+        ("strip-report", ("--nx", "16", "--ny", "33")),
+        ("zoll-check", ()),
+    ])
+    def test_other_commands_at_scale_1e6(self, command, argv):
+        (code, doc), (code1, doc1) = _scaled_run(command, 1.03, 1e6, *argv)
+        assert code == code1
+        assert_in_units(doc, doc1, 1e6)
+        if command != "return-map":      # its summary names no metric
+            metric = (doc["source"] if command == "strip-report" else doc)
+            assert metric["metric"] == _rescaled(1.03, 1e6)
+
+    def test_return_map_csv_at_scale_1e6(self, tmp_path):
+        # x, X and tau are lengths, y and Y angles
+        tables, summaries = [], []
+        for scale in (1e6, 1.0):
+            out = tmp_path / f"{scale}.csv"
+            assert cli.main(["return-map", "--metric",
+                             json.dumps(_rescaled(1.03, scale)),
+                             "--nx", "16", "--ny", "33", "--format", "csv",
+                             "--out", str(out)]) == 0
+            tables.append(np.loadtxt(out, delimiter=",", skiprows=1))
+            summaries.append(json.loads(Path(f"{out}.json").read_text()))
+        assert_in_units(*summaries, 1e6)
+        np.testing.assert_array_equal(
+            tables[0], tables[1] * [1e3, 1.0, 1e3, 1.0, 1e3])
 
 
 class TestComputationFailure:
