@@ -48,6 +48,21 @@ class TestCandidates:
         for c in cands:
             assert c.length == pytest.approx(TWO_PI, abs=1e-6)
 
+    def test_tiny_spheroid_keeps_both_candidates(self, spheroid_model):
+        # lengths and Clairaut values scale as sqrt(a) = 1e-8 here, below
+        # the absolute slacks that tell the equator from the meridian; on
+        # its unit model, where the audit runs, both are kept, with the
+        # lengths of the spheroid at scale 1
+        model = mm.from_json({"kind": "rescaled-spheroid", "c": 1.03,
+                              "scale": 1e-16})
+        unit, a = mm.unit_model(model)
+        assert a == 1e-16
+        cands = sa.candidate_closed_geodesics(unit)
+        assert [c.label for c in cands] == ["equator", "meridian"]
+        want = sa.candidate_closed_geodesics(spheroid_model)
+        for c, w in zip(cands, want):
+            assert c.length == pytest.approx(w.length, rel=1e-12)
+
 
 @contextlib.contextmanager
 def _shooting_flows():
