@@ -37,9 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.spatial import cKDTree
 
+from . import _spline
 from . import geodesic_dynamics as gd
 from . import metric_models as mm
 from . import strip_calculus as sc
@@ -72,56 +71,83 @@ _SWEEP_FLOOR = 1e-11
 _QUADRATURE_NODES = 256
 _NEWTON_ITERATIONS = 60
 _NEWTON_TOL = 1e-15
+# The 27 cell offsets of a cube's neighbourhood (itself included).
+_NEIGHBOURS = np.array(np.meshgrid(*[[-1, 0, 1]] * 3)).reshape(3, -1).T
 
 
 # ---------------------------------------------------------------------------
 # curve self-intersection machinery
 # ---------------------------------------------------------------------------
 
-def _segment_pair_distance(p1, q1, p2, q2):
-    """Minimum distance between segments [p1, q1] and [p2, q2] in R^3."""
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    c = d1 @ r
-    b = d1 @ d2
-    denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e if e > 1e-30 else 0.0
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0) if a > 1e-30 else 0.0
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0) if a > 1e-30 else 0.0
-    diff = (p1 + s * d1) - (p2 + t * d2)
-    return math.sqrt(diff @ diff)
+def _segment_distances(p1, q1, p2, q2):
+    """Minimum distances between the segments [p1, q1] and [p2, q2] in
+    R^3, row by row."""
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a, e, b = (np.einsum("ij,ij->i", u, v)
+               for u, v in ((d1, d1), (d2, d2), (d1, d2)))
+    c, f = np.einsum("ij,ij->i", d1, r), np.einsum("ij,ij->i", d2, r)
+
+    def ratio(num, den):
+        return np.where(den > 1e-30, num / np.where(den > 1e-30, den, 1.0),
+                        0.0)
+
+    s = np.clip(ratio(b * f - c * e, a * e - b * b), 0.0, 1.0)
+    t = ratio(b * s + f, e)
+    s = np.where(t < 0.0, np.clip(ratio(-c, a), 0.0, 1.0),
+                 np.where(t > 1.0, np.clip(ratio(b - c, a), 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm((p1 + s[:, None] * d1) - (p2 + t[:, None] * d2),
+                          axis=1)
+
+
+def _near_pairs(points, radius):
+    """Index pairs i != j of ``points``, (n, 3), in the same or in
+    neighbouring cells of a grid of cubes of side at least ``radius``, so
+    every pair closer than ``radius``, each pair once.  Each cell is
+    hashed to one integer key; the occupied cells are sorted once and each
+    one's 13 forward neighbours found by ``searchsorted``."""
+    lo = points.min(axis=0)
+    size = max(radius, float(np.max(points.max(axis=0) - lo)) / 2.0 ** 20)
+    cells = np.floor((points - lo) / size).astype(np.int64) + 1
+    dims = cells.max(axis=0) + 2
+    weights = np.array([dims[1] * dims[2], dims[2], 1])
+    keys = cells @ weights
+    order = np.argsort(keys, kind="stable")
+    occupied, first, count = np.unique(keys[order], return_index=True,
+                                       return_counts=True)
+    shifts = _NEIGHBOURS @ weights
+    # one sorted run of keys per shift, which searchsorted takes fastest
+    wanted = shifts[shifts >= 0, None] + occupied
+    found = np.minimum(np.searchsorted(occupied, wanted), len(occupied) - 1)
+    shift, a = np.nonzero(occupied[found] == wanted)
+    b = found[shift, a]
+    sizes = count[a] * count[b]
+    t = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = np.repeat(count[b], sizes)
+    i = np.repeat(first[a], sizes) + t // width
+    j = np.repeat(first[b], sizes) + t % width
+    keep = (np.repeat(a, sizes) != np.repeat(b, sizes)) | (i < j)
+    return order[i[keep]], order[j[keep]]
 
 
 def curve_self_intersects(points, closed=True):
     """Whether a polyline in R^3 approaches itself closer than
-    ``_CURVE_RESOLUTION`` away from parameter-adjacent segments."""
+    ``_CURVE_RESOLUTION`` away from parameter-adjacent segments.
+
+    Two segments that close have midpoints closer than the longest segment
+    plus the resolution, so only the pairs :func:`_near_pairs` finds at
+    that radius are measured."""
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    segs_a = pts
-    segs_b = np.roll(pts, -1, axis=0) if closed else pts[1:]
-    nseg = n if closed else n - 1
-    mids = 0.5 * (segs_a[:nseg] + segs_b[:nseg])
-    seg_len = np.max(np.linalg.norm(segs_b[:nseg] - segs_a[:nseg], axis=1))
-    tree = cKDTree(mids)
-    pairs = tree.query_pairs(r=2.0 * seg_len + _CURVE_RESOLUTION)
-    for i, j in pairs:
-        gap = min(abs(i - j), nseg - abs(i - j)) if closed else abs(i - j)
-        if gap <= _ADJACENT_SEGMENTS:
-            continue
-        d = _segment_pair_distance(segs_a[i], segs_b[i % n],
-                                   segs_a[j], segs_b[j % n])
-        if d < _CURVE_RESOLUTION:
-            return True
-    return False
+    ends = np.roll(pts, -1, axis=0) if closed else pts[1:]
+    starts = pts[:len(ends)]
+    seg_len = np.max(np.linalg.norm(ends - starts, axis=1))
+    i, j = _near_pairs(0.5 * (starts + ends), seg_len + _CURVE_RESOLUTION)
+    gap = np.abs(j - i)
+    if closed:
+        gap = np.minimum(gap, len(starts) - gap)
+    i, j = i[gap > _ADJACENT_SEGMENTS], j[gap > _ADJACENT_SEGMENTS]
+    return len(i) > 0 and bool(np.any(_segment_distances(
+        starts[i], ends[i], starts[j], ends[j]) < _CURVE_RESOLUTION))
 
 
 def minimal_period_fold(orbit):
@@ -151,7 +177,7 @@ class BirkhoffSection:
     orbit: gd.ClosedOrbit
     normal: np.ndarray
     length: float
-    _alpha_spline: CubicSpline = field(repr=False, default=None)
+    _alpha_spline: _spline.Spline = field(repr=False, default=None)
     _alpha0: float = 0.0
 
     def frames(self, x):
@@ -173,7 +199,7 @@ class BirkhoffSection:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         alpha = np.arctan2(pts @ self._p2, pts @ self._p1)
         rel = np.mod(alpha - self._alpha0, _TWO_PI)
-        x = self._alpha_spline(rel)
+        x = _spline.at_all(self._alpha_spline, rel)[:, 0]
         return np.mod(x, self.length)
 
     def angles_of(self, x, w):
@@ -223,7 +249,7 @@ def build_section(model, orbit=None):
     rel = alpha - alpha[0]
     rel_ext = np.concatenate([rel, [_TWO_PI]])
     ts_ext = np.concatenate([ts, [orbit.length]])
-    sec._alpha_spline = CubicSpline(rel_ext, ts_ext)
+    sec._alpha_spline = _spline.not_a_knot(rel_ext, ts_ext)
     return sec
 
 

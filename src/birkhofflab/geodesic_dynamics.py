@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _spline
 from . import metric_models as mm
 from ._integrate import integrate_adaptive, sampler, sweep_linear_events
 from .errors import (ChartDomainError, NoConvergenceError, PreconditionError,
@@ -309,22 +310,24 @@ def conjugate_horizon(kmin, order):
 
 class ClosedOrbit:
     """A closed geodesic stored as a uniform sample of its ambient states,
-    with periodic splines for point/velocity evaluation."""
+    with the periodic cubic splines of the six state components (see
+    :func:`_spline.periodic`) for point/velocity evaluation."""
 
     def __init__(self, model, length, states, closure_residual):
-        from scipy.interpolate import CubicSpline
-
         self.model = model
         self.length = float(length)
         self.states = np.asarray(states, dtype=float)
         self.closure_residual = float(closure_residual)
         ts = np.linspace(0.0, self.length, len(self.states) + 1)
         wrapped = np.vstack([self.states, self.states[0:1]])
-        self._spline = CubicSpline(ts, wrapped, axis=0, bc_type="periodic")
+        self._spline = _spline.periodic(ts, wrapped.T)
 
     def at(self, x):
-        """Ambient (u, v) at arclength x (periodically extended)."""
-        y = self._spline(np.mod(x, self.length))
+        """Ambient (u, v) at arclength x (periodically extended into
+        [0, L): ``np.mod`` of a tiny negative x rounds to L itself, which
+        the second ``np.mod`` takes to 0)."""
+        y = _spline.at_all(self._spline,
+                           np.mod(np.mod(x, self.length), self.length))
         return y[..., 0:3], y[..., 3:6]
 
     @property

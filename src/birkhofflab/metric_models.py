@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import minimize_scalar
 
 from .errors import InternalConsistencyError, ModelInvalidError
 
@@ -296,14 +295,51 @@ def curvature_extremes(model):
     def refine(idx, sign):
         lo = max(-1.0, zs[idx] - 2.0 * h)
         hi = min(1.0, zs[idx] + 2.0 * h)
-        res = minimize_scalar(lambda z: sign * model.curvature(z),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        return sign * res.fun
+        return sign * _bounded_minimum(lambda z: sign * model.curvature(z),
+                                       lo, hi)
 
     kmin = min(float(ks.min()), float(refine(int(np.argmin(ks)), +1.0)))
     kmax = max(float(ks.max()), float(refine(int(np.argmax(ks)), -1.0)))
     return kmin, kmax
+
+
+def _bounded_minimum(f, a, b):
+    """The least value of f that Brent's bounded search finds on [a, b]:
+    parabolic steps where they fall inside the bracket and shrink, golden
+    section steps otherwise, until the bracket is within twice
+    sqrt(2.2e-16) |x| + 1e-12 / 3 of the best point x.  These are the
+    steps of scipy's ``fminbound`` at ``xatol`` 1e-12, so both return the
+    same value."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    e = rat = 0.0
+    while True:
+        xm, tol = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + 1e-12 / 3.0
+        if abs(x - xm) <= 2.0 * tol - 0.5 * (b - a):
+            return fx
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = (-p if q > 0.0 else p), abs(q)
+        if (abs(e) > tol and abs(p) < abs(0.5 * q * e)
+                and q * (a - x) < p < q * (b - x)):
+            e, rat = rat, (p + 0.0) / q
+            if x + rat - a < 2.0 * tol or b - (x + rat) < 2.0 * tol:
+                rat = tol if xm >= x else -tol
+        else:
+            e = a - x if x >= xm else b - x
+            rat = golden * e
+        u = x + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def pinching_constant(model):

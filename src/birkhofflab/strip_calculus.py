@@ -26,14 +26,12 @@ of W); the mirrored statement holds for non-negative Calabi invariant.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.linalg import solve_banded
 
+from . import _spline
+from ._spline import at as _columns_at
 from .errors import (InternalConsistencyError, NonIntegrableFormError,
                      NotGeneratingError, PreconditionError)
 
@@ -182,9 +180,30 @@ def ddy_mesh(F, ys):
     return F @ _diff_matrix(ys).T
 
 
+def _simpson(y, x):
+    """Composite Simpson integrals of the rows of y over the knots x, on
+    pairs of intervals from the first knot; an odd number of intervals
+    ends with Cartwright's correction for the last one.  The weights and
+    sums are those of scipy's ``simpson``, term by term."""
+    stop = len(x) - 2 if len(x) % 2 else len(x) - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    middle = hsum * (hsum / (h0 * h1))
+    total = np.sum(hsum / 6.0 * (y[:, 0:stop:2] * (2.0 - 1.0 / ratio)
+                                 + y[:, 1:stop + 1:2] * middle
+                                 + y[:, 2:stop + 2:2] * (2.0 - ratio)), axis=1)
+    if len(x) % 2 == 0:
+        a, b = h[-2:-1], h[-1:]
+        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[:, -1]
+                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[:, -2]
+                  - b ** 3 / (6 * a * (a + b)) * y[:, -3])
+    return total
+
+
 def strip_integral(F, xs, ys, length):
     """Integral of F * sin(y) dx dy over one period of the strip."""
-    inner = simpson(F * np.sin(ys)[None, :], x=ys, axis=1)
+    inner = _simpson(F * np.sin(ys)[None, :], ys)
     return float(length * np.mean(inner))
 
 
@@ -209,14 +228,15 @@ def omega_preservation_residual(grid):
 
 
 def _periodic_spline(xs, ys, length, F):
-    """Bicubic spline of node data F (nx, ny), periodic in x with period
-    ``length``.  The mesh is padded by 16 periodic images on each side, so
-    the spline's end conditions reach the period only at rounding level:
-    with 4 images, W and D1 W differ across x = 0 and x = L by up to 1e-9
-    and 1e-7, which moves an extremum near the seam by up to 2.5e-6."""
+    """Bicubic spline (:class:`_spline.Bicubic`) of node data F (nx, ny),
+    periodic in x with period ``length``.  The mesh is padded by 16
+    periodic images on each side, so the not-a-knot end conditions reach
+    the period only at rounding level: with 4 images, W and D1 W differ
+    across x = 0 and x = L by up to 1e-9 and 1e-7, which moves an extremum
+    near the seam by up to 2.5e-6."""
     i = np.arange(-16, len(xs) + 16)
-    return RectBivariateSpline(xs[i % len(xs)] + length * (i // len(xs)), ys,
-                               F[i % len(xs)], kx=3, ky=3)
+    return _spline.Bicubic(xs[i % len(xs)] + length * (i // len(xs)), ys,
+                           F[i % len(xs)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +262,9 @@ def flux_boundary_path(grid):
     Xc = grid.X[0, :]
     Yc = grid.Y[0, :]
     t = grid.ys
-    dY = CubicSpline(t, Yc).derivative()(t)
-    integrand = Xc * np.sin(Yc) * dY
-    return 0.5 * float(CubicSpline(t, integrand).integrate(0.0, _PI))
+    _, dY = _columns_at(_spline.not_a_knot(t, Yc), t[None], slope=True)
+    integrand = Xc * np.sin(Yc) * dY[0]
+    return 0.5 * float(_spline.integral(_spline.not_a_knot(t, integrand))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +287,7 @@ def action(grid):
     # vertical component of Phi^* lambda - lambda, integrated from y = 0
     Q = cosY * d2X
     sigma0 = disp[:, 0] - F
-    sigma = sigma0[:, None] + CubicSpline(ys, Q, axis=1).antiderivative()(ys)
+    sigma = sigma0[:, None] + _spline.antiderivative(_spline.not_a_knot(ys, Q))
     # closure test against the horizontal component
     P = cosY * d1X - np.cos(ys)[None, :]
     closure = float(np.max(np.abs(ddx_periodic(sigma, L) - P)))
@@ -293,85 +313,18 @@ def calabi(grid, action_grid=None):
 # generating functions
 # ---------------------------------------------------------------------------
 
-# Cubic splines of the columns of (nx, ny) data with per-column knots x,
-# (nx, ny), and coefficients c laid out as an axis-1 CubicSpline's.
-_ColumnSplines = namedtuple("_ColumnSplines", "x c")
-
-
-def _columns_at(spline, Y, slope=False):
-    """Column i of an axis-1 ``CubicSpline`` of (nx, ny) node data at that
-    column's own points ``Y[i]``; with ``slope``, the pair of it and its
-    first derivative, from the one interval search.  ``spline`` may also
-    hold per-column knots ``x``, (nx, ny), as :func:`_inverse_columns`
-    gives; the interval search then runs per column.  The search,
-    ``searchsorted(side="right") - 1`` clipped to the first and last
-    interval, and the power sums repeat scipy's ``PPoly`` evaluation term
-    by term, also at the last knot and outside the knots, so each column
-    equals a per-column spline bit for bit.
-    """
-    x, cols = spline.x, np.arange(Y.shape[0])[:, None]
-    if x.ndim == 1:
-        k = np.searchsorted(x, Y, side="right")
-    else:
-        k = np.array([np.searchsorted(xi, yi, side="right")
-                      for xi, yi in zip(x, Y)])
-    k = np.clip(k - 1, 0, x.shape[-1] - 2)
-    s = Y - (x[k] if x.ndim == 1 else x[cols, k])
-    c0, c1, c2, c3 = spline.c[:, k, cols]
-    value = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-    if slope:
-        return value, c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
-    return value
-
-
 def _inverse_columns(knots, values):
-    """The not-a-knot cubic splines ``CubicSpline(knots[i], values)`` of
-    every column i at once, for :func:`_columns_at`.
-
-    The rows of each tridiagonal system for the knot slopes are filled as
-    scipy fills them, and the nx systems are solved as one block-diagonal
-    system by one LAPACK ``gtsv`` call.  The entries that couple
-    neighbouring blocks are zero.  ``gtsv`` swaps rows only where the
-    sub-diagonal entry exceeds the diagonal one in size, so never at a
-    zero, and eliminates a zero sub-diagonal entry with multiplier exactly
-    0, which leaves the next block untouched: each block's solution is
-    bit-identical to a per-column solve.  The Hermite coefficients follow
-    ``CubicHermiteSpline``'s order of operations.
-    """
+    """The not-a-knot splines ``CubicSpline(knots[i], values)`` of every
+    column i at once (:func:`_spline.not_a_knot` on per-column knots), for
+    :func:`_columns_at`; a column whose knots are not finite and strictly
+    increasing is refused."""
     bad = (~np.all(np.isfinite(knots), axis=1)
            | np.any(np.diff(knots, axis=1) <= 0.0, axis=1))
     if bad.any():
         raise PreconditionError(
             f"column {int(np.argmax(bad))} of the map is not finite and "
             "strictly increasing in y, so it has no inverse")
-    nx, n = knots.shape
-    h = np.diff(knots, axis=1)
-    slope = np.diff(values) / h
-    ab = np.zeros((3, nx, n))
-    b = np.empty((nx, n))
-    ab[1, :, 1:-1] = 2 * (h[:, :-1] + h[:, 1:])
-    ab[0, :, 2:] = h[:, :-1]
-    ab[2, :, :-2] = h[:, 1:]
-    b[:, 1:-1] = 3 * (h[:, 1:] * slope[:, :-1] + h[:, :-1] * slope[:, 1:])
-    # The not-a-knot rows.  scipy squares the end spacings as NumPy
-    # scalars, that is by C pow, whose result differs from h * h in the
-    # last bit for about one h in a thousand.
-    sq0, sq1 = (np.array([math.pow(v, 2) for v in h[:, j]]) for j in (0, -1))
-    d = knots[:, 2] - knots[:, 0]
-    ab[1, :, 0], ab[0, :, 1] = h[:, 1], d
-    b[:, 0] = ((h[:, 0] + 2 * d) * h[:, 1] * slope[:, 0]
-               + sq0 * slope[:, 1]) / d
-    d = knots[:, -1] - knots[:, -3]
-    ab[1, :, -1], ab[2, :, -2] = h[:, -2], d
-    b[:, -1] = (sq1 * slope[:, -2]
-                + (2 * d + h[:, -1]) * h[:, -2] * slope[:, -1]) / d
-    m = solve_banded((1, 1), ab.reshape(3, -1), b.reshape(-1),
-                     overwrite_ab=True, overwrite_b=True,
-                     check_finite=False).reshape(nx, n)
-    t = (m[:, :-1] + m[:, 1:] - 2 * slope) / h
-    c = np.stack((t / h, (slope - m[:, :-1]) / h - t, m[:, :-1],
-                  np.broadcast_to(values[:-1], t.shape)))
-    return _ColumnSplines(knots, c.transpose(0, 2, 1))
+    return _spline.not_a_knot(knots, values)
 
 
 def build_from_generating(gen):
@@ -407,7 +360,7 @@ def build_from_generating(gen):
     quot[:, 1:-1] = d2W[:, 1:-1] / np.sin(Ys[1:-1])[None, :]
     quot[:, 0] = d22W[:, 0]
     quot[:, -1] = -d22W[:, -1]
-    d1_spl = CubicSpline(Ys, d1W, axis=1)
+    d1_spl = _spline.not_a_knot(Ys, d1W)
     Y = np.tile(Ys, (gen.nx, 1))
     lo = np.zeros_like(Y)           # the residual is >= 0 at lo, <= 0 at hi
     hi = np.full_like(Y, _PI)
@@ -430,7 +383,7 @@ def build_from_generating(gen):
     if np.any(np.diff(Y, axis=1) <= 0.0):
         raise NotGeneratingError(
             "generated column is not monotone; W is too large")
-    X = xs[:, None] + _columns_at(CubicSpline(Ys, quot, axis=1), Y)
+    X = xs[:, None] + _columns_at(_spline.not_a_knot(Ys, quot), Y)
     Y[:, 0] = 0.0
     Y[:, -1] = _PI
     return StripMapGrid(length=L, xs=xs, ys=Ys.copy(), X=X, Y=Y)
@@ -458,9 +411,9 @@ def generating_from_map(grid):
                          np.broadcast_to(Yreg, grid.Y.shape))
     y_of_Y = np.clip(y_of_Y, 0.0, _PI)
     y_of_Y[:, 0], y_of_Y[:, -1] = 0.0, _PI
-    Xq = _columns_at(CubicSpline(ys, grid.X, axis=1), y_of_Y)
+    Xq = _columns_at(_spline.not_a_knot(ys, grid.X), y_of_Y)
     eta_Y = (Xq - xs[:, None]) * np.sin(Yreg)
-    w = -F + CubicSpline(Yreg, eta_Y, axis=1).antiderivative()(Yreg)
+    w = -F + _spline.antiderivative(_spline.not_a_knot(Yreg, eta_Y))
     eta_x = np.cos(Yreg)[None, :] - np.cos(y_of_Y)
     closure = float(np.max(np.abs(ddx_periodic(w, L) - eta_x)))
     if closure > IDENTITY_TOL:
@@ -478,7 +431,7 @@ def calabi_from_generating(gen, grid):
     if not zero_flux(grid, F):
         raise PreconditionError(
             f"Calabi invariant requires zero flux (got {F:.3g})")
-    total = gen.w + _columns_at(CubicSpline(gen.Ys, gen.w, axis=1), grid.Y)
+    total = gen.w + _columns_at(_spline.not_a_knot(gen.Ys, gen.w), grid.Y)
     return 0.5 * strip_integral(total, grid.xs, grid.ys,
                                 grid.length) / grid.length
 
@@ -546,9 +499,10 @@ def _newton_step(surf, p, circle):
 
 
 def _map_near(grid, x, y):
-    """The map's (X, Y) at one point, from bicubic splines of the
+    """The map's (X, Y) at one point, from the bicubic splines of the
     displacements X - x and Y - y on the window of 10 x 10 grid nodes
-    around it (periodic in x, kept inside the rows)."""
+    around it (periodic in x, kept inside the rows): the splines in x of
+    the window columns' splines in y at y, both fields at once."""
     h, half = grid.length / grid.nx, 5
     cols = np.arange(-half + 1, half + 1) + math.floor(x / h)
     j = int(np.searchsorted(grid.ys, y)) - half
@@ -556,10 +510,13 @@ def _map_near(grid, x, y):
     rows = slice(j, j + 2 * half)
     i = cols % grid.nx
     ys = grid.ys[rows]
-    dX = grid.X[i, rows] - grid.xs[i, None]
-    dY = grid.Y[i, rows] - ys
-    return (x + float(RectBivariateSpline(cols * h, ys, dX).ev(x, y)),
-            y + float(RectBivariateSpline(cols * h, ys, dY).ev(x, y)))
+    disp = np.vstack([grid.X[i, rows] - grid.xs[i, None],
+                      grid.Y[i, rows] - ys])
+    in_y = _columns_at(_spline.not_a_knot(ys, disp),
+                       np.full((4 * half, 1), y))
+    dX, dY = _columns_at(_spline.not_a_knot(cols * h, in_y.reshape(2, -1)),
+                         np.full((2, 1), x))[:, 0]
+    return x + float(dX), y + float(dY)
 
 
 def fixed_point_with_signed_action(grid, gen, branch=None):

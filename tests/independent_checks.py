@@ -169,6 +169,47 @@ class UnscreenedEventHook:
         return res
 
 
+def segment_distance(p1, q1, p2, q2):
+    """Minimum distance between segments [p1, q1] and [p2, q2] in R^3, one
+    pair at a time (clamped closest-point parameters)."""
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = d1 @ d1
+    e = d2 @ d2
+    f = d2 @ r
+    c = d1 @ r
+    b = d1 @ d2
+    denom = a * e - b * b
+    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
+    t = (b * s + f) / e if e > 1e-30 else 0.0
+    if t < 0.0:
+        t = 0.0
+        s = np.clip(-c / a, 0.0, 1.0) if a > 1e-30 else 0.0
+    elif t > 1.0:
+        t = 1.0
+        s = np.clip((b - c) / a, 0.0, 1.0) if a > 1e-30 else 0.0
+    diff = (p1 + s * d1) - (p2 + t * d2)
+    return math.sqrt(diff @ diff)
+
+
+def all_pairs_self_intersects(points, closed):
+    """``bs.curve_self_intersects`` by brute force: every pair of segments
+    more than ``bs._ADJACENT_SEGMENTS`` apart in index (cyclically when
+    closed) is measured."""
+    pts = np.asarray(points, dtype=float)
+    ends = np.roll(pts, -1, axis=0) if closed else pts[1:]
+    n = len(ends)
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = min(j - i, n - j + i) if closed else j - i
+            if (gap > bs._ADJACENT_SEGMENTS
+                    and segment_distance(pts[i], ends[i], pts[j], ends[j])
+                    < bs._CURVE_RESOLUTION):
+                return True
+    return False
+
+
 def per_column_splines(knots, values, queries):
     """Row i: scipy's not-a-knot ``CubicSpline(knots[i], values)`` at
     ``queries[i]``, one spline built per column."""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -568,6 +570,19 @@ class TestLiftAndIdentities:
         arc = pts[:150]          # short piece is injective
         assert not bs.curve_self_intersects(arc, closed=False)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 48),
+           closed=st.booleans(),
+           factor=st.sampled_from([None, 0.5, 0.999, 1.001, 2.0]))
+    def test_self_intersection_detector_against_all_pairs(self, seed, n,
+                                                          closed, factor):
+        pts = walk_with_crossing(np.random.default_rng(seed), n, closed,
+                                 factor)
+        want = ic.all_pairs_self_intersects(pts, closed)
+        assert bs.curve_self_intersects(pts, closed=closed) is want
+        if factor is not None and factor < 1.0:
+            assert want
+
     def test_lift_is_the_grid(self, spheroid_grid):
         assert bs.zero_flux_lift(spheroid_grid) is spheroid_grid
 
@@ -595,6 +610,41 @@ class TestLiftAndIdentities:
         grid = dataclasses.replace(spheroid_grid, arc_legs=legs)
         with pytest.raises(PinchingViolationError, match="self-intersects"):
             grid.summary(spheroid_model)
+
+
+def _straight(p, q, step):
+    """The points strictly between p and q that split [p, q] into equal
+    pieces no longer than ``step``."""
+    k = max(int(np.ceil(np.linalg.norm(q - p) / step)), 1)
+    return p + (q - p) * (np.arange(1, k) / k)[:, None]
+
+
+def walk_with_crossing(rng, n, closed, factor, step=0.3):
+    """A random walk of n steps of length ``step``.  With ``factor``, it
+    then runs straight back to cross one of its segments, at random points
+    of both, at the distance factor * ``_CURVE_RESOLUTION`` and takes one
+    more step; closed, it runs straight back to its start.  Every segment
+    is at most ``step`` long, as on a sampled orbit, so the crossing
+    segments' midpoints often lie in neighbouring cells of the spatial
+    hash of ``curve_self_intersects``."""
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    pts = np.cumsum(step * unit(rng.normal(size=(n, 3))), axis=0)
+    if factor is not None:
+        i = int(rng.integers(4, n - 6))
+        a, b = pts[i], pts[i + 1]
+        normal = unit(np.cross(b - a, rng.normal(size=3)))
+        cross = unit(np.cross(normal, b - a))
+        at = (a + rng.uniform(0.05, 0.95) * (b - a)
+              + factor * bs._CURVE_RESOLUTION * normal)
+        start = at - rng.uniform(0.05, 0.95) * step * cross
+        end = start + step * cross
+        pts = np.vstack([pts, _straight(pts[-1], start, step), start, end,
+                         end + step * unit(rng.normal(size=3))])
+    if closed:
+        pts = np.vstack([pts, _straight(pts[-1], pts[0], step)])
+    return pts
 
 
 def spiral_arc():

@@ -4,6 +4,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -969,3 +972,19 @@ class TestOptions:
         capsys.readouterr()
         for name, dests in self._taken().items():
             assert dests <= read[name], name
+
+
+class TestRuntimeImports:
+    def test_commands_import_no_heavy_scipy_module(self):
+        # In a fresh interpreter: two audits and a strip report leave
+        # scipy.interpolate, .optimize, .integrate, .spatial and .special
+        # unimported (tests/runtime_imports.py, which CI also runs against
+        # the installed console script).
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        script = Path(__file__).with_name("runtime_imports.py")
+        out = subprocess.run([sys.executable, str(script)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert out.stdout.startswith(src)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import ellipe
 
 from birkhofflab import birkhoff_section as bs
@@ -71,6 +72,25 @@ class TestPinching:
         for c in (1.2, 0.8):
             assert abs(mm.pinching_constant(mm.make_spheroid(c))
                        - min(c, 1 / c) ** 4) <= 1e-15
+
+    @pytest.mark.parametrize("model", [
+        *(mm.make_spheroid(c) for c in (0.5, 0.97, 1.03, 1.5)),
+        mm.make_zoll([0.1, 0.0, -0.1])], ids=lambda m: str(m.params))
+    def test_extremes_against_minimize_scalar(self, model):
+        # the same samples, each extreme refined by scipy's bounded Brent
+        zs = np.linspace(-1.0, 1.0, mm._CURVATURE_SAMPLES)
+        ks, h = model.curvature(zs), zs[1] - zs[0]
+
+        def refine(idx, sign):
+            res = minimize_scalar(
+                lambda z: sign * model.curvature(z), method="bounded",
+                bounds=(max(-1.0, zs[idx] - 2 * h), min(1.0, zs[idx] + 2 * h)),
+                options={"xatol": 1e-12})
+            return sign * res.fun
+
+        want = (min(ks.min(), refine(int(np.argmin(ks)), 1.0)),
+                max(ks.max(), refine(int(np.argmax(ks)), -1.0)))
+        assert mm.curvature_extremes(model) == pytest.approx(want, rel=1e-15)
 
 
 class TestArea:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -37,6 +38,18 @@ def seed5_generating(k):
     for _ in range(k):
         sc.random_generating_grid(rng)
     return sc.random_generating_grid(rng)
+
+
+@pytest.mark.parametrize("ny", [95, 96])
+def test_strip_integral_against_simpson(ny):
+    # an even and an odd number of intervals (Cartwright's last-interval
+    # correction), on C- and Fortran-ordered data
+    xs, ys = sc.strip_mesh(L, 96, ny)
+    F = np.random.default_rng(ny).normal(size=(96, ny))
+    for data in (F, np.asfortranarray(F)):
+        want = L * np.mean(simpson(data * np.sin(ys)[None, :], x=ys, axis=1))
+        assert sc.strip_integral(data, xs, ys, L) == pytest.approx(want,
+                                                                   rel=1e-15)
 
 
 class TestFlux:
